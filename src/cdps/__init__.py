@@ -24,6 +24,8 @@ from .linalg import (
     WhitenedOperator,
     cg_solve,
     diag_preconditioner,
+    perturbation,
+    precision_solve,
     pw_cg_draw,
 )
 from .gmm import (

@@ -132,26 +132,8 @@ def _run_method(method, cfg, prior, A, y, sigma, schedule, seed_parts):
             y, A, noise, schedule, score_fn, rng, n_chains=n, config=solver,
             shared_chain=cfg.shared_y_chain,
         )
-        failures = 0
-        drop = []
-        for row in trace.failed_rows:
-            fixed = False
-            for attempt in range(1, 4):
-                retry_rng = derive_rng(*seed_parts, "retry", int(row), attempt)
-                xr, tr = cdps_sample(
-                    y, A, noise, schedule, score_fn, retry_rng, n_chains=None,
-                    config=solver, shared_chain=cfg.shared_y_chain,
-                )
-                if tr.failed_rows.size == 0:
-                    x0[row] = xr
-                    fixed = True
-                    break
-            if not fixed:
-                failures += 1
-                drop.append(int(row))
-        if drop:
-            x0 = np.delete(x0, drop, axis=0)
-        return x0, failures
+        # A failed chain costs its own row: it is counted and dropped, never rerun.
+        return np.delete(x0, trace.failed_rows, axis=0), int(trace.failed_rows.size)
 
     if method == "dps":
         jvp_fn = gmm_mod.denoiser_jvp_fn_for(prior, schedule)

@@ -70,20 +70,18 @@ def _cmd_run(args) -> int:
 
 
 def _trace_csv_rows(trace, n_chains):
-    """(chain_id, t, residual_sq, cg_iters_mean, cg_iters_noise) rows."""
+    """(chain_id, t, residual_sq, cg_iters) rows."""
     T = trace.residual_sq.shape[0] - 1
     res = trace.residual_sq
     if res.ndim == 1:
         res = res[:, None]
         n_chains = 1
-    im = trace.cg_iters_mean
-    ino = trace.cg_iters_noise
+    iters = trace.cg_iters
     for chain in range(n_chains):
         for t in range(T, -1, -1):
             produced_by = t + 1  # step consuming beta_{t+1} produced level t
-            cg_m = int(im[produced_by]) if im is not None and produced_by <= T else 0
-            cg_n = int(ino[produced_by]) if ino is not None and produced_by <= T else 0
-            yield chain, t, res[t, chain], cg_m, cg_n
+            cg = int(iters[produced_by]) if iters is not None and produced_by <= T else 0
+            yield chain, t, res[t, chain], cg
 
 
 def _write_run_traces(cfg: BenchConfig, out_dir) -> list[Path]:
@@ -106,9 +104,9 @@ def _write_run_traces(cfg: BenchConfig, out_dir) -> list[Path]:
                 path = out / f"trace_cdps_d{d}_m{m}_s{sigma!r}.csv"
                 with open(path, "w", newline="") as fh:
                     writer = csv.writer(fh)
-                    writer.writerow(["chain_id", "t", "residual_sq", "cg_iters_mean", "cg_iters_noise"])
+                    writer.writerow(["chain_id", "t", "residual_sq", "cg_iters"])
                     for row in _trace_csv_rows(trace, n):
-                        writer.writerow([row[0], row[1], f"{row[2]:.12g}", row[3], row[4]])
+                        writer.writerow([row[0], row[1], f"{row[2]:.12g}", row[3]])
                 written.append(path)
     return written
 
@@ -156,7 +154,7 @@ def _cmd_trace(args) -> int:
     path = out / f"trace_d{args.d}_m{args.m}_s{args.sigma!r}.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["method", "chain_id", "t", "residual_sq", "cg_iters_mean", "cg_iters_noise"])
+        writer.writerow(["method", "chain_id", "t", "residual_sq", "cg_iters"])
         for method in ("cdps", "dps"):
             rng = derive_rng(args.seed, "trace", method, args.d, args.m, args.sigma)
             if method == "cdps":
@@ -170,7 +168,7 @@ def _cmd_trace(args) -> int:
             start = trace.residual_sq[-1].mean()
             print(f"{method}: mean residual_sq t=T {start:.4g} -> t=0 {final:.4g}")
             for row in _trace_csv_rows(trace, args.chains):
-                writer.writerow([method, row[0], row[1], f"{row[2]:.12g}", row[3], row[4]])
+                writer.writerow([method, row[0], row[1], f"{row[2]:.12g}", row[3]])
     print(f"wrote {path}")
     return 0
 

@@ -1,10 +1,13 @@
-"""Matrix-free SPD solves and the pre-whitened conjugate-gradient Gaussian draw.
+"""SPD solves against the step precision and the perturbation-optimisation draw.
 
-Every reverse sampling step needs two solves against the same posterior
-precision ``c * I + (W A)^T (W A)``: one for the mean and one to turn a
-synthetic right-hand side with covariance equal to the precision into a
-draw from the posterior covariance.  Right-hand sides may be batched with
-the vector axis last, in which case CG runs all rows simultaneously.
+Every reverse sampling step draws from a Gaussian with precision
+``P = c * I + B^T B``, ``B = W A``, in one solve: with a synthetic
+right-hand side ``z`` whose covariance is ``P`` itself (``perturbation``),
+``P^{-1} (rhs + z)`` is a draw around the mean ``P^{-1} rhs``.  When ``A``
+has a dense form the solve is exact, through a Cholesky factor of the
+``min(m, d)``-sized system; otherwise it runs matrix-free preconditioned CG.
+Right-hand sides may be batched with the vector axis last, in which case
+all rows are solved together.
 """
 
 from __future__ import annotations
@@ -40,6 +43,12 @@ class WhitenedOperator:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return self.op.adjoint(self.whitener.apply_wt(y))
 
+    def dense_t(self) -> np.ndarray | None:
+        """(W A)^T as a (d, m) array, row i = W A e_i; None without a dense A."""
+        if self.op.dense is None:
+            return None
+        return self.whitener.apply_w(self.op.dense.T)
+
 
 @dataclass(frozen=True)
 class PrecisionOperator:
@@ -64,6 +73,11 @@ class PrecisionOperator:
             return self.c * u
         return self.c * u + self.whitened.adjoint(self.whitened.apply(u))
 
+    @property
+    def direct(self) -> bool:
+        """Whether ``precision_solve`` factors this operator instead of running CG."""
+        return self.whitened is None or self.whitened.op.dense is not None
+
     def dense(self) -> np.ndarray:
         """Materialize by probing with the identity (tests and oracles only)."""
         return self.matvec(np.eye(self.d)).T
@@ -71,7 +85,11 @@ class PrecisionOperator:
 
 @dataclass
 class CgReport:
-    """Outcome of one (possibly batched) CG solve."""
+    """Outcome of one (possibly batched) solve.
+
+    A direct solve reports zero iterations, every row converged and a NaN
+    ``relative_residual``, which it does not compute.
+    """
 
     iterations: int
     relative_residual: float
@@ -90,12 +108,11 @@ def diag_preconditioner(op: PrecisionOperator) -> np.ndarray | None:
     if op.whitened is None:
         return np.full(op.d, op.c)
     wa = op.whitened
-    if wa.op.dense is not None:
-        cols = wa.whitener.apply_w(wa.op.dense.T)  # row i = W A e_i
-    elif op.d <= PRECOND_PROBE_LIMIT:
+    cols = wa.dense_t()  # row i = W A e_i
+    if cols is None:
+        if op.d > PRECOND_PROBE_LIMIT:
+            return None
         cols = wa.apply(np.eye(op.d))
-    else:
-        return None
     return op.c + np.einsum("ij,ij->i", cols, cols)
 
 
@@ -195,6 +212,81 @@ def cg_solve(
     )
 
 
+def perturbation(
+    op: PrecisionOperator,
+    rng: np.random.Generator,
+    n: int | None = None,
+) -> np.ndarray:
+    """Synthetic right-hand side z = sqrt(c) * eps1 + (W A)^T eps2 with cov(z) = op.
+
+    Draws eps1, shape (d,) or (n, d), then eps2, shape (m,) or (n, m); the
+    measurement-free operator draws eps1 only.  ``op^{-1} z`` is then a draw
+    from N(0, op^{-1}) (Papandreou & Yuille 2010; Orieux et al. 2012).
+    """
+    shape1 = (op.d,) if n is None else (n, op.d)
+    z = np.sqrt(op.c) * rng.standard_normal(shape1)
+    if op.whitened is not None:
+        shape2 = (op.whitened.m,) if n is None else (n, op.whitened.m)
+        z = z + op.whitened.adjoint(rng.standard_normal(shape2))
+    return z
+
+
+def _cholesky_rows(spd: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rows @ spd^{-1} = (rows @ L^{-T}) @ L^{-1}, with spd = L L^T its Cholesky factor.
+
+    The small factor is inverted once, so every row costs two matrix
+    products.  scipy's cho_solve is avoided: on a 2-core x86 box its threaded
+    triangular solves made a 100-chain d = 32 run 3x slower whenever another
+    process held a core.
+    """
+    inv_lower = np.linalg.inv(np.linalg.cholesky(spd))
+    return (rows @ inv_lower.T) @ inv_lower
+
+
+def _direct_solve(op: PrecisionOperator, rhs: np.ndarray) -> np.ndarray:
+    """Exact solve through a Cholesky factor of the min(m, d)-sized SPD system."""
+    if op.whitened is None:
+        return rhs / op.c
+    bt = op.whitened.dense_t()  # B^T, (d, m)
+    rows = rhs.reshape(-1, op.d)
+    if op.d <= op.whitened.m:
+        # P itself; at m = d it is as small as the capacitance and needs no
+        # subtraction, which would lose digits where B B^T >> c.
+        x = _cholesky_rows(op.c * np.eye(op.d) + bt @ bt.T, rows)
+    else:
+        # Woodbury: P^{-1} r = (r - B^T K^{-1} B r) / c, K = c I_m + B B^T.
+        u = _cholesky_rows(op.c * np.eye(op.whitened.m) + bt.T @ bt, rows @ bt)
+        x = (rows - u @ bt.T) / op.c
+    return x.reshape(rhs.shape)
+
+
+def precision_solve(
+    op: PrecisionOperator,
+    rhs: np.ndarray,
+    preconditioner: np.ndarray | None = None,
+    tol: float = 1e-8,
+    max_iter: int | None = None,
+) -> tuple[np.ndarray, CgReport]:
+    """Solve ``op.matvec(x) = rhs`` for every row of ``rhs``.
+
+    Exact when ``op.direct`` (the measurement operator has a dense form);
+    otherwise one batched ``cg_solve`` with the given preconditioner,
+    tolerance and iteration cap, which the direct path ignores.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    if not op.direct:
+        return cg_solve(op, rhs, preconditioner=preconditioner, tol=tol, max_iter=max_iter)
+    if rhs.shape[-1] != op.d:
+        raise ValueError(f"rhs last axis must be {op.d}")
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("rhs must be finite")
+    batch = rhs.shape[:-1]
+    return _direct_solve(op, rhs), CgReport(
+        iterations=0, relative_residual=float("nan"), converged=True,
+        row_iterations=np.zeros(batch, dtype=int), row_converged=np.ones(batch, dtype=bool),
+    )
+
+
 def pw_cg_draw(
     op: PrecisionOperator,
     rng: np.random.Generator,
@@ -205,15 +297,9 @@ def pw_cg_draw(
 ) -> tuple[np.ndarray, CgReport]:
     """Draw from N(0, op^{-1}) without any dense factorization.
 
-    Synthesizes z = sqrt(c) * eps1 + (W A)^T eps2, whose covariance equals
-    the precision operator itself, then returns the CG solve of
-    ``op.matvec(v) = z``.  Pass ``n`` to draw a batch of independent vectors.
+    Returns the CG solve of ``op.matvec(v) = z`` for the synthetic right-hand
+    side ``z = perturbation(op, rng, n)``.  Pass ``n`` to draw a batch of
+    independent vectors.
     """
-    shape1 = (op.d,) if n is None else (n, op.d)
-    eps1 = rng.standard_normal(shape1)
-    z = np.sqrt(op.c) * eps1
-    if op.whitened is not None:
-        shape2 = (op.whitened.m,) if n is None else (n, op.whitened.m)
-        eps2 = rng.standard_normal(shape2)
-        z = z + op.whitened.adjoint(eps2)
+    z = perturbation(op, rng, n)
     return cg_solve(op, z, preconditioner=preconditioner, tol=tol, max_iter=max_iter)

@@ -6,9 +6,12 @@ precision is ``c_t I + A^T Sigma^{-1} A``.  Everything here is batched: pass
 ``n_chains`` to run many independent chains as rows of one array, sharing
 the per-step operator while each row keeps its own randomness.
 
-Random draws happen in a fixed documented order (chain noise block, initial
-state, then per step the mean solve consumes no randomness and the noise
-draw consumes eps1 then eps2), so results are reproducible per seed.
+Each step makes one solve against that precision: the posterior right-hand
+side plus a synthetic perturbation whose covariance is the precision itself,
+so the solution is the mean plus a posterior draw.  Random draws happen in a
+fixed documented order (chain noise block, initial state, then per step the
+perturbation's eps1 then eps2; the right-hand side consumes no randomness),
+so results are reproducible per seed.
 """
 
 from __future__ import annotations
@@ -18,7 +21,16 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import PrecisionOperator, WhitenedOperator, cg_solve, diag_preconditioner, pw_cg_draw
+from .linalg import (
+    CgReport,
+    PrecisionOperator,
+    WhitenedOperator,
+    diag_preconditioner,
+    perturbation,
+    precision_solve,
+)
+# Looked up here by callers that patch or import the solver layers by name.
+from .linalg import cg_solve, pw_cg_draw  # noqa: F401
 from .operators import (
     ConditionalCov,
     LinearOperator,
@@ -32,7 +44,7 @@ from .schedules import NoiseSchedule
 
 
 class ChainFailureError(RuntimeError):
-    """A CG solve failed to converge inside a sampling step."""
+    """A step's CG solve failed to converge."""
 
     def __init__(self, t: int, rows: np.ndarray, kind: str):
         self.t = t
@@ -42,7 +54,11 @@ class ChainFailureError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Knobs for the per-step linear solves and posterior variants."""
+    """Knobs for the per-step linear solves and posterior variants.
+
+    The CG knobs apply only to operators without a dense form; the others
+    are solved exactly.
+    """
 
     cg_tol: float = 1e-8
     cg_max_iter: int | None = None  # defaults to 10 * d inside cg_solve
@@ -155,7 +171,8 @@ def _build_params(
         # that single step.
         c = c + 1.0 / (1.0 - abar_prev)
     precision = PrecisionOperator(c=c, d=A.d, whitened=WhitenedOperator(A, whitener))
-    precond = diag_preconditioner(precision) if config.precondition else None
+    run_cg = config.precondition and not precision.direct
+    precond = diag_preconditioner(precision) if run_cg else None
     return PosteriorStepParams(
         t=t, beta=beta, abar_prev=abar_prev, abar=abar, c=c, b_prev=b_vec, cov=cov,
         whitener=whitener, precision=precision, preconditioner=precond, score=score,
@@ -181,20 +198,7 @@ def make_step_params(
     return _build_params(t, A, noise, schedule, b_vec, config, score=s_hat)
 
 
-def posterior_mean(
-    params: PosteriorStepParams,
-    x_t: np.ndarray,
-    y_prev: np.ndarray,
-    config: SolverConfig | None = None,
-):
-    """Solve the step precision against the posterior right-hand side.
-
-    The transition kernel contributes sqrt(1-beta)/beta * x_t (or
-    c_t * x_t in the simplified variant), the measurement contributes
-    A^T Sigma^{-1} (y_{t-1} - b), and in "score" prior mode the marginal
-    prior contributes its mean x_t + s_hat at unit weight.
-    """
-    config = config or SolverConfig()
+def _posterior_rhs(params: PosteriorStepParams, x_t, y_prev, config: SolverConfig) -> np.ndarray:
     beta = params.beta
     coef = (1.0 - beta) / beta if config.simplified_prior_rhs else np.sqrt(1.0 - beta) / beta
     A = params.precision.whitened.op
@@ -209,30 +213,47 @@ def posterior_mean(
             np.sqrt(1.0 - beta) * (1.0 - params.abar_prev)
         )
         rhs = rhs + pull
-    return cg_solve(
+    return rhs
+
+
+def _solve(params: PosteriorStepParams, rhs: np.ndarray, config: SolverConfig):
+    return precision_solve(
         params.precision, rhs,
         preconditioner=params.preconditioner,
         tol=config.cg_tol, max_iter=config.cg_max_iter,
     )
 
 
-def _finish_step(params, x_t, y_prev, rng, config):
-    mu, rep_mean = posterior_mean(params, x_t, y_prev, config)
+def posterior_mean(
+    params: PosteriorStepParams,
+    x_t: np.ndarray,
+    y_prev: np.ndarray,
+    config: SolverConfig | None = None,
+) -> tuple[np.ndarray, CgReport]:
+    """Solve the step precision against the posterior right-hand side.
+
+    The transition kernel contributes sqrt(1-beta)/beta * x_t (or
+    c_t * x_t in the simplified variant), the measurement contributes
+    A^T Sigma^{-1} (y_{t-1} - b), and in "score" prior mode the marginal
+    prior contributes its mean x_t + s_hat at unit weight.
+    """
+    config = config or SolverConfig()
+    return _solve(params, _posterior_rhs(params, x_t, y_prev, config), config)
+
+
+def _finish_step(params, x_t, y_prev, rng, config, kind):
+    """One solve of the precision against rhs + perturbation: mean plus draw.
+
+    Returns the new state, the solve's report and the rows whose CG solve
+    did not converge, which raise under ``config.strict``.
+    """
+    rhs = _posterior_rhs(params, x_t, y_prev, config)
     n = None if x_t.ndim == 1 else x_t.shape[0]
-    v, rep_noise = pw_cg_draw(
-        params.precision, rng,
-        tol=config.cg_tol, max_iter=config.cg_max_iter,
-        preconditioner=params.preconditioner, n=n,
-    )
-    return mu + v, mu, rep_mean, rep_noise
-
-
-def _failed_rows(*reports) -> np.ndarray:
-    bad = None
-    for rep in reports:
-        rc = np.atleast_1d(rep.row_converged)
-        bad = ~rc if bad is None else (bad | ~rc)
-    return np.nonzero(bad)[0]
+    x_next, report = _solve(params, rhs + perturbation(params.precision, rng, n), config)
+    rows = np.nonzero(~np.atleast_1d(report.row_converged))[0]
+    if rows.size and config.strict:
+        raise ChainFailureError(params.t, rows, kind)
+    return x_next, report, rows
 
 
 def cdps_step(
@@ -249,20 +270,15 @@ def cdps_step(
     """One coupled reverse step: x_{t-1} = mu_post + v.
 
     The score is frozen at the current iterate, the conditional covariance
-    and affine offset use the cumulative product at t-1, and both the mean
-    solve and the covariance draw run matrix-free CG.
+    and affine offset use the cumulative product at t-1, and the mean and
+    the covariance draw come from one solve against the step precision.
     """
     config = config or SolverConfig()
     x_t = np.asarray(x_t, dtype=float)
     if not np.all(np.isfinite(x_t)):
         raise ValueError("x_t must be finite")
     params = make_step_params(x_t, t, score_fn, A, noise, schedule, config)
-    x_next, _, rep_mean, rep_noise = _finish_step(params, x_t, chain.y_at(t - 1), rng, config)
-    if config.strict:
-        rows = _failed_rows(rep_mean, rep_noise)
-        if rows.size:
-            raise ChainFailureError(t, rows, "step")
-    return x_next
+    return _finish_step(params, x_t, chain.y_at(t - 1), rng, config, "step")[0]
 
 
 @dataclass
@@ -271,8 +287,7 @@ class SamplerTrace:
 
     failed_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     residual_sq: np.ndarray | None = None  # (T+1, ...) misfit of x_t, t = 0..T
-    cg_iters_mean: np.ndarray | None = None  # (T+1,), entry t = step producing x_{t-1}
-    cg_iters_noise: np.ndarray | None = None
+    cg_iters: np.ndarray | None = None  # (T+1,), entry t = step producing x_{t-1}; 0 if direct
     score_cos: np.ndarray | None = None  # (T+1, ...), entry t pairs levels t and t-1
     score_mse: np.ndarray | None = None
 
@@ -304,8 +319,8 @@ def cdps_sample(
 
     Generates the measurement chain once (per row unless ``shared_chain``),
     initializes x_T standard normal, and applies the coupled step T times.
-    Rows whose CG solves fail are recorded in the trace (or raise when
-    ``config.strict``).
+    Rows whose CG solve fails are recorded in the trace (or raise when
+    ``config.strict``); exact solves never fail a row.
     """
     config = config or SolverConfig()
     T = schedule.num_steps
@@ -324,8 +339,7 @@ def cdps_sample(
     batch = () if n_chains is None else (n_chains,)
     if record_residuals:
         trace.residual_sq = np.zeros((T + 1,) + batch)
-        trace.cg_iters_mean = np.zeros(T + 1, dtype=int)
-        trace.cg_iters_noise = np.zeros(T + 1, dtype=int)
+        trace.cg_iters = np.zeros(T + 1, dtype=int)
     scores: dict[int, np.ndarray] = {}
 
     def _residual(xv):
@@ -338,16 +352,11 @@ def cdps_sample(
     failed = np.zeros(batch if batch else (1,), dtype=bool)
     for t in range(T, 0, -1):
         params = make_step_params(x, t, score_fn, A, noise, schedule, config)
-        x_new, _, rep_mean, rep_noise = _finish_step(params, x, chain.y_at(t - 1), rng, config)
-        rows = _failed_rows(rep_mean, rep_noise)
-        if rows.size:
-            if config.strict:
-                raise ChainFailureError(t, rows, "sample")
-            failed[rows] = True
+        x_new, report, rows = _finish_step(params, x, chain.y_at(t - 1), rng, config, "sample")
+        failed[rows] = True
         if record_residuals:
             trace.residual_sq[t - 1] = _residual(x_new)
-            trace.cg_iters_mean[t] = rep_mean.iterations
-            trace.cg_iters_noise[t] = rep_noise.iterations
+            trace.cg_iters[t] = report.iterations
         if record_scores:
             scores[t] = params.score
         x = x_new
@@ -583,9 +592,4 @@ def cdps_step_nonlinear(
     offset = np.asarray(g.apply(x_t), dtype=float) - A_lin.apply(x_t)
     b_vec = offset + (1.0 - abar_prev) * A_lin.apply(s_hat)
     params = _build_params(t, A_lin, noise, schedule, b_vec, config, score=s_hat)
-    x_next, _, rep_mean, rep_noise = _finish_step(params, x_t, chain.y_at(t - 1), rng, config)
-    if config.strict:
-        rows = _failed_rows(rep_mean, rep_noise)
-        if rows.size:
-            raise ChainFailureError(t, rows, "nonlinear step")
-    return x_next
+    return _finish_step(params, x_t, chain.y_at(t - 1), rng, config, "nonlinear step")[0]

@@ -200,7 +200,7 @@ def test_cli_run_trace_flag(tmp_path):
     traces = list(out.glob("trace_cdps_*.csv"))
     assert len(traces) == 1
     rows = read_csv(traces[0])
-    assert rows[0] == ["chain_id", "t", "residual_sq", "cg_iters_mean", "cg_iters_noise"]
+    assert rows[0] == ["chain_id", "t", "residual_sq", "cg_iters"]
     assert len(rows) == 1 + 20 * 51
 
 
@@ -240,8 +240,7 @@ def test_cli_oracle_trace_diagnostics(tmp_path, capsys):
     trace_files = list(out.glob("trace_*.csv"))
     assert len(trace_files) == 1
     rows = read_csv(trace_files[0])
-    assert rows[0] == ["method", "chain_id", "t", "residual_sq",
-                       "cg_iters_mean", "cg_iters_noise"]
+    assert rows[0] == ["method", "chain_id", "t", "residual_sq", "cg_iters"]
     # both methods, 3 chains, BenchConfig default T=1000 levels 0..T
     assert len(rows) == 1 + 2 * 3 * 1001
 

@@ -1,15 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdps.linalg import (
     PrecisionOperator,
     WhitenedOperator,
     cg_solve,
     diag_preconditioner,
+    precision_solve,
     pw_cg_draw,
 )
 from cdps.operators import (
+    CirculantNoise,
+    DiagonalNoise,
     IsotropicNoise,
+    LowRankNoise,
     from_dense,
     make_whitener,
     mix_conditional_cov,
@@ -168,3 +176,59 @@ def test_cg_rejects_bad_inputs():
         cg_solve(op, np.ones(3), tol=-1.0)
     with pytest.raises(ValueError):
         PrecisionOperator(c=-1.0, d=3, whitened=None)
+
+
+def make_noise(kind, rng, m):
+    """A noise model of the given kind whose covariance eigenvalues are >= 0.1."""
+    if kind == "isotropic":
+        return IsotropicNoise(float(rng.uniform(0.1, 2.0)))
+    if kind == "diagonal":
+        return DiagonalNoise(rng.uniform(0.1, 2.0, m))
+    if kind == "lowrank":
+        return LowRankNoise(rng.standard_normal((m, min(2, m))), float(rng.uniform(0.1, 2.0)))
+    return CirculantNoise(np.abs(np.fft.fft(rng.standard_normal(m))) ** 2 + 0.1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["isotropic", "diagonal", "lowrank", "circulant"]),
+    shape=st.sampled_from(["m<d", "m=d", "m>d"]),
+    d=st.integers(2, 12),
+    abar=st.floats(0.0, 1.0, exclude_min=True),
+    log_c=st.floats(-2.0, 4.0),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_precision_solve_matches_dense_solve(kind, shape, d, abar, log_c, n, seed):
+    # Capacitance (m < d) and the precision itself (m >= d) against LU on the
+    # probed dense precision; the whitened operator's norm is at most ~sqrt(500),
+    # so the condition number stays below ~5e4 and 1e-9 has ample margin.
+    rng = np.random.default_rng(seed)
+    m = {"m<d": int(rng.integers(1, d)), "m=d": d, "m>d": d + int(rng.integers(1, 4))}[shape]
+    wh = make_whitener(mix_conditional_cov(make_noise(kind, rng, m), abar))
+    op = PrecisionOperator(c=10.0 ** log_c, d=d,
+                           whitened=WhitenedOperator(from_dense(rng.standard_normal((m, d))), wh))
+    rhs = rng.standard_normal((n, d))
+    x, rep = precision_solve(op, rhs)
+    expected = np.linalg.solve(op.dense(), rhs.T).T
+    assert op.direct and rep.converged and rep.iterations == 0
+    assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
+    x0, _ = precision_solve(op, rhs[0])
+    assert np.linalg.norm(x0 - expected[0]) <= 1e-9 * np.linalg.norm(expected[0])
+
+
+def test_precision_solve_takes_cg_without_dense_form():
+    rng = np.random.default_rng(14)
+    op = make_precision(rng, d=10, m=4)
+    free = dataclasses.replace(op, whitened=dataclasses.replace(
+        op.whitened, op=dataclasses.replace(op.whitened.op, dense=None)))
+    assert op.direct and not free.direct
+    rhs = rng.standard_normal((3, 10))
+    x_cg, rep = precision_solve(free, rhs, diag_preconditioner(free), tol=1e-12)
+    x_direct, _ = precision_solve(op, rhs)
+    assert rep.iterations > 0 and rep.converged
+    np.testing.assert_allclose(x_cg, x_direct, rtol=1e-9, atol=1e-12)
+    for target in (op, free):
+        with pytest.raises(ValueError, match="rhs must be finite"):
+            precision_solve(target, np.array([1.0, np.nan] + [0.0] * 8))
+

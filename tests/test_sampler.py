@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,13 @@ from cdps.gmm import (
     denoiser_jvp_fn_for,
 )
 from cdps.metrics import sliced_wasserstein
-from cdps.operators import IsotropicNoise, from_dense, make_random_svd_operator, zero_operator
+from cdps.operators import (
+    IsotropicNoise,
+    blur_operator,
+    from_dense,
+    make_random_svd_operator,
+    zero_operator,
+)
 from cdps.sampler import (
     MeasurementChain,
     NonlinearMap,
@@ -218,7 +226,11 @@ def test_cdps_sample_deterministic_and_traced():
     assert tr1.residual_sq.shape == (51, 8)
     assert tr1.failed_rows.size == 0
     np.testing.assert_array_equal(tr1.residual_sq, tr2.residual_sq)
-    assert tr1.cg_iters_mean[1:].max() > 0
+    # A dense operator is solved exactly; without its dense form every step runs CG.
+    assert np.all(tr1.cg_iters == 0)
+    _, tr3 = cdps_sample(y, dataclasses.replace(A, dense=None), noise, schedule, score_fn,
+                         np.random.default_rng(11), **kwargs)
+    assert np.all(tr3.cg_iters[1:] > 0)
 
 
 def test_cdps_sample_single_chain_shape():
@@ -433,6 +445,57 @@ def test_cdps_sample_matches_conjugate_recursion():
     target_cov = v * np.eye(d)
     assert np.linalg.norm(x0.mean(axis=0) - target_mean) <= 0.05 * np.linalg.norm(target_mean)
     assert np.linalg.norm(np.cov(x0.T) - target_cov) <= 0.05 * np.linalg.norm(target_cov)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_fused_step_equals_mean_plus_pw_cg_draw(dense):
+    # One solve of P x = rhs + z gives the mean solve plus the PW-CG draw
+    # made from the same generator state, on the exact and on the CG path.
+    rng = np.random.default_rng(50)
+    d, m, t, n = 6, 3, 400, 5
+    schedule = BENCH_SCHEDULE
+    A = make_random_svd_operator(d, m, rng)
+    if not dense:
+        A = dataclasses.replace(A, dense=None)
+    noise = IsotropicNoise(1e-2)
+    score_fn = score_fn_for(make_grid_gmm(d), schedule)
+    cfg = SolverConfig(cg_tol=1e-10)
+    x_t = rng.standard_normal((n, d))
+    levels = np.zeros((schedule.num_steps + 1, m))
+    levels[t - 1] = rng.standard_normal(m)
+    chain = MeasurementChain(y_levels=levels, schedule=schedule)
+
+    fused = cdps_step(x_t, chain, t, score_fn, A, noise, schedule,
+                      np.random.default_rng(51), cfg)
+    params = make_step_params(x_t, t, score_fn, A, noise, schedule, cfg)
+    assert params.precision.direct == dense
+    mu, _ = posterior_mean(params, x_t, chain.y_at(t - 1), cfg)
+    v, rep = pw_cg_draw(params.precision, np.random.default_rng(51), tol=1e-10,
+                        preconditioner=params.preconditioner, n=n)
+    assert rep.converged
+    expected = mu + v
+    assert np.linalg.norm(fused - expected) <= 1e-7 * np.linalg.norm(expected)
+
+
+def test_cdps_sample_blur_cg_path_matches_dense():
+    # The same blur operator with its dense form stripped runs CG every step
+    # and must reach the exact path's samples on the benchmark schedule.
+    d = 8
+    A = blur_operator([0.25, 0.5, 0.25], d)
+    prior = make_grid_gmm(d)
+    schedule = BENCH_SCHEDULE
+    score_fn = score_fn_for(prior, schedule)
+    rng = np.random.default_rng(60)
+    y = A.apply(sample_mixture(prior, 1, rng)[0]) + 1e-2 * rng.standard_normal(d)
+    kwargs = dict(n_chains=10, config=SolverConfig(strict=False), record_residuals=True)
+    x_dense, tr_dense = cdps_sample(y, A, IsotropicNoise(1e-4), schedule, score_fn,
+                                    np.random.default_rng(61), **kwargs)
+    x_cg, tr_cg = cdps_sample(y, dataclasses.replace(A, dense=None), IsotropicNoise(1e-4),
+                              schedule, score_fn, np.random.default_rng(61), **kwargs)
+    assert np.all(tr_dense.cg_iters == 0)
+    assert np.all(tr_cg.cg_iters[1:] > 0)
+    assert tr_cg.failed_rows.size == 0
+    assert np.linalg.norm(x_cg - x_dense) <= 1e-6 * np.linalg.norm(x_dense)
 
 
 # ---------------------------------------------------------------------------
