@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from cdps.bench import (
     BenchConfig,
     RESULT_COLUMNS,
+    _run_method,
     derive_rng,
     emit_results,
     make_measurement_model,
@@ -14,6 +16,7 @@ from cdps.bench import (
     run_grid,
 )
 from cdps.cli import main as cli_main
+from cdps.schedules import make_linear_schedule
 
 
 def smoke_config(**overrides):
@@ -153,6 +156,18 @@ def test_optional_guidance_methods_run():
     result = run_grid(cfg)
     assert {r["method"] for r in result.rows} == {"score_sde", "ilvr"}
     assert all(np.isfinite(r["sw"]) for r in result.rows)
+
+
+def test_failed_cdps_rows_are_counted_and_dropped():
+    # An operator without a dense form runs CG; one iteration at tol 1e-14
+    # fails every row, and each failed row costs exactly that row.
+    cfg = smoke_config(samples_per_run=6, num_steps=5, cg_tol=1e-14, cg_max_iter=1)
+    prior, A, _, y = make_measurement_model(cfg, 8, 4, 1e-2, 0)
+    schedule = make_linear_schedule(cfg.num_steps, cfg.beta_min, cfg.beta_max)
+    x0, failures = _run_method("cdps", cfg, prior, dataclasses.replace(A, dense=None), y, 1e-2,
+                               schedule, (0, "cdps", 8, 4, 1e-2, 0))
+    assert failures == 6
+    assert x0.shape == (0, 8)
 
 
 def test_workers_do_not_change_results(tmp_path):
