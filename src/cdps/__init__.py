@@ -24,7 +24,6 @@ from .linalg import (
     WhitenedOperator,
     cg_solve,
     diag_preconditioner,
-    perturbation,
     precision_solve,
     pw_cg_draw,
 )
@@ -40,7 +39,6 @@ from .gmm import (
     score,
     score_fn_for,
     score_jacobian_vp,
-    score_jvp_fn_for,
 )
 from .metrics import measurement_residual, score_consistency, sliced_wasserstein
 from .sampler import (

@@ -176,15 +176,6 @@ def score_fn_for(gmm: GaussianMixture, schedule: NoiseSchedule):
     return fn
 
 
-def score_jvp_fn_for(gmm: GaussianMixture, schedule: NoiseSchedule):
-    """Score-Jacobian product callable (x, t, u) -> H(x, t) u."""
-
-    def fn(x, t, u):
-        return score_jacobian_vp(gmm, x, alpha_bar(schedule, t), u)
-
-    return fn
-
-
 def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np.ndarray) -> np.ndarray:
     """Jacobian of the posterior-mean denoiser applied to u, computed stably.
 

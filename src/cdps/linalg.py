@@ -2,10 +2,11 @@
 
 Every reverse sampling step draws from a Gaussian with precision
 ``P = c * I + B^T B``, ``B = W A``, in one solve: with a synthetic
-right-hand side ``z`` whose covariance is ``P`` itself (``perturbation``),
-``P^{-1} (rhs + z)`` is a draw around the mean ``P^{-1} rhs``.  When ``A``
-has a dense form the solve is exact, through a Cholesky factor of the
-``min(m, d)``-sized system; otherwise it runs matrix-free preconditioned CG.
+right-hand side ``z = sqrt(c) eps1 + B^T eps2`` whose covariance is ``P``
+itself, ``P^{-1} (rhs + z)`` is a draw around the mean ``P^{-1} rhs``.  When
+``A`` has a dense form the solve is exact, through a Cholesky factor of the
+``min(m, d)``-sized system built from ``B^T``; otherwise it runs matrix-free
+preconditioned CG.
 Right-hand sides may be batched with the vector axis last, in which case
 all rows are solved together.
 """
@@ -13,6 +14,7 @@ all rows are solved together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -43,8 +45,13 @@ class WhitenedOperator:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return self.op.adjoint(self.whitener.apply_wt(y))
 
+    @cached_property
     def dense_t(self) -> np.ndarray | None:
-        """(W A)^T as a (d, m) array, row i = W A e_i; None without a dense A."""
+        """(W A)^T as a (d, m) array, row i = W A e_i; None without a dense A.
+
+        Built on first use and kept, so a step's right-hand side and its
+        solve share one product with the whitener.
+        """
         if self.op.dense is None:
             return None
         return self.whitener.apply_w(self.op.dense.T)
@@ -108,7 +115,7 @@ def diag_preconditioner(op: PrecisionOperator) -> np.ndarray | None:
     if op.whitened is None:
         return np.full(op.d, op.c)
     wa = op.whitened
-    cols = wa.dense_t()  # row i = W A e_i
+    cols = wa.dense_t  # row i = W A e_i
     if cols is None:
         if op.d > PRECOND_PROBE_LIMIT:
             return None
@@ -212,25 +219,6 @@ def cg_solve(
     )
 
 
-def perturbation(
-    op: PrecisionOperator,
-    rng: np.random.Generator,
-    n: int | None = None,
-) -> np.ndarray:
-    """Synthetic right-hand side z = sqrt(c) * eps1 + (W A)^T eps2 with cov(z) = op.
-
-    Draws eps1, shape (d,) or (n, d), then eps2, shape (m,) or (n, m); the
-    measurement-free operator draws eps1 only.  ``op^{-1} z`` is then a draw
-    from N(0, op^{-1}) (Papandreou & Yuille 2010; Orieux et al. 2012).
-    """
-    shape1 = (op.d,) if n is None else (n, op.d)
-    z = np.sqrt(op.c) * rng.standard_normal(shape1)
-    if op.whitened is not None:
-        shape2 = (op.whitened.m,) if n is None else (n, op.whitened.m)
-        z = z + op.whitened.adjoint(rng.standard_normal(shape2))
-    return z
-
-
 def _cholesky_rows(spd: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """rows @ spd^{-1} = (rows @ L^{-T}) @ L^{-1}, with spd = L L^T its Cholesky factor.
 
@@ -247,7 +235,7 @@ def _direct_solve(op: PrecisionOperator, rhs: np.ndarray) -> np.ndarray:
     """Exact solve through a Cholesky factor of the min(m, d)-sized SPD system."""
     if op.whitened is None:
         return rhs / op.c
-    bt = op.whitened.dense_t()  # B^T, (d, m)
+    bt = op.whitened.dense_t  # B^T, (d, m)
     rows = rhs.reshape(-1, op.d)
     if op.d <= op.whitened.m:
         # P itself; at m = d it is as small as the capacitance and needs no
@@ -298,8 +286,14 @@ def pw_cg_draw(
     """Draw from N(0, op^{-1}) without any dense factorization.
 
     Returns the CG solve of ``op.matvec(v) = z`` for the synthetic right-hand
-    side ``z = perturbation(op, rng, n)``.  Pass ``n`` to draw a batch of
+    side ``z = sqrt(c) * eps1 + (W A)^T eps2`` with cov(z) = op (Papandreou
+    & Yuille 2010; Orieux et al. 2012).  eps1, shape (d,) or (n, d), is drawn
+    before eps2, shape (m,) or (n, m), the order the coupled step uses; the
+    measurement-free operator draws eps1 only.  Pass ``n`` to draw a batch of
     independent vectors.
     """
-    z = perturbation(op, rng, n)
+    batch = () if n is None else (n,)
+    z = np.sqrt(op.c) * rng.standard_normal(batch + (op.d,))
+    if op.whitened is not None:
+        z = z + op.whitened.adjoint(rng.standard_normal(batch + (op.whitened.m,)))
     return cg_solve(op, z, preconditioner=preconditioner, tol=tol, max_iter=max_iter)

@@ -53,13 +53,18 @@ def sliced_wasserstein(
     total = 0.0
     for lo in range(0, n_slices, _SLICE_CHUNK):
         chunk = dirs[lo : lo + _SLICE_CHUNK]
-        pa = np.sort(a @ chunk.T, axis=0)
-        pb = np.sort(b @ chunk.T, axis=0)
-        diff = pa - pb
+        # One projection per row, so each sort runs along contiguous memory,
+        # in place like the differences below.
+        diff = chunk @ a.T
+        diff.sort(axis=-1)
+        pb = chunk @ b.T
+        pb.sort(axis=-1)
+        diff -= pb
         if order == 2:
-            total += float(np.mean(diff * diff, axis=0).sum())
+            diff *= diff
         else:
-            total += float(np.mean(np.abs(diff), axis=0).sum())
+            np.abs(diff, out=diff)
+        total += float(np.mean(diff, axis=-1).sum())
     mean = total / n_slices
     return math.sqrt(mean) if order == 2 else mean
 

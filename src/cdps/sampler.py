@@ -8,10 +8,13 @@ the per-step operator while each row keeps its own randomness.
 
 Each step makes one solve against that precision: the posterior right-hand
 side plus a synthetic perturbation whose covariance is the precision itself,
-so the solution is the mean plus a posterior draw.  Random draws happen in a
-fixed documented order (chain noise block, initial state, then per step the
-perturbation's eps1 then eps2; the right-hand side consumes no randomness),
-so results are reproducible per seed.
+so the solution is the mean plus a posterior draw.  The measurement term and
+the perturbation's measurement part share one product with ``B^T = (W A)^T``.
+When A has a dense form, the offset is a product with ``A^T`` and the solve
+is factored from ``B^T``, so the step makes no operator call.  Random draws
+happen in a fixed documented order (chain noise block, initial state, then
+per step the perturbation's eps1 then eps2; the right-hand side consumes no
+randomness), so results are reproducible per seed.
 """
 
 from __future__ import annotations
@@ -26,13 +29,11 @@ from .linalg import (
     PrecisionOperator,
     WhitenedOperator,
     diag_preconditioner,
-    perturbation,
     precision_solve,
 )
 # Looked up here by callers that patch or import the solver layers by name.
 from .linalg import cg_solve, pw_cg_draw  # noqa: F401
 from .operators import (
-    ConditionalCov,
     LinearOperator,
     NoiseModel,
     Whitener,
@@ -63,9 +64,6 @@ class SolverConfig:
     cg_tol: float = 1e-8
     cg_max_iter: int | None = None  # defaults to 10 * d inside cg_solve
     precondition: bool = True
-    # Use the simplified c_t * x_t right-hand side instead of the derived
-    # sqrt(1 - beta_t) / beta_t * x_t prior term (ablation only).
-    simplified_prior_rhs: bool = False
     # How to reintroduce the time-(t-1) prior on x_{t-1}:
     #   "score"    Gaussian with precision 1/(1-abar_{t-1}) centered at
     #              sqrt(abar_{t-1}) * x0_hat(x_t); combined with the forward
@@ -110,7 +108,9 @@ def generate_measurement_chain(
     """Noise the observation forward: y_t = sqrt(1-beta_t) y_{t-1} + sqrt(beta_t) z_t.
 
     With ``n_chains`` the same y0 seeds that many independent chains, one per
-    row.  The whole noise block is drawn in a single call.
+    row.  Each chain's noise is drawn straight into its levels 1..T, which
+    are contiguous, so the stream is that of one (n, T, m) block, and the
+    recursion then runs in place.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1:
@@ -119,16 +119,52 @@ def generate_measurement_chain(
         raise ValueError("y0 must be finite")
     T = schedule.num_steps
     m = y0.size
-    shape = (T, m) if n_chains is None else (n_chains, T, m)
-    z = rng.standard_normal(shape)
+    levels = np.empty((T + 1, m) if n_chains is None else (n_chains, T + 1, m))
+    for block in (levels,) if n_chains is None else levels:
+        rng.standard_normal(out=block[1:])
 
-    levels = np.empty(shape[:-2] + (T + 1, m))
     levels[..., 0, :] = y0
     root_keep = np.sqrt(schedule.alphas)
     root_add = np.sqrt(schedule.betas)
     for t in range(1, T + 1):
-        levels[..., t, :] = root_keep[t - 1] * levels[..., t - 1, :] + root_add[t - 1] * z[..., t - 1, :]
+        level = levels[..., t, :]
+        level *= root_add[t - 1]
+        level += root_keep[t - 1] * levels[..., t - 1, :]
     return MeasurementChain(y_levels=levels, schedule=schedule)
+
+
+@dataclass(frozen=True)
+class _StepScalars:
+    """The schedule's per-step scalars for one prior mode; entry t - 1 is step t."""
+
+    abar_prev: list[float]
+    c: list[float]  # weight of the identity in the step precision
+    keep: list[float]  # sqrt(1 - beta_t) / beta_t, the transition's weight on x_t
+    pull: list[float]  # score prior's weight on x_t + (1 - abar_t) s_hat; 0 without it
+    tweedie: list[float]  # 1 - abar_t
+
+
+def _step_scalars(schedule: NoiseSchedule, prior_mode: str) -> _StepScalars:
+    beta = schedule.betas
+    abar_prev = schedule.alpha_bars[:-1]
+    c = (1.0 - beta) / beta
+    pull = np.zeros_like(beta)
+    if prior_mode == "identity":
+        c = c + 1.0
+    elif prior_mode == "score":
+        # Prior precision of x_{t-1} around its denoised mean; at t = 1 the
+        # width 1 - abar_0 degenerates to zero, so the prior is dropped for
+        # that single step.
+        prior = 1.0 / (1.0 - abar_prev[1:])
+        c[1:] += prior
+        # Prior mean contribution sqrt(abar_{t-1}) x0_hat / (1 - abar_{t-1}),
+        # written with sqrt(abar_{t-1}/abar_t) = 1/sqrt(1-beta) so the
+        # denoised estimate never divides by a vanishing sqrt(abar_t).
+        pull[1:] = prior / np.sqrt(1.0 - beta[1:])
+    return _StepScalars(
+        abar_prev=abar_prev.tolist(), c=c.tolist(), keep=(np.sqrt(1.0 - beta) / beta).tolist(),
+        pull=pull.tolist(), tweedie=(1.0 - schedule.alpha_bars[1:]).tolist(),
+    )
 
 
 @dataclass(frozen=True)
@@ -136,47 +172,42 @@ class PosteriorStepParams:
     """Everything fixed once the score is frozen at (x_t, t)."""
 
     t: int
-    beta: float
-    abar_prev: float
-    abar: float
-    c: float  # scalar weight on the identity part of the precision
+    keep: float  # sqrt(1 - beta_t) / beta_t
+    pull: float  # score prior's weight on x_t + tweedie * score; 0 without it
+    tweedie: float  # 1 - abar_t
     b_prev: np.ndarray  # affine offset of the measurement mean
-    cov: ConditionalCov
     whitener: Whitener
     precision: PrecisionOperator
     preconditioner: np.ndarray | None
-    score: np.ndarray | None = None
+    score: np.ndarray
 
 
 def _build_params(
     t: int,
     A: LinearOperator,
     noise: NoiseModel,
-    schedule: NoiseSchedule,
+    scalars: _StepScalars,
     b_vec: np.ndarray,
     config: SolverConfig,
-    score: np.ndarray | None,
+    score: np.ndarray,
 ) -> PosteriorStepParams:
-    beta = float(schedule.betas[t - 1])
-    abar_prev = float(schedule.alpha_bars[t - 1])
-    abar = float(schedule.alpha_bars[t])
-    cov = mix_conditional_cov(noise, abar_prev)
-    whitener = make_whitener(cov)
-    c = (1.0 - beta) / beta
-    if config.prior_mode == "identity":
-        c = c + 1.0
-    elif config.prior_mode == "score" and t >= 2:
-        # Prior precision of x_{t-1} around its denoised mean; at t = 1 the
-        # width 1 - abar_0 degenerates to zero, so the prior is dropped for
-        # that single step.
-        c = c + 1.0 / (1.0 - abar_prev)
-    precision = PrecisionOperator(c=c, d=A.d, whitened=WhitenedOperator(A, whitener))
+    i = t - 1
+    whitener = make_whitener(mix_conditional_cov(noise, scalars.abar_prev[i]))
+    precision = PrecisionOperator(c=scalars.c[i], d=A.d, whitened=WhitenedOperator(A, whitener))
     run_cg = config.precondition and not precision.direct
-    precond = diag_preconditioner(precision) if run_cg else None
     return PosteriorStepParams(
-        t=t, beta=beta, abar_prev=abar_prev, abar=abar, c=c, b_prev=b_vec, cov=cov,
-        whitener=whitener, precision=precision, preconditioner=precond, score=score,
+        t=t, keep=scalars.keep[i], pull=scalars.pull[i], tweedie=scalars.tweedie[i],
+        b_prev=b_vec, whitener=whitener, precision=precision,
+        preconditioner=diag_preconditioner(precision) if run_cg else None, score=score,
     )
+
+
+def _linear_params(x_t, t, score_fn, A, noise, scalars, config) -> PosteriorStepParams:
+    """Freeze the score at (x_t, t); the offset uses A's dense form when it has one."""
+    s_hat = np.asarray(score_fn(x_t, t), dtype=float)
+    A_s = A.apply(s_hat) if A.dense is None else s_hat @ A.dense.T
+    b_vec = (1.0 - scalars.abar_prev[t - 1]) * A_s
+    return _build_params(t, A, noise, scalars, b_vec, config, s_hat)
 
 
 def make_step_params(
@@ -192,36 +223,43 @@ def make_step_params(
     config = config or SolverConfig()
     if not 1 <= t <= schedule.num_steps:
         raise ValueError("t must be in [1, T]")
-    abar_prev = float(schedule.alpha_bars[t - 1])
-    s_hat = np.asarray(score_fn(x_t, t), dtype=float)
-    b_vec = (1.0 - abar_prev) * A.apply(s_hat)
-    return _build_params(t, A, noise, schedule, b_vec, config, score=s_hat)
+    scalars = _step_scalars(schedule, config.prior_mode)
+    return _linear_params(x_t, t, score_fn, A, noise, scalars, config)
 
 
-def _posterior_rhs(params: PosteriorStepParams, x_t, y_prev, config: SolverConfig) -> np.ndarray:
-    beta = params.beta
-    coef = (1.0 - beta) / beta if config.simplified_prior_rhs else np.sqrt(1.0 - beta) / beta
-    A = params.precision.whitened.op
-    rhs = coef * x_t + A.adjoint(params.whitener.apply_inv(y_prev - params.b_prev))
-    if config.prior_mode == "score" and params.t >= 2:
-        if params.score is None:
-            raise ValueError("score prior mode needs the frozen score in the step params")
-        # Prior mean contribution sqrt(abar_{t-1}) x0_hat / (1 - abar_{t-1}),
-        # written with sqrt(abar_{t-1}/abar_t) = 1/sqrt(1-beta) so the
-        # denoised estimate never divides by a vanishing sqrt(abar_t).
-        pull = (x_t + (1.0 - params.abar) * params.score) / (
-            np.sqrt(1.0 - beta) * (1.0 - params.abar_prev)
-        )
-        rhs = rhs + pull
-    return rhs
+def _step(params: PosteriorStepParams, x_t, y_prev, rng, config: SolverConfig, kind: str):
+    """The one solve of a coupled step: the posterior mean, or mean plus draw with ``rng``.
 
+    The right-hand side is sqrt(1-beta)/beta x_t, the score prior's pull
+    and the measurement term A^T Sigma^{-1} (y_{t-1} - b).  With ``rng`` it
+    adds the perturbation z = sqrt(c) eps1 + B^T eps2, B = W A, whose
+    covariance is the precision, drawing eps1 (d) before eps2 (m).  Since
+    W^T W = Sigma^{-1}, the measurement term and B^T eps2 are one product,
+    B^T (W (y_{t-1} - b) + eps2): with the dense B^T when A has a dense
+    form, through one adjoint otherwise.
 
-def _solve(params: PosteriorStepParams, rhs: np.ndarray, config: SolverConfig):
-    return precision_solve(
-        params.precision, rhs,
-        preconditioner=params.preconditioner,
+    Returns the solution, the solve's report and the rows whose CG solve
+    did not converge, which raise under ``config.strict``.
+    """
+    precision = params.precision
+    rhs = params.keep * x_t
+    if params.pull:
+        rhs = rhs + params.pull * (x_t + params.tweedie * params.score)
+    white = params.whitener.apply_w(y_prev - params.b_prev)
+    if rng is not None:
+        batch = x_t.shape[:-1]
+        rhs = rhs + np.sqrt(precision.c) * rng.standard_normal(batch + (precision.d,))
+        white = white + rng.standard_normal(batch + (precision.whitened.m,))
+    bt = precision.whitened.dense_t
+    rhs = rhs + (precision.whitened.adjoint(white) if bt is None else white @ bt.T)
+    x_next, report = precision_solve(
+        precision, rhs, preconditioner=params.preconditioner,
         tol=config.cg_tol, max_iter=config.cg_max_iter,
     )
+    rows = np.nonzero(~np.atleast_1d(report.row_converged))[0]
+    if rows.size and config.strict:
+        raise ChainFailureError(params.t, rows, kind)
+    return x_next, report, rows
 
 
 def posterior_mean(
@@ -232,28 +270,14 @@ def posterior_mean(
 ) -> tuple[np.ndarray, CgReport]:
     """Solve the step precision against the posterior right-hand side.
 
-    The transition kernel contributes sqrt(1-beta)/beta * x_t (or
-    c_t * x_t in the simplified variant), the measurement contributes
-    A^T Sigma^{-1} (y_{t-1} - b), and in "score" prior mode the marginal
-    prior contributes its mean x_t + s_hat at unit weight.
+    The transition kernel contributes sqrt(1-beta)/beta * x_t, the
+    measurement contributes A^T Sigma^{-1} (y_{t-1} - b), and in "score"
+    prior mode the marginal prior pulls toward its denoised mean.  This is
+    the coupled step without its perturbation, so a CG solve that does not
+    converge raises under ``config.strict``.
     """
     config = config or SolverConfig()
-    return _solve(params, _posterior_rhs(params, x_t, y_prev, config), config)
-
-
-def _finish_step(params, x_t, y_prev, rng, config, kind):
-    """One solve of the precision against rhs + perturbation: mean plus draw.
-
-    Returns the new state, the solve's report and the rows whose CG solve
-    did not converge, which raise under ``config.strict``.
-    """
-    rhs = _posterior_rhs(params, x_t, y_prev, config)
-    n = None if x_t.ndim == 1 else x_t.shape[0]
-    x_next, report = _solve(params, rhs + perturbation(params.precision, rng, n), config)
-    rows = np.nonzero(~np.atleast_1d(report.row_converged))[0]
-    if rows.size and config.strict:
-        raise ChainFailureError(params.t, rows, kind)
-    return x_next, report, rows
+    return _step(params, x_t, y_prev, None, config, "mean")[:2]
 
 
 def cdps_step(
@@ -278,7 +302,7 @@ def cdps_step(
     if not np.all(np.isfinite(x_t)):
         raise ValueError("x_t must be finite")
     params = make_step_params(x_t, t, score_fn, A, noise, schedule, config)
-    return _finish_step(params, x_t, chain.y_at(t - 1), rng, config, "step")[0]
+    return _step(params, x_t, chain.y_at(t - 1), rng, config, "step")[0]
 
 
 @dataclass
@@ -350,9 +374,10 @@ def cdps_sample(
         trace.residual_sq[T] = _residual(x)
 
     failed = np.zeros(batch if batch else (1,), dtype=bool)
+    scalars = _step_scalars(schedule, config.prior_mode)
     for t in range(T, 0, -1):
-        params = make_step_params(x, t, score_fn, A, noise, schedule, config)
-        x_new, report, rows = _finish_step(params, x, chain.y_at(t - 1), rng, config, "sample")
+        params = _linear_params(x, t, score_fn, A, noise, scalars, config)
+        x_new, report, rows = _step(params, x, chain.y_at(t - 1), rng, config, "sample")
         failed[rows] = True
         if record_residuals:
             trace.residual_sq[t - 1] = _residual(x_new)
@@ -587,9 +612,9 @@ def cdps_step_nonlinear(
         raise ValueError("t must be in [1, T]")
 
     A_lin = linearize(g, x_t)
-    abar_prev = float(schedule.alpha_bars[t - 1])
+    scalars = _step_scalars(schedule, config.prior_mode)
     s_hat = np.asarray(score_fn(x_t, t), dtype=float)
     offset = np.asarray(g.apply(x_t), dtype=float) - A_lin.apply(x_t)
-    b_vec = offset + (1.0 - abar_prev) * A_lin.apply(s_hat)
-    params = _build_params(t, A_lin, noise, schedule, b_vec, config, score=s_hat)
-    return _finish_step(params, x_t, chain.y_at(t - 1), rng, config, "nonlinear step")[0]
+    b_vec = offset + (1.0 - scalars.abar_prev[t - 1]) * A_lin.apply(s_hat)
+    params = _build_params(t, A_lin, noise, scalars, b_vec, config, score=s_hat)
+    return _step(params, x_t, chain.y_at(t - 1), rng, config, "nonlinear step")[0]

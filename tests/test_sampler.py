@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,10 +14,14 @@ from cdps.gmm import (
 )
 from cdps.metrics import sliced_wasserstein
 from cdps.operators import (
+    CirculantNoise,
+    DiagonalNoise,
     IsotropicNoise,
+    LowRankNoise,
     blur_operator,
     from_dense,
     make_random_svd_operator,
+    mix_conditional_cov,
     zero_operator,
 )
 from cdps.sampler import (
@@ -68,6 +73,34 @@ def test_chain_single_step_recursion():
     z = np.random.default_rng(1).standard_normal((1, 2))[0]
     np.testing.assert_allclose(chain.y_at(1), np.sqrt(0.5) * y0 + np.sqrt(0.5) * z, rtol=1e-12)
     np.testing.assert_array_equal(chain.y_at(0), y0)
+
+
+@pytest.mark.parametrize("n_chains", [None, 1, 7])
+def test_chain_equals_block_recursion_in_place(n_chains):
+    # Bit-equal to one (n, T, m) noise draw run through the recursion, and
+    # built without a second block of that size.
+    schedule = BENCH_SCHEDULE
+    T, m = schedule.num_steps, 16
+    y0 = np.linspace(-2.0, 3.0, m)
+    batch = () if n_chains is None else (n_chains,)
+    z = np.random.default_rng(33).standard_normal(batch + (T, m))
+    expected = np.empty(batch + (T + 1, m))
+    expected[..., 0, :] = y0
+    for t in range(1, T + 1):
+        expected[..., t, :] = (np.sqrt(schedule.alphas[t - 1]) * expected[..., t - 1, :]
+                               + np.sqrt(schedule.betas[t - 1]) * z[..., t - 1, :])
+    del z
+
+    tracemalloc.start()
+    try:
+        chain = generate_measurement_chain(y0, schedule, np.random.default_rng(33), n_chains)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(chain.y_levels, expected)
+    # At 7 chains the level array dwarfs the schedule's two T-long arrays.
+    if n_chains == 7:
+        assert peak <= 1.1 * chain.y_levels.nbytes
 
 
 def test_chain_marginal_mean_monte_carlo():
@@ -223,6 +256,14 @@ def test_cdps_sample_deterministic_and_traced():
     x1, tr1 = cdps_sample(y, A, noise, schedule, score_fn, np.random.default_rng(11), **kwargs)
     x2, tr2 = cdps_sample(y, A, noise, schedule, score_fn, np.random.default_rng(11), **kwargs)
     np.testing.assert_array_equal(x1, x2)
+    # Recording goes through the same step: the samples do not change.
+    x_plain, _ = cdps_sample(y, A, noise, schedule, score_fn, np.random.default_rng(11),
+                             n_chains=8, config=SolverConfig(strict=False))
+    x_all, tr_all = cdps_sample(y, A, noise, schedule, score_fn, np.random.default_rng(11),
+                                record_scores=True, **kwargs)
+    np.testing.assert_array_equal(x_plain, x1)
+    np.testing.assert_array_equal(x_all, x1)
+    assert tr_all.score_cos.shape == (51, 8)
     assert tr1.residual_sq.shape == (51, 8)
     assert tr1.failed_rows.size == 0
     np.testing.assert_array_equal(tr1.residual_sq, tr2.residual_sq)
@@ -447,17 +488,31 @@ def test_cdps_sample_matches_conjugate_recursion():
     assert np.linalg.norm(np.cov(x0.T) - target_cov) <= 0.05 * np.linalg.norm(target_cov)
 
 
-@pytest.mark.parametrize("dense", [True, False])
-def test_fused_step_equals_mean_plus_pw_cg_draw(dense):
-    # One solve of P x = rhs + z gives the mean solve plus the PW-CG draw
-    # made from the same generator state, on the exact and on the CG path.
+FUSED_NOISES = {
+    "isotropic": IsotropicNoise(1e-2),
+    "diagonal": DiagonalNoise(np.array([1e-2, 5e-2, 2e-1])),
+    "lowrank": LowRankNoise(np.array([[0.3], [-0.2], [0.1]]), 1e-2),
+    "circulant": CirculantNoise(np.array([0.2, 1e-2, 1e-2])),
+}
+
+
+@pytest.mark.parametrize("kind, dense", [
+    ("isotropic", True), ("diagonal", True), ("lowrank", True), ("circulant", True),
+    ("isotropic", False),
+], ids=["isotropic-dense", "diagonal-dense", "lowrank-dense", "circulant-dense", "isotropic-cg"])
+def test_fused_step_equals_mean_plus_pw_cg_draw(kind, dense):
+    # One solve of P x = rhs + z, with the measurement term and B^T eps2 in
+    # one product, gives the mean solve plus the PW-CG draw made from the
+    # same generator state, on the exact path for every noise model and on
+    # the CG path.  The mean is checked against the dense formulas first.
     rng = np.random.default_rng(50)
     d, m, t, n = 6, 3, 400, 5
     schedule = BENCH_SCHEDULE
     A = make_random_svd_operator(d, m, rng)
+    mat = A.dense
     if not dense:
         A = dataclasses.replace(A, dense=None)
-    noise = IsotropicNoise(1e-2)
+    noise = FUSED_NOISES[kind]
     score_fn = score_fn_for(make_grid_gmm(d), schedule)
     cfg = SolverConfig(cg_tol=1e-10)
     x_t = rng.standard_normal((n, d))
@@ -470,6 +525,18 @@ def test_fused_step_equals_mean_plus_pw_cg_draw(dense):
     params = make_step_params(x_t, t, score_fn, A, noise, schedule, cfg)
     assert params.precision.direct == dense
     mu, _ = posterior_mean(params, x_t, chain.y_at(t - 1), cfg)
+
+    beta = schedule.betas[t - 1]
+    abar, abar_prev = schedule.alpha_bars[t], schedule.alpha_bars[t - 1]
+    sigma_inv = np.linalg.inv(mix_conditional_cov(noise, abar_prev).dense(m))
+    s_hat = score_fn(x_t, t)
+    b = (1.0 - abar_prev) * s_hat @ mat.T
+    rhs = (np.sqrt(1.0 - beta) / beta * x_t + (chain.y_at(t - 1) - b) @ sigma_inv @ mat
+           + (x_t + (1.0 - abar) * s_hat) / (np.sqrt(1.0 - beta) * (1.0 - abar_prev)))
+    lam = ((1.0 - beta) / beta + 1.0 / (1.0 - abar_prev)) * np.eye(d) + mat.T @ sigma_inv @ mat
+    expected_mu = np.linalg.solve(lam, rhs.T).T
+    assert np.linalg.norm(mu - expected_mu) <= 1e-8 * np.linalg.norm(expected_mu)
+
     v, rep = pw_cg_draw(params.precision, np.random.default_rng(51), tol=1e-10,
                         preconditioner=params.preconditioner, n=n)
     assert rep.converged
@@ -682,11 +749,12 @@ def test_nonlinear_quadratic_matches_gauss_newton_oracle():
     expected_mu = np.linalg.solve(lam, rhs)
 
     # reproduce the step's mean by replaying its internals
-    from cdps.sampler import _build_params
+    from cdps.sampler import _build_params, _step_scalars
     A_lin = linearize(g, x_t)
     offset = g.apply(x_t) - A_lin.apply(x_t)
     b_vec = offset + (1.0 - abar_prev) * A_lin.apply(s_hat)
-    params = _build_params(t, A_lin, noise, schedule, b_vec, cfg, score=s_hat)
+    scalars = _step_scalars(schedule, cfg.prior_mode)
+    params = _build_params(t, A_lin, noise, scalars, b_vec, cfg, score=s_hat)
     mu, _ = posterior_mean(params, x_t, y_prev, cfg)
     assert np.linalg.norm(mu - expected_mu) / np.linalg.norm(expected_mu) < 1e-8
 
