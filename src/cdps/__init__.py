@@ -7,15 +7,12 @@ from .operators import (
     IsotropicNoise,
     LinearOperator,
     LowRankNoise,
-    Whitener,
     blur_operator,
     from_dense,
-    load_dense_operator,
     make_random_svd_operator,
     make_whitener,
     mask_operator,
     mix_conditional_cov,
-    save_dense_operator,
     zero_operator,
 )
 from .linalg import (
@@ -53,11 +50,9 @@ from .sampler import (
     cdps_step_nonlinear,
     dps_sample,
     generate_measurement_chain,
-    ilvr_guidance,
     ilvr_sample,
     make_step_params,
     posterior_mean,
-    score_sde_guidance,
     score_sde_sample,
 )
 from .bench import BenchConfig, BenchResult, derive_rng, emit_results, run_config, run_grid

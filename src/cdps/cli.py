@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,16 @@ from .bench import BenchConfig, derive_rng, emit_results, make_measurement_model
 from .operators import IsotropicNoise
 from .sampler import cdps_sample, dps_sample
 from .schedules import make_linear_schedule
+
+_Task = namedtuple("_Task", "prior A x_star y schedule score_fn noise")
+
+
+def _task(cfg: BenchConfig, d: int, m: int, sigma: float, matrix: int) -> _Task:
+    """One benchmark task's model, schedule, score and noise, as the grid run builds them."""
+    prior, A, x_star, y = make_measurement_model(cfg, d, m, sigma, matrix)
+    schedule = make_linear_schedule(cfg.num_steps, cfg.beta_min, cfg.beta_max)
+    return _Task(prior, A, x_star, y, schedule, gmm_mod.score_fn_for(prior, schedule),
+                 IsotropicNoise(sigma * sigma))
 
 
 def _load_config(path: str | None, overrides: dict) -> BenchConfig:
@@ -87,18 +98,15 @@ def _trace_csv_rows(trace, n_chains):
 def _write_run_traces(cfg: BenchConfig, out_dir) -> list[Path]:
     """Residual traces for the first matrix of every grid point."""
     out = Path(out_dir)
-    schedule = make_linear_schedule(cfg.num_steps, cfg.beta_min, cfg.beta_max)
     written = []
     for d in cfg.active_dims():
         for m in cfg.measurements:
             for sigma in cfg.sigmas:
-                prior, A, _, y = make_measurement_model(cfg, d, m, sigma, 0)
-                score_fn = gmm_mod.score_fn_for(prior, schedule)
-                noise = IsotropicNoise(sigma * sigma)
+                task = _task(cfg, d, m, sigma, 0)
                 rng = derive_rng(cfg.master_seed, "trace", d, m, sigma)
                 n = min(cfg.samples_per_run, 100)
                 _, trace = cdps_sample(
-                    y, A, noise, schedule, score_fn, rng, n_chains=n,
+                    task.y, task.A, task.noise, task.schedule, task.score_fn, rng, n_chains=n,
                     config=cfg.solver_config(), record_residuals=True,
                 )
                 path = out / f"trace_cdps_d{d}_m{m}_s{sigma!r}.csv"
@@ -112,9 +120,8 @@ def _write_run_traces(cfg: BenchConfig, out_dir) -> list[Path]:
 
 
 def _cmd_oracle(args) -> int:
-    cfg = BenchConfig(master_seed=args.seed)
-    prior, A, x_star, y = make_measurement_model(cfg, args.d, args.m, args.sigma, args.matrix)
-    posterior = gmm_mod.exact_posterior(prior, A, y, args.sigma)
+    task = _task(BenchConfig(master_seed=args.seed), args.d, args.m, args.sigma, args.matrix)
+    posterior = gmm_mod.exact_posterior(task.prior, task.A, task.y, args.sigma)
     rng = derive_rng(args.seed, "oracle", args.d, args.m, args.sigma, args.matrix)
     samples = gmm_mod.sample_mixture(posterior, args.samples, rng)
 
@@ -126,7 +133,7 @@ def _cmd_oracle(args) -> int:
     mix_mean = weights @ posterior.means
     print(f"posterior mean[:2]: {mix_mean[:2]}")
     print(f"sample mean[:2]:    {samples.mean(axis=0)[:2]}")
-    print(f"truth x*[:2]:       {x_star[:2]}")
+    print(f"truth x*[:2]:       {task.x_star[:2]}")
 
     if args.out:
         out = Path(args.out)
@@ -143,11 +150,9 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_trace(args) -> int:
     cfg = BenchConfig(master_seed=args.seed)
-    prior, A, _, y = make_measurement_model(cfg, args.d, args.m, args.sigma, args.matrix)
-    schedule = make_linear_schedule(cfg.num_steps, cfg.beta_min, cfg.beta_max)
-    score_fn = gmm_mod.score_fn_for(prior, schedule)
-    jvp_fn = gmm_mod.denoiser_jvp_fn_for(prior, schedule)
-    noise = IsotropicNoise(args.sigma ** 2)
+    task = _task(cfg, args.d, args.m, args.sigma, args.matrix)
+    y, A, schedule, score_fn = task.y, task.A, task.schedule, task.score_fn
+    jvp_fn = gmm_mod.denoiser_jvp_fn_for(task.prior, schedule)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -158,7 +163,7 @@ def _cmd_trace(args) -> int:
         for method in ("cdps", "dps"):
             rng = derive_rng(args.seed, "trace", method, args.d, args.m, args.sigma)
             if method == "cdps":
-                _, trace = cdps_sample(y, A, noise, schedule, score_fn, rng,
+                _, trace = cdps_sample(y, A, task.noise, schedule, score_fn, rng,
                                        n_chains=args.chains, config=cfg.solver_config(),
                                        record_residuals=True)
             else:
@@ -175,13 +180,11 @@ def _cmd_trace(args) -> int:
 
 def _cmd_diagnostics(args) -> int:
     cfg = BenchConfig(master_seed=args.seed)
-    prior, A, _, y = make_measurement_model(cfg, args.d, args.m, args.sigma, args.matrix)
-    schedule = make_linear_schedule(cfg.num_steps, cfg.beta_min, cfg.beta_max)
-    score_fn = gmm_mod.score_fn_for(prior, schedule)
-    noise = IsotropicNoise(args.sigma ** 2)
+    task = _task(cfg, args.d, args.m, args.sigma, args.matrix)
+    schedule = task.schedule
     rng = derive_rng(args.seed, "diagnostics", args.d, args.m, args.sigma)
-    _, trace = cdps_sample(y, A, noise, schedule, score_fn, rng, n_chains=args.chains,
-                           config=cfg.solver_config(), record_scores=True)
+    _, trace = cdps_sample(task.y, task.A, task.noise, schedule, task.score_fn, rng,
+                           n_chains=args.chains, config=cfg.solver_config(), record_scores=True)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

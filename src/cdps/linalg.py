@@ -4,9 +4,11 @@ Every reverse sampling step draws from a Gaussian with precision
 ``P = c * I + B^T B``, ``B = W A``, in one solve: with a synthetic
 right-hand side ``z = sqrt(c) eps1 + B^T eps2`` whose covariance is ``P``
 itself, ``P^{-1} (rhs + z)`` is a draw around the mean ``P^{-1} rhs``.  When
-``A`` has a dense form the solve is exact, through a Cholesky factor of the
-``min(m, d)``-sized system built from ``B^T``; otherwise it runs matrix-free
-preconditioned CG.
+``A`` has a dense form the solve is exact, through the inverse of the
+``min(m, d)``-sized SPD system built from ``B^T``; otherwise it runs matrix-free
+CG with the precision's diagonal as preconditioner.  The whitener ``W`` is the
+symmetric callable of ``operators.make_whitener``, so ``B^T = A^T W``.  A
+measurement-free precision ``c * I`` is built over ``operators.zero_operator``.
 Right-hand sides may be batched with the vector axis last, in which case
 all rows are solved together.
 """
@@ -19,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import LinearOperator, Whitener
+from .operators import LinearOperator
 
 PRECOND_PROBE_LIMIT = 4096  # beyond this, fall back to the identity preconditioner
 
@@ -29,7 +31,7 @@ class WhitenedOperator:
     """Composition W o A of a whitener with a measurement operator."""
 
     op: LinearOperator
-    whitener: Whitener
+    whitener: Callable[[np.ndarray], np.ndarray]  # symmetric, so W^T = W
 
     @property
     def m(self) -> int:
@@ -40,10 +42,10 @@ class WhitenedOperator:
         return self.op.d
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.whitener.apply_w(self.op.apply(x))
+        return self.whitener(self.op.apply(x))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self.op.adjoint(self.whitener.apply_wt(y))
+        return self.op.adjoint(self.whitener(y))
 
     @cached_property
     def dense_t(self) -> np.ndarray | None:
@@ -54,36 +56,31 @@ class WhitenedOperator:
         """
         if self.op.dense is None:
             return None
-        return self.whitener.apply_w(self.op.dense.T)
+        return self.whitener(self.op.dense.T)
 
 
 @dataclass(frozen=True)
 class PrecisionOperator:
-    """SPD action u -> c * u + (W A)^T (W A) u with c > 0.
-
-    ``whitened`` may be None for the measurement-free case, where the
-    operator degenerates to c * I.
-    """
+    """SPD action u -> c * u + (W A)^T (W A) u with c > 0."""
 
     c: float
-    d: int
-    whitened: WhitenedOperator | None = None
+    whitened: WhitenedOperator
 
     def __post_init__(self):
         if not (np.isfinite(self.c) and self.c > 0):
             raise ValueError("c must be positive and finite")
-        if self.whitened is not None and self.whitened.d != self.d:
-            raise ValueError("dimension mismatch between c-term and whitened operator")
+
+    @property
+    def d(self) -> int:
+        return self.whitened.d
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        if self.whitened is None:
-            return self.c * u
         return self.c * u + self.whitened.adjoint(self.whitened.apply(u))
 
     @property
     def direct(self) -> bool:
         """Whether ``precision_solve`` factors this operator instead of running CG."""
-        return self.whitened is None or self.whitened.op.dense is not None
+        return self.whitened.op.dense is not None
 
     def dense(self) -> np.ndarray:
         """Materialize by probing with the identity (tests and oracles only)."""
@@ -112,8 +109,6 @@ def diag_preconditioner(op: PrecisionOperator) -> np.ndarray | None:
     batched identity probe; above the probe limit returns None, which
     cg_solve treats as the identity preconditioner.
     """
-    if op.whitened is None:
-        return np.full(op.d, op.c)
     wa = op.whitened
     cols = wa.dense_t  # row i = W A e_i
     if cols is None:
@@ -219,31 +214,20 @@ def cg_solve(
     )
 
 
-def _cholesky_rows(spd: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """rows @ spd^{-1} = (rows @ L^{-T}) @ L^{-1}, with spd = L L^T its Cholesky factor.
-
-    The small factor is inverted once, so every row costs two matrix
-    products.  scipy's cho_solve is avoided: on a 2-core x86 box its threaded
-    triangular solves made a 100-chain d = 32 run 3x slower whenever another
-    process held a core.
-    """
-    inv_lower = np.linalg.inv(np.linalg.cholesky(spd))
-    return (rows @ inv_lower.T) @ inv_lower
-
-
 def _direct_solve(op: PrecisionOperator, rhs: np.ndarray) -> np.ndarray:
-    """Exact solve through a Cholesky factor of the min(m, d)-sized SPD system."""
-    if op.whitened is None:
-        return rhs / op.c
+    """Exact solve through the inverse of the min(m, d)-sized SPD system.
+
+    The small system is inverted once, so every row costs one matrix product.
+    """
     bt = op.whitened.dense_t  # B^T, (d, m)
     rows = rhs.reshape(-1, op.d)
     if op.d <= op.whitened.m:
         # P itself; at m = d it is as small as the capacitance and needs no
         # subtraction, which would lose digits where B B^T >> c.
-        x = _cholesky_rows(op.c * np.eye(op.d) + bt @ bt.T, rows)
+        x = rows @ np.linalg.inv(op.c * np.eye(op.d) + bt @ bt.T)
     else:
         # Woodbury: P^{-1} r = (r - B^T K^{-1} B r) / c, K = c I_m + B B^T.
-        u = _cholesky_rows(op.c * np.eye(op.whitened.m) + bt.T @ bt, rows @ bt)
+        u = (rows @ bt) @ np.linalg.inv(op.c * np.eye(op.whitened.m) + bt.T @ bt)
         x = (rows - u @ bt.T) / op.c
     return x.reshape(rhs.shape)
 
@@ -288,12 +272,10 @@ def pw_cg_draw(
     Returns the CG solve of ``op.matvec(v) = z`` for the synthetic right-hand
     side ``z = sqrt(c) * eps1 + (W A)^T eps2`` with cov(z) = op (Papandreou
     & Yuille 2010; Orieux et al. 2012).  eps1, shape (d,) or (n, d), is drawn
-    before eps2, shape (m,) or (n, m), the order the coupled step uses; the
-    measurement-free operator draws eps1 only.  Pass ``n`` to draw a batch of
-    independent vectors.
+    before eps2, shape (m,) or (n, m), the order the coupled step uses.  Pass
+    ``n`` to draw a batch of independent vectors.
     """
     batch = () if n is None else (n,)
     z = np.sqrt(op.c) * rng.standard_normal(batch + (op.d,))
-    if op.whitened is not None:
-        z = z + op.whitened.adjoint(rng.standard_normal(batch + (op.whitened.m,)))
+    z = z + op.whitened.adjoint(rng.standard_normal(batch + (op.whitened.m,)))
     return cg_solve(op, z, preconditioner=preconditioner, tol=tol, max_iter=max_iter)

@@ -1,20 +1,20 @@
-"""Matrix-free measurement operators, structured noise covariances and whiteners.
+"""Matrix-free measurement operators, structured noise models and their whiteners.
 
 All operator callables act on the last axis, so a batch of vectors can be
-pushed through as an ``(n, d)`` array in one call.
+pushed through as an ``(n, d)`` array in one call.  A step's conditional
+covariance ``abar Sigma_n + (1 - abar) I`` is again a noise model of the
+same class, and its whitener is one symmetric callable ``W`` with
+``W(W(v)) = Sigma^{-1} v``.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 DENSE_LIMIT = 1 << 20  # max m*d for dense materialization (oracles/tests only)
-
-_OP_MAGIC = b"LINOPv01"
 
 
 @dataclass(frozen=True)
@@ -59,28 +59,6 @@ def from_dense(mat: np.ndarray) -> LinearOperator:
 def zero_operator(m: int, d: int) -> LinearOperator:
     """The all-zero map, used for measurement-free sampling."""
     return from_dense(np.zeros((m, d)))
-
-
-def save_dense_operator(op: LinearOperator, path) -> None:
-    """Dump a dense operator: 16-byte header (magic, m, d) + row-major float64."""
-    if op.dense is None:
-        raise ValueError("operator has no dense materialization")
-    with open(path, "wb") as fh:
-        fh.write(_OP_MAGIC)
-        fh.write(struct.pack("<II", op.m, op.d))
-        fh.write(np.ascontiguousarray(op.dense, dtype="<f8").tobytes())
-
-
-def load_dense_operator(path) -> LinearOperator:
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _OP_MAGIC:
-            raise ValueError(f"bad operator file magic in {path!r}")
-        m, d = struct.unpack("<II", fh.read(8))
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != m * d:
-        raise ValueError(f"operator file {path!r} truncated")
-    return from_dense(data.reshape(m, d))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +136,7 @@ class CirculantNoise:
         if not np.all(np.isfinite(s)) or np.any(s <= 0):
             raise ValueError("spectrum must be positive and finite")
         mirrored = s[(-np.arange(s.size)) % s.size]
-        if not np.allclose(s, mirrored, rtol=1e-10, atol=0.0):
+        if np.any(np.abs(s - mirrored) > 1e-10 * mirrored):
             raise ValueError("spectrum must be Hermitian-symmetric")
         object.__setattr__(self, "spectrum", s)
 
@@ -173,149 +151,68 @@ NoiseModel = IsotropicNoise | DiagonalNoise | LowRankNoise | CirculantNoise
 
 
 # ---------------------------------------------------------------------------
-# Conditional covariance  abar * Sigma_n + (1 - abar) * I
+# Conditional covariance  abar * Sigma_n + (1 - abar) * I and its whitener
 
 
-@dataclass(frozen=True)
-class IsotropicCov:
-    gamma: float
-    abar: float
-
-    def dense(self, m: int) -> np.ndarray:
-        return self.gamma * np.eye(m)
-
-
-@dataclass(frozen=True)
-class DiagonalCov:
-    variances: np.ndarray
-    abar: float
-
-    def dense(self, m: int | None = None) -> np.ndarray:
-        return np.diag(self.variances)
-
-
-@dataclass(frozen=True)
-class LowRankCov:
-    """abar * U U^T + delta * I, stored as U_scaled = sqrt(abar) * U."""
-
-    U_scaled: np.ndarray
-    delta: float
-    abar: float
-
-    def dense(self, m: int | None = None) -> np.ndarray:
-        return self.U_scaled @ self.U_scaled.T + self.delta * np.eye(self.U_scaled.shape[0])
-
-
-@dataclass(frozen=True)
-class CirculantCov:
-    spectrum: np.ndarray
-    abar: float
-
-    def dense(self, m: int | None = None) -> np.ndarray:
-        return CirculantNoise(self.spectrum).dense()
-
-
-ConditionalCov = IsotropicCov | DiagonalCov | LowRankCov | CirculantCov
-
-
-def mix_conditional_cov(noise: NoiseModel, abar_prev: float) -> ConditionalCov:
+def mix_conditional_cov(noise: NoiseModel, abar_prev: float) -> NoiseModel:
     """Blend the measurement noise with identity: abar * Sigma_n + (1 - abar) * I.
 
-    Preserves the structure class of the input, so the whitener stays cheap.
+    Returns a noise model of the input's class, so the whitener stays cheap.
     """
     a = float(abar_prev)
     if not (0.0 < a <= 1.0):
         raise ValueError("abar_prev must lie in (0, 1]")
     rem = 1.0 - a
     if isinstance(noise, IsotropicNoise):
-        return IsotropicCov(gamma=a * noise.sigma2 + rem, abar=a)
+        return IsotropicNoise(a * noise.sigma2 + rem)
     if isinstance(noise, DiagonalNoise):
-        return DiagonalCov(variances=a * noise.variances + rem, abar=a)
+        return DiagonalNoise(a * noise.variances + rem)
     if isinstance(noise, LowRankNoise):
-        return LowRankCov(U_scaled=np.sqrt(a) * noise.U, delta=a * noise.sigma2 + rem, abar=a)
+        return LowRankNoise(np.sqrt(a) * noise.U, a * noise.sigma2 + rem)
     if isinstance(noise, CirculantNoise):
-        return CirculantCov(spectrum=a * noise.spectrum + rem, abar=a)
+        return CirculantNoise(a * noise.spectrum + rem)
     raise TypeError(f"unsupported noise model {type(noise).__name__}")
 
 
-# ---------------------------------------------------------------------------
-# Whitening operators with W^T W = Sigma^{-1}
-
-
-@dataclass(frozen=True)
-class Whitener:
-    """Symmetric whitening of a conditional covariance.
-
-    ``apply_w`` realizes the inverse symmetric square root, so
-    ``apply_wt(apply_w(v)) == apply_inv(v)`` holds by construction.
-    """
-
-    apply_w: Callable[[np.ndarray], np.ndarray]
-    apply_wt: Callable[[np.ndarray], np.ndarray]
-    apply_inv: Callable[[np.ndarray], np.ndarray]
-
-
-def _scale_whitener(scale_w: np.ndarray | float, scale_inv: np.ndarray | float) -> Whitener:
-    w = lambda v: v * scale_w
-    return Whitener(apply_w=w, apply_wt=w, apply_inv=lambda v: v * scale_inv)
-
-
-def make_whitener(cov: ConditionalCov) -> Whitener:
-    """Build the matrix-free whitener for a structured conditional covariance.
+def make_whitener(noise: NoiseModel) -> Callable[[np.ndarray], np.ndarray]:
+    """The symmetric inverse square root W of a noise covariance, W(W(v)) = Sigma^{-1} v.
 
     Isotropic/diagonal covariances whiten by elementwise scaling; the
     low-rank-plus-identity case goes through a dense eigendecomposition of
     the r x r Gram matrix (Woodbury capacitance), costing O(mr + r^3); the
     circulant case scales in the real-FFT domain, keeping outputs real.
     """
-    if isinstance(cov, IsotropicCov):
-        if not (np.isfinite(cov.gamma) and cov.gamma > 0):
-            raise ValueError("conditional covariance must be positive definite")
-        return _scale_whitener(cov.gamma ** -0.5, 1.0 / cov.gamma)
+    if isinstance(noise, IsotropicNoise):
+        scale = noise.sigma2 ** -0.5
+        return lambda v: v * scale
 
-    if isinstance(cov, DiagonalCov):
-        v = cov.variances
-        if np.any(v <= 0) or not np.all(np.isfinite(v)):
-            raise ValueError("conditional covariance must be positive definite")
-        return _scale_whitener(v ** -0.5, 1.0 / v)
+    if isinstance(noise, DiagonalNoise):
+        scale = noise.variances ** -0.5
+        return lambda v: v * scale
 
-    if isinstance(cov, LowRankCov):
-        delta = cov.delta
-        if not (np.isfinite(delta) and delta > 0):
-            raise ValueError("conditional covariance must be positive definite")
-        Us = cov.U_scaled
-        lam, Q = np.linalg.eigh(Us.T @ Us)
+    if isinstance(noise, LowRankNoise):
+        U, delta = noise.U, noise.sigma2
+        lam, Q = np.linalg.eigh(U.T @ U)
         keep = lam > lam[-1] * 1e-14 if lam[-1] > 0 else np.zeros_like(lam, bool)
         lam = lam[keep]
         # Orthonormal basis of the factor's column space.
-        P = Us @ (Q[:, keep] / np.sqrt(lam))
-        coef_w = (delta + lam) ** -0.5 - delta ** -0.5
-        coef_inv = 1.0 / (delta + lam) - 1.0 / delta
+        P = U @ (Q[:, keep] / np.sqrt(lam))
+        base = delta ** -0.5
+        coef = (delta + lam) ** -0.5 - base
+        return lambda v: base * v + (v @ P) * coef @ P.T
 
-        def _lowrank(v, base, coef):
-            return base * v + (v @ P) * coef @ P.T
+    if isinstance(noise, CirculantNoise):
+        n = noise.spectrum.size
+        scale = noise.spectrum[: n // 2 + 1] ** -0.5
 
-        w = lambda v: _lowrank(v, delta ** -0.5, coef_w)
-        return Whitener(apply_w=w, apply_wt=w, apply_inv=lambda v: _lowrank(v, 1.0 / delta, coef_inv))
-
-    if isinstance(cov, CirculantCov):
-        s = cov.spectrum
-        if np.any(s <= 0) or not np.all(np.isfinite(s)):
-            raise ValueError("conditional covariance must be positive definite")
-        n = s.size
-        s_half = s[: n // 2 + 1]
-        inv_sqrt = s_half ** -0.5
-        inv = 1.0 / s_half
-
-        def _fft_scale(v, scale):
+        def fft_scale(v):
             if v.shape[-1] != n:
                 raise ValueError(f"expected last axis of length {n}, got {v.shape[-1]}")
             return np.fft.irfft(np.fft.rfft(v, axis=-1) * scale, n=n, axis=-1)
 
-        w = lambda v: _fft_scale(v, inv_sqrt)
-        return Whitener(apply_w=w, apply_wt=w, apply_inv=lambda v: _fft_scale(v, inv))
+        return fft_scale
 
-    raise TypeError(f"unsupported conditional covariance {type(cov).__name__}")
+    raise TypeError(f"unsupported noise model {type(noise).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,8 @@ from .linalg import (
 )
 # Looked up here by callers that patch or import the solver layers by name.
 from .linalg import cg_solve, pw_cg_draw  # noqa: F401
-from .operators import (
-    LinearOperator,
-    NoiseModel,
-    Whitener,
-    from_dense,
-    make_whitener,
-    mix_conditional_cov,
-)
+from .metrics import measurement_residual
+from .operators import LinearOperator, NoiseModel, from_dense, make_whitener, mix_conditional_cov
 from .schedules import NoiseSchedule
 
 
@@ -57,13 +51,12 @@ class ChainFailureError(RuntimeError):
 class SolverConfig:
     """Knobs for the per-step linear solves and posterior variants.
 
-    The CG knobs apply only to operators without a dense form; the others
-    are solved exactly.
+    The CG knobs apply only to operators without a dense form, which are
+    solved by diagonally preconditioned CG; the others are solved exactly.
     """
 
     cg_tol: float = 1e-8
     cg_max_iter: int | None = None  # defaults to 10 * d inside cg_solve
-    precondition: bool = True
     # How to reintroduce the time-(t-1) prior on x_{t-1}:
     #   "score"    Gaussian with precision 1/(1-abar_{t-1}) centered at
     #              sqrt(abar_{t-1}) * x0_hat(x_t); combined with the forward
@@ -176,8 +169,7 @@ class PosteriorStepParams:
     pull: float  # score prior's weight on x_t + tweedie * score; 0 without it
     tweedie: float  # 1 - abar_t
     b_prev: np.ndarray  # affine offset of the measurement mean
-    whitener: Whitener
-    precision: PrecisionOperator
+    precision: PrecisionOperator  # its whitened operator carries the step's whitener
     preconditioner: np.ndarray | None
     score: np.ndarray
 
@@ -188,26 +180,24 @@ def _build_params(
     noise: NoiseModel,
     scalars: _StepScalars,
     b_vec: np.ndarray,
-    config: SolverConfig,
     score: np.ndarray,
 ) -> PosteriorStepParams:
     i = t - 1
     whitener = make_whitener(mix_conditional_cov(noise, scalars.abar_prev[i]))
-    precision = PrecisionOperator(c=scalars.c[i], d=A.d, whitened=WhitenedOperator(A, whitener))
-    run_cg = config.precondition and not precision.direct
+    precision = PrecisionOperator(c=scalars.c[i], whitened=WhitenedOperator(A, whitener))
     return PosteriorStepParams(
         t=t, keep=scalars.keep[i], pull=scalars.pull[i], tweedie=scalars.tweedie[i],
-        b_prev=b_vec, whitener=whitener, precision=precision,
-        preconditioner=diag_preconditioner(precision) if run_cg else None, score=score,
+        b_prev=b_vec, precision=precision,
+        preconditioner=None if precision.direct else diag_preconditioner(precision), score=score,
     )
 
 
-def _linear_params(x_t, t, score_fn, A, noise, scalars, config) -> PosteriorStepParams:
+def _linear_params(x_t, t, score_fn, A, noise, scalars) -> PosteriorStepParams:
     """Freeze the score at (x_t, t); the offset uses A's dense form when it has one."""
     s_hat = np.asarray(score_fn(x_t, t), dtype=float)
     A_s = A.apply(s_hat) if A.dense is None else s_hat @ A.dense.T
     b_vec = (1.0 - scalars.abar_prev[t - 1]) * A_s
-    return _build_params(t, A, noise, scalars, b_vec, config, s_hat)
+    return _build_params(t, A, noise, scalars, b_vec, s_hat)
 
 
 def make_step_params(
@@ -224,7 +214,7 @@ def make_step_params(
     if not 1 <= t <= schedule.num_steps:
         raise ValueError("t must be in [1, T]")
     scalars = _step_scalars(schedule, config.prior_mode)
-    return _linear_params(x_t, t, score_fn, A, noise, scalars, config)
+    return _linear_params(x_t, t, score_fn, A, noise, scalars)
 
 
 def _step(params: PosteriorStepParams, x_t, y_prev, rng, config: SolverConfig, kind: str):
@@ -245,7 +235,7 @@ def _step(params: PosteriorStepParams, x_t, y_prev, rng, config: SolverConfig, k
     rhs = params.keep * x_t
     if params.pull:
         rhs = rhs + params.pull * (x_t + params.tweedie * params.score)
-    white = params.whitener.apply_w(y_prev - params.b_prev)
+    white = precision.whitened.whitener(y_prev - params.b_prev)
     if rng is not None:
         batch = x_t.shape[:-1]
         rhs = rhs + np.sqrt(precision.c) * rng.standard_normal(batch + (precision.d,))
@@ -364,23 +354,17 @@ def cdps_sample(
     if record_residuals:
         trace.residual_sq = np.zeros((T + 1,) + batch)
         trace.cg_iters = np.zeros(T + 1, dtype=int)
+        trace.residual_sq[T] = measurement_residual(x, y, A)
     scores: dict[int, np.ndarray] = {}
-
-    def _residual(xv):
-        r = chain.y_at(0) - A.apply(xv)
-        return np.einsum("...i,...i->...", r, r)
-
-    if record_residuals:
-        trace.residual_sq[T] = _residual(x)
 
     failed = np.zeros(batch if batch else (1,), dtype=bool)
     scalars = _step_scalars(schedule, config.prior_mode)
     for t in range(T, 0, -1):
-        params = _linear_params(x, t, score_fn, A, noise, scalars, config)
+        params = _linear_params(x, t, score_fn, A, noise, scalars)
         x_new, report, rows = _step(params, x, chain.y_at(t - 1), rng, config, "sample")
         failed[rows] = True
         if record_residuals:
-            trace.residual_sq[t - 1] = _residual(x_new)
+            trace.residual_sq[t - 1] = measurement_residual(x_new, y, A)
             trace.cg_iters[t] = report.iterations
         if record_scores:
             scores[t] = params.score
@@ -444,8 +428,7 @@ def dps_sample(
     batch = () if n_chains is None else (n_chains,)
     if record_residuals:
         trace.residual_sq = np.zeros((T + 1,) + batch)
-        r0 = y - A.apply(x)
-        trace.residual_sq[T] = np.einsum("...i,...i->...", r0, r0)
+        trace.residual_sq[T] = measurement_residual(x, y, A)
 
     for t in range(T, 0, -1):
         s_hat = np.asarray(score_fn(x, t), dtype=float)
@@ -460,42 +443,14 @@ def dps_sample(
         x = x_unc + step[..., None] * jw
 
         if record_residuals:
-            r = y - A.apply(x)
-            trace.residual_sq[t - 1] = np.einsum("...i,...i->...", r, r)
+            trace.residual_sq[t - 1] = measurement_residual(x, y, A)
     return x, trace
-
-
-def score_sde_guidance(
-    x_t: np.ndarray,
-    y: np.ndarray,
-    A: LinearOperator,
-    sigma_t: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Stochastic misfit gradient -A^T (y + sigma_t eps - A x_t)."""
-    x_t = np.asarray(x_t, dtype=float)
-    shape = (A.m,) if x_t.ndim == 1 else (x_t.shape[0], A.m)
-    eps = rng.standard_normal(shape)
-    return -A.adjoint(y + sigma_t * eps - A.apply(x_t))
 
 
 def _pinv(mat: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
     inv = np.where(s > cutoff, 1.0 / np.where(s == 0, 1.0, s), 0.0)
     return (vt.T * inv) @ u.T
-
-
-def ilvr_guidance(x_t: np.ndarray, y_t: np.ndarray, A: LinearOperator) -> np.ndarray:
-    """Pseudo-inverse-preconditioned misfit gradient -A^+ (y_t - A x_t).
-
-    Singular values below 1e-10 are zeroed, so rank-deficient operators are
-    handled by truncation.
-    """
-    if A.dense is None:
-        raise ValueError("pseudo-inverse guidance requires a dense operator")
-    pinv = _pinv(A.dense)
-    resid = y_t - A.apply(np.asarray(x_t, dtype=float))
-    return -(resid @ pinv.T)
 
 
 def _noisy_target_sample(kind, y, A, schedule, score_fn, rng, n_chains, scale, record_residuals):
@@ -510,8 +465,7 @@ def _noisy_target_sample(kind, y, A, schedule, score_fn, rng, n_chains, scale, r
     batch = () if n_chains is None else (n_chains,)
     if record_residuals:
         trace.residual_sq = np.zeros((T + 1,) + batch)
-        r0 = y - A.apply(x)
-        trace.residual_sq[T] = np.einsum("...i,...i->...", r0, r0)
+        trace.residual_sq[T] = measurement_residual(x, y, A)
 
     for t in range(T, 0, -1):
         abar = schedule.alpha_bars[t]
@@ -528,8 +482,7 @@ def _noisy_target_sample(kind, y, A, schedule, score_fn, rng, n_chains, scale, r
         x = x_unc - scale * grad
 
         if record_residuals:
-            r = y - A.apply(x)
-            trace.residual_sq[t - 1] = np.einsum("...i,...i->...", r, r)
+            trace.residual_sq[t - 1] = measurement_residual(x, y, A)
     return x, trace
 
 
@@ -616,5 +569,5 @@ def cdps_step_nonlinear(
     s_hat = np.asarray(score_fn(x_t, t), dtype=float)
     offset = np.asarray(g.apply(x_t), dtype=float) - A_lin.apply(x_t)
     b_vec = offset + (1.0 - scalars.abar_prev[t - 1]) * A_lin.apply(s_hat)
-    params = _build_params(t, A_lin, noise, scalars, b_vec, config, score=s_hat)
+    params = _build_params(t, A_lin, noise, scalars, b_vec, score=s_hat)
     return _step(params, x_t, chain.y_at(t - 1), rng, config, "nonlinear step")[0]

@@ -70,7 +70,7 @@ def test_criterion_1_whitener_correctness():
                 cov = mix_conditional_cov(noise, abar)
                 wh = make_whitener(cov)
                 dense_inv = np.linalg.inv(cov.dense(m))
-                gram = wh.apply_wt(wh.apply_w(np.eye(m))).T
+                gram = wh(wh(np.eye(m))).T
                 err = np.linalg.norm(gram - dense_inv) / np.linalg.norm(dense_inv)
                 worst = max(worst, err)
     elapsed = time.perf_counter() - start
@@ -91,8 +91,7 @@ def test_criterion_2_cg_oracle_equivalence():
         A = from_dense(rng.standard_normal((m, d)))
         abar = float(rng.uniform(0.01, 1.0))
         wh = make_whitener(mix_conditional_cov(IsotropicNoise(float(rng.uniform(0.1, 2.0))), abar))
-        op = PrecisionOperator(c=float(rng.uniform(0.2, 8.0)), d=d,
-                               whitened=WhitenedOperator(A, wh))
+        op = PrecisionOperator(c=float(rng.uniform(0.2, 8.0)), whitened=WhitenedOperator(A, wh))
         rhs = rng.standard_normal(d)
         x, rep = cg_solve(op, rhs, diag_preconditioner(op), tol=1e-8)
         assert rep.converged
@@ -111,7 +110,7 @@ def test_criterion_3_pw_cg_covariance():
     rng = np.random.default_rng(103)
     A = from_dense(rng.standard_normal((4, 8)))
     wh = make_whitener(mix_conditional_cov(IsotropicNoise(0.5), 0.4))
-    op = PrecisionOperator(c=2.0, d=8, whitened=WhitenedOperator(A, wh))
+    op = PrecisionOperator(c=2.0, whitened=WhitenedOperator(A, wh))
     V, rep = pw_cg_draw(op, np.random.default_rng(104),
                         preconditioner=diag_preconditioner(op), n=50_000)
     assert rep.converged

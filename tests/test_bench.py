@@ -1,10 +1,14 @@
 import csv
 import dataclasses
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cdps.operators
+import cdps.sampler
 from cdps.bench import (
     BenchConfig,
     RESULT_COLUMNS,
@@ -16,6 +20,8 @@ from cdps.bench import (
     run_grid,
 )
 from cdps.cli import main as cli_main
+from cdps.gmm import make_grid_gmm, score_fn_for
+from cdps.operators import IsotropicNoise
 from cdps.schedules import make_linear_schedule
 
 
@@ -266,3 +272,36 @@ def test_cli_oracle_trace_diagnostics(tmp_path, capsys):
     rows = read_csv(diag_files[0])
     assert rows[0] == ["t", "cos_mean", "mse_mean", "n_chains"]
     assert len(rows) == 1 + 1000
+
+
+def test_perfbench_tracer_sites_resolve_and_restore():
+    # perfbench/tracer.py patches named attributes of the package.  Each must
+    # resolve, be replaced while the tracer is installed and be restored on
+    # exit, and the coupled step must still reach the solver layers through
+    # those names, or `perfbench/run.py --trace 1` breaks or reads zero.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_mod)
+    tracer = tracer_mod.Tracer()
+    sites = [(owner, attr) for owner, attr, _ in tracer_mod._patches(tracer)]
+    before = [getattr(owner, attr) for owner, attr in sites]
+
+    d = 8
+    schedule = make_linear_schedule(20, 0.1, 5.0)
+    score_fn = score_fn_for(make_grid_gmm(d), schedule)
+    with tracer_mod.installed(tracer):
+        assert all(getattr(o, a) is not f for (o, a), f in zip(sites, before))
+        # Built while installed, so its calls are counted; without its dense
+        # form it takes the CG path.
+        A = dataclasses.replace(cdps.operators.blur_operator([0.25, 0.5, 0.25], d), dense=None)
+        with tracer.root_span("task"):
+            cdps.sampler.cdps_sample(np.ones(d), A, IsotropicNoise(1e-2), schedule, score_fn,
+                                     np.random.default_rng(0), n_chains=3)
+    assert all(getattr(o, a) is f for (o, a), f in zip(sites, before))
+    calls = tracer.summary()["calls"]
+    for name in ("sampler.cdps_sample", "sampler.generate_measurement_chain",
+                 "operators.mix_conditional_cov", "operators.make_whitener",
+                 "linalg.diag_preconditioner", "linalg.cg_solve.draw", "linalg.matvec",
+                 "operators.apply", "operators.adjoint"):
+        assert calls[name] > 0, name

@@ -21,6 +21,7 @@ from cdps.operators import (
     from_dense,
     make_whitener,
     mix_conditional_cov,
+    zero_operator,
 )
 
 
@@ -28,18 +29,24 @@ def make_precision(rng, d, m, c=None, abar=0.3, sigma2=0.5):
     A = from_dense(rng.standard_normal((m, d)))
     wh = make_whitener(mix_conditional_cov(IsotropicNoise(sigma2), abar))
     c = float(rng.uniform(0.5, 5.0)) if c is None else c
-    return PrecisionOperator(c=c, d=d, whitened=WhitenedOperator(A, wh))
+    return PrecisionOperator(c=c, whitened=WhitenedOperator(A, wh))
+
+
+def measurement_free(c, d):
+    """The measurement-free precision c * I, built over the zero operator."""
+    return PrecisionOperator(c=c, whitened=WhitenedOperator(zero_operator(1, d),
+                                                             make_whitener(IsotropicNoise(1.0))))
 
 
 def test_scalar_system():
-    op = PrecisionOperator(c=2.0, d=2, whitened=None)
+    op = measurement_free(2.0, 2)
     x, rep = cg_solve(op, np.array([4.0, 6.0]))
     np.testing.assert_allclose(x, [2.0, 3.0], rtol=1e-12)
     assert rep.converged
 
 
 def test_zero_rhs_returns_zero_in_zero_iterations():
-    op = PrecisionOperator(c=3.0, d=4, whitened=None)
+    op = measurement_free(3.0, 4)
     x, rep = cg_solve(op, np.zeros(4))
     assert rep.iterations == 0 and rep.converged
     np.testing.assert_array_equal(x, np.zeros(4))
@@ -79,11 +86,11 @@ def test_symmetry_and_positive_definiteness():
 def test_diag_preconditioner_values():
     rng = np.random.default_rng(3)
     # A = 0 -> all entries c
-    op0 = PrecisionOperator(c=2.5, d=5, whitened=None)
+    op0 = measurement_free(2.5, 5)
     np.testing.assert_allclose(diag_preconditioner(op0), np.full(5, 2.5))
     # whitened operator = I -> entries c + 1
-    wh = make_whitener(mix_conditional_cov(IsotropicNoise(1.0), 0.5))  # gamma = 1
-    opI = PrecisionOperator(c=1.5, d=4, whitened=WhitenedOperator(from_dense(np.eye(4)), wh))
+    wh = make_whitener(mix_conditional_cov(IsotropicNoise(1.0), 0.5))  # sigma2 = 1
+    opI = PrecisionOperator(c=1.5, whitened=WhitenedOperator(from_dense(np.eye(4)), wh))
     np.testing.assert_allclose(diag_preconditioner(opI), np.full(4, 2.5))
     # random dense instance matches the dense diagonal
     op = make_precision(rng, d=8, m=3)
@@ -93,9 +100,9 @@ def test_diag_preconditioner_values():
 
 
 def test_pw_cg_draw_measurement_free_closed_form():
-    op = PrecisionOperator(c=4.0, d=6, whitened=None)
+    op = measurement_free(4.0, 6)
     v, rep = pw_cg_draw(op, np.random.default_rng(4))
-    eps1 = np.random.default_rng(4).standard_normal(6)
+    eps1 = np.random.default_rng(4).standard_normal(6)  # eps2 is drawn after it, then annihilated
     np.testing.assert_allclose(v, eps1 / 2.0, rtol=1e-12)
     assert rep.converged
 
@@ -169,13 +176,13 @@ def test_cg_non_convergence_returns_best_iterate():
 
 
 def test_cg_rejects_bad_inputs():
-    op = PrecisionOperator(c=1.0, d=3, whitened=None)
+    op = measurement_free(1.0, 3)
     with pytest.raises(ValueError):
         cg_solve(op, np.array([1.0, np.nan, 0.0]))
     with pytest.raises(ValueError):
         cg_solve(op, np.ones(3), tol=-1.0)
     with pytest.raises(ValueError):
-        PrecisionOperator(c=-1.0, d=3, whitened=None)
+        PrecisionOperator(c=-1.0, whitened=op.whitened)
 
 
 def make_noise(kind, rng, m):
@@ -206,7 +213,7 @@ def test_precision_solve_matches_dense_solve(kind, shape, d, abar, log_c, n, see
     rng = np.random.default_rng(seed)
     m = {"m<d": int(rng.integers(1, d)), "m=d": d, "m>d": d + int(rng.integers(1, 4))}[shape]
     wh = make_whitener(mix_conditional_cov(make_noise(kind, rng, m), abar))
-    op = PrecisionOperator(c=10.0 ** log_c, d=d,
+    op = PrecisionOperator(c=10.0 ** log_c,
                            whitened=WhitenedOperator(from_dense(rng.standard_normal((m, d))), wh))
     rhs = rng.standard_normal((n, d))
     x, rep = precision_solve(op, rhs)

@@ -29,17 +29,18 @@ from cdps.sampler import (
     NonlinearMap,
     SolverConfig,
     _ancestral_step,
+    _pinv,
     cdps_sample,
     cdps_step,
     cdps_step_nonlinear,
     dps_sample,
     generate_measurement_chain,
-    ilvr_guidance,
+    ilvr_sample,
     linearize,
     make_step_params,
     posterior_mean,
     pw_cg_draw,
-    score_sde_guidance,
+    score_sde_sample,
 )
 from cdps.schedules import make_linear_schedule
 
@@ -635,22 +636,46 @@ def test_dps_table_window_single_matrix():
     assert 4.7 - 3 * 1.5 <= sw <= 4.7 + 3 * 1.5
 
 
-def test_score_sde_guidance_formula():
+@pytest.mark.parametrize("kind", ["score_sde", "ilvr"])
+def test_noisy_target_sample_one_step_exact(kind):
+    # T = 1: one ancestral step, then a step of size scale against the misfit
+    # gradient toward the noisy target sqrt(abar_1) y + sqrt(1 - abar_1) eps,
+    # through A^T (score_sde) or the pseudo-inverse (ilvr).  The draws come
+    # in the order x_T (n, d), z (n, d), eps (n, m).
     rng = np.random.default_rng(24)
-    A = from_dense(np.eye(3))
-    x = rng.standard_normal(3)
-    y = rng.standard_normal(3)
-    g = score_sde_guidance(x, y, A, sigma_t=0.0, rng=np.random.default_rng(25))
-    np.testing.assert_allclose(g, -(y - x), rtol=1e-12)
+    d, m, n, scale = 4, 2, 3, 0.7
+    A = from_dense(rng.standard_normal((m, d)))
+    y = rng.standard_normal(m)
+    schedule = make_linear_schedule(1, 0.3, 0.3)
+    score_fn = score_fn_for(make_grid_gmm(d), schedule)
+    sample = score_sde_sample if kind == "score_sde" else ilvr_sample
+    x0, trace = sample(y, A, schedule, score_fn, np.random.default_rng(25), n_chains=n,
+                       scale=scale, record_residuals=True)
+
+    clone = np.random.default_rng(25)
+    x_T = clone.standard_normal((n, d))
+    z = clone.standard_normal((n, d))
+    eps = clone.standard_normal((n, m))
+    x_unc, _ = _ancestral_step(x_T, 1, score_fn(x_T, 1), schedule, z)
+    abar = schedule.alpha_bars[1]
+    resid = np.sqrt(abar) * y + np.sqrt(1.0 - abar) * eps - x_T @ A.dense.T
+    back = A.dense.T if kind == "score_sde" else np.linalg.pinv(A.dense)
+    expected = x_unc + scale * resid @ back.T
+    np.testing.assert_allclose(x0, expected, rtol=1e-12, atol=1e-12)
+    for t, x in ((1, x_T), (0, x0)):
+        r = y - x @ A.dense.T
+        np.testing.assert_allclose(trace.residual_sq[t], np.sum(r * r, axis=-1), rtol=1e-12)
 
 
 def test_ilvr_guidance_orthonormal_rows_reduces_to_adjoint():
+    # With orthonormal rows the pseudo-inverse is the transpose, so the ILVR
+    # gradient -A^+ (y_t - A x) is the adjoint one.
     rng = np.random.default_rng(26)
     q, _ = np.linalg.qr(rng.standard_normal((4, 2)))
     A = from_dense(q.T)  # orthonormal rows
     x = rng.standard_normal(4)
     y_t = rng.standard_normal(2)
-    g = ilvr_guidance(x, y_t, A)
+    g = -((y_t - A.apply(x)) @ _pinv(A.dense).T)
     np.testing.assert_allclose(g, -A.adjoint(y_t - A.apply(x)), rtol=1e-10, atol=1e-12)
 
 
@@ -659,7 +684,7 @@ def test_ilvr_guidance_matches_svd_pseudoinverse():
     A = from_dense(rng.standard_normal((2, 4)))
     x = rng.standard_normal(4)
     y_t = rng.standard_normal(2)
-    g = ilvr_guidance(x, y_t, A)
+    g = -((y_t - A.apply(x)) @ _pinv(A.dense).T)
     expected = -np.linalg.pinv(A.dense) @ (y_t - A.apply(x))
     np.testing.assert_allclose(g, expected, rtol=1e-10)
 
@@ -754,7 +779,7 @@ def test_nonlinear_quadratic_matches_gauss_newton_oracle():
     offset = g.apply(x_t) - A_lin.apply(x_t)
     b_vec = offset + (1.0 - abar_prev) * A_lin.apply(s_hat)
     scalars = _step_scalars(schedule, cfg.prior_mode)
-    params = _build_params(t, A_lin, noise, scalars, b_vec, cfg, score=s_hat)
+    params = _build_params(t, A_lin, noise, scalars, b_vec, score=s_hat)
     mu, _ = posterior_mean(params, x_t, y_prev, cfg)
     assert np.linalg.norm(mu - expected_mu) / np.linalg.norm(expected_mu) < 1e-8
 
