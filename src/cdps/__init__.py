@@ -18,7 +18,6 @@ from .operators import (
 from .linalg import (
     CgReport,
     PrecisionOperator,
-    WhitenedOperator,
     cg_solve,
     diag_preconditioner,
     precision_solve,

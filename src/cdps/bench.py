@@ -82,6 +82,9 @@ class BenchConfig:
                 raise ValueError(f"{name} must be positive")
         if self.sw_order not in (1, 2):
             raise ValueError("sw_order must be 1 or 2")
+        if not all(np.isfinite(s) and s > 0 for s in self.sigmas):
+            raise ValueError("every sigma must be positive and finite")
+        make_linear_schedule(self.num_steps, self.beta_min, self.beta_max)  # checks the betas
 
     def active_dims(self) -> tuple[int, ...]:
         if self.full_grid:
@@ -256,26 +259,26 @@ def run_grid(cfg: BenchConfig) -> BenchResult:
     return result
 
 
+def write_csv(path: Path, header, rows) -> Path:
+    """Write ``header`` then every row of ``rows`` to ``path``; returns the path."""
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise OSError(f"failed writing {path}: {exc}") from exc
+    return path
+
+
 def emit_results(result: BenchResult, out_dir, cfg: BenchConfig | None = None) -> list[Path]:
     """Write results.csv, summary.json and any scatter CSVs; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    csv_path = out / "results.csv"
-    try:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RESULT_COLUMNS)
-            for row in result.rows:
-                writer.writerow([
-                    row["method"], row["d"], row["m"], repr(float(row["sigma"])),
-                    row["matrix"], f"{row['sw']:.12g}", row["failures"],
-                    f"{row['seconds']:.3f}",
-                ])
-    except OSError as exc:
-        raise OSError(f"failed writing {csv_path}: {exc}") from exc
-    written.append(csv_path)
+    rows = ([row["method"], row["d"], row["m"], repr(float(row["sigma"])), row["matrix"],
+             f"{row['sw']:.12g}", row["failures"], f"{row['seconds']:.3f}"]
+            for row in result.rows)
+    written = [write_csv(out / "results.csv", RESULT_COLUMNS, rows)]
 
     summary_path = out / "summary.json"
     payload = {"aggregates": result.aggregates, "aborted": result.aborted}
@@ -289,11 +292,7 @@ def emit_results(result: BenchResult, out_dir, cfg: BenchConfig | None = None) -
 
     for (d, m, sigma), samples in sorted(result.scatter.items()):
         path = out / f"scatter_d{d}_m{m}_s{sigma!r}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["source", "x1", "x2"])
-            for source, arr in samples.items():
-                for p in arr:
-                    writer.writerow([source, f"{p[0]:.12g}", f"{p[1]:.12g}"])
-        written.append(path)
+        rows = ([source, f"{p[0]:.12g}", f"{p[1]:.12g}"]
+                for source, arr in samples.items() for p in arr)
+        written.append(write_csv(path, ["source", "x1", "x2"], rows))
     return written

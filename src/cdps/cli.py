@@ -10,7 +10,6 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from collections import namedtuple
@@ -19,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import gmm as gmm_mod
-from .bench import BenchConfig, derive_rng, emit_results, make_measurement_model, run_grid
+from .bench import (
+    BenchConfig, derive_rng, emit_results, make_measurement_model, run_grid, write_csv,
+)
 from .operators import IsotropicNoise
 from .sampler import cdps_sample, dps_sample
 from .schedules import make_linear_schedule
@@ -81,7 +82,7 @@ def _cmd_run(args) -> int:
 
 
 def _trace_csv_rows(trace, n_chains):
-    """(chain_id, t, residual_sq, cg_iters) rows."""
+    """(chain_id, t, residual_sq, cg_iters) CSV rows."""
     T = trace.residual_sq.shape[0] - 1
     res = trace.residual_sq
     if res.ndim == 1:
@@ -92,7 +93,7 @@ def _trace_csv_rows(trace, n_chains):
         for t in range(T, -1, -1):
             produced_by = t + 1  # step consuming beta_{t+1} produced level t
             cg = int(iters[produced_by]) if iters is not None and produced_by <= T else 0
-            yield chain, t, res[t, chain], cg
+            yield [chain, t, f"{res[t, chain]:.12g}", cg]
 
 
 def _write_run_traces(cfg: BenchConfig, out_dir) -> list[Path]:
@@ -109,13 +110,9 @@ def _write_run_traces(cfg: BenchConfig, out_dir) -> list[Path]:
                     task.y, task.A, task.noise, task.schedule, task.score_fn, rng, n_chains=n,
                     config=cfg.solver_config(), record_residuals=True,
                 )
-                path = out / f"trace_cdps_d{d}_m{m}_s{sigma!r}.csv"
-                with open(path, "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["chain_id", "t", "residual_sq", "cg_iters"])
-                    for row in _trace_csv_rows(trace, n):
-                        writer.writerow([row[0], row[1], f"{row[2]:.12g}", row[3]])
-                written.append(path)
+                written.append(write_csv(out / f"trace_cdps_d{d}_m{m}_s{sigma!r}.csv",
+                                         ["chain_id", "t", "residual_sq", "cg_iters"],
+                                         _trace_csv_rows(trace, n)))
     return written
 
 
@@ -138,12 +135,9 @@ def _cmd_oracle(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        path = out / f"oracle_d{args.d}_m{args.m}_s{args.sigma!r}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i}" for i in range(samples.shape[1])])
-            for p in samples:
-                writer.writerow([f"{v:.12g}" for v in p])
+        path = write_csv(out / f"oracle_d{args.d}_m{args.m}_s{args.sigma!r}.csv",
+                         [f"x{i}" for i in range(samples.shape[1])],
+                         ([f"{v:.12g}" for v in p] for p in samples))
         print(f"wrote {path}")
     return 0
 
@@ -156,24 +150,25 @@ def _cmd_trace(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"trace_d{args.d}_m{args.m}_s{args.sigma!r}.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "chain_id", "t", "residual_sq", "cg_iters"])
-        for method in ("cdps", "dps"):
-            rng = derive_rng(args.seed, "trace", method, args.d, args.m, args.sigma)
-            if method == "cdps":
-                _, trace = cdps_sample(y, A, task.noise, schedule, score_fn, rng,
-                                       n_chains=args.chains, config=cfg.solver_config(),
-                                       record_residuals=True)
-            else:
-                _, trace = dps_sample(y, A, schedule, score_fn, jvp_fn, rng,
-                                      n_chains=args.chains, record_residuals=True)
-            final = trace.residual_sq[0].mean()
-            start = trace.residual_sq[-1].mean()
-            print(f"{method}: mean residual_sq t=T {start:.4g} -> t=0 {final:.4g}")
-            for row in _trace_csv_rows(trace, args.chains):
-                writer.writerow([method, row[0], row[1], f"{row[2]:.12g}", row[3]])
+    traces = {}
+    for method in ("cdps", "dps"):
+        rng = derive_rng(args.seed, "trace", method, args.d, args.m, args.sigma)
+        if method == "cdps":
+            _, trace = cdps_sample(y, A, task.noise, schedule, score_fn, rng,
+                                   n_chains=args.chains, config=cfg.solver_config(),
+                                   record_residuals=True)
+        else:
+            _, trace = dps_sample(y, A, schedule, score_fn, jvp_fn, rng,
+                                  n_chains=args.chains, record_residuals=True)
+        final = trace.residual_sq[0].mean()
+        start = trace.residual_sq[-1].mean()
+        print(f"{method}: mean residual_sq t=T {start:.4g} -> t=0 {final:.4g}")
+        traces[method] = trace
+
+    rows = ([method] + row for method, trace in traces.items()
+            for row in _trace_csv_rows(trace, args.chains))
+    path = write_csv(out / f"trace_d{args.d}_m{args.m}_s{args.sigma!r}.csv",
+                     ["method", "chain_id", "t", "residual_sq", "cg_iters"], rows)
     print(f"wrote {path}")
     return 0
 
@@ -188,16 +183,12 @@ def _cmd_diagnostics(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"diagnostics_d{args.d}_m{args.m}_s{args.sigma!r}.csv"
     cos = np.atleast_2d(trace.score_cos.T).T
     mse = np.atleast_2d(trace.score_mse.T).T
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "cos_mean", "mse_mean", "n_chains"])
-        for t in range(schedule.num_steps, 0, -1):
-            c = np.nanmean(cos[t])
-            e = np.nanmean(mse[t])
-            writer.writerow([t, f"{c:.8g}", f"{e:.8g}", args.chains])
+    rows = ([t, f"{np.nanmean(cos[t]):.8g}", f"{np.nanmean(mse[t]):.8g}", args.chains]
+            for t in range(schedule.num_steps, 0, -1))
+    path = write_csv(out / f"diagnostics_d{args.d}_m{args.m}_s{args.sigma!r}.csv",
+                     ["t", "cos_mean", "mse_mean", "n_chains"], rows)
     valid = np.arange(1, schedule.num_steps + 1)
     print(f"mean cosine over trajectory: {np.nanmean(cos[valid]):.4f}")
     print(f"wrote {path}")

@@ -6,9 +6,10 @@ right-hand side ``z = sqrt(c) eps1 + B^T eps2`` whose covariance is ``P``
 itself, ``P^{-1} (rhs + z)`` is a draw around the mean ``P^{-1} rhs``.  When
 ``A`` has a dense form the solve is exact, through the inverse of the
 ``min(m, d)``-sized SPD system built from ``B^T``; otherwise it runs matrix-free
-CG with the precision's diagonal as preconditioner.  The whitener ``W`` is the
-symmetric callable of ``operators.make_whitener``, so ``B^T = A^T W``.  A
-measurement-free precision ``c * I`` is built over ``operators.zero_operator``.
+CG with the precision's diagonal as preconditioner.  ``PrecisionOperator(c,
+A, W)`` is that one precision; the whitener ``W`` is the symmetric callable
+of ``operators.make_whitener``, so ``B^T = A^T W``.  A measurement-free
+precision ``c * I`` is built over ``operators.zero_operator``.
 Right-hand sides may be batched with the vector axis last, in which case
 all rows are solved together.
 """
@@ -27,11 +28,16 @@ PRECOND_PROBE_LIMIT = 4096  # beyond this, fall back to the identity preconditio
 
 
 @dataclass(frozen=True)
-class WhitenedOperator:
-    """Composition W o A of a whitener with a measurement operator."""
+class PrecisionOperator:
+    """SPD action u -> c * u + B^T B u with c > 0, where B = W A."""
 
+    c: float
     op: LinearOperator
     whitener: Callable[[np.ndarray], np.ndarray]  # symmetric, so W^T = W
+
+    def __post_init__(self):
+        if not (np.isfinite(self.c) and self.c > 0):
+            raise ValueError("c must be positive and finite")
 
     @property
     def m(self) -> int:
@@ -41,15 +47,13 @@ class WhitenedOperator:
     def d(self) -> int:
         return self.op.d
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.whitener(self.op.apply(x))
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        return self.op.adjoint(self.whitener(y))
+    def bt(self, v: np.ndarray) -> np.ndarray:
+        """B^T v = A^T W v."""
+        return self.op.adjoint(self.whitener(v))
 
     @cached_property
     def dense_t(self) -> np.ndarray | None:
-        """(W A)^T as a (d, m) array, row i = W A e_i; None without a dense A.
+        """B^T as a (d, m) array, row i = W A e_i; None without a dense A.
 
         Built on first use and kept, so a step's right-hand side and its
         solve share one product with the whitener.
@@ -58,29 +62,13 @@ class WhitenedOperator:
             return None
         return self.whitener(self.op.dense.T)
 
-
-@dataclass(frozen=True)
-class PrecisionOperator:
-    """SPD action u -> c * u + (W A)^T (W A) u with c > 0."""
-
-    c: float
-    whitened: WhitenedOperator
-
-    def __post_init__(self):
-        if not (np.isfinite(self.c) and self.c > 0):
-            raise ValueError("c must be positive and finite")
-
-    @property
-    def d(self) -> int:
-        return self.whitened.d
-
     def matvec(self, u: np.ndarray) -> np.ndarray:
-        return self.c * u + self.whitened.adjoint(self.whitened.apply(u))
+        return self.c * u + self.bt(self.whitener(self.op.apply(u)))
 
     @property
     def direct(self) -> bool:
         """Whether ``precision_solve`` factors this operator instead of running CG."""
-        return self.whitened.op.dense is not None
+        return self.op.dense is not None
 
     def dense(self) -> np.ndarray:
         """Materialize by probing with the identity (tests and oracles only)."""
@@ -89,17 +77,10 @@ class PrecisionOperator:
 
 @dataclass
 class CgReport:
-    """Outcome of one (possibly batched) solve.
-
-    A direct solve reports zero iterations, every row converged and a NaN
-    ``relative_residual``, which it does not compute.
-    """
+    """Outcome of one (possibly batched) solve; a direct solve takes zero iterations."""
 
     iterations: int
-    relative_residual: float
-    converged: bool
-    row_iterations: np.ndarray | None = None
-    row_converged: np.ndarray | None = None
+    row_converged: np.ndarray
 
 
 def diag_preconditioner(op: PrecisionOperator) -> np.ndarray | None:
@@ -109,12 +90,11 @@ def diag_preconditioner(op: PrecisionOperator) -> np.ndarray | None:
     batched identity probe; above the probe limit returns None, which
     cg_solve treats as the identity preconditioner.
     """
-    wa = op.whitened
-    cols = wa.dense_t  # row i = W A e_i
+    cols = op.dense_t  # row i = W A e_i
     if cols is None:
         if op.d > PRECOND_PROBE_LIMIT:
             return None
-        cols = wa.apply(np.eye(op.d))
+        cols = op.whitener(op.op.apply(np.eye(op.d)))
     return op.c + np.einsum("ij,ij->i", cols, cols)
 
 
@@ -135,7 +115,8 @@ def cg_solve(
     Stops when every row satisfies ||op(x) - rhs|| <= tol * ||rhs||; rows
     with a zero right-hand side converge immediately to zero.  On
     non-convergence, the best iterate seen (smallest relative residual per
-    row) is returned with ``converged=False`` and the caller decides.
+    row) is returned, its unconverged rows flagged in ``row_converged``, and
+    the caller decides.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -157,12 +138,10 @@ def cg_solve(
 
     rel = _row_norms(r) / safe_norm
     row_conv = rel <= tol
-    row_iters = np.zeros(rel.shape, dtype=int)
     best_rel = rel.copy()
     best_x = x.copy()
     if np.all(row_conv):
-        return x, CgReport(0, float(np.max(rel, initial=0.0)), True,
-                           row_iterations=row_iters, row_converged=row_conv)
+        return x, CgReport(0, row_conv)
 
     z = r / preconditioner if preconditioner is not None else r.copy()
     p = z.copy()
@@ -188,9 +167,7 @@ def cg_solve(
                 best_x = x.copy()
             else:
                 best_x[improved] = x[improved]
-        newly = (rel <= tol) & ~row_conv
-        row_iters = np.where(newly, k, row_iters)
-        row_conv = row_conv | newly
+        row_conv = row_conv | (rel <= tol)
         if np.all(row_conv):
             break
 
@@ -201,17 +178,9 @@ def cg_solve(
         p = z + beta[..., None] * p
         rz = rz_new
 
-    converged = bool(np.all(row_conv))
-    if not converged:
+    if not np.all(row_conv):
         x = best_x
-        rel = best_rel
-    return x, CgReport(
-        iterations=iterations,
-        relative_residual=float(np.max(rel)),
-        converged=converged,
-        row_iterations=row_iters,
-        row_converged=row_conv,
-    )
+    return x, CgReport(iterations, row_conv)
 
 
 def _direct_solve(op: PrecisionOperator, rhs: np.ndarray) -> np.ndarray:
@@ -219,15 +188,15 @@ def _direct_solve(op: PrecisionOperator, rhs: np.ndarray) -> np.ndarray:
 
     The small system is inverted once, so every row costs one matrix product.
     """
-    bt = op.whitened.dense_t  # B^T, (d, m)
+    bt = op.dense_t  # B^T, (d, m)
     rows = rhs.reshape(-1, op.d)
-    if op.d <= op.whitened.m:
+    if op.d <= op.m:
         # P itself; at m = d it is as small as the capacitance and needs no
         # subtraction, which would lose digits where B B^T >> c.
         x = rows @ np.linalg.inv(op.c * np.eye(op.d) + bt @ bt.T)
     else:
         # Woodbury: P^{-1} r = (r - B^T K^{-1} B r) / c, K = c I_m + B B^T.
-        u = (rows @ bt) @ np.linalg.inv(op.c * np.eye(op.whitened.m) + bt.T @ bt)
+        u = (rows @ bt) @ np.linalg.inv(op.c * np.eye(op.m) + bt.T @ bt)
         x = (rows - u @ bt.T) / op.c
     return x.reshape(rhs.shape)
 
@@ -252,11 +221,7 @@ def precision_solve(
         raise ValueError(f"rhs last axis must be {op.d}")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
-    batch = rhs.shape[:-1]
-    return _direct_solve(op, rhs), CgReport(
-        iterations=0, relative_residual=float("nan"), converged=True,
-        row_iterations=np.zeros(batch, dtype=int), row_converged=np.ones(batch, dtype=bool),
-    )
+    return _direct_solve(op, rhs), CgReport(0, np.ones(rhs.shape[:-1], dtype=bool))
 
 
 def pw_cg_draw(
@@ -270,12 +235,12 @@ def pw_cg_draw(
     """Draw from N(0, op^{-1}) without any dense factorization.
 
     Returns the CG solve of ``op.matvec(v) = z`` for the synthetic right-hand
-    side ``z = sqrt(c) * eps1 + (W A)^T eps2`` with cov(z) = op (Papandreou
+    side ``z = sqrt(c) * eps1 + B^T eps2`` with cov(z) = op (Papandreou
     & Yuille 2010; Orieux et al. 2012).  eps1, shape (d,) or (n, d), is drawn
     before eps2, shape (m,) or (n, m), the order the coupled step uses.  Pass
     ``n`` to draw a batch of independent vectors.
     """
     batch = () if n is None else (n,)
     z = np.sqrt(op.c) * rng.standard_normal(batch + (op.d,))
-    z = z + op.whitened.adjoint(rng.standard_normal(batch + (op.whitened.m,)))
+    z = z + op.bt(rng.standard_normal(batch + (op.m,)))
     return cg_solve(op, z, preconditioner=preconditioner, tol=tol, max_iter=max_iter)

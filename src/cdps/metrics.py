@@ -80,6 +80,14 @@ def measurement_residual(x: np.ndarray, y: np.ndarray, A: LinearOperator) -> flo
     return float(out) if out.ndim == 0 else out
 
 
+def batch_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine similarity along the last axis; NaN where either vector is zero."""
+    dot = np.einsum("...i,...i->...", a, b)
+    denom = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom > 0, dot / np.where(denom == 0, 1.0, denom), np.nan)
+
+
 def score_consistency(score_fn, x_t: np.ndarray, x_prev: np.ndarray, t: int) -> tuple[float, float]:
     """Alignment between the frozen score and the score one step later.
 
@@ -91,11 +99,5 @@ def score_consistency(score_fn, x_t: np.ndarray, x_prev: np.ndarray, t: int) -> 
     s_cur = np.asarray(score_fn(x_t, t), dtype=float)
     if s_prev.shape != s_cur.shape or s_prev.ndim != 1:
         raise ValueError("scores must be matching 1-D vectors")
-    d = s_prev.size
     diff = s_prev - s_cur
-    mse = float(diff @ diff) / d
-    np_ = float(np.linalg.norm(s_prev))
-    nc = float(np.linalg.norm(s_cur))
-    if np_ == 0.0 or nc == 0.0:
-        return math.nan, mse
-    return float(s_prev @ s_cur) / (np_ * nc), mse
+    return float(batch_cosine(s_prev, s_cur)), float(diff @ diff) / s_prev.size

@@ -27,13 +27,12 @@ import numpy as np
 from .linalg import (
     CgReport,
     PrecisionOperator,
-    WhitenedOperator,
     diag_preconditioner,
     precision_solve,
 )
 # Looked up here by callers that patch or import the solver layers by name.
 from .linalg import cg_solve, pw_cg_draw  # noqa: F401
-from .metrics import measurement_residual
+from .metrics import batch_cosine, measurement_residual
 from .operators import LinearOperator, NoiseModel, from_dense, make_whitener, mix_conditional_cov
 from .schedules import NoiseSchedule
 
@@ -169,7 +168,7 @@ class PosteriorStepParams:
     pull: float  # score prior's weight on x_t + tweedie * score; 0 without it
     tweedie: float  # 1 - abar_t
     b_prev: np.ndarray  # affine offset of the measurement mean
-    precision: PrecisionOperator  # its whitened operator carries the step's whitener
+    precision: PrecisionOperator  # carries the step's whitener
     preconditioner: np.ndarray | None
     score: np.ndarray
 
@@ -184,7 +183,7 @@ def _build_params(
 ) -> PosteriorStepParams:
     i = t - 1
     whitener = make_whitener(mix_conditional_cov(noise, scalars.abar_prev[i]))
-    precision = PrecisionOperator(c=scalars.c[i], whitened=WhitenedOperator(A, whitener))
+    precision = PrecisionOperator(scalars.c[i], A, whitener)
     return PosteriorStepParams(
         t=t, keep=scalars.keep[i], pull=scalars.pull[i], tweedie=scalars.tweedie[i],
         b_prev=b_vec, precision=precision,
@@ -235,13 +234,13 @@ def _step(params: PosteriorStepParams, x_t, y_prev, rng, config: SolverConfig, k
     rhs = params.keep * x_t
     if params.pull:
         rhs = rhs + params.pull * (x_t + params.tweedie * params.score)
-    white = precision.whitened.whitener(y_prev - params.b_prev)
+    white = precision.whitener(y_prev - params.b_prev)
     if rng is not None:
         batch = x_t.shape[:-1]
         rhs = rhs + np.sqrt(precision.c) * rng.standard_normal(batch + (precision.d,))
-        white = white + rng.standard_normal(batch + (precision.whitened.m,))
-    bt = precision.whitened.dense_t
-    rhs = rhs + (precision.whitened.adjoint(white) if bt is None else white @ bt.T)
+        white = white + rng.standard_normal(batch + (precision.m,))
+    bt = precision.dense_t
+    rhs = rhs + (precision.bt(white) if bt is None else white @ bt.T)
     x_next, report = precision_solve(
         precision, rhs, preconditioner=params.preconditioner,
         tol=config.cg_tol, max_iter=config.cg_max_iter,
@@ -306,13 +305,11 @@ class SamplerTrace:
     score_mse: np.ndarray | None = None
 
 
-def _batch_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    dot = np.einsum("...i,...i->...", a, b)
-    na = np.linalg.norm(a, axis=-1)
-    nb = np.linalg.norm(b, axis=-1)
-    denom = na * nb
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(denom > 0, dot / np.where(denom == 0, 1.0, denom), np.nan)
+def _pair_scores(trace: SamplerTrace, t: int, s_prev: np.ndarray, s_cur: np.ndarray) -> None:
+    """Entry t of the score diagnostics: level t - 1's frozen score against level t's."""
+    diff = s_prev - s_cur
+    trace.score_mse[t] = np.einsum("...i,...i->...", diff, diff) / diff.shape[-1]
+    trace.score_cos[t] = batch_cosine(s_prev, s_cur)
 
 
 def cdps_sample(
@@ -324,7 +321,6 @@ def cdps_sample(
     rng: np.random.Generator,
     n_chains: int | None = None,
     config: SolverConfig | None = None,
-    x_init: np.ndarray | None = None,
     shared_chain: bool = False,
     record_residuals: bool = False,
     record_scores: bool = False,
@@ -342,12 +338,7 @@ def cdps_sample(
         y, schedule, rng, n_chains=None if shared_chain else n_chains
     )
     shape = (A.d,) if n_chains is None else (n_chains, A.d)
-    if x_init is not None:
-        x = np.array(x_init, dtype=float)
-        if x.shape != shape:
-            raise ValueError(f"x_init must have shape {shape}")
-    else:
-        x = rng.standard_normal(shape)
+    x = rng.standard_normal(shape)
 
     trace = SamplerTrace()
     batch = () if n_chains is None else (n_chains,)
@@ -355,30 +346,27 @@ def cdps_sample(
         trace.residual_sq = np.zeros((T + 1,) + batch)
         trace.cg_iters = np.zeros(T + 1, dtype=int)
         trace.residual_sq[T] = measurement_residual(x, y, A)
-    scores: dict[int, np.ndarray] = {}
+    if record_scores:
+        trace.score_cos = np.full((T + 1,) + batch, np.nan)
+        trace.score_mse = np.full((T + 1,) + batch, np.nan)
 
     failed = np.zeros(batch if batch else (1,), dtype=bool)
     scalars = _step_scalars(schedule, config.prior_mode)
+    s_cur = None  # the frozen score of level t + 1
     for t in range(T, 0, -1):
         params = _linear_params(x, t, score_fn, A, noise, scalars)
+        if record_scores and t < T:
+            _pair_scores(trace, t + 1, params.score, s_cur)
+        s_cur = params.score
         x_new, report, rows = _step(params, x, chain.y_at(t - 1), rng, config, "sample")
         failed[rows] = True
         if record_residuals:
             trace.residual_sq[t - 1] = measurement_residual(x_new, y, A)
             trace.cg_iters[t] = report.iterations
-        if record_scores:
-            scores[t] = params.score
         x = x_new
 
     if record_scores:
-        scores[0] = np.asarray(score_fn(x, 0), dtype=float)
-        trace.score_cos = np.full((T + 1,) + batch, np.nan)
-        trace.score_mse = np.full((T + 1,) + batch, np.nan)
-        for t in range(1, T + 1):
-            s_prev, s_cur = scores[t - 1], scores[t]
-            diff = s_prev - s_cur
-            trace.score_mse[t] = np.einsum("...i,...i->...", diff, diff) / A.d
-            trace.score_cos[t] = _batch_cosine(s_prev, s_cur)
+        _pair_scores(trace, 1, np.asarray(score_fn(x, 0), dtype=float), s_cur)
 
     trace.failed_rows = np.nonzero(failed)[0]
     return x, trace

@@ -146,6 +146,16 @@ def test_config_validation():
         BenchConfig(sw_order=3)
     with pytest.raises(ValueError):
         BenchConfig(samples_per_run=0)
+    # A bad sigma or beta range is refused up front, not at the first task that uses it.
+    for sigmas in [(0.0,), (-1.0,), (float("nan"),), (1e-2, float("inf"))]:
+        with pytest.raises(ValueError, match="sigma"):
+            BenchConfig(sigmas=sigmas)
+    with pytest.raises(ValueError, match="beta_max"):
+        BenchConfig(beta_min=1.0, beta_max=0.5)
+    with pytest.raises(ValueError, match="beta_min"):
+        BenchConfig(beta_min=0.0)
+    with pytest.raises(ValueError, match="underflowed"):
+        BenchConfig(num_steps=200)
 
 
 def test_run_config_scatter_samples():
