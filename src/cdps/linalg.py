@@ -12,6 +12,11 @@ of ``operators.make_whitener``, so ``B^T = A^T W``.  A measurement-free
 precision ``c * I`` is built over ``operators.zero_operator``.
 Right-hand sides may be batched with the vector axis last, in which case
 all rows are solved together.
+
+With an isotropic whitener ``W = w I`` the precision is ``c I + w^2 A^T A``,
+which one thin SVD of a dense ``A`` diagonalises for every ``c`` and ``w``:
+``spectral_factor`` computes it once and ``spectral_solve`` then solves in
+``O(n d min(m, d))`` with no per-call factorisation.
 """
 
 from __future__ import annotations
@@ -48,8 +53,9 @@ class PrecisionOperator:
         return self.op.d
 
     def bt(self, v: np.ndarray) -> np.ndarray:
-        """B^T v = A^T W v."""
-        return self.op.adjoint(self.whitener(v))
+        """B^T v = A^T W v, one product with the dense B^T when A has a dense form."""
+        bt = self.dense_t
+        return self.op.adjoint(self.whitener(v)) if bt is None else v @ bt.T
 
     @cached_property
     def dense_t(self) -> np.ndarray | None:
@@ -222,6 +228,28 @@ def precision_solve(
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
     return _direct_solve(op, rhs), CgReport(0, np.ones(rhs.shape[:-1], dtype=bool))
+
+
+def spectral_factor(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``V`` (d, k) and ``s^2`` (k,) of the thin SVD ``A = U diag(s) V^T``, k = min(m, d)."""
+    _, s, vt = np.linalg.svd(dense, full_matrices=False)
+    return vt.T, s * s
+
+
+def spectral_solve(v: np.ndarray, s2: np.ndarray, c: float, w2: float,
+                   rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(c I + w2 A^T A) x = rhs`` for every row from ``spectral_factor(A)``.
+
+    In the basis ``V`` the precision is ``diag(c + w2 s^2)``.  When k < d the
+    rest of R^d is A's null space, where it is ``c I``; for k = d the diagonal
+    form is exact and needs no subtraction, which would lose digits where
+    ``w2 s^2 >> c``.
+    """
+    proj = rhs @ v
+    x = (proj / (c + w2 * s2)) @ v.T
+    if v.shape[1] < v.shape[0]:
+        x += (rhs - proj @ v.T) / c
+    return x
 
 
 def pw_cg_draw(

@@ -11,7 +11,11 @@ side plus a synthetic perturbation whose covariance is the precision itself,
 so the solution is the mean plus a posterior draw.  The measurement term and
 the perturbation's measurement part share one product with ``B^T = (W A)^T``.
 When A has a dense form, the offset is a product with ``A^T`` and the solve
-is factored from ``B^T``, so the step makes no operator call.  Random draws
+is factored from ``B^T``, so the step makes no operator call.  A whole run
+with isotropic noise and a dense A factors ``A`` once, by a thin SVD: every
+step's precision ``c_t I + A^T A / gamma_t`` is diagonal in its basis, so a
+step builds no noise model, whitener, precision or report and inverts
+nothing.  Random draws
 happen in a fixed documented order (chain noise block, initial state, then
 per step the perturbation's eps1 then eps2; the right-hand side consumes no
 randomness), so results are reproducible per seed.
@@ -29,11 +33,20 @@ from .linalg import (
     PrecisionOperator,
     diag_preconditioner,
     precision_solve,
+    spectral_factor,
+    spectral_solve,
 )
 # Looked up here by callers that patch or import the solver layers by name.
 from .linalg import cg_solve, pw_cg_draw  # noqa: F401
 from .metrics import batch_cosine, measurement_residual
-from .operators import LinearOperator, NoiseModel, from_dense, make_whitener, mix_conditional_cov
+from .operators import (
+    IsotropicNoise,
+    LinearOperator,
+    NoiseModel,
+    from_dense,
+    make_whitener,
+    mix_conditional_cov,
+)
 from .schedules import NoiseSchedule
 
 
@@ -191,9 +204,8 @@ def _build_params(
     )
 
 
-def _linear_params(x_t, t, score_fn, A, noise, scalars) -> PosteriorStepParams:
-    """Freeze the score at (x_t, t); the offset uses A's dense form when it has one."""
-    s_hat = np.asarray(score_fn(x_t, t), dtype=float)
+def _linear_params(t, s_hat, A, noise, scalars) -> PosteriorStepParams:
+    """Step t's parameters around the frozen score; the offset uses A's dense form if any."""
     A_s = A.apply(s_hat) if A.dense is None else s_hat @ A.dense.T
     b_vec = (1.0 - scalars.abar_prev[t - 1]) * A_s
     return _build_params(t, A, noise, scalars, b_vec, s_hat)
@@ -213,34 +225,47 @@ def make_step_params(
     if not 1 <= t <= schedule.num_steps:
         raise ValueError("t must be in [1, T]")
     scalars = _step_scalars(schedule, config.prior_mode)
-    return _linear_params(x_t, t, score_fn, A, noise, scalars)
+    return _linear_params(t, np.asarray(score_fn(x_t, t), dtype=float), A, noise, scalars)
+
+
+def _posterior_rhs(x_t, s_hat, white, keep, pull, tweedie, c, bt, rng):
+    """Right-hand side of a coupled step's solve, with its perturbation when ``rng`` is given.
+
+    The posterior part is keep x_t, keep = sqrt(1-beta)/beta, the score
+    prior's pull (x_t + tweedie s_hat) and the measurement term
+    A^T Sigma^{-1} (y_{t-1} - b), given ``white`` = W (y_{t-1} - b) and
+    ``bt``, the map v -> B^T v with B = W A.  With ``rng`` it adds the
+    perturbation z = sqrt(c) eps1 + B^T eps2, whose covariance is the
+    precision c I + B^T B, drawing eps1 (d) before eps2 (m).  Since
+    W^T W = Sigma^{-1}, the measurement term and B^T eps2 are one product,
+    B^T (W (y_{t-1} - b) + eps2).
+    """
+    rhs = keep * x_t
+    if pull:
+        rhs += pull * (x_t + tweedie * s_hat)
+    if rng is not None:
+        batch = x_t.shape[:-1]
+        rhs += np.sqrt(c) * rng.standard_normal(batch + (x_t.shape[-1],))
+        white = white + rng.standard_normal(batch + (white.shape[-1],))
+    rhs = rhs + bt(white)  # broadcasts a single x_t against per-row chains
+    if not np.all(np.isfinite(rhs)):
+        raise ValueError("rhs must be finite")
+    return rhs
 
 
 def _step(params: PosteriorStepParams, x_t, y_prev, rng, config: SolverConfig, kind: str):
     """The one solve of a coupled step: the posterior mean, or mean plus draw with ``rng``.
 
-    The right-hand side is sqrt(1-beta)/beta x_t, the score prior's pull
-    and the measurement term A^T Sigma^{-1} (y_{t-1} - b).  With ``rng`` it
-    adds the perturbation z = sqrt(c) eps1 + B^T eps2, B = W A, whose
-    covariance is the precision, drawing eps1 (d) before eps2 (m).  Since
-    W^T W = Sigma^{-1}, the measurement term and B^T eps2 are one product,
-    B^T (W (y_{t-1} - b) + eps2): with the dense B^T when A has a dense
-    form, through one adjoint otherwise.
-
+    The right-hand side is ``_posterior_rhs``'s; its merged product goes
+    through the dense B^T when A has a dense form, one adjoint otherwise.
     Returns the solution, the solve's report and the rows whose CG solve
     did not converge, which raise under ``config.strict``.
     """
     precision = params.precision
-    rhs = params.keep * x_t
-    if params.pull:
-        rhs = rhs + params.pull * (x_t + params.tweedie * params.score)
-    white = precision.whitener(y_prev - params.b_prev)
-    if rng is not None:
-        batch = x_t.shape[:-1]
-        rhs = rhs + np.sqrt(precision.c) * rng.standard_normal(batch + (precision.d,))
-        white = white + rng.standard_normal(batch + (precision.m,))
-    bt = precision.dense_t
-    rhs = rhs + (precision.bt(white) if bt is None else white @ bt.T)
+    rhs = _posterior_rhs(
+        x_t, params.score, precision.whitener(y_prev - params.b_prev),
+        params.keep, params.pull, params.tweedie, precision.c, precision.bt, rng,
+    )
     x_next, report = precision_solve(
         precision, rhs, preconditioner=params.preconditioner,
         tol=config.cg_tol, max_iter=config.cg_max_iter,
@@ -312,6 +337,39 @@ def _pair_scores(trace: SamplerTrace, t: int, s_prev: np.ndarray, s_cur: np.ndar
     trace.score_cos[t] = batch_cosine(s_prev, s_cur)
 
 
+def _rebuilt_steps(A, noise, scalars, rng, config):
+    """Steps that build each precision afresh: any noise model, and CG without a dense A."""
+    def step(x, t, s_hat, y_prev):
+        params = _linear_params(t, s_hat, A, noise, scalars)
+        x_next, report, rows = _step(params, x, y_prev, rng, config, "sample")
+        return x_next, report.iterations, rows
+    return step
+
+
+def _spectral_steps(A, noise: IsotropicNoise, scalars, rng):
+    """Steps under isotropic noise from one thin SVD of the dense A.
+
+    The conditional covariance gamma_t I, gamma_t = abar_{t-1} sigma^2 +
+    1 - abar_{t-1}, whitens by the scalar w_t = gamma_t^{-1/2}, so each
+    precision c_t I + w_t^2 A^T A is solved by ``spectral_solve``.  The
+    right-hand side and its draws are the general step's.
+    """
+    mat = A.dense
+    v, s2 = spectral_factor(mat)
+    scale = [(a * noise.sigma2 + (1.0 - a)) ** -0.5 for a in scalars.abar_prev]
+    no_rows = np.empty(0, dtype=int)
+
+    def step(x, t, s_hat, y_prev):
+        i = t - 1
+        w = scale[i]
+        b = (1.0 - scalars.abar_prev[i]) * (s_hat @ mat.T)
+        bw = w * mat  # B = W A
+        rhs = _posterior_rhs(x, s_hat, (y_prev - b) * w, scalars.keep[i], scalars.pull[i],
+                             scalars.tweedie[i], scalars.c[i], lambda u: u @ bw, rng)
+        return spectral_solve(v, s2, scalars.c[i], w * w, rhs), 0, no_rows
+    return step
+
+
 def cdps_sample(
     y: np.ndarray,
     A: LinearOperator,
@@ -330,7 +388,9 @@ def cdps_sample(
     Generates the measurement chain once (per row unless ``shared_chain``),
     initializes x_T standard normal, and applies the coupled step T times.
     Rows whose CG solve fails are recorded in the trace (or raise when
-    ``config.strict``); exact solves never fail a row.
+    ``config.strict``); exact solves never fail a row.  Isotropic noise with
+    a dense A takes the per-run spectral factor; every other input rebuilds
+    the step's precision at each step.
     """
     config = config or SolverConfig()
     T = schedule.num_steps
@@ -352,17 +412,21 @@ def cdps_sample(
 
     failed = np.zeros(batch if batch else (1,), dtype=bool)
     scalars = _step_scalars(schedule, config.prior_mode)
+    if isinstance(noise, IsotropicNoise) and A.dense is not None:
+        step = _spectral_steps(A, noise, scalars, rng)
+    else:
+        step = _rebuilt_steps(A, noise, scalars, rng, config)
     s_cur = None  # the frozen score of level t + 1
     for t in range(T, 0, -1):
-        params = _linear_params(x, t, score_fn, A, noise, scalars)
+        s_hat = np.asarray(score_fn(x, t), dtype=float)
         if record_scores and t < T:
-            _pair_scores(trace, t + 1, params.score, s_cur)
-        s_cur = params.score
-        x_new, report, rows = _step(params, x, chain.y_at(t - 1), rng, config, "sample")
+            _pair_scores(trace, t + 1, s_hat, s_cur)
+        s_cur = s_hat
+        x_new, iterations, rows = step(x, t, s_hat, chain.y_at(t - 1))
         failed[rows] = True
         if record_residuals:
             trace.residual_sq[t - 1] = measurement_residual(x_new, y, A)
-            trace.cg_iters[t] = report.iterations
+            trace.cg_iters[t] = iterations
         x = x_new
 
     if record_scores:

@@ -11,6 +11,8 @@ from cdps.linalg import (
     diag_preconditioner,
     precision_solve,
     pw_cg_draw,
+    spectral_factor,
+    spectral_solve,
 )
 from cdps.operators import (
     CirculantNoise,
@@ -206,17 +208,23 @@ def test_precision_solve_matches_dense_solve(kind, shape, d, abar, log_c, n, see
     # Capacitance (m < d) and the precision itself (m >= d) against LU on the
     # probed dense precision; the norm of B = W A is at most ~sqrt(500),
     # so the condition number stays below ~5e4 and 1e-9 has ample margin.
+    # Isotropic noise also goes through the spectral solve from A's thin SVD.
     rng = np.random.default_rng(seed)
     m = {"m<d": int(rng.integers(1, d)), "m=d": d, "m>d": d + int(rng.integers(1, 4))}[shape]
-    wh = make_whitener(mix_conditional_cov(make_noise(kind, rng, m), abar))
-    op = PrecisionOperator(10.0 ** log_c, from_dense(rng.standard_normal((m, d))), wh)
+    cov = mix_conditional_cov(make_noise(kind, rng, m), abar)
+    op = PrecisionOperator(10.0 ** log_c, from_dense(rng.standard_normal((m, d))),
+                           make_whitener(cov))
     rhs = rng.standard_normal((n, d))
     x, rep = precision_solve(op, rhs)
     expected = np.linalg.solve(op.dense(), rhs.T).T
     assert op.direct and rep.row_converged.all() and rep.iterations == 0
-    assert np.linalg.norm(x - expected) <= 1e-9 * np.linalg.norm(expected)
-    x0, _ = precision_solve(op, rhs[0])
-    assert np.linalg.norm(x0 - expected[0]) <= 1e-9 * np.linalg.norm(expected[0])
+    pairs = [(rhs, expected), (rhs[0], expected[0])]
+    solves = [(x, expected), (precision_solve(op, rhs[0])[0], expected[0])]
+    if kind == "isotropic":
+        v, s2 = spectral_factor(op.op.dense)
+        solves += [(spectral_solve(v, s2, op.c, 1.0 / cov.sigma2, r), e) for r, e in pairs]
+    for got, want in solves:
+        assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
 def test_precision_solve_takes_cg_without_dense_form():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdps.operators import (
     CirculantNoise,
@@ -49,6 +51,34 @@ def test_dense_operator_adjoint_and_linearity():
     np.testing.assert_allclose(
         op.apply(2.0 * x - 3.0 * z), 2.0 * op.apply(x) - 3.0 * op.apply(z), rtol=1e-12
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(["dense", "mask", "blur"]),
+    d=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adjoint_identity(kind, d, seed):
+    # <A x, y> = <x, A^T y> for single vectors and for batches, bounded by
+    # Cauchy-Schwarz so that a near-zero inner product needs no special case.
+    rng = np.random.default_rng(seed)
+    if kind == "dense":
+        op = from_dense(rng.standard_normal((int(rng.integers(1, 12)), d)))
+    elif kind == "mask":
+        op = mask_operator(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False), d)
+    else:
+        width = 2 * int(rng.integers(0, (d - 1) // 2 + 1)) + 1
+        op = blur_operator(rng.standard_normal(width), d)
+    for batch in ((), (3,)):
+        x = rng.standard_normal(batch + (op.d,))
+        y = rng.standard_normal(batch + (op.m,))
+        ax, aty = op.apply(x), op.adjoint(y)
+        assert ax.shape == y.shape and aty.shape == x.shape
+        lhs = np.einsum("...i,...i->...", ax, y)
+        rhs = np.einsum("...i,...i->...", x, aty)
+        scale = np.linalg.norm(ax, axis=-1) * np.linalg.norm(y, axis=-1)
+        assert np.all(np.abs(lhs - rhs) <= 1e-10 * scale)
 
 
 def test_batched_apply_matches_rowwise():
@@ -161,23 +191,29 @@ def test_lowrank_whitener_hand_case():
     np.testing.assert_allclose(np.linalg.inv(dense)[:, 0], (2.0 / 3.0) * e1, rtol=1e-12)
 
 
-@pytest.mark.parametrize("abar", [1.0, 0.5, 1e-3])
-def test_whitener_gram_matches_dense_inverse(abar):
-    rng = np.random.default_rng(8)
-    m = 8
-    for name, noise in all_noise_models(rng, m).items():
-        cov = mix_conditional_cov(noise, abar)
-        wh = make_whitener(cov)
-        dense_inv = np.linalg.inv(cov.dense(m))
-        w = wh(np.eye(m)).T
-        tol = 1e-8 if name == "lowrank" else 1e-10
-        np.testing.assert_allclose(w, w.T, rtol=0, atol=tol * np.linalg.norm(w))
-        gram = wh(wh(np.eye(m))).T
-        err = np.linalg.norm(gram - dense_inv) / np.linalg.norm(dense_inv)
-        assert err < tol, (name, abar, err)
-        # W W really inverts the covariance
-        v = rng.standard_normal(m)
-        np.testing.assert_allclose(wh(wh(cov.dense(m) @ v)), v, rtol=1e-8, atol=1e-10)
+@settings(max_examples=100, deadline=None)
+@given(
+    name=st.sampled_from(["isotropic", "diagonal", "lowrank", "circulant"]),
+    m=st.integers(2, 12),
+    abar=st.floats(0.0, 1.0, exclude_min=True),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_whitener_gram_matches_dense_inverse(name, m, abar, seed):
+    # W is symmetric and W(W(v)) = Sigma^{-1} v for every noise model's
+    # conditional covariance abar Sigma_n + (1 - abar) I.
+    rng = np.random.default_rng(seed)
+    cov = mix_conditional_cov(all_noise_models(rng, m)[name], abar)
+    wh = make_whitener(cov)
+    dense_inv = np.linalg.inv(cov.dense(m))
+    w = wh(np.eye(m)).T
+    tol = 1e-8 if name == "lowrank" else 1e-10
+    np.testing.assert_allclose(w, w.T, rtol=0, atol=tol * np.linalg.norm(w))
+    gram = wh(wh(np.eye(m))).T
+    err = np.linalg.norm(gram - dense_inv) / np.linalg.norm(dense_inv)
+    assert err < tol, (name, abar, err)
+    # W W really inverts the covariance
+    v = rng.standard_normal(m)
+    np.testing.assert_allclose(wh(wh(cov.dense(m) @ v)), v, rtol=1e-8, atol=1e-10)
 
 
 def test_whitener_rejects_non_spd():

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import cdps.sampler
 from cdps.gmm import (
     GaussianMixture,
     exact_posterior,
@@ -290,7 +291,9 @@ def test_cdps_sample_single_chain_shape():
     assert tr.residual_sq.shape == (31,)
 
 
-def test_cdps_sample_shared_chain():
+def test_cdps_sample_shared_chain(monkeypatch):
+    # Every row steps along one measurement chain, drawn first from the
+    # generator exactly as a single-chain run draws it.
     rng = np.random.default_rng(12)
     d, m = 4, 2
     prior = make_grid_gmm(d)
@@ -298,10 +301,67 @@ def test_cdps_sample_shared_chain():
     y = rng.standard_normal(m)
     schedule = make_linear_schedule(20, 0.1, 50.0)
     score_fn = score_fn_for(prior, schedule)
-    x0, _ = cdps_sample(y, A, IsotropicNoise(0.01), schedule, score_fn,
-                        np.random.default_rng(13), n_chains=5, shared_chain=True,
-                        config=SolverConfig(strict=False))
-    assert x0.shape == (5, 4)
+    chains = []
+
+    def capture(*args, **kwargs):
+        chains.append(generate_measurement_chain(*args, **kwargs))
+        return chains[-1]
+
+    monkeypatch.setattr(cdps.sampler, "generate_measurement_chain", capture)
+    for noise in (IsotropicNoise(0.01), DiagonalNoise(np.full(m, 0.01))):
+        x0, _ = cdps_sample(y, A, noise, schedule, score_fn,
+                            np.random.default_rng(13), n_chains=5, shared_chain=True,
+                            config=SolverConfig(strict=False))
+        assert x0.shape == (5, 4)
+        assert chains[-1].y_levels.shape == (schedule.num_steps + 1, m)
+        expected = generate_measurement_chain(y, schedule, np.random.default_rng(13))
+        np.testing.assert_array_equal(chains[-1].y_levels, expected.y_levels)
+
+
+SPECTRAL_SHAPES = {"m<d": (6, 2), "m=d": (4, 4), "m>d": (4, 6)}
+
+
+@pytest.mark.parametrize("shape", list(SPECTRAL_SHAPES))
+@pytest.mark.parametrize("prior_mode", ["score", "identity", "none"])
+@pytest.mark.parametrize("chains", ["rows", "shared", "single"])
+def test_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypatch):
+    # Isotropic noise with a dense operator factors A once per run; the same
+    # covariance as a diagonal noise model rebuilds every step's precision.
+    # Both must give the same samples and diagnostics from the same seed.
+    d, m = SPECTRAL_SHAPES[shape]
+    rng = np.random.default_rng(70)
+    A = from_dense(rng.standard_normal((m, d)))
+    y = rng.standard_normal(m)
+    schedule = make_linear_schedule(50, 0.1, 20.0)
+    score_fn = score_fn_for(make_grid_gmm(d), schedule)
+    sigma2 = 0.01
+    n_chains = None if chains == "single" else 6
+    kwargs = dict(n_chains=n_chains, shared_chain=chains == "shared",
+                  config=SolverConfig(prior_mode=prior_mode),
+                  record_residuals=True, record_scores=True)
+    x_ref, tr_ref = cdps_sample(y, A, DiagonalNoise(np.full(m, sigma2)), schedule, score_fn,
+                                np.random.default_rng(71), **kwargs)
+
+    def rebuilt(*args):
+        raise AssertionError("the isotropic run rebuilt a step's covariance")
+
+    monkeypatch.setattr(cdps.sampler, "mix_conditional_cov", rebuilt)
+    x, tr = cdps_sample(y, A, IsotropicNoise(sigma2), schedule, score_fn,
+                        np.random.default_rng(71), **kwargs)
+    for got, ref in ((x, x_ref), (tr.residual_sq, tr_ref.residual_sq),
+                     (tr.score_cos[1:], tr_ref.score_cos[1:]),
+                     (tr.score_mse[1:], tr_ref.score_mse[1:])):
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.all(tr.cg_iters == 0) and tr.failed_rows.size == 0
+
+    def nan_at_10(x_t, t):
+        s_hat = score_fn(x_t, t)
+        return s_hat * np.nan if t == 10 else s_hat
+
+    with pytest.raises(ValueError, match="rhs must be finite"):
+        cdps_sample(y, A, IsotropicNoise(sigma2), schedule, nan_at_10,
+                    np.random.default_rng(71), **kwargs)
 
 
 def conjugate_output_law(schedule):
