@@ -191,6 +191,25 @@ def test_lowrank_whitener_hand_case():
     np.testing.assert_allclose(np.linalg.inv(dense)[:, 0], (2.0 / 3.0) * e1, rtol=1e-12)
 
 
+@pytest.mark.parametrize("abar", [1.0, 0.5, 1e-3])
+def test_whitener_gram_matches_dense_inverse(abar):
+    rng = np.random.default_rng(8)
+    m = 8
+    for name, noise in all_noise_models(rng, m).items():
+        cov = mix_conditional_cov(noise, abar)
+        wh = make_whitener(cov)
+        dense_inv = np.linalg.inv(cov.dense(m))
+        w = wh(np.eye(m)).T
+        tol = 1e-8 if name == "lowrank" else 1e-10
+        np.testing.assert_allclose(w, w.T, rtol=0, atol=tol * np.linalg.norm(w))
+        gram = wh(wh(np.eye(m))).T
+        err = np.linalg.norm(gram - dense_inv) / np.linalg.norm(dense_inv)
+        assert err < tol, (name, abar, err)
+        # W W really inverts the covariance
+        v = rng.standard_normal(m)
+        np.testing.assert_allclose(wh(wh(cov.dense(m) @ v)), v, rtol=1e-8, atol=1e-10)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     name=st.sampled_from(["isotropic", "diagonal", "lowrank", "circulant"]),
@@ -198,7 +217,7 @@ def test_lowrank_whitener_hand_case():
     abar=st.floats(0.0, 1.0, exclude_min=True),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_whitener_gram_matches_dense_inverse(name, m, abar, seed):
+def test_whitener_gram_property(name, m, abar, seed):
     # W is symmetric and W(W(v)) = Sigma^{-1} v for every noise model's
     # conditional covariance abar Sigma_n + (1 - abar) I.
     rng = np.random.default_rng(seed)
