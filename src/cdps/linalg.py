@@ -53,9 +53,8 @@ class PrecisionOperator:
         return self.op.d
 
     def bt(self, v: np.ndarray) -> np.ndarray:
-        """B^T v = A^T W v, one product with the dense B^T when A has a dense form."""
-        bt = self.dense_t
-        return self.op.adjoint(self.whitener(v)) if bt is None else v @ bt.T
+        """B^T v = A^T W v."""
+        return self.op.adjoint(self.whitener(v))
 
     @cached_property
     def dense_t(self) -> np.ndarray | None:

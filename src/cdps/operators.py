@@ -154,6 +154,11 @@ NoiseModel = IsotropicNoise | DiagonalNoise | LowRankNoise | CirculantNoise
 # Conditional covariance  abar * Sigma_n + (1 - abar) * I and its whitener
 
 
+def mix_variance(variance, abar_prev: float):
+    """abar * variance + (1 - abar): one variance (or an array of them) blended with 1."""
+    return abar_prev * variance + (1.0 - abar_prev)
+
+
 def mix_conditional_cov(noise: NoiseModel, abar_prev: float) -> NoiseModel:
     """Blend the measurement noise with identity: abar * Sigma_n + (1 - abar) * I.
 
@@ -162,15 +167,14 @@ def mix_conditional_cov(noise: NoiseModel, abar_prev: float) -> NoiseModel:
     a = float(abar_prev)
     if not (0.0 < a <= 1.0):
         raise ValueError("abar_prev must lie in (0, 1]")
-    rem = 1.0 - a
     if isinstance(noise, IsotropicNoise):
-        return IsotropicNoise(a * noise.sigma2 + rem)
+        return IsotropicNoise(mix_variance(noise.sigma2, a))
     if isinstance(noise, DiagonalNoise):
-        return DiagonalNoise(a * noise.variances + rem)
+        return DiagonalNoise(mix_variance(noise.variances, a))
     if isinstance(noise, LowRankNoise):
-        return LowRankNoise(np.sqrt(a) * noise.U, a * noise.sigma2 + rem)
+        return LowRankNoise(np.sqrt(a) * noise.U, mix_variance(noise.sigma2, a))
     if isinstance(noise, CirculantNoise):
-        return CirculantNoise(a * noise.spectrum + rem)
+        return CirculantNoise(mix_variance(noise.spectrum, a))
     raise TypeError(f"unsupported noise model {type(noise).__name__}")
 
 

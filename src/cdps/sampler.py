@@ -46,6 +46,7 @@ from .operators import (
     from_dense,
     make_whitener,
     mix_conditional_cov,
+    mix_variance,
 )
 from .schedules import NoiseSchedule
 
@@ -204,10 +205,15 @@ def _build_params(
     )
 
 
-def _linear_params(t, s_hat, A, noise, scalars) -> PosteriorStepParams:
-    """Step t's parameters around the frozen score; the offset uses A's dense form if any."""
+def _score_offset(A: LinearOperator, s_hat: np.ndarray, abar_prev: float) -> np.ndarray:
+    """The measurement mean's offset b = (1 - abar_{t-1}) A s_hat, through A's dense form if any."""
     A_s = A.apply(s_hat) if A.dense is None else s_hat @ A.dense.T
-    b_vec = (1.0 - scalars.abar_prev[t - 1]) * A_s
+    return (1.0 - abar_prev) * A_s
+
+
+def _linear_params(t, s_hat, A, noise, scalars) -> PosteriorStepParams:
+    """Step t's parameters around the frozen score."""
+    b_vec = _score_offset(A, s_hat, scalars.abar_prev[t - 1])
     return _build_params(t, A, noise, scalars, b_vec, s_hat)
 
 
@@ -262,9 +268,11 @@ def _step(params: PosteriorStepParams, x_t, y_prev, rng, config: SolverConfig, k
     did not converge, which raise under ``config.strict``.
     """
     precision = params.precision
+    bt = precision.dense_t
     rhs = _posterior_rhs(
         x_t, params.score, precision.whitener(y_prev - params.b_prev),
-        params.keep, params.pull, params.tweedie, precision.c, precision.bt, rng,
+        params.keep, params.pull, params.tweedie, precision.c,
+        precision.bt if bt is None else (lambda u: u @ bt.T), rng,
     )
     x_next, report = precision_solve(
         precision, rhs, preconditioner=params.preconditioner,
@@ -356,13 +364,13 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars, rng):
     """
     mat = A.dense
     v, s2 = spectral_factor(mat)
-    scale = [(a * noise.sigma2 + (1.0 - a)) ** -0.5 for a in scalars.abar_prev]
+    scale = [mix_variance(noise.sigma2, a) ** -0.5 for a in scalars.abar_prev]
     no_rows = np.empty(0, dtype=int)
 
     def step(x, t, s_hat, y_prev):
         i = t - 1
         w = scale[i]
-        b = (1.0 - scalars.abar_prev[i]) * (s_hat @ mat.T)
+        b = _score_offset(A, s_hat, scalars.abar_prev[i])
         bw = w * mat  # B = W A
         rhs = _posterior_rhs(x, s_hat, (y_prev - b) * w, scalars.keep[i], scalars.pull[i],
                              scalars.tweedie[i], scalars.c[i], lambda u: u @ bw, rng)

@@ -1,17 +1,17 @@
-"""Paired benchmark runs of a parent commit against a change, written to BENCH_<label>.json.
+"""Paired benchmark runs of a parent commit against the working tree, into BENCH_<label>.json.
 
 Usage, from the root of a checkout:
 
     python3 tools/bench_pairs.py --label spectral_step --parent HEAD~1 \\
-        --pairs 10 --first-seed 301 [--change REV] [--workloads gmm-d8 blur-d32] \\
-        [--run-config-dims 80 800] [--what "one line on the change"]
+        --pairs 10 --first-seed 301 [--run-config-dims 80 800] \\
+        [--what "one line on the change"]
 
-The parent, and the change when ``--change`` names a revision, are exported
-with ``git archive`` into temporary directories; without ``--change`` the
-change side is a copy of the working tree's tracked and untracked, not
-ignored, files. Each side runs its own ``perfbench/run.py`` through the
-command ``BENCHMARK.json`` declares, with the run length it declares, one
-pair per seed: the parent runs first on odd seeds, the change on even ones.
+The parent is exported with ``git archive`` into a temporary directory, and
+the change side is a copy of the working tree's tracked and untracked, not
+ignored, files. Each side runs its own ``perfbench/run.py`` on every workload
+``BENCHMARK.json`` declares, through the command and with the run length it
+declares, one pair per seed: the parent runs first on odd seeds, the change
+on even ones.
 
 The output keeps every run (its exit code, ``correct``, failure count, wall
 seconds and end-to-end metrics) and, per workload and metric, each side's
@@ -19,9 +19,9 @@ median and quartiles, the pairs the change won, the relative change of the
 median and the parent's interquartile range.
 
 ``--run-config-dims`` also times one ``bench.run_config`` C-DPS task per
-dimension (m = 4, sigma = 1e-2, matrix 0, ``--run-config-chains`` chains,
-full grid), ``--run-config-reps`` times per side, alternating which side
-runs first. These timings are recorded, not gated.
+dimension (m = 4, sigma = 1e-2, matrix 0, 100 chains, full grid), three
+times per side, alternating which side runs first. These timings are
+recorded, not gated.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+RUN_CONFIG_CHAINS = 100
+RUN_CONFIG_REPS = 3
 RUN_CONFIG_CODE = """
 import json, sys, time
 sys.path.insert(0, "src")
@@ -159,13 +161,9 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--parent", required=True, help="revision of the parent side")
-    parser.add_argument("--change", help="revision of the change side; default the working tree")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--workloads", nargs="+")
     parser.add_argument("--run-config-dims", type=int, nargs="*", default=[])
-    parser.add_argument("--run-config-chains", type=int, default=100)
-    parser.add_argument("--run-config-reps", type=int, default=3)
     parser.add_argument("--what", default="")
     return parser.parse_args(argv)
 
@@ -173,18 +171,15 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    workloads = [w["name"] for w in spec["workloads"]]
     seeds = range(args.first_seed, args.first_seed + args.pairs)
     report = {"label": args.label, "what": args.what}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
         parent_sha = export_rev(args.parent, trees["parent"])
-        if args.change:
-            change = export_rev(args.change, trees["change"])
-        else:
-            trees["change"].mkdir()
-            copy_worktree(trees["change"])
-            change = f"the working tree on {git('rev-parse', 'HEAD').strip()}"
+        trees["change"].mkdir()
+        copy_worktree(trees["change"])
+        change = f"the working tree on {git('rev-parse', 'HEAD').strip()}"
         report["git"] = {"parent": parent_sha, "change": change}
         report["command"] = (" ".join(spec["command"]) + " --workload {" + ",".join(workloads)
                              + "} --seed N --seconds " + f"{spec['run_seconds']} --trace 0")
@@ -211,10 +206,10 @@ def main(argv=None) -> int:
         if args.run_config_dims:
             tasks = []
             for d in args.run_config_dims:
-                for rep in range(args.run_config_reps):
+                for rep in range(RUN_CONFIG_REPS):
                     for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
-                        row = run_config_task(trees[side], d, args.run_config_chains)
-                        tasks.append({"side": side, "rep": rep, "chains": args.run_config_chains,
+                        row = run_config_task(trees[side], d, RUN_CONFIG_CHAINS)
+                        tasks.append({"side": side, "rep": rep, "chains": RUN_CONFIG_CHAINS,
                                       **row})
                         print("run_config", json.dumps(tasks[-1]), flush=True)
             report["run_config_cdps_m4"] = tasks
