@@ -223,11 +223,17 @@ def _aggregate(rows: list[dict]) -> list[dict]:
 
 
 def _task_wrapper(args):
+    """Run one task; an abort or a numerical error costs this task, not the grid.
+
+    The ValueErrors a sampler raises on bad numbers (a non-finite right-hand
+    side, a failed factorisation) are recorded in ``aborted`` as BenchAbort is.
+    """
     cfg, d, m, sigma, k, keep = args
     try:
         return run_config(cfg, d, m, sigma, k, keep_samples=keep), None
-    except BenchAbort as exc:
-        return None, {"d": d, "m": m, "sigma": sigma, "matrix": k, "reason": str(exc)}
+    except (BenchAbort, ValueError) as exc:
+        reason = str(exc) if isinstance(exc, BenchAbort) else f"{type(exc).__name__}: {exc}"
+        return None, {"d": d, "m": m, "sigma": sigma, "matrix": k, "reason": reason}
 
 
 def run_grid(cfg: BenchConfig) -> BenchResult:

@@ -477,7 +477,9 @@ def dps_sample(
     correction along the measurement-misfit gradient at the denoised
     estimate, with step size zeta / ||y - A x0_hat|| (zero misfit means zero
     guidance).  ``denoiser_jvp_fn(x, t, u)`` must return the Jacobian of the
-    posterior-mean denoiser applied to u.
+    posterior-mean denoiser applied to u.  Each step calls it at the same
+    ``(x, t)`` as ``score_fn``, and the ``gmm`` closures built on one mixture
+    share one responsibilities pass there.
     """
     y = np.asarray(y, dtype=float)
     T = schedule.num_steps

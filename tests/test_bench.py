@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cdps.bench
 import cdps.operators
 import cdps.sampler
 from cdps.bench import (
@@ -184,6 +185,26 @@ def test_failed_cdps_rows_are_counted_and_dropped():
                                schedule, (0, "cdps", 8, 4, 1e-2, 0))
     assert failures == 6
     assert x0.shape == (0, 8)
+
+
+def test_numerical_error_costs_one_task(monkeypatch):
+    # A ValueError from one task's sampler is recorded like an abort, and
+    # the rest of the grid still runs.
+    cfg = smoke_config(matrices_per_config=3, samples_per_run=20, sw_slices=100, num_steps=20)
+    bad_y = make_measurement_model(cfg, 8, 4, 1e-2, 1)[3]
+    real = cdps.bench.cdps_sample
+
+    def faulty(y, *args, **kwargs):
+        if np.array_equal(y, bad_y):
+            raise ValueError("rhs must be finite")
+        return real(y, *args, **kwargs)
+
+    monkeypatch.setattr(cdps.bench, "cdps_sample", faulty)
+    result = run_grid(cfg)
+    assert [(a["matrix"], a["reason"]) for a in result.aborted] == [
+        (1, "ValueError: rhs must be finite")]
+    assert [(r["method"], r["matrix"]) for r in result.rows] == [
+        ("cdps", 0), ("cdps", 2), ("dps", 0), ("dps", 2)]
 
 
 def test_workers_do_not_change_results(tmp_path):

@@ -1,6 +1,10 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
+import cdps.gmm
 from cdps.gmm import (
     GaussianMixture,
     denoiser_jacobian_vp,
@@ -105,6 +109,87 @@ def test_denoiser_jacobian_vp_stable_at_vanishing_abar():
     jv = denoiser_jacobian_vp(g, x, 1e-130, u)
     assert np.all(np.isfinite(jv))
     assert np.linalg.norm(jv) < 1e-60  # scales like sqrt(abar)
+
+
+def count_passes(monkeypatch):
+    """Count responsibilities evaluations through cdps.gmm."""
+    calls = []
+    real = cdps.gmm._responsibilities
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(cdps.gmm, "_responsibilities", counted)
+    return calls
+
+
+def test_score_and_jvps_share_one_pass(monkeypatch):
+    g = make_grid_gmm(8)
+    rng = np.random.default_rng(30)
+    x = rng.uniform(-20, 20, (50, 8))
+    u = rng.standard_normal((50, 8))
+    abar = 0.3
+    calls = count_passes(monkeypatch)
+    s = score(g, x, abar)
+    jv = denoiser_jacobian_vp(g, x, abar, u)
+    hv = score_jacobian_vp(g, x, abar, u)
+    assert len(calls) == 1
+    # Each call on its own fresh mixture computes its own pass.
+    np.testing.assert_array_equal(s, score(dataclasses.replace(g), x, abar))
+    np.testing.assert_array_equal(jv, denoiser_jacobian_vp(dataclasses.replace(g), x, abar, u))
+    np.testing.assert_array_equal(hv, score_jacobian_vp(dataclasses.replace(g), x, abar, u))
+    assert len(calls) == 4
+
+
+def test_shared_pass_recomputes_on_new_point(monkeypatch):
+    # A pass keyed on the identity of x would serve the stale pass after
+    # the in-place change.
+    g = make_grid_gmm(8)
+    rng = np.random.default_rng(31)
+    x = rng.uniform(-20, 20, (20, 8))
+    calls = count_passes(monkeypatch)
+    score(g, x, 0.5)
+    x[:, 0] += 4.0
+    np.testing.assert_array_equal(score(g, x, 0.5), score(dataclasses.replace(g), x, 0.5))
+    assert len(calls) == 3
+    np.testing.assert_array_equal(score(g, x, 0.25), score(dataclasses.replace(g), x, 0.25))
+    assert len(calls) == 5
+    # The same values in another batch shape are another point.
+    assert score(g, x.reshape(2, 10, 8), 0.25).shape == (2, 10, 8)
+    assert len(calls) == 6
+
+
+def test_cached_responsibilities_are_read_only():
+    g = make_grid_gmm(4)
+    x = np.random.default_rng(32).standard_normal((5, 4))
+    score(g, x, 0.5)
+    r = cdps.gmm._pass(g, x, 0.5)[0]
+    assert not r.flags.writeable
+    with pytest.raises(ValueError):
+        r[0, 0] = 0.0
+
+
+def test_isotropic_guards():
+    x = np.zeros((2, 2))
+    unequal = GaussianMixture(means=np.zeros((2, 2)), weights=np.full(2, 0.5),
+                              variances=np.array([1.0, 2.0]))
+    with pytest.raises(ValueError, match="equal component variances"):
+        denoiser_jacobian_vp(unequal, x, 0.5, x)
+    full = GaussianMixture(means=np.zeros((1, 2)), weights=np.ones(1), cov=np.eye(2))
+    with pytest.raises(ValueError, match="isotropic"):
+        score(full, x, 0.5)
+    with pytest.raises(ValueError, match="isotropic"):
+        denoiser_jacobian_vp(full, x, 0.5, x)
+
+
+def test_exact_posterior_with_underflowed_weights_does_not_warn():
+    prior = make_grid_gmm(8)
+    A = from_dense(np.eye(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        post = exact_posterior(prior, A, prior.means[0], 1e-2)
+    assert np.any(post.weights == 0.0)
 
 
 def test_exact_posterior_conjugate_case():

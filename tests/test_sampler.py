@@ -674,6 +674,24 @@ def test_dps_zero_residual_means_zero_guidance():
     np.testing.assert_array_equal(x_guided, x_free)
 
 
+def test_dps_shared_pass_leaves_output_unchanged():
+    # The stock closures share one responsibilities pass per step; a JVP
+    # built on a distinct mixture never does, and must give the same run.
+    rng = np.random.default_rng(24)
+    d, m = 8, 2
+    prior = make_grid_gmm(d)
+    A = make_random_svd_operator(d, m, rng)
+    y = A.apply(sample_mixture(prior, 1, rng)[0]) + 1e-2 * rng.standard_normal(m)
+    schedule = make_linear_schedule(200, 0.1, 50.0)
+    score_fn = score_fn_for(prior, schedule)
+    shared, _ = dps_sample(y, A, schedule, score_fn, denoiser_jvp_fn_for(prior, schedule),
+                           np.random.default_rng(25), n_chains=50)
+    apart, _ = dps_sample(y, A, schedule, score_fn,
+                          denoiser_jvp_fn_for(dataclasses.replace(prior), schedule),
+                          np.random.default_rng(25), n_chains=50)
+    np.testing.assert_array_equal(shared, apart)
+
+
 def test_dps_table_window_single_matrix():
     # one-matrix check against the published DPS value 4.7 +- 3 * 1.5
     d, m, sigma = 8, 1, 1e-2
