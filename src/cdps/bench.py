@@ -232,8 +232,7 @@ def _task_wrapper(args):
     try:
         return run_config(cfg, d, m, sigma, k, keep_samples=keep), None
     except (BenchAbort, ValueError) as exc:
-        reason = str(exc) if isinstance(exc, BenchAbort) else f"{type(exc).__name__}: {exc}"
-        return None, {"d": d, "m": m, "sigma": sigma, "matrix": k, "reason": reason}
+        return None, {"d": d, "m": m, "sigma": sigma, "matrix": k, "reason": str(exc)}
 
 
 def run_grid(cfg: BenchConfig) -> BenchResult:

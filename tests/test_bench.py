@@ -202,7 +202,7 @@ def test_numerical_error_costs_one_task(monkeypatch):
     monkeypatch.setattr(cdps.bench, "cdps_sample", faulty)
     result = run_grid(cfg)
     assert [(a["matrix"], a["reason"]) for a in result.aborted] == [
-        (1, "ValueError: rhs must be finite")]
+        (1, "rhs must be finite")]
     assert [(r["method"], r["matrix"]) for r in result.rows] == [
         ("cdps", 0), ("cdps", 2), ("dps", 0), ("dps", 2)]
 
