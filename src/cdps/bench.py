@@ -14,7 +14,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +50,6 @@ class BenchConfig:
     beta_max: float = 500.0
     methods: tuple[str, ...] = ("cdps", "dps")
     master_seed: int = 0
-    cg_tol: float = 1e-8
-    cg_max_iter: int | None = None
     dps_zeta: float = 1.0
     guidance_scale: float = 1.0  # score_sde / ilvr step scale
     shared_y_chain: bool = False
@@ -91,9 +89,6 @@ class BenchConfig:
             return self.dims
         return tuple(d for d in self.dims if d <= FULL_GRID_MAX_D)
 
-    def solver_config(self) -> SolverConfig:
-        return SolverConfig(cg_tol=self.cg_tol, cg_max_iter=self.cg_max_iter, strict=False)
-
 
 def derive_rng(master_seed: int, *parts) -> np.random.Generator:
     """Deterministic per-task generator from the master seed and task tags.
@@ -128,11 +123,10 @@ def _run_method(method, cfg, prior, A, y, sigma, schedule, seed_parts):
     noise = IsotropicNoise(sigma * sigma)
     score_fn = gmm_mod.score_fn_for(prior, schedule)
     rng = derive_rng(*seed_parts)
-    solver = cfg.solver_config()
 
     if method == "cdps":
         x0, trace = cdps_sample(
-            y, A, noise, schedule, score_fn, rng, n_chains=n, config=solver,
+            y, A, noise, schedule, score_fn, rng, n_chains=n, config=SolverConfig(strict=False),
             shared_chain=cfg.shared_y_chain,
         )
         # A failed chain costs its own row: it is counted and dropped, never rerun.
@@ -232,17 +226,23 @@ def _task_wrapper(args):
     try:
         return run_config(cfg, d, m, sigma, k, keep_samples=keep), None
     except (BenchAbort, ValueError) as exc:
-        return None, {"d": d, "m": m, "sigma": sigma, "matrix": k, "reason": str(exc)}
+        return None, {"method": cfg.methods[0], "d": d, "m": m, "sigma": sigma, "matrix": k,
+                      "reason": str(exc)}
 
 
 def run_grid(cfg: BenchConfig) -> BenchResult:
-    """Run the whole benchmark grid, optionally across worker processes."""
+    """Run the whole benchmark grid, optionally across worker processes.
+
+    Each task is one method on one measurement model, so a method that
+    aborts or raises costs its own row only.
+    """
     tasks = [
-        (cfg, d, m, sigma, k, cfg.scatter and k == 0)
+        (replace(cfg, methods=(method,)), d, m, sigma, k, cfg.scatter and k == 0)
         for d in cfg.active_dims()
         for m in cfg.measurements
         for sigma in cfg.sigmas
         for k in range(cfg.matrices_per_config)
+        for method in cfg.methods
     ]
     result = BenchResult()
     if cfg.workers > 1:
@@ -257,8 +257,8 @@ def run_grid(cfg: BenchConfig) -> BenchResult:
             continue
         rows, samples = payload
         result.rows.extend(rows)
-        if keep and samples:
-            result.scatter[(d, m, sigma)] = samples
+        if keep:
+            result.scatter.setdefault((d, m, sigma), {}).update(samples)
     result.rows.sort(key=lambda r: (r["method"], r["d"], r["m"], r["sigma"], r["matrix"]))
     result.aggregates = _aggregate(result.rows)
     return result

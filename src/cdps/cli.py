@@ -22,7 +22,7 @@ from .bench import (
     BenchConfig, derive_rng, emit_results, make_measurement_model, run_grid, write_csv,
 )
 from .operators import IsotropicNoise
-from .sampler import cdps_sample, dps_sample
+from .sampler import SolverConfig, cdps_sample, dps_sample
 from .schedules import make_linear_schedule
 
 _Task = namedtuple("_Task", "prior A x_star y schedule score_fn noise")
@@ -53,8 +53,6 @@ def _cmd_run(args) -> int:
         "methods": tuple(args.methods.split(",")) if args.methods else None,
         "master_seed": args.seed,
         "workers": args.workers,
-        "cg_tol": args.cg_tol,
-        "cg_max_iter": args.cg_max_iter,
         "sw_order": args.sw_order,
     }
     cfg = _load_config(args.config, overrides)
@@ -108,7 +106,7 @@ def _write_run_traces(cfg: BenchConfig, out_dir) -> list[Path]:
                 n = min(cfg.samples_per_run, 100)
                 _, trace = cdps_sample(
                     task.y, task.A, task.noise, task.schedule, task.score_fn, rng, n_chains=n,
-                    config=cfg.solver_config(), record_residuals=True,
+                    config=SolverConfig(strict=False), record_residuals=True,
                 )
                 written.append(write_csv(out / f"trace_cdps_d{d}_m{m}_s{sigma!r}.csv",
                                          ["chain_id", "t", "residual_sq", "cg_iters"],
@@ -155,7 +153,7 @@ def _cmd_trace(args) -> int:
         rng = derive_rng(args.seed, "trace", method, args.d, args.m, args.sigma)
         if method == "cdps":
             _, trace = cdps_sample(y, A, task.noise, schedule, score_fn, rng,
-                                   n_chains=args.chains, config=cfg.solver_config(),
+                                   n_chains=args.chains, config=SolverConfig(strict=False),
                                    record_residuals=True)
         else:
             _, trace = dps_sample(y, A, schedule, score_fn, jvp_fn, rng,
@@ -179,7 +177,8 @@ def _cmd_diagnostics(args) -> int:
     schedule = task.schedule
     rng = derive_rng(args.seed, "diagnostics", args.d, args.m, args.sigma)
     _, trace = cdps_sample(task.y, task.A, task.noise, schedule, task.score_fn, rng,
-                           n_chains=args.chains, config=cfg.solver_config(), record_scores=True)
+                           n_chains=args.chains, config=SolverConfig(strict=False),
+                           record_scores=True)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -211,8 +210,6 @@ def main(argv=None) -> int:
                      help="write first-two-dimension scatter CSVs for matrix 0")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--workers", type=int, default=None)
-    run.add_argument("--cg-tol", type=float, default=None)
-    run.add_argument("--cg-max-iter", type=int, default=None)
     run.add_argument("--sw-order", type=int, default=None, choices=(1, 2))
     run.set_defaults(func=_cmd_run)
 

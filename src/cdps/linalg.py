@@ -4,19 +4,20 @@ Every reverse sampling step draws from a Gaussian with precision
 ``P = c * I + B^T B``, ``B = W A``, in one solve: with a synthetic
 right-hand side ``z = sqrt(c) eps1 + B^T eps2`` whose covariance is ``P``
 itself, ``P^{-1} (rhs + z)`` is a draw around the mean ``P^{-1} rhs``.  When
-``A`` has a dense form the solve is exact, through the inverse of the
-``min(m, d)``-sized SPD system built from ``B^T``; otherwise it runs matrix-free
-CG with the precision's diagonal as preconditioner.  ``PrecisionOperator(c,
-A, W)`` is that one precision; the whitener ``W`` is the symmetric callable
-of ``operators.make_whitener``, so ``B^T = A^T W``.  A measurement-free
-precision ``c * I`` is built over ``operators.zero_operator``.
-Right-hand sides may be batched with the vector axis last, in which case
-all rows are solved together.
+``A`` has a dense form the solve is exact, through the thin SVD of ``B``;
+otherwise it runs matrix-free CG with the precision's diagonal as
+preconditioner.  ``PrecisionOperator(c, A, W)`` is that one precision; the
+whitener ``W`` is the symmetric callable of ``operators.make_whitener``, so
+``B^T = A^T W``.  A measurement-free precision ``c * I`` is built over
+``operators.zero_operator``.  Right-hand sides may be batched with the
+vector axis last, in which case all rows are solved together.
 
-With an isotropic whitener ``W = w I`` the precision is ``c I + w^2 A^T A``,
-which one thin SVD of a dense ``A`` diagonalises for every ``c`` and ``w``:
-``spectral_factor`` computes it once and ``spectral_solve`` then solves in
-``O(n d min(m, d))`` with no per-call factorisation.
+The thin SVD ``B = U diag(s) V^T`` diagonalises the precision as
+``c + s^2`` in the basis ``V`` and as ``c`` on ``B``'s null space:
+``spectral_factor`` computes it and ``spectral_solve`` then solves in
+``O(n d min(m, d))``.  With an isotropic whitener ``W = w I`` the precision
+is ``c I + w^2 A^T A``, so one thin SVD of a dense ``A`` serves every ``c``
+and ``w`` of a run.
 """
 
 from __future__ import annotations
@@ -70,11 +71,6 @@ class PrecisionOperator:
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.c * u + self.bt(self.whitener(self.op.apply(u)))
 
-    @property
-    def direct(self) -> bool:
-        """Whether ``precision_solve`` factors this operator instead of running CG."""
-        return self.op.dense is not None
-
     def dense(self) -> np.ndarray:
         """Materialize by probing with the identity (tests and oracles only)."""
         return self.matvec(np.eye(self.d)).T
@@ -82,7 +78,7 @@ class PrecisionOperator:
 
 @dataclass
 class CgReport:
-    """Outcome of one (possibly batched) solve; a direct solve takes zero iterations."""
+    """Outcome of one (possibly batched) solve; an exact dense solve takes zero iterations."""
 
     iterations: int
     row_converged: np.ndarray
@@ -91,15 +87,12 @@ class CgReport:
 def diag_preconditioner(op: PrecisionOperator) -> np.ndarray | None:
     """Diagonal of the precision operator, i.e. c + ||W A e_i||^2 per column.
 
-    Column norms come from the dense matrix when available, otherwise from a
-    batched identity probe; above the probe limit returns None, which
-    cg_solve treats as the identity preconditioner.
+    Column norms come from a batched identity probe; above the probe limit
+    returns None, which cg_solve treats as the identity preconditioner.
     """
-    cols = op.dense_t  # row i = W A e_i
-    if cols is None:
-        if op.d > PRECOND_PROBE_LIMIT:
-            return None
-        cols = op.whitener(op.op.apply(np.eye(op.d)))
+    if op.d > PRECOND_PROBE_LIMIT:
+        return None
+    cols = op.whitener(op.op.apply(np.eye(op.d)))  # row i = W A e_i
     return op.c + np.einsum("ij,ij->i", cols, cols)
 
 
@@ -188,24 +181,6 @@ def cg_solve(
     return x, CgReport(iterations, row_conv)
 
 
-def _direct_solve(op: PrecisionOperator, rhs: np.ndarray) -> np.ndarray:
-    """Exact solve through the inverse of the min(m, d)-sized SPD system.
-
-    The small system is inverted once, so every row costs one matrix product.
-    """
-    bt = op.dense_t  # B^T, (d, m)
-    rows = rhs.reshape(-1, op.d)
-    if op.d <= op.m:
-        # P itself; at m = d it is as small as the capacitance and needs no
-        # subtraction, which would lose digits where B B^T >> c.
-        x = rows @ np.linalg.inv(op.c * np.eye(op.d) + bt @ bt.T)
-    else:
-        # Woodbury: P^{-1} r = (r - B^T K^{-1} B r) / c, K = c I_m + B B^T.
-        u = (rows @ bt) @ np.linalg.inv(op.c * np.eye(op.m) + bt.T @ bt)
-        x = (rows - u @ bt.T) / op.c
-    return x.reshape(rhs.shape)
-
-
 def precision_solve(
     op: PrecisionOperator,
     rhs: np.ndarray,
@@ -215,18 +190,20 @@ def precision_solve(
 ) -> tuple[np.ndarray, CgReport]:
     """Solve ``op.matvec(x) = rhs`` for every row of ``rhs``.
 
-    Exact when ``op.direct`` (the measurement operator has a dense form);
-    otherwise one batched ``cg_solve`` with the given preconditioner,
-    tolerance and iteration cap, which the direct path ignores.
+    Exact when the measurement operator has a dense form (``op.dense_t`` is
+    not None): ``spectral_solve`` from the thin SVD of ``B``.  Otherwise one
+    batched ``cg_solve`` with the given preconditioner, tolerance and
+    iteration cap, which the exact path ignores.
     """
     rhs = np.asarray(rhs, dtype=float)
-    if not op.direct:
+    if op.dense_t is None:
         return cg_solve(op, rhs, preconditioner=preconditioner, tol=tol, max_iter=max_iter)
     if rhs.shape[-1] != op.d:
         raise ValueError(f"rhs last axis must be {op.d}")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
-    return _direct_solve(op, rhs), CgReport(0, np.ones(rhs.shape[:-1], dtype=bool))
+    v, s2 = spectral_factor(op.dense_t.T)
+    return spectral_solve(v, s2, op.c, 1.0, rhs), CgReport(0, np.ones(rhs.shape[:-1], dtype=bool))
 
 
 def spectral_factor(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,14 +11,14 @@ side plus a synthetic perturbation whose covariance is the precision itself,
 so the solution is the mean plus a posterior draw.  The measurement term and
 the perturbation's measurement part share one product with ``B^T = (W A)^T``.
 When A has a dense form, the offset is a product with ``A^T`` and the solve
-is factored from ``B^T``, so the step makes no operator call.  A whole run
-with isotropic noise and a dense A factors ``A`` once, by a thin SVD: every
-step's precision ``c_t I + A^T A / gamma_t`` is diagonal in its basis, so a
-step builds no noise model, whitener, precision or report and inverts
-nothing.  Random draws
-happen in a fixed documented order (chain noise block, initial state, then
-per step the perturbation's eps1 then eps2; the right-hand side consumes no
-randomness), so results are reproducible per seed.
+goes through the thin SVD of ``B``, so the step makes no operator call.  A
+whole run with isotropic noise and a dense A factors ``A`` once, by a thin
+SVD: every step's precision ``c_t I + A^T A / gamma_t`` is diagonal in its
+basis, so a step builds no noise model, whitener, precision or report and
+factors nothing.  Random draws happen in a fixed documented order (chain
+noise block, initial state, then per step the perturbation's eps1 then eps2;
+the right-hand side consumes no randomness), so results are reproducible per
+seed.
 """
 
 from __future__ import annotations
@@ -201,7 +201,8 @@ def _build_params(
     return PosteriorStepParams(
         t=t, keep=scalars.keep[i], pull=scalars.pull[i], tweedie=scalars.tweedie[i],
         b_prev=b_vec, precision=precision,
-        preconditioner=None if precision.direct else diag_preconditioner(precision), score=score,
+        preconditioner=None if precision.dense_t is not None else diag_preconditioner(precision),
+        score=score,
     )
 
 
@@ -333,7 +334,7 @@ class SamplerTrace:
 
     failed_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     residual_sq: np.ndarray | None = None  # (T+1, ...) misfit of x_t, t = 0..T
-    cg_iters: np.ndarray | None = None  # (T+1,), entry t = step producing x_{t-1}; 0 if direct
+    cg_iters: np.ndarray | None = None  # (T+1,), entry t = step producing x_{t-1}; 0 if exact
     score_cos: np.ndarray | None = None  # (T+1, ...), entry t pairs levels t and t-1
     score_mse: np.ndarray | None = None
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import functools
 import importlib.util
 import json
 from pathlib import Path
@@ -175,10 +176,12 @@ def test_optional_guidance_methods_run():
     assert all(np.isfinite(r["sw"]) for r in result.rows)
 
 
-def test_failed_cdps_rows_are_counted_and_dropped():
+def test_failed_cdps_rows_are_counted_and_dropped(monkeypatch):
     # An operator without a dense form runs CG; one iteration at tol 1e-14
     # fails every row, and each failed row costs exactly that row.
-    cfg = smoke_config(samples_per_run=6, num_steps=5, cg_tol=1e-14, cg_max_iter=1)
+    monkeypatch.setattr(cdps.bench, "SolverConfig", functools.partial(
+        cdps.sampler.SolverConfig, cg_tol=1e-14, cg_max_iter=1))
+    cfg = smoke_config(samples_per_run=6, num_steps=5)
     prior, A, _, y = make_measurement_model(cfg, 8, 4, 1e-2, 0)
     schedule = make_linear_schedule(cfg.num_steps, cfg.beta_min, cfg.beta_max)
     x0, failures = _run_method("cdps", cfg, prior, dataclasses.replace(A, dense=None), y, 1e-2,
@@ -188,8 +191,9 @@ def test_failed_cdps_rows_are_counted_and_dropped():
 
 
 def test_numerical_error_costs_one_task(monkeypatch):
-    # A ValueError from one task's sampler is recorded like an abort, and
-    # the rest of the grid still runs.
+    # A ValueError from one task's sampler is recorded like an abort, naming
+    # the method, and the rest of the grid still runs: the other method's
+    # row for the same matrix included.
     cfg = smoke_config(matrices_per_config=3, samples_per_run=20, sw_slices=100, num_steps=20)
     bad_y = make_measurement_model(cfg, 8, 4, 1e-2, 1)[3]
     real = cdps.bench.cdps_sample
@@ -201,10 +205,10 @@ def test_numerical_error_costs_one_task(monkeypatch):
 
     monkeypatch.setattr(cdps.bench, "cdps_sample", faulty)
     result = run_grid(cfg)
-    assert [(a["matrix"], a["reason"]) for a in result.aborted] == [
-        (1, "rhs must be finite")]
+    assert [(a["method"], a["matrix"], a["reason"]) for a in result.aborted] == [
+        ("cdps", 1, "rhs must be finite")]
     assert [(r["method"], r["matrix"]) for r in result.rows] == [
-        ("cdps", 0), ("cdps", 2), ("dps", 0), ("dps", 2)]
+        ("cdps", 0), ("cdps", 2), ("dps", 0), ("dps", 1), ("dps", 2)]
 
 
 def test_workers_do_not_change_results(tmp_path):

@@ -205,10 +205,11 @@ def make_noise(kind, rng, m):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_precision_solve_matches_dense_solve(kind, shape, d, abar, log_c, n, seed):
-    # Capacitance (m < d) and the precision itself (m >= d) against LU on the
-    # probed dense precision; the norm of B = W A is at most ~sqrt(500),
-    # so the condition number stays below ~5e4 and 1e-9 has ample margin.
-    # Isotropic noise also goes through the spectral solve from A's thin SVD.
+    # The solve from the thin SVD of B = W A (with its null-space part when
+    # m < d) against LU on the probed dense precision; the norm of B is at
+    # most ~sqrt(500), so the condition number stays below ~5e4 and 1e-9 has
+    # ample margin.  Isotropic noise also goes through the spectral solve
+    # from A's thin SVD.
     rng = np.random.default_rng(seed)
     m = {"m<d": int(rng.integers(1, d)), "m=d": d, "m>d": d + int(rng.integers(1, 4))}[shape]
     cov = mix_conditional_cov(make_noise(kind, rng, m), abar)
@@ -217,7 +218,7 @@ def test_precision_solve_matches_dense_solve(kind, shape, d, abar, log_c, n, see
     rhs = rng.standard_normal((n, d))
     x, rep = precision_solve(op, rhs)
     expected = np.linalg.solve(op.dense(), rhs.T).T
-    assert op.direct and rep.row_converged.all() and rep.iterations == 0
+    assert op.dense_t is not None and rep.row_converged.all() and rep.iterations == 0
     pairs = [(rhs, expected), (rhs[0], expected[0])]
     solves = [(x, expected), (precision_solve(op, rhs[0])[0], expected[0])]
     if kind == "isotropic":
@@ -231,7 +232,7 @@ def test_precision_solve_takes_cg_without_dense_form():
     rng = np.random.default_rng(14)
     op = make_precision(rng, d=10, m=4)
     free = dataclasses.replace(op, op=dataclasses.replace(op.op, dense=None))
-    assert op.direct and not free.direct
+    assert op.dense_t is not None and free.dense_t is None
     rhs = rng.standard_normal((3, 10))
     x_cg, rep = precision_solve(free, rhs, diag_preconditioner(free), tol=1e-12)
     x_direct, _ = precision_solve(op, rhs)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cdps.schedules import NoiseSchedule, alpha_bar, make_linear_schedule
 
@@ -48,6 +50,35 @@ def test_alpha_bar_ratio_matches_alpha():
     s = make_linear_schedule(777, 0.1, 500.0)
     ratios = s.alpha_bars[1:] / s.alpha_bars[:-1]
     np.testing.assert_allclose(ratios, s.alphas, rtol=1e-14)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    num_steps=st.integers(1, 2000),
+    log_beta_min=st.floats(-6.0, 4.0),
+    log_spread=st.floats(0.0, 4.0),
+)
+def test_linear_schedule_invariants(num_steps, log_beta_min, log_spread):
+    # The docstring's betas, clamped into (0, 1), decide whether the
+    # cumulative product stays a normal float or underflows; schedules in
+    # between, where it lands among the subnormals, are skipped.
+    beta_min = 10.0 ** log_beta_min
+    beta_max = beta_min * 10.0 ** log_spread
+    betas = np.clip(np.linspace(beta_min, beta_max, num_steps) / num_steps, 1e-12, 1.0 - 1e-12)
+    log_last = np.sum(np.log1p(-betas))
+    if log_last < np.log(np.finfo(float).smallest_subnormal) - 1.0:
+        with pytest.raises(ValueError, match="underflowed"):
+            make_linear_schedule(num_steps, beta_min, beta_max)
+        return
+    assume(log_last > np.log(np.finfo(float).tiny) + 1.0)
+
+    s = make_linear_schedule(num_steps, beta_min, beta_max)
+    assert np.all((s.betas > 0.0) & (s.betas < 1.0))
+    assert np.all(np.diff(s.betas) >= 0.0)
+    assert s.alpha_bars[0] == 1.0
+    assert np.all(np.diff(s.alpha_bars) < 0.0)
+    np.testing.assert_allclose(s.alpha_bars[1:] / s.alpha_bars[:-1], s.alphas, rtol=1e-14)
+    assert [alpha_bar(s, t) for t in range(num_steps + 1)] == s.alpha_bars.tolist()
 
 
 @pytest.mark.parametrize(
