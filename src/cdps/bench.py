@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -246,6 +245,9 @@ def run_grid(cfg: BenchConfig) -> BenchResult:
     ]
     result = BenchResult()
     if cfg.workers > 1:
+        # Imported here so that importing cdps does not load the process pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_task_wrapper, tasks))
     else:

@@ -18,12 +18,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .operators import LinearOperator
 from .schedules import NoiseSchedule, alpha_bar
 
 _WSUM_TOL = 1e-12
+
+
+def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
+    """log(sum(exp(a))) over ``axis`` for real input, by the algorithm of
+    ``scipy.special.logsumexp`` and bit for bit equal to it.
+
+    The largest entry is factored out and its ties counted, so the sum of
+    the rest enters through log1p:
+    ``log1p(sum(exp(a_rest - a_max)) / m) + log(m) + a_max`` with ``m`` the
+    number of ties.  Where that is not finite (all entries -inf, or an inf
+    among them) the plain ``log(sum(exp(a)))`` is used.
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        is_max = a == a_max
+        m = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
+        rest = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
+        out = np.log1p(rest / m) + np.log(m) + a_max
+        out = np.where(np.isfinite(out), out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
+    return np.squeeze(out, axis=axis)[()]
 
 
 @dataclass(frozen=True)
@@ -175,7 +195,7 @@ def log_marginal_density(gmm: GaussianMixture, x: np.ndarray, abar: float) -> np
     m2 = np.einsum("ki,ki->k", means_t, means_t)
     sq = x2 - 2.0 * cross + m2
     logits = np.log(gmm.weights) - 0.5 * (sq / var_t + d * np.log(2.0 * np.pi * var_t))
-    return logsumexp(logits, axis=-1)
+    return _logsumexp(logits, axis=-1)
 
 
 def score_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np.ndarray) -> np.ndarray:
@@ -278,7 +298,7 @@ def exact_posterior(gmm: GaussianMixture, A: LinearOperator, y: np.ndarray,
     resid = y - gmm.means @ mat.T  # (K, m)
     white = np.linalg.solve(L, resid.T).T
     logw = np.log(gmm.weights) - 0.5 * np.einsum("ki,ki->k", white, white)
-    logw -= logsumexp(logw)
+    logw -= _logsumexp(logw)
     return GaussianMixture(means=means, weights=np.exp(logw), cov=cov)
 
 
@@ -309,4 +329,4 @@ def mixture_log_density(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     white = np.linalg.solve(L, diff[..., None]).squeeze(-1)
     sq = np.einsum("...ki,...ki->...k", white, white)
     logits = np.log(gmm.weights) - 0.5 * (sq + logdet + d * np.log(2.0 * np.pi))
-    return logsumexp(logits, axis=-1)
+    return _logsumexp(logits, axis=-1)

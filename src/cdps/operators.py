@@ -274,18 +274,25 @@ def blur_operator(kernel, d: int) -> LinearOperator:
     if h.size > d:
         raise ValueError("kernel longer than the signal")
     r = h.size // 2
-    offsets = np.arange(-r, r + 1)
+    offsets = range(-r, r + 1)
+
+    def padded(x):
+        # Circular padding by r on each side: xp[..., r + i] == x[..., i % d],
+        # so roll(x, j)[..., i] == xp[..., r - j + i] for |j| <= r.
+        return np.concatenate((x[..., d - r:], x, x[..., :r]), axis=-1)
 
     def apply(x):
+        xp = padded(x)
         out = np.zeros(x.shape[:-1] + (d,))
         for w, j in zip(h, offsets):
-            out += w * np.roll(x, j, axis=-1)
+            out += w * xp[..., r - j:r - j + d]
         return out
 
     def adjoint(y):
+        yp = padded(y)
         out = np.zeros(y.shape[:-1] + (d,))
         for w, j in zip(h, offsets):
-            out += w * np.roll(y, -j, axis=-1)
+            out += w * yp[..., r + j:r + j + d]
         return out
 
     dense = apply(np.eye(d)).T if d * d <= DENSE_LIMIT else None

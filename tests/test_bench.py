@@ -3,6 +3,9 @@ import dataclasses
 import functools
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +222,16 @@ def test_workers_do_not_change_results(tmp_path):
     r1 = run_grid(cfg1)
     r2 = run_grid(cfg2)
     assert [row["sw"] for row in r1.rows] == [row["sw"] for row in r2.rows]
+
+
+def test_import_loads_neither_scipy_nor_process_pool():
+    code = ("import sys, cdps, cdps.cli\n"
+            "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')"
+            " or k == 'concurrent.futures.process'))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

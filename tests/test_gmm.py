@@ -192,6 +192,36 @@ def test_exact_posterior_with_underflowed_weights_does_not_warn():
     assert np.any(post.weights == 0.0)
 
 
+def _logsumexp_cases(rng):
+    """Random 1-D and 2-D logits with -inf entries, tied maxima and all--inf rows."""
+    cases = []
+    for shape in [(1,), (5,), (25,), (1, 7), (4, 25), (30, 3)]:
+        for scale in (1e-3, 1.0, 50.0, 1e3):
+            a = scale * rng.standard_normal(shape)
+            tied = a.copy()
+            flat = tied.reshape(-1)
+            flat[rng.integers(flat.size, size=max(1, flat.size // 3))] = flat.max()
+            holes = a.copy()
+            holes[rng.random(shape) < 0.4] = -np.inf
+            cases += [a, tied, holes, np.round(a)]
+        dead = rng.standard_normal(shape)
+        dead[0] = -np.inf
+        cases += [dead, np.full(shape, -np.inf), np.zeros(shape)]
+    return cases
+
+
+def test_logsumexp_bitwise_equals_scipy():
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(7)
+    for a in _logsumexp_cases(rng):
+        for axis in (None, -1):
+            ours, theirs = cdps.gmm._logsumexp(a, axis=axis), special.logsumexp(a, axis=axis)
+            assert np.shape(ours) == np.shape(theirs)
+            assert np.array_equal(ours, theirs, equal_nan=True), (a, axis)
+    assert np.shape(cdps.gmm._logsumexp(np.array([0.0, -np.inf]))) == ()
+    assert cdps.gmm._logsumexp(np.array([-np.inf, -np.inf])) == -np.inf
+
+
 def test_exact_posterior_conjugate_case():
     d = 3
     prior = GaussianMixture(means=np.zeros((1, d)), weights=np.ones(1), variances=np.ones(1))

@@ -126,6 +126,25 @@ def test_blur_operator_hand_convolution():
     assert adjoint_error(op, np.random.default_rng(4)) < 1e-12
 
 
+def roll_blur(h, x, sign):
+    """The blur as one np.roll per tap, taps in kernel order (sign -1: adjoint)."""
+    r = len(h) // 2
+    out = np.zeros(x.shape)
+    for w, j in zip(h, range(-r, r + 1)):
+        out += w * np.roll(x, sign * j, axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("size,d", [(1, 3), (3, 3), (3, 8), (5, 5), (5, 17), (7, 7), (7, 32)])
+def test_blur_operator_matches_roll_formula_bitwise(size, d):
+    rng = np.random.default_rng(size * 100 + d)
+    h = rng.standard_normal(size)
+    op = blur_operator(h, d=d)
+    for x in (rng.standard_normal(d), rng.standard_normal((6, d)), rng.standard_normal((2, 3, d))):
+        np.testing.assert_array_equal(op.apply(x), roll_blur(h, x, 1))
+        np.testing.assert_array_equal(op.adjoint(x), roll_blur(h, x, -1))
+
+
 def test_blur_operator_rejects_bad_kernels():
     with pytest.raises(ValueError):
         blur_operator([0.5, 0.5], d=4)  # even length
