@@ -11,10 +11,18 @@ A score and a Jacobian product at the same ``(x, abar)`` -- DPS makes both
 every step -- share one responsibilities pass: each mixture keeps its last
 pass, keyed on ``abar`` and an exact copy of ``x``.  A mixture and its arrays
 are therefore not to be changed in place once built.
+
+The pass is trimmed without moving a bit, because DPS amplifies the score's
+rounding: a mixture takes the log of its weights once, when it is built, and
+carries its variances and its log weights as one scalar each when they are
+exactly equal (the grid prior's are), so the time-marginal variance is a
+scalar too; and the logits' factors -2 and -1/2, both powers of two, are
+folded into the expression instead of applied in passes of their own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +52,15 @@ def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
         out = np.log1p(rest / m) + np.log(m) + a_max
         out = np.where(np.isfinite(out), out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
     return np.squeeze(out, axis=axis)[()]
+
+
+def _scalar_if_equal(a: np.ndarray):
+    """``a[0]`` when every entry of ``a`` equals it exactly, else ``a``.
+
+    A scalar broadcasts to the same values as the array, so arithmetic with
+    it rounds the same, and it spares the per-component work.
+    """
+    return a[0] if np.all(a == a[0]) else a
 
 
 @dataclass(frozen=True)
@@ -77,6 +94,7 @@ class GaussianMixture:
                 raise ValueError("variances must be positive")
             object.__setattr__(self, "variances", var)
             equal_var = bool(np.allclose(var, var[0], rtol=1e-12, atol=0))
+            object.__setattr__(self, "_var", _scalar_if_equal(var))
         else:
             cov = np.asarray(self.cov, dtype=float)
             if cov.shape != (d, d):
@@ -87,6 +105,9 @@ class GaussianMixture:
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_equal_var", equal_var)
+        # Posterior weights can underflow to exactly 0, whose log is -inf.
+        with np.errstate(divide="ignore"):
+            object.__setattr__(self, "_log_weights", _scalar_if_equal(np.log(weights)))
         object.__setattr__(self, "_last_pass", None)  # see _pass
 
     @property
@@ -118,14 +139,16 @@ def make_grid_gmm(d: int) -> GaussianMixture:
 
 
 def _marginal_params(gmm: GaussianMixture, abar: float):
-    """Means and variances of the forward-time marginal mixture."""
+    """Means and variances of the forward-time marginal mixture.
+
+    The variances come as one scalar when the components' are exactly equal.
+    """
     if not (0.0 < abar <= 1.0):
         raise ValueError("abar must lie in (0, 1]")
     if gmm.variances is None:
         raise ValueError("time-marginal score requires isotropic components")
-    root = np.sqrt(abar)
-    means_t = root * gmm.means  # (K, d)
-    var_t = abar * gmm.variances + (1.0 - abar)  # (K,)
+    means_t = math.sqrt(abar) * gmm.means  # (K, d)
+    var_t = abar * gmm._var + (1.0 - abar)  # (K,) or scalar
     return means_t, var_t
 
 
@@ -137,18 +160,17 @@ def _responsibilities(gmm: GaussianMixture, x: np.ndarray, means_t, var_t):
     max-subtraction in softmax is what keeps the exponentials alive.
 
     The logits log w - 0.5 * ((x2 - 2 cross + m2) / v + d log v) are built
-    in one buffer; each in-place step rounds exactly as the expression does
-    (a - b is a + (-b), and -c * z is -(c * z)).
+    in one buffer as ((cross - x2/2 - m2/2) / v - d/2 log v) + log w.  Each
+    partial result is the original one times -1/2, and scaling by a power of
+    two is exact, so every logit rounds as that expression does.
     """
-    x2 = np.einsum("...i,...i->...", x, x)[..., None]
+    half_x2 = 0.5 * np.einsum("...i,...i->...", x, x)[..., None]
     logits = x @ means_t.T
-    logits *= -2.0
-    logits += x2
-    logits += np.einsum("ki,ki->k", means_t, means_t)
+    logits -= half_x2
+    logits -= 0.5 * np.einsum("ki,ki->k", means_t, means_t)
     logits /= var_t
-    logits += gmm.d * np.log(var_t)
-    logits *= -0.5
-    logits += np.log(gmm.weights)
+    logits += -0.5 * gmm.d * np.log(var_t)
+    logits += gmm._log_weights
     logits -= logits.max(axis=-1, keepdims=True)
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
@@ -194,7 +216,7 @@ def log_marginal_density(gmm: GaussianMixture, x: np.ndarray, abar: float) -> np
     cross = x @ means_t.T
     m2 = np.einsum("ki,ki->k", means_t, means_t)
     sq = x2 - 2.0 * cross + m2
-    logits = np.log(gmm.weights) - 0.5 * (sq / var_t + d * np.log(2.0 * np.pi * var_t))
+    logits = gmm._log_weights - 0.5 * (sq / var_t + d * np.log(2.0 * np.pi * var_t))
     return _logsumexp(logits, axis=-1)
 
 
@@ -243,7 +265,7 @@ def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np
     if not gmm._equal_var:
         raise ValueError("denoiser Jacobian requires equal component variances")
     r, _, var_t = _pass(gmm, x, abar)
-    v = float(var_t[0])
+    v = float(np.ravel(var_t)[0])
 
     mu_u = u @ gmm.means.T  # (..., K) inner products <mu_k, u>
     t = r * mu_u
@@ -297,7 +319,7 @@ def exact_posterior(gmm: GaussianMixture, A: LinearOperator, y: np.ndarray,
     L = np.linalg.cholesky(ev_cov)
     resid = y - gmm.means @ mat.T  # (K, m)
     white = np.linalg.solve(L, resid.T).T
-    logw = np.log(gmm.weights) - 0.5 * np.einsum("ki,ki->k", white, white)
+    logw = gmm._log_weights - 0.5 * np.einsum("ki,ki->k", white, white)
     logw -= _logsumexp(logw)
     return GaussianMixture(means=means, weights=np.exp(logw), cov=cov)
 
@@ -328,5 +350,5 @@ def mixture_log_density(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     diff = x[..., None, :] - gmm.means  # (..., K, d)
     white = np.linalg.solve(L, diff[..., None]).squeeze(-1)
     sq = np.einsum("...ki,...ki->...k", white, white)
-    logits = np.log(gmm.weights) - 0.5 * (sq + logdet + d * np.log(2.0 * np.pi))
+    logits = gmm._log_weights - 0.5 * (sq + logdet + d * np.log(2.0 * np.pi))
     return _logsumexp(logits, axis=-1)

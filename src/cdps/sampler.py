@@ -15,14 +15,18 @@ goes through the thin SVD of ``B``, so the step makes no operator call.  A
 whole run with isotropic noise and a dense A factors ``A`` once, by a thin
 SVD: every step's precision ``c_t I + A^T A / gamma_t`` is diagonal in its
 basis, so a step builds no noise model, whitener, precision or report and
-factors nothing.  Random draws happen in a fixed documented order (chain
-noise block, initial state, then per step the perturbation's eps1 then eps2;
-the right-hand side consumes no randomness), so results are reproducible per
-seed.
+factors nothing.  Up to ``FUSED_STEP_MAX_D`` dimensions such a step is fused:
+it builds the precision's d x d inverse and the d x d map of the frozen score
+into the right-hand side from ``A^T A``, which is formed once per run, and
+ends in one product with that inverse.  Random draws happen in a fixed
+documented order (chain noise block, initial state, then per step the
+perturbation's eps1 then eps2; the right-hand side consumes no randomness),
+so results are reproducible per seed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -355,28 +359,72 @@ def _rebuilt_steps(A, noise, scalars, rng, config):
     return step
 
 
+# Largest d whose spectral steps are fused into one d x d product.  The fused
+# step makes fewer, larger calls: its products cost O(n d^2) and its matrix
+# O(d^2 min(m, d)), against the factored step's O(n d min(m, d)).  With 100
+# chains and m = 4 it was 3% faster than the factored step at d = 64, 5%
+# slower at d = 80 and 4.5 times slower at d = 800.
+FUSED_STEP_MAX_D = 64
+
+
 def _spectral_steps(A, noise: IsotropicNoise, scalars, rng):
     """Steps under isotropic noise from one thin SVD of the dense A.
 
     The conditional covariance gamma_t I, gamma_t = abar_{t-1} sigma^2 +
     1 - abar_{t-1}, whitens by the scalar w_t = gamma_t^{-1/2}, so each
-    precision c_t I + w_t^2 A^T A is solved by ``spectral_solve``.  The
-    right-hand side and its draws are the general step's.
+    precision c_t I + w_t^2 A^T A is diagonal in the basis V: its inverse is
+    S_t = V diag(1 / (c_t + w_t^2 s^2)) V^T, plus (I - V V^T) / c_t on A's
+    null space when m < d.
+
+    Up to ``FUSED_STEP_MAX_D`` the step is fused.  With the offset
+    b = (1 - abar_{t-1}) A s_hat expanded, the general step's right-hand
+    side is (keep + pull) x_t + s_hat (pull tweedie I - w_t^2 (1 - abar_{t-1}) A^T A)
+    + sqrt(c_t) eps1 + (eps2 + w_t y_{t-1}) w_t A, and x_{t-1} = rhs S_t;
+    A^T A, I - V V^T and I are built once per run.  Above it the right-hand
+    side is ``_posterior_rhs``'s and ``spectral_solve`` applies S_t in
+    factored form.  Both draw eps1 (d) before eps2 (m).
     """
     mat = A.dense
     v, s2 = spectral_factor(mat)
     scale = [mix_variance(noise.sigma2, a) ** -0.5 for a in scalars.abar_prev]
     no_rows = np.empty(0, dtype=int)
 
-    def step(x, t, s_hat, y_prev):
+    if A.d > FUSED_STEP_MAX_D:
+        def factored_step(x, t, s_hat, y_prev):
+            i = t - 1
+            w = scale[i]
+            b = _score_offset(A, s_hat, scalars.abar_prev[i])
+            bw = w * mat  # B = W A
+            rhs = _posterior_rhs(x, s_hat, (y_prev - b) * w, scalars.keep[i], scalars.pull[i],
+                                 scalars.tweedie[i], scalars.c[i], lambda u: u @ bw, rng)
+            return spectral_solve(v, s2, scalars.c[i], w * w, rhs), 0, no_rows
+        return factored_step
+
+    gram = mat.T @ mat
+    eye = np.eye(A.d)
+    null = eye - v @ v.T if v.shape[1] < A.d else None
+
+    def fused_step(x, t, s_hat, y_prev):
         i = t - 1
-        w = scale[i]
-        b = _score_offset(A, s_hat, scalars.abar_prev[i])
-        bw = w * mat  # B = W A
-        rhs = _posterior_rhs(x, s_hat, (y_prev - b) * w, scalars.keep[i], scalars.pull[i],
-                             scalars.tweedie[i], scalars.c[i], lambda u: u @ bw, rng)
-        return spectral_solve(v, s2, scalars.c[i], w * w, rhs), 0, no_rows
-    return step
+        w, c, pull = scale[i], scalars.c[i], scalars.pull[i]
+        w2 = w * w
+        solve = (v / (c + w2 * s2)) @ v.T
+        if null is not None:
+            solve += null / c
+        drift = (pull * scalars.tweedie[i]) * eye - (w2 * (1.0 - scalars.abar_prev[i])) * gram
+        batch = x.shape[:-1]
+        eps1 = rng.standard_normal(batch + (A.d,))
+        eps2 = rng.standard_normal(batch + (A.m,))
+        eps2 += w * y_prev
+        rhs = eps2 @ (w * mat)
+        rhs += s_hat @ drift
+        rhs += (scalars.keep[i] + pull) * x
+        eps1 *= math.sqrt(c)
+        rhs += eps1
+        if not np.all(np.isfinite(rhs)):
+            raise ValueError("rhs must be finite")
+        return rhs @ solve, 0, no_rows
+    return fused_step
 
 
 def cdps_sample(

@@ -43,7 +43,12 @@ class NoiseSchedule:
             raise ValueError("betas must be nondecreasing")
         if self.alphas.shape != (T,) or self.alpha_bars.shape != (T + 1,):
             raise ValueError("inconsistent derived arrays")
-        if self.alpha_bars[-1] <= 0.0:
+        # A cumulative product that underflows can stick among the subnormals
+        # (at 5e-324 once every later beta is below 0.5) instead of reaching 0.
+        # One that keeps decreasing there is still a schedule.
+        last = self.alpha_bars[-1]
+        if last <= 0.0 or (last < np.finfo(float).tiny
+                           and np.any(np.diff(self.alpha_bars) >= 0.0)):
             raise ValueError(
                 "cumulative signal level underflowed to zero; "
                 "num_steps is too small for this beta range"

@@ -353,3 +353,23 @@ def test_perfbench_tracer_sites_resolve_and_restore():
                  "linalg.diag_preconditioner", "linalg.cg_solve.draw", "linalg.matvec",
                  "operators.apply", "operators.adjoint"):
         assert calls[name] > 0, name
+
+
+def test_bench_pairs_summarises_printed_task_seconds():
+    # tools/bench_pairs.py reads each run's `metric NAME VALUE UNIT` lines, so
+    # the raw seconds per task sit beside task_cal in the summary.
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    pairs_mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs_mod)
+    lines = ["tasks: 3", "metric cdps.task_s 0.25 s", "metric dps.task_cal 176.5 cal",
+             "metric peak_rss_mb 59.0 MiB", "metric broken value s", '{"correct": true}']
+    assert pairs_mod.printed_metrics(lines) == {
+        "cdps.task_s": 0.25, "dps.task_cal": 176.5, "peak_rss_mb": 59.0}
+    runs = [{"parent": {"cdps.task_s": 0.2 + 0.01 * i, "correct": True, "failed": 0, "exit": 0},
+             "change": {"cdps.task_s": 0.15 + 0.01 * i, "correct": True, "failed": 0, "exit": 0}}
+            for i in range(4)]
+    summary = pairs_mod.summarize(runs, list(pairs_mod.RAW_METRICS))
+    assert summary["cdps.task_s"]["change_better_in_pairs"] == "4/4"
+    assert summary["cdps.task_s"]["bound"] is None
+    assert "dps.task_s" not in summary and summary["all_correct_failed_0"]

@@ -16,6 +16,7 @@ from cdps.gmm import (
     score_jacobian_vp,
 )
 from cdps.operators import from_dense, zero_operator
+from cdps.schedules import make_linear_schedule
 
 
 def fd_score(gmm, x, abar, h=1e-5):
@@ -168,6 +169,90 @@ def test_cached_responsibilities_are_read_only():
     assert not r.flags.writeable
     with pytest.raises(ValueError):
         r[0, 0] = 0.0
+
+
+def _reference_pass(gmm, x, abar):
+    """The score pass as first written: (K,) variances and log weights, logits
+    scaled by -2 and -1/2 in place.  The oracle of the bitwise test below."""
+    means_t = np.sqrt(abar) * gmm.means
+    var_t = abar * gmm.variances + (1.0 - abar)
+    x2 = np.einsum("...i,...i->...", x, x)[..., None]
+    logits = x @ means_t.T
+    logits *= -2.0
+    logits += x2
+    logits += np.einsum("ki,ki->k", means_t, means_t)
+    logits /= var_t
+    logits += gmm.d * np.log(var_t)
+    logits *= -0.5
+    logits += np.log(gmm.weights)
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits, means_t, var_t
+
+
+def _reference_score(gmm, x, abar):
+    r, means_t, var_t = _reference_pass(gmm, x, abar)
+    rv = r / var_t
+    return rv @ means_t - x * rv.sum(axis=-1)[..., None]
+
+
+def _reference_score_jacobian_vp(gmm, x, abar, u):
+    r, means_t, var_t = _reference_pass(gmm, x, abar)
+    rv = r / var_t
+    s = rv @ means_t - x * rv.sum(axis=-1)[..., None]
+    gu = (u @ means_t.T - np.einsum("...i,...i->...", x, u)[..., None]) / var_t
+    t = r * gu
+    term = t @ means_t - x * t.sum(axis=-1)[..., None]
+    su = np.einsum("...i,...i->...", s, u)[..., None]
+    return -rv.sum(axis=-1)[..., None] * u + term - s * su
+
+
+def _reference_denoiser_jacobian_vp(gmm, x, abar, u):
+    r, _, var_t = _reference_pass(gmm, x, abar)
+    v = float(var_t[0])
+    t = r * (u @ gmm.means.T)
+    cov_u = t @ gmm.means - (r @ gmm.means) * t.sum(axis=-1)[..., None]
+    return np.sqrt(abar) * ((gmm.variances[0] / v) * u + ((1.0 - abar) / (v * v)) * cov_u)
+
+
+def test_score_pass_bitwise_equals_reference():
+    # Scalar variances and log weights, and the folded -2 and -1/2, must not
+    # move a bit of the score or its Jacobian products: DPS amplifies the
+    # score's rounding past the benchmark's reference tolerance.
+    rng = np.random.default_rng(33)
+    d, K = 8, 25
+    grid = make_grid_gmm(d)
+    weights = rng.dirichlet(np.ones(K))
+    mixtures = {
+        "equal": (grid, True),
+        "unequal weights": (dataclasses.replace(grid, weights=weights), True),
+        "unequal variances": (dataclasses.replace(grid, variances=rng.uniform(0.5, 2.0, K)),
+                              False),
+        "unequal both": (GaussianMixture(means=grid.means, weights=weights,
+                                         variances=rng.uniform(0.5, 2.0, K)), False),
+        "nearly equal variances": (dataclasses.replace(
+            grid, variances=1.0 + 1e-14 * rng.standard_normal(K)), True),
+    }
+    assert np.ndim(grid._var) == 0 and np.ndim(grid._log_weights) == 0
+    assert np.ndim(mixtures["nearly equal variances"][0]._var) == 1
+    # Every seventh level of the benchmark schedule, with its ends.
+    abars = make_linear_schedule(1000, 0.1, 500.0).alpha_bars
+    levels = [*abars[1::7].tolist(), float(abars[-1]), 1.0]
+    xs = {"single": 8.0 * rng.standard_normal(d), "batched": 8.0 * rng.standard_normal((30, d))}
+    for name, (g, equal_var) in mixtures.items():
+        for kind, x in xs.items():
+            u = rng.standard_normal(x.shape)
+            for abar in levels:
+                g = dataclasses.replace(g)  # a fresh pass every call
+                pairs = [(score(g, x, abar), _reference_score(g, x, abar)),
+                         (score_jacobian_vp(g, x, abar, u),
+                          _reference_score_jacobian_vp(g, x, abar, u))]
+                if equal_var:
+                    pairs.append((denoiser_jacobian_vp(g, x, abar, u),
+                                  _reference_denoiser_jacobian_vp(g, x, abar, u)))
+                for got, ref in pairs:
+                    assert np.array_equal(got, ref), (name, kind, abar)
 
 
 def test_isotropic_guards():

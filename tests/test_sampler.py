@@ -13,6 +13,7 @@ from cdps.gmm import (
     score_fn_for,
     denoiser_jvp_fn_for,
 )
+from cdps.linalg import spectral_solve
 from cdps.metrics import sliced_wasserstein
 from cdps.operators import (
     CirculantNoise,
@@ -328,6 +329,27 @@ def test_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypa
     # Isotropic noise with a dense operator factors A once per run; the same
     # covariance as a diagonal noise model rebuilds every step's precision.
     # Both must give the same samples and diagnostics from the same seed.
+    _check_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypatch)
+
+
+@pytest.mark.parametrize("shape", list(SPECTRAL_SHAPES))
+@pytest.mark.parametrize("prior_mode", ["score", "identity", "none"])
+@pytest.mark.parametrize("chains", ["rows", "shared", "single"])
+def test_factored_spectral_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypatch):
+    # Above FUSED_STEP_MAX_D the spectral step keeps its factored solve.
+    monkeypatch.setattr(cdps.sampler, "FUSED_STEP_MAX_D", 0)
+    solves = []
+
+    def counted(*args):
+        solves.append(1)
+        return spectral_solve(*args)
+
+    monkeypatch.setattr(cdps.sampler, "spectral_solve", counted)
+    _check_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypatch)
+    assert solves
+
+
+def _check_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypatch):
     d, m = SPECTRAL_SHAPES[shape]
     rng = np.random.default_rng(70)
     A = from_dense(rng.standard_normal((m, d)))
@@ -362,6 +384,31 @@ def test_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypa
     with pytest.raises(ValueError, match="rhs must be finite"):
         cdps_sample(y, A, IsotropicNoise(sigma2), schedule, nan_at_10,
                     np.random.default_rng(71), **kwargs)
+
+
+@pytest.mark.parametrize("fused", [True, False])
+@pytest.mark.parametrize("shared", [False, True])
+def test_spectral_run_stream_order(fused, shared, monkeypatch):
+    # The documented draw order: the chain block, x_T, then per step eps1
+    # (n, d) and eps2 (n, m).  The right-hand side and solve draw nothing else.
+    if not fused:
+        monkeypatch.setattr(cdps.sampler, "FUSED_STEP_MAX_D", 0)
+    d, m, n = 6, 2, 5
+    rng = np.random.default_rng(72)
+    A = from_dense(rng.standard_normal((m, d)))
+    y = rng.standard_normal(m)
+    schedule = make_linear_schedule(30, 0.1, 20.0)
+    rng = np.random.default_rng(73)
+    cdps_sample(y, A, IsotropicNoise(0.01), schedule, score_fn_for(make_grid_gmm(d), schedule),
+                rng, n_chains=n, shared_chain=shared)
+    expected = np.random.default_rng(73)
+    T = schedule.num_steps
+    expected.standard_normal((T, m) if shared else (n, T, m))
+    expected.standard_normal((n, d))
+    for _ in range(T):
+        expected.standard_normal((n, d))
+        expected.standard_normal((n, m))
+    assert rng.bit_generator.state == expected.bit_generator.state
 
 
 def conjugate_output_law(schedule):

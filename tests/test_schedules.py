@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cdps.schedules import NoiseSchedule, alpha_bar, make_linear_schedule
@@ -58,6 +58,8 @@ def test_alpha_bar_ratio_matches_alpha():
     log_beta_min=st.floats(-6.0, 4.0),
     log_spread=st.floats(0.0, 4.0),
 )
+# Its cumulative product sticks at the smallest subnormal instead of reaching 0.
+@example(num_steps=1732, log_beta_min=2.5625, log_spread=0.375)
 def test_linear_schedule_invariants(num_steps, log_beta_min, log_spread):
     # The docstring's betas, clamped into (0, 1), decide whether the
     # cumulative product stays a normal float or underflows; schedules in

@@ -14,9 +14,13 @@ declares, one pair per seed: the parent runs first on odd seeds, the change
 on even ones.
 
 The output keeps every run (its exit code, ``correct``, failure count, wall
-seconds and end-to-end metrics) and, per workload and metric, each side's
-median and quartiles, the pairs the change won, the relative change of the
-median and the parent's interquartile range.
+seconds, end-to-end metrics and every ``metric NAME VALUE UNIT`` line it
+printed) and, per workload and metric, each side's median and quartiles, the
+pairs the change won, the relative change of the median and the parent's
+interquartile range. Beside the gated metrics the summary carries the raw
+median seconds per task of each method, ``cdps.task_s`` and ``dps.task_s``:
+``task_cal`` divides them by the speed probe's unit, so a gain that shows in
+``task_cal`` but not in ``task_s`` is a shift of that unit.
 
 ``--run-config-dims`` also times one ``bench.run_config`` C-DPS task per
 dimension (m = 4, sigma = 1e-2, matrix 0, 100 chains, full grid), three
@@ -38,6 +42,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+# Summarised beside BENCHMARK.json's end-to-end metrics, ungated.
+RAW_METRICS = ({"name": "cdps.task_s", "better": "lower"},
+               {"name": "dps.task_s", "better": "lower"})
 RUN_CONFIG_CHAINS = 100
 RUN_CONFIG_REPS = 3
 RUN_CONFIG_CODE = """
@@ -96,11 +103,25 @@ def bench_run(tree: Path, command: list[str], workload: str, seed: int, seconds:
         return out
     out.update(correct=result["correct"], attempted=result["attempted"],
                failed=result["failed"])
+    out.update(printed_metrics(lines))
     out.update({k: v["value"] for k, v in result["metrics"].items()})
     env = next((json.loads(line)["environment"] for line in lines
                 if line.startswith('{"environment"')), None)
     if env is not None:
         out["_environment"] = env
+    return out
+
+
+def printed_metrics(lines: list[str]) -> dict[str, float]:
+    """The values of a run's ``metric NAME VALUE UNIT`` lines, by name."""
+    out = {}
+    for line in lines:
+        parts = line.split()
+        if len(parts) == 4 and parts[0] == "metric":
+            try:
+                out[parts[1]] = float(parts[2])
+            except ValueError:
+                continue
     return out
 
 
@@ -202,7 +223,8 @@ def main(argv=None) -> int:
         report["hardware"] = {k: environment[k] for k in (
             "machine", "nproc", "python", "numpy", "scipy", "blas", "blas_threads")
         } if environment else {}
-        report["summary"] = {w: summarize(runs[w], spec["end_to_end"]) for w in workloads}
+        report["summary"] = {w: summarize(runs[w], [*spec["end_to_end"], *RAW_METRICS])
+                             for w in workloads}
         if args.run_config_dims:
             tasks = []
             for d in args.run_config_dims:
