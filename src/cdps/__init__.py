@@ -21,7 +21,6 @@ from .linalg import (
     cg_solve,
     diag_preconditioner,
     precision_solve,
-    pw_cg_draw,
 )
 from .gmm import (
     GaussianMixture,

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import time
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -65,10 +66,10 @@ class BenchConfig:
         for name in self.methods:
             if name not in KNOWN_METHODS:
                 raise ValueError(f"unknown method {name!r}; known: {KNOWN_METHODS}")
-        if any(d % 2 for d in self.dims):
-            raise ValueError("every d must be even")
-        if any(m > d for d in self.dims for m in self.measurements):
-            raise ValueError("need m <= d for every grid point")
+        if any(d < 2 or d % 2 for d in self.dims):
+            raise ValueError("every d must be an even integer >= 2")
+        if any(not 1 <= m <= d for d in self.dims for m in self.measurements):
+            raise ValueError("need 1 <= m <= d for every grid point")
         for val, name in [
             (self.matrices_per_config, "matrices_per_config"),
             (self.samples_per_run, "samples_per_run"),
@@ -116,36 +117,37 @@ def make_measurement_model(cfg: BenchConfig, d: int, m: int, sigma: float, matri
     return prior, A, x_star, y
 
 
-def _run_method(method, cfg, prior, A, y, sigma, schedule, seed_parts):
-    """Produce posterior samples for one method; returns (samples, failures)."""
-    n = cfg.samples_per_run
-    noise = IsotropicNoise(sigma * sigma)
-    score_fn = gmm_mod.score_fn_for(prior, schedule)
-    rng = derive_rng(*seed_parts)
+Task = namedtuple("Task", "prior A x_star y sigma schedule score_fn")
 
+
+def make_task(cfg: BenchConfig, d: int, m: int, sigma: float, matrix_index: int) -> Task:
+    """One task's measurement model, schedule and score, shared by every method and command."""
+    prior, A, x_star, y = make_measurement_model(cfg, d, m, sigma, matrix_index)
+    schedule = make_linear_schedule(cfg.num_steps, cfg.beta_min, cfg.beta_max)
+    return Task(prior, A, x_star, y, sigma, schedule, gmm_mod.score_fn_for(prior, schedule))
+
+
+def run_method(method: str, cfg: BenchConfig, task: Task, rng: np.random.Generator, n: int,
+               **record):
+    """Draw ``n`` posterior samples of ``task`` with one method; returns (x0, SamplerTrace).
+
+    ``record`` (``record_residuals``, ``record_scores``) is passed to the
+    sampler. C-DPS records a chain whose CG solve fails in
+    ``trace.failed_rows`` instead of raising, and follows ``cfg.shared_y_chain``.
+    """
+    y, A, schedule, score_fn = task.y, task.A, task.schedule, task.score_fn
     if method == "cdps":
-        x0, trace = cdps_sample(
-            y, A, noise, schedule, score_fn, rng, n_chains=n, config=SolverConfig(strict=False),
-            shared_chain=cfg.shared_y_chain,
-        )
-        # A failed chain costs its own row: it is counted and dropped, never rerun.
-        return np.delete(x0, trace.failed_rows, axis=0), int(trace.failed_rows.size)
-
+        return cdps_sample(y, A, IsotropicNoise(task.sigma * task.sigma), schedule, score_fn, rng,
+                           n_chains=n, config=SolverConfig(strict=False),
+                           shared_chain=cfg.shared_y_chain, **record)
     if method == "dps":
-        jvp_fn = gmm_mod.denoiser_jvp_fn_for(prior, schedule)
-        x0, _ = dps_sample(y, A, schedule, score_fn, jvp_fn, rng, n_chains=n, zeta=cfg.dps_zeta)
-        return x0, 0
-
-    if method == "score_sde":
-        x0, _ = score_sde_sample(y, A, schedule, score_fn, rng, n_chains=n,
-                                 scale=cfg.guidance_scale)
-        return x0, 0
-
-    if method == "ilvr":
-        x0, _ = ilvr_sample(y, A, schedule, score_fn, rng, n_chains=n,
-                            scale=cfg.guidance_scale)
-        return x0, 0
-
+        jvp_fn = gmm_mod.denoiser_jvp_fn_for(task.prior, schedule)
+        return dps_sample(y, A, schedule, score_fn, jvp_fn, rng, n_chains=n, zeta=cfg.dps_zeta,
+                          **record)
+    if method in ("score_sde", "ilvr"):
+        sample = score_sde_sample if method == "score_sde" else ilvr_sample
+        return sample(y, A, schedule, score_fn, rng, n_chains=n, scale=cfg.guidance_scale,
+                      **record)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -156,10 +158,8 @@ def run_config(cfg: BenchConfig, d: int, m: int, sigma: float, matrix_index: int
     Returns (rows, samples) where rows are result dicts and samples maps
     source name to the sample arrays when ``keep_samples``.
     """
-    prior, A, _, y = make_measurement_model(cfg, d, m, sigma, matrix_index)
-    schedule = make_linear_schedule(cfg.num_steps, cfg.beta_min, cfg.beta_max)
-
-    posterior = gmm_mod.exact_posterior(prior, A, y, sigma)
+    task = make_task(cfg, d, m, sigma, matrix_index)
+    posterior = gmm_mod.exact_posterior(task.prior, task.A, task.y, sigma)
     oracle_rng = derive_rng(cfg.master_seed, "oracle", d, m, sigma, matrix_index)
     reference = gmm_mod.sample_mixture(posterior, cfg.samples_per_run, oracle_rng)
 
@@ -167,13 +167,16 @@ def run_config(cfg: BenchConfig, d: int, m: int, sigma: float, matrix_index: int
     samples = {"posterior": reference} if keep_samples else None
     for method in cfg.methods:
         started = time.perf_counter()
-        seed_parts = (cfg.master_seed, method, d, m, sigma, matrix_index)
-        x0, failures = _run_method(method, cfg, prior, A, y, sigma, schedule, seed_parts)
+        rng = derive_rng(cfg.master_seed, method, d, m, sigma, matrix_index)
+        x0, trace = run_method(method, cfg, task, rng, cfg.samples_per_run)
+        # A failed chain costs its own row: it is counted and dropped, never rerun.
+        failures = int(trace.failed_rows.size)
         if failures > 0.1 * cfg.samples_per_run:
             raise BenchAbort(
                 f"{method} at (d={d}, m={m}, sigma={sigma}, matrix={matrix_index}): "
                 f"{failures} of {cfg.samples_per_run} chains failed"
             )
+        x0 = np.delete(x0, trace.failed_rows, axis=0)
         ref = reference if x0.shape[0] == reference.shape[0] else reference[: x0.shape[0]]
         sw_rng = derive_rng(cfg.master_seed, "slices", d, m, sigma, matrix_index)
         sw = sliced_wasserstein(x0, ref, cfg.sw_slices, sw_rng, order=cfg.sw_order)

@@ -12,28 +12,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import gmm as gmm_mod
 from .bench import (
-    BenchConfig, derive_rng, emit_results, make_measurement_model, run_grid, write_csv,
+    BenchConfig, derive_rng, emit_results, make_task, run_grid, run_method, write_csv,
 )
-from .operators import IsotropicNoise
-from .sampler import SolverConfig, cdps_sample, dps_sample
-from .schedules import make_linear_schedule
-
-_Task = namedtuple("_Task", "prior A x_star y schedule score_fn noise")
-
-
-def _task(cfg: BenchConfig, d: int, m: int, sigma: float, matrix: int) -> _Task:
-    """One benchmark task's model, schedule, score and noise, as the grid run builds them."""
-    prior, A, x_star, y = make_measurement_model(cfg, d, m, sigma, matrix)
-    schedule = make_linear_schedule(cfg.num_steps, cfg.beta_min, cfg.beta_max)
-    return _Task(prior, A, x_star, y, schedule, gmm_mod.score_fn_for(prior, schedule),
-                 IsotropicNoise(sigma * sigma))
 
 
 def _load_config(path: str | None, overrides: dict) -> BenchConfig:
@@ -101,13 +87,10 @@ def _write_run_traces(cfg: BenchConfig, out_dir) -> list[Path]:
     for d in cfg.active_dims():
         for m in cfg.measurements:
             for sigma in cfg.sigmas:
-                task = _task(cfg, d, m, sigma, 0)
                 rng = derive_rng(cfg.master_seed, "trace", d, m, sigma)
                 n = min(cfg.samples_per_run, 100)
-                _, trace = cdps_sample(
-                    task.y, task.A, task.noise, task.schedule, task.score_fn, rng, n_chains=n,
-                    config=SolverConfig(strict=False), record_residuals=True,
-                )
+                _, trace = run_method("cdps", cfg, make_task(cfg, d, m, sigma, 0), rng, n,
+                                      record_residuals=True)
                 written.append(write_csv(out / f"trace_cdps_d{d}_m{m}_s{sigma!r}.csv",
                                          ["chain_id", "t", "residual_sq", "cg_iters"],
                                          _trace_csv_rows(trace, n)))
@@ -115,7 +98,7 @@ def _write_run_traces(cfg: BenchConfig, out_dir) -> list[Path]:
 
 
 def _cmd_oracle(args) -> int:
-    task = _task(BenchConfig(master_seed=args.seed), args.d, args.m, args.sigma, args.matrix)
+    task = make_task(BenchConfig(master_seed=args.seed), args.d, args.m, args.sigma, args.matrix)
     posterior = gmm_mod.exact_posterior(task.prior, task.A, task.y, args.sigma)
     rng = derive_rng(args.seed, "oracle", args.d, args.m, args.sigma, args.matrix)
     samples = gmm_mod.sample_mixture(posterior, args.samples, rng)
@@ -142,22 +125,14 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_trace(args) -> int:
     cfg = BenchConfig(master_seed=args.seed)
-    task = _task(cfg, args.d, args.m, args.sigma, args.matrix)
-    y, A, schedule, score_fn = task.y, task.A, task.schedule, task.score_fn
-    jvp_fn = gmm_mod.denoiser_jvp_fn_for(task.prior, schedule)
+    task = make_task(cfg, args.d, args.m, args.sigma, args.matrix)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     traces = {}
     for method in ("cdps", "dps"):
         rng = derive_rng(args.seed, "trace", method, args.d, args.m, args.sigma)
-        if method == "cdps":
-            _, trace = cdps_sample(y, A, task.noise, schedule, score_fn, rng,
-                                   n_chains=args.chains, config=SolverConfig(strict=False),
-                                   record_residuals=True)
-        else:
-            _, trace = dps_sample(y, A, schedule, score_fn, jvp_fn, rng,
-                                  n_chains=args.chains, record_residuals=True)
+        _, trace = run_method(method, cfg, task, rng, args.chains, record_residuals=True)
         final = trace.residual_sq[0].mean()
         start = trace.residual_sq[-1].mean()
         print(f"{method}: mean residual_sq t=T {start:.4g} -> t=0 {final:.4g}")
@@ -173,12 +148,10 @@ def _cmd_trace(args) -> int:
 
 def _cmd_diagnostics(args) -> int:
     cfg = BenchConfig(master_seed=args.seed)
-    task = _task(cfg, args.d, args.m, args.sigma, args.matrix)
+    task = make_task(cfg, args.d, args.m, args.sigma, args.matrix)
     schedule = task.schedule
     rng = derive_rng(args.seed, "diagnostics", args.d, args.m, args.sigma)
-    _, trace = cdps_sample(task.y, task.A, task.noise, schedule, task.score_fn, rng,
-                           n_chains=args.chains, config=SolverConfig(strict=False),
-                           record_scores=True)
+    _, trace = run_method("cdps", cfg, task, rng, args.chains, record_scores=True)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

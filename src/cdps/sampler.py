@@ -566,6 +566,8 @@ def _pinv(mat: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
 
 def _noisy_target_sample(kind, y, A, schedule, score_fn, rng, n_chains, scale, record_residuals):
     """Shared driver for the noisy-target guidance baselines."""
+    if kind == "ilvr" and A.dense is None:
+        raise ValueError("ilvr needs an operator with a dense form (A.dense)")
     y = np.asarray(y, dtype=float)
     T = schedule.num_steps
     shape = (A.d,) if n_chains is None else (n_chains, A.d)
@@ -606,7 +608,10 @@ def score_sde_sample(y, A, schedule, score_fn, rng, n_chains=None, scale=1.0,
 
 def ilvr_sample(y, A, schedule, score_fn, rng, n_chains=None, scale=1.0,
                 record_residuals=False):
-    """Pseudo-inverse-guidance baseline pushing toward a rescaled noisy observation."""
+    """Pseudo-inverse-guidance baseline pushing toward a rescaled noisy observation.
+
+    The pseudo-inverse is taken of ``A.dense``, so ``A`` must have a dense form.
+    """
     return _noisy_target_sample("ilvr", y, A, schedule, score_fn, rng,
                                 n_chains, scale, record_residuals)
 

@@ -15,19 +15,24 @@ import cdps.bench
 import cdps.operators
 import cdps.sampler
 from cdps.bench import (
+    BenchAbort,
     BenchConfig,
     RESULT_COLUMNS,
-    _run_method,
     derive_rng,
     emit_results,
     make_measurement_model,
+    make_task,
     run_config,
     run_grid,
+    run_method,
 )
 from cdps.cli import main as cli_main
 from cdps.gmm import make_grid_gmm, score_fn_for
 from cdps.operators import IsotropicNoise
+from cdps.sampler import SolverConfig
 from cdps.schedules import make_linear_schedule
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def smoke_config(**overrides):
@@ -52,6 +57,14 @@ def smoke_config(**overrides):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def load_module(relpath):
+    """A module of the repository outside the package, such as perfbench/tracer.py."""
+    spec = importlib.util.spec_from_file_location(Path(relpath).stem, ROOT / relpath)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_smoke_grid_runs_and_emits(tmp_path):
@@ -147,6 +160,11 @@ def test_config_validation():
         BenchConfig(dims=(7,))
     with pytest.raises(ValueError):
         BenchConfig(dims=(2,), measurements=(4,))
+    # A grid point no task can run is refused up front as well.
+    with pytest.raises(ValueError, match="1 <= m <= d"):
+        BenchConfig(measurements=(0,))
+    with pytest.raises(ValueError, match="d must be"):
+        BenchConfig(dims=(-2,), measurements=(-4,))
     with pytest.raises(ValueError):
         BenchConfig(sw_order=3)
     with pytest.raises(ValueError):
@@ -181,16 +199,39 @@ def test_optional_guidance_methods_run():
 
 def test_failed_cdps_rows_are_counted_and_dropped(monkeypatch):
     # An operator without a dense form runs CG; one iteration at tol 1e-14
-    # fails every row, and each failed row costs exactly that row.
+    # fails every row. run_method records the failed rows instead of raising,
+    # and run_config counts them and gives the task up past 10% of its chains.
     monkeypatch.setattr(cdps.bench, "SolverConfig", functools.partial(
         cdps.sampler.SolverConfig, cg_tol=1e-14, cg_max_iter=1))
-    cfg = smoke_config(samples_per_run=6, num_steps=5)
-    prior, A, _, y = make_measurement_model(cfg, 8, 4, 1e-2, 0)
-    schedule = make_linear_schedule(cfg.num_steps, cfg.beta_min, cfg.beta_max)
-    x0, failures = _run_method("cdps", cfg, prior, dataclasses.replace(A, dense=None), y, 1e-2,
-                               schedule, (0, "cdps", 8, 4, 1e-2, 0))
-    assert failures == 6
-    assert x0.shape == (0, 8)
+    real = cdps.bench.cdps_sample
+    monkeypatch.setattr(cdps.bench, "cdps_sample", lambda y, A, *args, **kwargs: real(
+        y, dataclasses.replace(A, dense=None), *args, **kwargs))
+    cfg = smoke_config(methods=("cdps",), samples_per_run=6, num_steps=5)
+    x0, trace = run_method("cdps", cfg, make_task(cfg, 8, 4, 1e-2, 0), derive_rng(0, "cdps"), 6)
+    assert x0.shape == (6, 8)
+    assert trace.failed_rows.tolist() == list(range(6))
+    with pytest.raises(BenchAbort, match="6 of 6 chains failed"):
+        run_config(cfg, 8, 4, 1e-2, 0)
+
+
+@pytest.mark.parametrize("method", ["cdps", "dps", "score_sde", "ilvr"])
+def test_run_config_drops_failed_rows_of_every_method(method, monkeypatch):
+    # Whichever sampler reports a failed row, that row alone is counted and
+    # dropped from the samples scored; it is never rerun.
+    real = getattr(cdps.bench, f"{method}_sample")
+    drawn = []
+
+    def row_3_fails(*args, **kwargs):
+        x0, trace = real(*args, **kwargs)
+        trace.failed_rows = np.array([3])
+        drawn.append(x0)
+        return x0, trace
+
+    monkeypatch.setattr(cdps.bench, f"{method}_sample", row_3_fails)
+    cfg = smoke_config(methods=(method,), samples_per_run=20, sw_slices=100, num_steps=20)
+    rows, samples = run_config(cfg, 8, 4, 1e-2, 0, keep_samples=True)
+    assert len(drawn) == 1 and rows[0]["failures"] == 1
+    np.testing.assert_array_equal(samples[method], np.delete(drawn[0], 3, axis=0))
 
 
 def test_numerical_error_costs_one_task(monkeypatch):
@@ -273,6 +314,31 @@ def test_cli_run_trace_flag(tmp_path):
     assert len(rows) == 1 + 20 * 51
 
 
+def test_cli_shared_y_chain_traces_use_the_shared_chain(tmp_path):
+    # `run --shared-y-chain --trace` writes the residuals of the run its
+    # results come from: C-DPS with one measurement chain shared by every row.
+    params = {"dims": [8], "measurements": [2], "sigmas": [0.1], "matrices_per_config": 1,
+              "samples_per_run": 20, "sw_slices": 100, "num_steps": 50, "beta_max": 12.5,
+              "methods": ["cdps"], "record_timing": False}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(params))
+    out = tmp_path / "out"
+    cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--trace",
+              "--shared-y-chain", "--seed", "5"])
+
+    cfg = BenchConfig(**params, master_seed=5)
+    prior, A, _, y = make_measurement_model(cfg, 8, 2, 0.1, 0)
+    schedule = make_linear_schedule(50, 0.1, 12.5)
+    _, trace = cdps.sampler.cdps_sample(
+        y, A, IsotropicNoise(0.1 * 0.1), schedule, score_fn_for(prior, schedule),
+        derive_rng(5, "trace", 8, 2, 0.1), n_chains=20, config=SolverConfig(strict=False),
+        shared_chain=True, record_residuals=True)
+    rows = read_csv(out / "trace_cdps_d8_m2_s0.1.csv")[1:]
+    assert len(rows) == 20 * 51
+    for chain, t, residual_sq, _ in rows:
+        assert residual_sq == f"{trace.residual_sq[int(t), int(chain)]:.12g}"
+
+
 def test_cli_rejects_unknown_config_keys(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"dims": [8], "bogus": 1}))
@@ -327,10 +393,7 @@ def test_perfbench_tracer_sites_resolve_and_restore():
     # resolve, be replaced while the tracer is installed and be restored on
     # exit, and the coupled step must still reach the solver layers through
     # those names, or `perfbench/run.py --trace 1` breaks or reads zero.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer_mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer_mod)
+    tracer_mod = load_module("perfbench/tracer.py")
     tracer = tracer_mod.Tracer()
     sites = [(owner, attr) for owner, attr, _ in tracer_mod._patches(tracer)]
     before = [getattr(owner, attr) for owner, attr in sites]
@@ -355,13 +418,26 @@ def test_perfbench_tracer_sites_resolve_and_restore():
         assert calls[name] > 0, name
 
 
+def test_perfbench_tracer_counts_run_config_samplers():
+    # The gmm-d8 workload times bench.run_config. Its sampler spans come from
+    # the bench globals that run_method looks up at call time, and a
+    # cdps_sample call without n_chains= would be counted as a retry.
+    tracer_mod = load_module("perfbench/tracer.py")
+    tracer = tracer_mod.Tracer()
+    cfg = smoke_config(matrices_per_config=1, samples_per_run=10, sw_slices=100, num_steps=20)
+    with tracer_mod.installed(tracer), tracer.root_span("task"):
+        cdps.bench.run_config(cfg, 8, 4, 1e-2, 0)
+    calls = tracer.summary()["calls"]
+    assert calls["bench.run_config"] == 1
+    assert calls["sampler.cdps_sample"] == 1
+    assert calls["sampler.dps_sample"] == 1
+    assert tracer.counters["bench.retry_reruns"] == 0
+
+
 def test_bench_pairs_summarises_printed_task_seconds():
     # tools/bench_pairs.py reads each run's `metric NAME VALUE UNIT` lines, so
     # the raw seconds per task sit beside task_cal in the summary.
-    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", path)
-    pairs_mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pairs_mod)
+    pairs_mod = load_module("tools/bench_pairs.py")
     lines = ["tasks: 3", "metric cdps.task_s 0.25 s", "metric dps.task_cal 176.5 cal",
              "metric peak_rss_mb 59.0 MiB", "metric broken value s", '{"correct": true}']
     assert pairs_mod.printed_metrics(lines) == {

@@ -27,6 +27,7 @@ from cdps.operators import (
     zero_operator,
 )
 from cdps.sampler import (
+    ChainFailureError,
     MeasurementChain,
     NonlinearMap,
     SolverConfig,
@@ -290,6 +291,21 @@ def test_cdps_sample_single_chain_shape():
                          record_residuals=True)
     assert x0.shape == (4,)
     assert tr.residual_sq.shape == (31,)
+
+
+def test_strict_cg_failure_raises_at_the_first_step():
+    # Without a dense form the step runs CG; one iteration at tol 1e-14
+    # converges no row, and the default (strict) config raises at t = T
+    # naming every failed row instead of recording them.
+    rng = np.random.default_rng(42)
+    A = dataclasses.replace(make_random_svd_operator(8, 4, rng), dense=None)
+    schedule = make_linear_schedule(5, 0.1, 1.25)
+    with pytest.raises(ChainFailureError) as err:
+        cdps_sample(rng.standard_normal(4), A, IsotropicNoise(1e-2), schedule,
+                    score_fn_for(make_grid_gmm(8), schedule), np.random.default_rng(43),
+                    n_chains=6, config=SolverConfig(cg_tol=1e-14, cg_max_iter=1))
+    assert err.value.t == schedule.num_steps
+    assert err.value.rows.tolist() == list(range(6))
 
 
 def test_cdps_sample_shared_chain(monkeypatch):
@@ -787,6 +803,20 @@ def test_noisy_target_sample_one_step_exact(kind):
     for t, x in ((1, x_T), (0, x0)):
         r = y - x @ A.dense.T
         np.testing.assert_allclose(trace.residual_sq[t], np.sum(r * r, axis=-1), rtol=1e-12)
+
+
+def test_ilvr_refuses_an_operator_without_dense_form():
+    # The pseudo-inverse needs A.dense; without it ilvr_sample says so before
+    # drawing anything, with a ValueError a benchmark task records as its own.
+    d, m = 4, 2
+    A = dataclasses.replace(make_random_svd_operator(d, m, np.random.default_rng(28)), dense=None)
+    schedule = make_linear_schedule(5, 0.1, 1.25)
+    rng = np.random.default_rng(29)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="dense form"):
+        ilvr_sample(np.ones(m), A, schedule, score_fn_for(make_grid_gmm(d), schedule), rng,
+                    n_chains=3)
+    assert rng.bit_generator.state == state
 
 
 def test_ilvr_guidance_orthonormal_rows_reduces_to_adjoint():
