@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import platform
+import subprocess
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
@@ -93,13 +95,14 @@ class BenchConfig:
 def derive_rng(master_seed: int, *parts) -> np.random.Generator:
     """Deterministic per-task generator from the master seed and task tags.
 
-    Floats are canonicalized through repr, so 0.01 and 1e-2 map to the same
-    stream while distinct values never collide.
+    Floats, numpy's among them, are canonicalized through the repr of the
+    Python float, so 0.01, 1e-2 and np.float64(0.01) map to the same stream
+    while distinct values never collide.
     """
     canon = [str(int(master_seed))]
     for p in parts:
-        if isinstance(p, float):
-            canon.append(repr(p))
+        if isinstance(p, (float, np.floating)):
+            canon.append(repr(float(p)))
         else:
             canon.append(str(p))
     digest = hashlib.sha256("|".join(canon).encode()).digest()
@@ -281,8 +284,31 @@ def write_csv(path: Path, header, rows) -> Path:
     return path
 
 
+def environment(master_seed: int | None) -> dict:
+    """What a run's numbers depend on besides its config: seed, code and numerical stack.
+
+    The git sha is that of the checkout holding this package, "unknown"
+    outside one; BLAS is numpy's build dependency as numpy reports it.
+    """
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=Path(__file__).resolve().parent,
+                              capture_output=True, text=True, timeout=30)
+        sha = done.stdout.strip() if done.returncode == 0 else ""
+    except (OSError, subprocess.SubprocessError):
+        sha = ""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "master_seed": master_seed, "git_sha": sha or "unknown",
+        "python": platform.python_version(), "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
+    }
+
+
 def emit_results(result: BenchResult, out_dir, cfg: BenchConfig | None = None) -> list[Path]:
-    """Write results.csv, summary.json and any scatter CSVs; returns the paths."""
+    """Write results.csv, summary.json and any scatter CSVs; returns the paths.
+
+    summary.json carries the run's ``environment`` beside the aggregates.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = ([row["method"], row["d"], row["m"], repr(float(row["sigma"])), row["matrix"],
@@ -291,7 +317,8 @@ def emit_results(result: BenchResult, out_dir, cfg: BenchConfig | None = None) -
     written = [write_csv(out / "results.csv", RESULT_COLUMNS, rows)]
 
     summary_path = out / "summary.json"
-    payload = {"aggregates": result.aggregates, "aborted": result.aborted}
+    payload = {"aggregates": result.aggregates, "aborted": result.aborted,
+               "environment": environment(None if cfg is None else cfg.master_seed)}
     if cfg is not None:
         payload["config"] = asdict(cfg)
     try:

@@ -18,19 +18,29 @@ carries its variances and its log weights as one scalar each when they are
 exactly equal (the grid prior's are), so the time-marginal variance is a
 scalar too; and the logits' factors -2 and -1/2, both powers of two, are
 folded into the expression instead of applied in passes of their own.
+
+The sampler closures (``score_fn_for``, ``denoiser_jvp_fn_for``) read the
+constants of each level t = 0..T from a table each builds once:
+sqrt(abar_t), the marginal variance, 0.5 ||sqrt(abar_t) mu_k||^2 and -d/2
+log of the variance.  The table is built by the same elementwise operations
+and the same per-component einsum as one level at a time, so a pass reads
+the same bits it would compute.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .operators import LinearOperator
-from .schedules import NoiseSchedule, alpha_bar
+from .schedules import NoiseSchedule
 
 _WSUM_TOL = 1e-12
+# Largest temporary, in bytes, of the (levels, K, d) marginal means a level
+# table is built from.
+_LEVEL_BLOCK_BYTES = 1 << 18
 
 
 def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
@@ -138,21 +148,51 @@ def make_grid_gmm(d: int) -> GaussianMixture:
     )
 
 
-def _marginal_params(gmm: GaussianMixture, abar: float):
-    """Means and variances of the forward-time marginal mixture.
+class _Levels(NamedTuple):
+    """Constants of the forward-time marginal mixture: a table with one row
+    per level, or, as ``at`` returns them, one level's."""
 
-    The variances come as one scalar when the components' are exactly equal.
+    abar: np.ndarray
+    root: np.ndarray  # sqrt(abar): the marginal means are root * means
+    var: np.ndarray  # the components' marginal variances, a scalar when they are equal
+    log_norm: np.ndarray  # -d/2 log(var)
+    half_m2: np.ndarray  # (K,) 0.5 ||root * mu_k||^2
+
+    def at(self, t: int) -> _Levels:
+        if not 0 <= t < self.abar.size:
+            raise ValueError(f"t must be in [0, {self.abar.size - 1}], got {t}")
+        return _Levels(self.abar[t], self.root[t], self.var[t], self.log_norm[t], self.half_m2[t])
+
+
+def _level_table(gmm: GaussianMixture, abars: np.ndarray) -> _Levels:
+    """Marginal constants at each of ``abars``, equal bit for bit to one level's at a time.
+
+    Every entry comes from the elementwise operations a single level makes,
+    and the squared mean norms from the same einsum over the component axis,
+    taken in blocks of levels to bound the (levels, K, d) temporary.
     """
-    if not (0.0 < abar <= 1.0):
+    if not np.all((abars > 0.0) & (abars <= 1.0)):
         raise ValueError("abar must lie in (0, 1]")
     if gmm.variances is None:
         raise ValueError("time-marginal score requires isotropic components")
-    means_t = math.sqrt(abar) * gmm.means  # (K, d)
-    var_t = abar * gmm._var + (1.0 - abar)  # (K,) or scalar
-    return means_t, var_t
+    root = np.sqrt(abars)
+    a = abars.reshape(abars.shape + (1,) * np.ndim(gmm._var))
+    var = a * gmm._var + (1.0 - a)
+    half_m2 = np.empty((abars.size, gmm.K))
+    block = max(1, _LEVEL_BLOCK_BYTES // gmm.means.nbytes)
+    for lo in range(0, abars.size, block):
+        means_t = root[lo:lo + block, None, None] * gmm.means
+        np.einsum("tki,tki->tk", means_t, means_t, out=half_m2[lo:lo + block])
+    half_m2 *= 0.5
+    return _Levels(abars, root, var, (-0.5 * gmm.d) * np.log(var), half_m2)
 
 
-def _responsibilities(gmm: GaussianMixture, x: np.ndarray, means_t, var_t):
+def _level(gmm: GaussianMixture, abar: float) -> _Levels:
+    """One level's constants, by the table's arithmetic."""
+    return _level_table(gmm, np.array([abar], dtype=float)).at(0)
+
+
+def _responsibilities(gmm: GaussianMixture, x: np.ndarray, means_t, level: _Levels):
     """Posterior component probabilities at x, computed in log space.
 
     Squared distances are expanded as ||x||^2 - 2 x.m + ||m||^2 to avoid a
@@ -167,9 +207,9 @@ def _responsibilities(gmm: GaussianMixture, x: np.ndarray, means_t, var_t):
     half_x2 = 0.5 * np.einsum("...i,...i->...", x, x)[..., None]
     logits = x @ means_t.T
     logits -= half_x2
-    logits -= 0.5 * np.einsum("ki,ki->k", means_t, means_t)
-    logits /= var_t
-    logits += -0.5 * gmm.d * np.log(var_t)
+    logits -= level.half_m2
+    logits /= level.var
+    logits += level.log_norm
     logits += gmm._log_weights
     logits -= logits.max(axis=-1, keepdims=True)
     np.exp(logits, out=logits)
@@ -177,32 +217,42 @@ def _responsibilities(gmm: GaussianMixture, x: np.ndarray, means_t, var_t):
     return logits  # (..., K)
 
 
-def _pass(gmm: GaussianMixture, x: np.ndarray, abar: float):
-    """Responsibilities and marginal parameters at (x, abar), reusing the last pass.
+def _pass(gmm: GaussianMixture, x: np.ndarray, abar: float, level: _Levels | None = None):
+    """Responsibilities, marginal means and variances and sqrt(abar) at (x, abar).
 
-    The key is exact: the same abar (compared first, so a new time step
-    misses cheaply), then the same shape and values of x, checked against a
-    copy so that changing x in place recomputes.  The cached r is read-only.
+    The last pass is reused.  Its key is exact: the same abar (compared
+    first, so a new time step misses cheaply), then the same shape and
+    values of x, checked against a copy so that changing x in place
+    recomputes.  The cached r is read-only.  ``level`` holds abar's
+    constants when the caller has them tabulated.  With equal variances the
+    cache holds no view of a level table, so a mixture that outlives a table
+    (the benchmark keeps each task's prior for a whole run) does not keep it
+    alive.
     """
     last = gmm._last_pass
     if last is not None and last[0] == abar and np.array_equal(last[1], x):
         return last[2:]
-    means_t, var_t = _marginal_params(gmm, abar)
-    r = _responsibilities(gmm, x, means_t, var_t)
+    if level is None:
+        level = _level(gmm, abar)
+    means_t = level.root * gmm.means  # (K, d)
+    r = _responsibilities(gmm, x, means_t, level)
     r.setflags(write=False)
-    object.__setattr__(gmm, "_last_pass", (abar, x.copy(), r, means_t, var_t))
-    return r, means_t, var_t
+    out = (r, means_t, level.var, level.root)
+    object.__setattr__(gmm, "_last_pass", (abar, x.copy(), *out))
+    return out
 
 
-def score(gmm: GaussianMixture, x: np.ndarray, abar: float) -> np.ndarray:
+def score(gmm: GaussianMixture, x: np.ndarray, abar: float, level: _Levels | None = None
+          ) -> np.ndarray:
     """Gradient of the log time-marginal density at x.
 
     Equals the responsibility-weighted sum of per-component Gaussian scores
     (sqrt(abar) * mu_k - x) / var_k.  Accepts a single vector or a batch
-    with the coordinate axis last.
+    with the coordinate axis last.  ``level`` is abar's row of a level
+    table, when the caller has one.
     """
     x = np.asarray(x, dtype=float)
-    r, means_t, var_t = _pass(gmm, x, abar)
+    r, means_t, var_t, _ = _pass(gmm, x, abar, level)
     rv = r / var_t
     return rv @ means_t - x * rv.sum(axis=-1)[..., None]
 
@@ -210,7 +260,8 @@ def score(gmm: GaussianMixture, x: np.ndarray, abar: float) -> np.ndarray:
 def log_marginal_density(gmm: GaussianMixture, x: np.ndarray, abar: float) -> np.ndarray:
     """Log density of the forward-time marginal mixture (for oracles)."""
     x = np.asarray(x, dtype=float)
-    means_t, var_t = _marginal_params(gmm, abar)
+    level = _level(gmm, abar)
+    means_t, var_t = level.root * gmm.means, level.var
     d = gmm.d
     x2 = np.einsum("...i,...i->...", x, x)[..., None]
     cross = x @ means_t.T
@@ -228,7 +279,7 @@ def score_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np.nd
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    r, means_t, var_t = _pass(gmm, x, abar)
+    r, means_t, var_t, _ = _pass(gmm, x, abar)
     rv = r / var_t
 
     s = rv @ means_t - x * rv.sum(axis=-1)[..., None]
@@ -241,22 +292,29 @@ def score_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np.nd
 
 
 def score_fn_for(gmm: GaussianMixture, schedule: NoiseSchedule):
-    """Score callable (x, t) -> grad log p_t(x) for the sampler interfaces."""
+    """Score callable (x, t) -> grad log p_t(x) for the sampler interfaces.
+
+    Each call reads level t's constants from a table of the schedule's
+    levels, built here and kept by the callable.
+    """
+    levels = _level_table(gmm, schedule.alpha_bars)
 
     def fn(x, t):
-        return score(gmm, x, alpha_bar(schedule, t))
+        level = levels.at(t)
+        return score(gmm, x, level.abar, level)
 
     return fn
 
 
-def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np.ndarray) -> np.ndarray:
+def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np.ndarray,
+                         level: _Levels | None = None) -> np.ndarray:
     """Jacobian of the posterior-mean denoiser applied to u, computed stably.
 
     For equal component variances the chain rule collapses to
     sqrt(abar) * (var/v * u + (1-abar)/v^2 * Cov_r(mu) u) with Cov_r the
     responsibility-weighted covariance of the component means.  This form
     avoids the catastrophic cancellation of (u + (1-abar) H u)/sqrt(abar)
-    when abar underflows toward zero.
+    when abar underflows toward zero.  ``level`` is as for ``score``.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -264,7 +322,7 @@ def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np
         raise ValueError("denoiser Jacobian requires isotropic components")
     if not gmm._equal_var:
         raise ValueError("denoiser Jacobian requires equal component variances")
-    r, _, var_t = _pass(gmm, x, abar)
+    r, _, var_t, root = _pass(gmm, x, abar, level)
     v = float(np.ravel(var_t)[0])
 
     mu_u = u @ gmm.means.T  # (..., K) inner products <mu_k, u>
@@ -273,15 +331,21 @@ def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np
     mean_mu = r @ gmm.means
     mean_dot = t.sum(axis=-1)[..., None]
     cov_u = first - mean_mu * mean_dot
-    root = np.sqrt(abar)
     return root * ((gmm.variances[0] / v) * u + ((1.0 - abar) / (v * v)) * cov_u)
 
 
 def denoiser_jvp_fn_for(gmm: GaussianMixture, schedule: NoiseSchedule):
-    """Denoiser-Jacobian product callable (x, t, u) for guidance baselines."""
+    """Denoiser-Jacobian product callable (x, t, u) for guidance baselines.
+
+    It reads a level table of its own, as ``score_fn_for``'s callable does;
+    the two read the same constants, so a Jacobian product at the score's
+    (x, t) reuses the score's pass.
+    """
+    levels = _level_table(gmm, schedule.alpha_bars)
 
     def fn(x, t, u):
-        return denoiser_jacobian_vp(gmm, x, alpha_bar(schedule, t), u)
+        level = levels.at(t)
+        return denoiser_jacobian_vp(gmm, x, level.abar, u, level)
 
     return fn
 

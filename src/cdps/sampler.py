@@ -16,10 +16,12 @@ whole run with isotropic noise and a dense A factors ``A`` once, by a thin
 SVD: every step's precision ``c_t I + A^T A / gamma_t`` is diagonal in its
 basis, so a step builds no noise model, whitener, precision or report and
 factors nothing.  Up to ``FUSED_STEP_MAX_D`` dimensions such a step is fused:
-it builds the precision's d x d inverse and the d x d map of the frozen score
-into the right-hand side from ``A^T A``, which is formed once per run, and
-ends in one product with that inverse.  Random draws happen in a fixed
-documented order (chain noise block, initial state, then per step the
+the precision's d x d inverse and the d x d map of the frozen score into the
+right-hand side are built from ``A^T A``, which is formed once per run, for a
+block of steps at a time, and the step ends in one product with that inverse.
+The measurement chain is stored time-major, so the level a step reads is
+contiguous.  Random draws happen in a fixed documented order (chain noise,
+chain by chain as one (n, T, m) block, initial state, then per step the
 perturbation's eps1 then eps2; the right-hand side consumes no randomness),
 so results are reproducible per seed.
 """
@@ -109,6 +111,11 @@ class MeasurementChain:
         return self.y_levels[..., t, :]
 
 
+# Largest buffer, in bytes, that the chain's noise is drawn into before it is
+# copied into place.
+CHAIN_DRAW_BYTES = 1 << 16
+
+
 def generate_measurement_chain(
     y0: np.ndarray,
     schedule: NoiseSchedule,
@@ -118,9 +125,13 @@ def generate_measurement_chain(
     """Noise the observation forward: y_t = sqrt(1-beta_t) y_{t-1} + sqrt(beta_t) z_t.
 
     With ``n_chains`` the same y0 seeds that many independent chains, one per
-    row.  Each chain's noise is drawn straight into its levels 1..T, which
-    are contiguous, so the stream is that of one (n, T, m) block, and the
-    recursion then runs in place.
+    row.  The levels are stored time-major, (T+1, n, m), so each step of the
+    recursion and each level a sampler reads is contiguous; ``y_levels`` is
+    their (n, T+1, m) view.  The noise stream is still that of one (n, T, m)
+    block: each row's noise is drawn in order, a piece at a time, into one
+    reused buffer of at most ``CHAIN_DRAW_BYTES`` (or one level, if larger)
+    and copied into place.
+    The recursion then runs in place.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1:
@@ -129,18 +140,28 @@ def generate_measurement_chain(
         raise ValueError("y0 must be finite")
     T = schedule.num_steps
     m = y0.size
-    levels = np.empty((T + 1, m) if n_chains is None else (n_chains, T + 1, m))
-    for block in (levels,) if n_chains is None else levels:
-        rng.standard_normal(out=block[1:])
+    levels = np.empty((T + 1, m) if n_chains is None else (T + 1, n_chains, m))
+    if n_chains is None:
+        rng.standard_normal(out=levels[1:])
+    else:
+        piece = max(1, min(T, CHAIN_DRAW_BYTES // (8 * m)))
+        buf = np.empty((piece, m))
+        for row in range(n_chains):
+            for lo in range(1, T + 1, piece):
+                part = buf[:min(piece, T + 1 - lo)]
+                rng.standard_normal(out=part)
+                levels[lo:lo + part.shape[0], row] = part
 
-    levels[..., 0, :] = y0
+    levels[0] = y0
     root_keep = np.sqrt(schedule.alphas)
     root_add = np.sqrt(schedule.betas)
+    tmp = np.empty(levels.shape[1:])
     for t in range(1, T + 1):
-        level = levels[..., t, :]
+        level = levels[t]
         level *= root_add[t - 1]
-        level += root_keep[t - 1] * levels[..., t - 1, :]
-    return MeasurementChain(y_levels=levels, schedule=schedule)
+        level += np.multiply(root_keep[t - 1], levels[t - 1], out=tmp)
+    y_levels = levels if n_chains is None else levels.transpose(1, 0, 2)
+    return MeasurementChain(y_levels=y_levels, schedule=schedule)
 
 
 @dataclass(frozen=True)
@@ -365,6 +386,9 @@ def _rebuilt_steps(A, noise, scalars, rng, config):
 # chains and m = 4 it was 3% faster than the factored step at d = 64, 5%
 # slower at d = 80 and 4.5 times slower at d = 800.
 FUSED_STEP_MAX_D = 64
+# Bytes of the per-step matrices (S_t, the score map and w_t A) that the fused
+# step builds for a block of steps at once.
+STEP_BLOCK_BYTES = 1 << 16
 
 
 def _spectral_steps(A, noise: IsotropicNoise, scalars, rng):
@@ -379,10 +403,14 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars, rng):
     Up to ``FUSED_STEP_MAX_D`` the step is fused.  With the offset
     b = (1 - abar_{t-1}) A s_hat expanded, the general step's right-hand
     side is (keep + pull) x_t + s_hat (pull tweedie I - w_t^2 (1 - abar_{t-1}) A^T A)
-    + sqrt(c_t) eps1 + (eps2 + w_t y_{t-1}) w_t A, and x_{t-1} = rhs S_t;
-    A^T A, I - V V^T and I are built once per run.  Above it the right-hand
-    side is ``_posterior_rhs``'s and ``spectral_solve`` applies S_t in
-    factored form.  Both draw eps1 (d) before eps2 (m).
+    + sqrt(c_t) eps1 + (eps2 + w_t y_{t-1}) w_t A, and x_{t-1} = rhs S_t.
+    A^T A, I - V V^T and I are built once per run; S_t, the score map and
+    w_t A are built by batched products for a block of steps at once, within
+    ``STEP_BLOCK_BYTES``, each entry rounding as it would one step at a time.
+    Each step draws eps1 (n, d) and eps2 (n, m) as one call of n (d + m)
+    normals, the same stream as two calls.  Above ``FUSED_STEP_MAX_D`` the
+    right-hand side is ``_posterior_rhs``'s and ``spectral_solve`` applies
+    S_t in factored form.
     """
     mat = A.dense
     v, s2 = spectral_factor(mat)
@@ -400,30 +428,50 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars, rng):
             return spectral_solve(v, s2, scalars.c[i], w * w, rhs), 0, no_rows
         return factored_step
 
+    d, m = A.d, A.m
     gram = mat.T @ mat
-    eye = np.eye(A.d)
-    null = eye - v @ v.T if v.shape[1] < A.d else None
+    eye = np.eye(d)
+    null = eye - v @ v.T if v.shape[1] < d else None
+    root_c = [math.sqrt(c) for c in scalars.c]
+    keep_pull = [keep + pull for keep, pull in zip(scalars.keep, scalars.pull)]
+    # Per-step factors as columns that broadcast against a block's matrices.
+    w_col, c_col, pull, tweedie, abar_prev = (
+        np.array(a)[:, None, None]
+        for a in (scale, scalars.c, scalars.pull, scalars.tweedie, scalars.abar_prev))
+    pull_tweedie = pull * tweedie
+    measure = (w_col * w_col) * (1.0 - abar_prev)
+    size = max(1, STEP_BLOCK_BYTES // (8 * d * (2 * d + m)))
+    lo, solves, drifts, wmats = 0, (), (), ()  # the block of steps lo + 1..lo + len(solves)
 
-    def fused_step(x, t, s_hat, y_prev):
-        i = t - 1
-        w, c, pull = scale[i], scalars.c[i], scalars.pull[i]
-        w2 = w * w
-        solve = (v / (c + w2 * s2)) @ v.T
+    def build(hi):
+        """S_t, the score map and w_t A of steps lo + 1..hi."""
+        w, c = w_col[lo:hi], c_col[lo:hi]
+        solve = (v / (c + (w * w) * s2)) @ v.T
         if null is not None:
             solve += null / c
-        drift = (pull * scalars.tweedie[i]) * eye - (w2 * (1.0 - scalars.abar_prev[i])) * gram
-        batch = x.shape[:-1]
-        eps1 = rng.standard_normal(batch + (A.d,))
-        eps2 = rng.standard_normal(batch + (A.m,))
-        eps2 += w * y_prev
-        rhs = eps2 @ (w * mat)
-        rhs += s_hat @ drift
-        rhs += (scalars.keep[i] + pull) * x
-        eps1 *= math.sqrt(c)
+        return solve, pull_tweedie[lo:hi] * eye - measure[lo:hi] * gram, w * mat
+
+    def fused_step(x, t, s_hat, y_prev):
+        nonlocal lo, solves, drifts, wmats
+        i = t - 1
+        if not lo <= i < lo + len(solves):
+            solves = drifts = wmats = ()  # freed before the next block is built
+            lo = max(0, t - size)
+            solves, drifts, wmats = build(t)
+        j = i - lo
+        eps = rng.standard_normal(x.size // d * (d + m))
+        eps1 = eps[:x.size].reshape(x.shape)
+        eps2 = eps[x.size:].reshape(x.shape[:-1] + (m,))
+        eps2 += scale[i] * y_prev
+        rhs = eps2 @ wmats[j]
+        rhs += s_hat @ drifts[j]
+        rhs += keep_pull[i] * x
+        eps1 *= root_c[i]
         rhs += eps1
-        if not np.all(np.isfinite(rhs)):
+        # A sum over finite entries is finite unless it overflows.
+        if not np.isfinite(rhs.sum()) and not np.all(np.isfinite(rhs)):
             raise ValueError("rhs must be finite")
-        return rhs @ solve, 0, no_rows
+        return rhs @ solves[j], 0, no_rows
     return fused_step
 
 
@@ -473,14 +521,16 @@ def cdps_sample(
         step = _spectral_steps(A, noise, scalars, rng)
     else:
         step = _rebuilt_steps(A, noise, scalars, rng, config)
+    y_at = np.moveaxis(chain.y_levels, -2, 0)  # (T+1, ...) view of the levels
     s_cur = None  # the frozen score of level t + 1
     for t in range(T, 0, -1):
         s_hat = np.asarray(score_fn(x, t), dtype=float)
         if record_scores and t < T:
             _pair_scores(trace, t + 1, s_hat, s_cur)
         s_cur = s_hat
-        x_new, iterations, rows = step(x, t, s_hat, chain.y_at(t - 1))
-        failed[rows] = True
+        x_new, iterations, rows = step(x, t, s_hat, y_at[t - 1])
+        if rows.size:
+            failed[rows] = True
         if record_residuals:
             trace.residual_sq[t - 1] = measurement_residual(x_new, y, A)
             trace.cg_iters[t] = iterations

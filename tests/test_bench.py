@@ -4,6 +4,7 @@ import functools
 import importlib.util
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,19 @@ def test_smoke_grid_runs_and_emits(tmp_path):
     assert len(summary["aggregates"]) == 2
     assert summary["aborted"] == []
     assert (tmp_path / "summary.json") in paths
+    env = summary["environment"]
+    assert env["master_seed"] == cfg.master_seed
+    assert (env["python"], env["numpy"]) == (platform.python_version(), np.__version__)
+    assert env["blas"] and env["git_sha"]
+
+
+def test_environment_outside_a_checkout(monkeypatch):
+    def no_git(*args, **kwargs):
+        raise FileNotFoundError("git")
+
+    monkeypatch.setattr(cdps.bench.subprocess, "run", no_git)
+    env = cdps.bench.environment(7)
+    assert (env["git_sha"], env["master_seed"]) == ("unknown", 7)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -151,6 +165,9 @@ def test_seed_derivation_distinct_and_canonical():
     assert not np.array_equal(a, c)
     d = derive_rng(1, "matrix", 8, 4, 0.01, 0).standard_normal(4)
     assert not np.array_equal(a, d)
+    # numpy floats are the same values, so the same stream.
+    e = derive_rng(0, "matrix", 8, 4, np.float64(0.01), 0).standard_normal(4)
+    np.testing.assert_array_equal(a, e)
 
 
 def test_config_validation():
@@ -449,3 +466,26 @@ def test_bench_pairs_summarises_printed_task_seconds():
     assert summary["cdps.task_s"]["change_better_in_pairs"] == "4/4"
     assert summary["cdps.task_s"]["bound"] is None
     assert "dps.task_s" not in summary and summary["all_correct_failed_0"]
+    # 4/4 pairs and a median gap of 0.05 against a parent IQR of 0.015.
+    assert summary["cdps.task_s"]["claim_rule_met"]
+    assert summary["cdps.task_s"]["worse_beyond_bound"] is None
+
+
+@pytest.mark.parametrize("change, claim, worse", [
+    ((0.90, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.97, 0.98, 1.10), True, False),  # 9/10 wins
+    ((0.90, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.97, 1.10, 1.10), False, False),  # 8/10 wins
+    ((0.99,) * 10, False, False),  # 10/10 wins, median gap 0.01 inside the parent IQR 0.015
+    ((1.05,) * 10, False, False),  # 5% worse, inside the 10% bound
+    ((1.15,) * 10, False, True),  # 15% worse
+])
+def test_bench_pairs_claim_and_bound_verdicts(change, claim, worse):
+    pairs_mod = load_module("tools/bench_pairs.py")
+    parent = (0.97, 0.98, 0.99, 1.0, 1.0, 1.0, 1.0, 1.01, 1.02, 1.03)
+    runs = [{"parent": {"m": p}, "change": {"m": c}} for p, c in zip(parent, change)]
+    spec = {"name": "m", "better": "lower", "bound": 0.1}
+    lower = pairs_mod.summarize(runs, [spec])["m"]
+    assert (lower["claim_rule_met"], lower["worse_beyond_bound"]) == (claim, worse)
+    # The same runs with the sign flipped, higher being better, give the same verdicts.
+    flipped = [{side: {"m": -v["m"]} for side, v in pair.items()} for pair in runs]
+    higher = pairs_mod.summarize(flipped, [{**spec, "better": "higher"}])["m"]
+    assert (higher["claim_rule_met"], higher["worse_beyond_bound"]) == (claim, worse)

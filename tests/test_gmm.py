@@ -12,11 +12,13 @@ from cdps.gmm import (
     log_marginal_density,
     make_grid_gmm,
     sample_mixture,
+    denoiser_jvp_fn_for,
     score,
+    score_fn_for,
     score_jacobian_vp,
 )
 from cdps.operators import from_dense, zero_operator
-from cdps.schedules import make_linear_schedule
+from cdps.schedules import alpha_bar, make_linear_schedule
 
 
 def fd_score(gmm, x, abar, h=1e-5):
@@ -253,6 +255,53 @@ def test_score_pass_bitwise_equals_reference():
                                   _reference_denoiser_jacobian_vp(g, x, abar, u)))
                 for got, ref in pairs:
                     assert np.array_equal(got, ref), (name, kind, abar)
+
+
+@pytest.mark.parametrize("d", [2, 8, 32])
+def test_level_table_closures_equal_per_call_pass(d, monkeypatch):
+    # The closures read each level's constants from a table each builds once;
+    # the score and Jacobian product must equal the per-call pass and the
+    # reference pass bit for bit at every level, and a Jacobian product at
+    # the score's (x, t) must reuse the score's pass.
+    rng = np.random.default_rng(34)
+    grid = make_grid_gmm(d)
+    weights = rng.dirichlet(np.ones(grid.K))
+    mixtures = {
+        "grid": (grid, True),
+        "unequal weights": (dataclasses.replace(grid, weights=weights), True),
+        "unequal variances": (dataclasses.replace(grid, variances=rng.uniform(0.5, 2.0, grid.K)),
+                              False),
+        # Grid means scale exactly by powers of two; these do not.
+        "random means": (dataclasses.replace(grid, means=8.0 * rng.standard_normal((9, d)),
+                                             weights=np.full(9, 1 / 9), variances=np.ones(9)),
+                         True),
+    }
+    schedule = make_linear_schedule(1000, 0.1, 500.0)
+    x = 8.0 * rng.standard_normal((20, d))
+    u = rng.standard_normal((20, d))
+    calls = count_passes(monkeypatch)
+    for name, (g, equal_var) in mixtures.items():
+        score_fn = score_fn_for(g, schedule)
+        jvp_fn = denoiser_jvp_fn_for(g, schedule) if equal_var else None
+        for t in range(schedule.num_steps + 1):
+            per_call = dataclasses.replace(g)
+            abar = alpha_bar(schedule, t)
+            s = score_fn(x, t)
+            assert np.array_equal(s, score(per_call, x, abar)), (name, t)
+            assert np.array_equal(s, _reference_score(g, x, abar)), (name, t)
+            if equal_var:
+                before = len(calls)
+                jv = jvp_fn(x, t, u)
+                assert len(calls) == before
+                assert np.array_equal(jv, denoiser_jacobian_vp(per_call, x, abar, u)), (name, t)
+                ref = _reference_denoiser_jacobian_vp(g, x, abar, u)
+                assert np.array_equal(jv, ref), (name, t)
+        for bad in (-1, schedule.num_steps + 1):
+            with pytest.raises(ValueError, match="t must be in"):
+                score_fn(x, bad)
+            if equal_var:
+                with pytest.raises(ValueError, match="t must be in"):
+                    jvp_fn(x, bad, u)
 
 
 def test_isotropic_guards():

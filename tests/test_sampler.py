@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -10,11 +11,12 @@ from cdps.gmm import (
     exact_posterior,
     make_grid_gmm,
     sample_mixture,
+    score,
     score_fn_for,
     denoiser_jvp_fn_for,
 )
-from cdps.linalg import spectral_solve
-from cdps.metrics import sliced_wasserstein
+from cdps.linalg import spectral_factor, spectral_solve
+from cdps.metrics import measurement_residual, sliced_wasserstein
 from cdps.operators import (
     CirculantNoise,
     DiagonalNoise,
@@ -24,6 +26,7 @@ from cdps.operators import (
     from_dense,
     make_random_svd_operator,
     mix_conditional_cov,
+    mix_variance,
     zero_operator,
 )
 from cdps.sampler import (
@@ -45,7 +48,7 @@ from cdps.sampler import (
     pw_cg_draw,
     score_sde_sample,
 )
-from cdps.schedules import make_linear_schedule
+from cdps.schedules import alpha_bar, make_linear_schedule
 
 BENCH_SCHEDULE = make_linear_schedule(1000, 0.1, 500.0)
 
@@ -425,6 +428,114 @@ def test_spectral_run_stream_order(fused, shared, monkeypatch):
         expected.standard_normal((n, d))
         expected.standard_normal((n, m))
     assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def _reference_fused_run(y, A, sigma2, schedule, score_fn, rng, n_chains, shared_chain,
+                         prior_mode, record):
+    """cdps_sample on the fused spectral path, one step at a time.
+
+    The forward chain is built chain-major, each chain's noise drawn straight
+    into its levels 1..T; each step builds S_t, the score map and w_t A
+    itself and draws eps1 (n, d) and eps2 (n, m) in two calls.  The oracle
+    of the bitwise test below.
+    """
+    T, m = schedule.num_steps, y.size
+    rows = None if shared_chain else n_chains
+    levels = np.empty((T + 1, m) if rows is None else (rows, T + 1, m))
+    for block in (levels,) if rows is None else levels:
+        rng.standard_normal(out=block[1:])
+    levels[..., 0, :] = y
+    for t in range(1, T + 1):
+        level = levels[..., t, :]
+        level *= np.sqrt(schedule.betas)[t - 1]
+        level += np.sqrt(schedule.alphas)[t - 1] * levels[..., t - 1, :]
+    x = rng.standard_normal((A.d,) if n_chains is None else (n_chains, A.d))
+
+    trace = cdps.sampler.SamplerTrace()
+    batch = x.shape[:-1]
+    if record:
+        trace.residual_sq = np.zeros((T + 1,) + batch)
+        trace.residual_sq[T] = measurement_residual(x, y, A)
+        trace.score_cos = np.full((T + 1,) + batch, np.nan)
+        trace.score_mse = np.full((T + 1,) + batch, np.nan)
+    sc = cdps.sampler._step_scalars(schedule, prior_mode)
+    mat = A.dense
+    v, s2 = spectral_factor(mat)
+    gram, eye = mat.T @ mat, np.eye(A.d)
+    null = eye - v @ v.T if v.shape[1] < A.d else None
+    s_cur = None
+    for t in range(T, 0, -1):
+        s_hat = score_fn(x, t)
+        if record and t < T:
+            cdps.sampler._pair_scores(trace, t + 1, s_hat, s_cur)
+        s_cur = s_hat
+        i = t - 1
+        w = mix_variance(sigma2, sc.abar_prev[i]) ** -0.5
+        c, pull = sc.c[i], sc.pull[i]
+        w2 = w * w
+        solve = (v / (c + w2 * s2)) @ v.T
+        if null is not None:
+            solve += null / c
+        drift = (pull * sc.tweedie[i]) * eye - (w2 * (1.0 - sc.abar_prev[i])) * gram
+        eps1 = rng.standard_normal(batch + (A.d,))
+        eps2 = rng.standard_normal(batch + (A.m,))
+        eps2 += w * levels[..., i, :]
+        rhs = eps2 @ (w * mat)
+        rhs += s_hat @ drift
+        rhs += (sc.keep[i] + pull) * x
+        eps1 *= math.sqrt(c)
+        rhs += eps1
+        assert np.all(np.isfinite(rhs))
+        x = rhs @ solve
+        if record:
+            trace.residual_sq[i] = measurement_residual(x, y, A)
+    if record:
+        cdps.sampler._pair_scores(trace, 1, score_fn(x, 0), s_cur)
+    return x, trace
+
+
+def _fused_block_steps(d, m):
+    return cdps.sampler.STEP_BLOCK_BYTES // (8 * d * (2 * d + m))
+
+
+@pytest.mark.parametrize("shape", list(SPECTRAL_SHAPES))
+@pytest.mark.parametrize("chains", ["rows", "shared", "single"])
+@pytest.mark.parametrize("steps, prior_mode", [
+    ("1", "score"), ("block-1", "score"), ("block", "score"), ("block+1", "score"),
+    ("block+1", "identity"), ("block+1", "none"),
+])
+def test_fused_run_equals_per_step_reference(shape, chains, steps, prior_mode):
+    # The fused step builds its matrices for a block of steps at once, draws
+    # each step's normals in one call and reads a time-major chain; every
+    # sample and trace must still equal the per-step run bit for bit, on
+    # either side of a block boundary.
+    d, m = SPECTRAL_SHAPES[shape]
+    block = _fused_block_steps(d, m)
+    T = {"1": 1, "block-1": block - 1, "block": block, "block+1": block + 1}[steps]
+    rng = np.random.default_rng(74)
+    A = from_dense(rng.standard_normal((m, d)))
+    y = rng.standard_normal(m)
+    schedule = make_linear_schedule(T, 0.1, 20.0)
+    prior = make_grid_gmm(d)
+    n_chains = None if chains == "single" else 5
+    record = steps != "block-1"
+
+    def per_call_score(x, t):
+        return score(dataclasses.replace(prior), x, alpha_bar(schedule, t))
+
+    x_ref, tr_ref = _reference_fused_run(
+        y, A, 0.01, schedule, per_call_score, np.random.default_rng(75), n_chains,
+        chains == "shared", prior_mode, record)
+    x, tr = cdps_sample(y, A, IsotropicNoise(0.01), schedule, score_fn_for(prior, schedule),
+                        np.random.default_rng(75), n_chains=n_chains,
+                        shared_chain=chains == "shared",
+                        config=SolverConfig(prior_mode=prior_mode),
+                        record_residuals=record, record_scores=record)
+    assert np.array_equal(x, x_ref)
+    if record:
+        assert np.array_equal(tr.residual_sq, tr_ref.residual_sq)
+        assert np.array_equal(tr.score_cos, tr_ref.score_cos, equal_nan=True)
+        assert np.array_equal(tr.score_mse, tr_ref.score_mse, equal_nan=True)
 
 
 def conjugate_output_law(schedule):

@@ -16,9 +16,12 @@ on even ones.
 The output keeps every run (its exit code, ``correct``, failure count, wall
 seconds, end-to-end metrics and every ``metric NAME VALUE UNIT`` line it
 printed) and, per workload and metric, each side's median and quartiles, the
-pairs the change won, the relative change of the median and the parent's
-interquartile range. Beside the gated metrics the summary carries the raw
-median seconds per task of each method, ``cdps.task_s`` and ``dps.task_s``:
+pairs the change won, the relative change of the median, the parent's
+interquartile range and two verdicts: whether the gain rule holds (the change
+won at least nine pairs in ten and beat the parent's median by more than the
+parent's IQR) and whether the change's median is worse than the parent's by
+more than the metric's bound. Beside the gated metrics the summary carries
+the raw median seconds per task of each method, ``cdps.task_s`` and ``dps.task_s``:
 ``task_cal`` divides them by the speed probe's unit, so a gain that shows in
 ``task_cal`` but not in ``task_s`` is a shift of that unit.
 
@@ -131,7 +134,14 @@ def side_stats(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: both sides' quartiles, pairs the change won, median change and parent IQR."""
+    """Per metric: both sides' quartiles, pairs the change won, median change and parent IQR.
+
+    Two verdicts follow. ``claim_rule_met``: the change won at least nine
+    tenths of the pairs (ties count for neither side) and its median beats
+    the parent's by more than the parent's IQR. ``worse_beyond_bound``: the
+    change's median is worse than the parent's by more than the metric's
+    relative ``bound``; None for a metric without one.
+    """
     out = {}
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -144,11 +154,14 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
         ps, cs = side_stats(parent), side_stats(change)
         iqr = ps["q3"] - ps["q1"]
         gap = ps["median"] - cs["median"] if lower else cs["median"] - ps["median"]
+        bound = spec.get("bound")
         out[name] = {
-            "better": spec["better"], "bound": spec.get("bound"), "parent": ps, "change": cs,
+            "better": spec["better"], "bound": bound, "parent": ps, "change": cs,
             "change_better_in_pairs": f"{wins}/{len(both)}",
             "median_change": cs["median"] / ps["median"] - 1.0,
             "parent_iqr": iqr, "gain_exceeds_parent_iqr": gap > iqr,
+            "claim_rule_met": wins >= 0.9 * len(both) and gap > iqr,
+            "worse_beyond_bound": None if bound is None else -gap > bound * abs(ps["median"]),
         }
     out["all_correct_failed_0"] = all(
         p[side].get("correct") and p[side].get("failed") == 0 and p[side].get("exit") == 0
