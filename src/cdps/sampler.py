@@ -20,15 +20,26 @@ the precision's d x d inverse and the d x d map of the frozen score into the
 right-hand side are built from ``A^T A``, which is formed once per run, for a
 block of steps at a time, and the step ends in one product with that inverse.
 The measurement chain is stored time-major, so the level a step reads is
-contiguous.  Random draws happen in a fixed documented order (chain noise,
-chain by chain as one (n, T, m) block, initial state, then per step the
-perturbation's eps1 then eps2; the right-hand side consumes no randomness),
-so results are reproducible per seed.
+contiguous.
+
+Random draws happen in a fixed documented order, so results are reproducible
+per seed: the chain noise, chain by chain as one (n, T, m) block, then the
+initial state, then per step the perturbation's eps1 (n, d) and eps2 (n, m);
+the right-hand side and the solve consume no randomness.  The chain noise and
+the initial state are drawn on the calling thread.  The per-step normals,
+exactly T n (d + m) of them, are drawn by a ``NormalStream``: a background
+thread fills a few fixed buffers from the same generator, in the same order,
+while the sampler evaluates the score and the step's products, so the samples
+and the generator's final state equal those of serial draws.  The generator
+belongs to the sampler until the sampler returns; its state after a run that
+raised is unspecified.  The guidance baselines draw their per-step normals
+the same way.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -260,33 +271,34 @@ def make_step_params(
     return _linear_params(t, np.asarray(score_fn(x_t, t), dtype=float), A, noise, scalars)
 
 
-def _posterior_rhs(x_t, s_hat, white, keep, pull, tweedie, c, bt, rng):
-    """Right-hand side of a coupled step's solve, with its perturbation when ``rng`` is given.
+def _posterior_rhs(x_t, s_hat, white, keep, pull, tweedie, c, bt, draw):
+    """Right-hand side of a coupled step's solve, with its perturbation when ``draw`` is given.
 
     The posterior part is keep x_t, keep = sqrt(1-beta)/beta, the score
     prior's pull (x_t + tweedie s_hat) and the measurement term
     A^T Sigma^{-1} (y_{t-1} - b), given ``white`` = W (y_{t-1} - b) and
-    ``bt``, the map v -> B^T v with B = W A.  With ``rng`` it adds the
-    perturbation z = sqrt(c) eps1 + B^T eps2, whose covariance is the
-    precision c I + B^T B, drawing eps1 (d) before eps2 (m).  Since
+    ``bt``, the map v -> B^T v with B = W A.  With ``draw``, a function of a
+    shape returning that many standard normals, it adds the perturbation
+    z = sqrt(c) eps1 + B^T eps2, whose covariance is the precision
+    c I + B^T B, drawing eps1 (d) before eps2 (m).  Since
     W^T W = Sigma^{-1}, the measurement term and B^T eps2 are one product,
     B^T (W (y_{t-1} - b) + eps2).
     """
     rhs = keep * x_t
     if pull:
         rhs += pull * (x_t + tweedie * s_hat)
-    if rng is not None:
+    if draw is not None:
         batch = x_t.shape[:-1]
-        rhs += np.sqrt(c) * rng.standard_normal(batch + (x_t.shape[-1],))
-        white = white + rng.standard_normal(batch + (white.shape[-1],))
+        rhs += np.sqrt(c) * draw(batch + (x_t.shape[-1],))
+        white = white + draw(batch + (white.shape[-1],))
     rhs = rhs + bt(white)  # broadcasts a single x_t against per-row chains
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
     return rhs
 
 
-def _step(params: PosteriorStepParams, x_t, y_prev, rng, config: SolverConfig, kind: str):
-    """The one solve of a coupled step: the posterior mean, or mean plus draw with ``rng``.
+def _step(params: PosteriorStepParams, x_t, y_prev, draw, config: SolverConfig, kind: str):
+    """The one solve of a coupled step: the posterior mean, or mean plus draw with ``draw``.
 
     The right-hand side is ``_posterior_rhs``'s; its merged product goes
     through the dense B^T when A has a dense form, one adjoint otherwise.
@@ -298,7 +310,7 @@ def _step(params: PosteriorStepParams, x_t, y_prev, rng, config: SolverConfig, k
     rhs = _posterior_rhs(
         x_t, params.score, precision.whitener(y_prev - params.b_prev),
         params.keep, params.pull, params.tweedie, precision.c,
-        precision.bt if bt is None else (lambda u: u @ bt.T), rng,
+        precision.bt if bt is None else (lambda u: u @ bt.T), draw,
     )
     x_next, report = precision_solve(
         precision, rhs, preconditioner=params.preconditioner,
@@ -350,7 +362,7 @@ def cdps_step(
     if not np.all(np.isfinite(x_t)):
         raise ValueError("x_t must be finite")
     params = make_step_params(x_t, t, score_fn, A, noise, schedule, config)
-    return _step(params, x_t, chain.y_at(t - 1), rng, config, "step")[0]
+    return _step(params, x_t, chain.y_at(t - 1), rng.standard_normal, config, "step")[0]
 
 
 @dataclass
@@ -371,11 +383,11 @@ def _pair_scores(trace: SamplerTrace, t: int, s_prev: np.ndarray, s_cur: np.ndar
     trace.score_cos[t] = batch_cosine(s_prev, s_cur)
 
 
-def _rebuilt_steps(A, noise, scalars, rng, config):
+def _rebuilt_steps(A, noise, scalars, draw, config):
     """Steps that build each precision afresh: any noise model, and CG without a dense A."""
     def step(x, t, s_hat, y_prev):
         params = _linear_params(t, s_hat, A, noise, scalars)
-        x_next, report, rows = _step(params, x, y_prev, rng, config, "sample")
+        x_next, report, rows = _step(params, x, y_prev, draw, config, "sample")
         return x_next, report.iterations, rows
     return step
 
@@ -389,9 +401,107 @@ FUSED_STEP_MAX_D = 64
 # Bytes of the per-step matrices (S_t, the score map and w_t A) that the fused
 # step builds for a block of steps at once.
 STEP_BLOCK_BYTES = 1 << 16
+# Bytes of one block of a run's per-step normals (or of one step's, if more),
+# and the number of such blocks ``NormalStream`` keeps: the sampler reads one
+# while the producer fills the others.  Much smaller blocks hand over too
+# often to keep the producer ahead; more or fresh buffers cost resident memory.
+NORMAL_BLOCK_BYTES = 1 << 19
+NORMAL_BLOCKS = 3
 
 
-def _spectral_steps(A, noise: IsotropicNoise, scalars, rng):
+class NormalStream:
+    """A run's per-step standard normals, drawn ahead on a background thread.
+
+    ``NormalStream(rng, per_step, steps)`` draws exactly ``per_step * steps``
+    normals from ``rng``, in stream order, so the values ``take`` returns and
+    the generator's state once all are taken equal those of serial
+    ``rng.standard_normal`` calls of the same sizes.  numpy fills an array of
+    normals with the interpreter lock released, so the drawing runs on another
+    core while the caller computes.
+
+    The normals come in blocks of whole steps, about ``NORMAL_BLOCK_BYTES``
+    each, cycled through ``NORMAL_BLOCKS`` buffers that are allocated here, on
+    the calling thread.  ``take`` returns a view into the current block; a
+    buffer is refilled only after the caller has moved on to the next block,
+    so the view may be read and written until the caller's next step.  The
+    takes of each step must add up to ``per_step`` normals, so that none
+    spans two blocks.
+
+    Use it as a context manager.  Leaving it cancels and joins the producer,
+    so no thread outlives the ``with`` block.  An error raised in the producer
+    is raised again at the caller's next ``take``.  The generator belongs to
+    the stream until the block is left; its state is unspecified if the block
+    is left before every normal was taken.
+    """
+
+    def __init__(self, rng: np.random.Generator, per_step: int, steps: int):
+        self._rng = rng
+        total = per_step * steps
+        step = max(per_step, 1)
+        block = step * max(1, NORMAL_BLOCK_BYTES // (8 * step))
+        self._sizes = [min(block, total - lo) for lo in range(0, total, block)]
+        self._buffers = [np.empty(size) for size in self._sizes[:NORMAL_BLOCKS]]
+        self._free = threading.Semaphore(len(self._buffers))  # buffers the producer may fill
+        self._ready = threading.Semaphore(0)  # blocks filled and not yet taken up
+        self._cancelled = False
+        self._error: BaseException | None = None
+        self._block = np.empty(0)  # the block ``take`` reads, from ``_pos`` on
+        self._pos = 0
+        self._taken_blocks = 0
+        # A daemon: a producer left waiting by an interrupted exit never holds up
+        # the interpreter's exit.
+        self._thread = threading.Thread(target=self._produce, name="cdps-normals", daemon=True)
+
+    def __enter__(self) -> "NormalStream":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._cancelled = True
+        self._free.release()  # wakes a producer waiting for a buffer
+        self._thread.join()
+
+    def _produce(self) -> None:
+        try:
+            for i, size in enumerate(self._sizes):
+                self._free.acquire()
+                if self._cancelled:
+                    return
+                self._rng.standard_normal(out=self._buffers[i % len(self._buffers)][:size])
+                self._ready.release()
+        except BaseException as exc:  # handed to the caller's next take
+            self._error = exc
+            self._ready.release()
+
+    def _next_block(self) -> None:
+        i = self._taken_blocks
+        if i == len(self._sizes):
+            raise ValueError("every normal of the stream has been taken")
+        if i:
+            self._free.release()  # the block left behind may be refilled
+        self._ready.acquire()
+        if self._error is not None:
+            raise self._error
+        self._block = self._buffers[i % len(self._buffers)][:self._sizes[i]]
+        self._pos = 0
+        self._taken_blocks = i + 1
+
+    def take(self, shape) -> np.ndarray:
+        """The stream's next ``prod(shape)`` normals, as an array of ``shape``."""
+        if self._error is not None:
+            raise self._error
+        size = math.prod(shape) if isinstance(shape, tuple) else shape
+        if self._pos == self._block.size and size:
+            self._next_block()
+        end = self._pos + size
+        if end > self._block.size:
+            raise ValueError("a take spans two blocks: each step must take per_step normals")
+        out = self._block[self._pos:end]
+        self._pos = end
+        return out.reshape(shape)
+
+
+def _spectral_steps(A, noise: IsotropicNoise, scalars, draw):
     """Steps under isotropic noise from one thin SVD of the dense A.
 
     The conditional covariance gamma_t I, gamma_t = abar_{t-1} sigma^2 +
@@ -407,10 +517,10 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars, rng):
     A^T A, I - V V^T and I are built once per run; S_t, the score map and
     w_t A are built by batched products for a block of steps at once, within
     ``STEP_BLOCK_BYTES``, each entry rounding as it would one step at a time.
-    Each step draws eps1 (n, d) and eps2 (n, m) as one call of n (d + m)
-    normals, the same stream as two calls.  Above ``FUSED_STEP_MAX_D`` the
-    right-hand side is ``_posterior_rhs``'s and ``spectral_solve`` applies
-    S_t in factored form.
+    Each step takes eps1 (n, d) and eps2 (n, m) from ``draw`` as one call of
+    n (d + m) normals, the same stream as two calls.  Above
+    ``FUSED_STEP_MAX_D`` the right-hand side is ``_posterior_rhs``'s and
+    ``spectral_solve`` applies S_t in factored form.
     """
     mat = A.dense
     v, s2 = spectral_factor(mat)
@@ -424,7 +534,7 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars, rng):
             b = _score_offset(A, s_hat, scalars.abar_prev[i])
             bw = w * mat  # B = W A
             rhs = _posterior_rhs(x, s_hat, (y_prev - b) * w, scalars.keep[i], scalars.pull[i],
-                                 scalars.tweedie[i], scalars.c[i], lambda u: u @ bw, rng)
+                                 scalars.tweedie[i], scalars.c[i], lambda u: u @ bw, draw)
             return spectral_solve(v, s2, scalars.c[i], w * w, rhs), 0, no_rows
         return factored_step
 
@@ -459,7 +569,7 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars, rng):
             lo = max(0, t - size)
             solves, drifts, wmats = build(t)
         j = i - lo
-        eps = rng.standard_normal(x.size // d * (d + m))
+        eps = draw(x.size // d * (d + m))
         eps1 = eps[:x.size].reshape(x.shape)
         eps2 = eps[x.size:].reshape(x.shape[:-1] + (m,))
         eps2 += scale[i] * y_prev
@@ -495,7 +605,8 @@ def cdps_sample(
     Rows whose CG solve fails are recorded in the trace (or raise when
     ``config.strict``); exact solves never fail a row.  Isotropic noise with
     a dense A takes the per-run spectral factor; every other input rebuilds
-    the step's precision at each step.
+    the step's precision at each step.  The steps' normals come from a
+    ``NormalStream`` on ``rng``, which the run holds until it returns.
     """
     config = config or SolverConfig()
     T = schedule.num_steps
@@ -517,24 +628,25 @@ def cdps_sample(
 
     failed = np.zeros(batch if batch else (1,), dtype=bool)
     scalars = _step_scalars(schedule, config.prior_mode)
-    if isinstance(noise, IsotropicNoise) and A.dense is not None:
-        step = _spectral_steps(A, noise, scalars, rng)
-    else:
-        step = _rebuilt_steps(A, noise, scalars, rng, config)
-    y_at = np.moveaxis(chain.y_levels, -2, 0)  # (T+1, ...) view of the levels
-    s_cur = None  # the frozen score of level t + 1
-    for t in range(T, 0, -1):
-        s_hat = np.asarray(score_fn(x, t), dtype=float)
-        if record_scores and t < T:
-            _pair_scores(trace, t + 1, s_hat, s_cur)
-        s_cur = s_hat
-        x_new, iterations, rows = step(x, t, s_hat, y_at[t - 1])
-        if rows.size:
-            failed[rows] = True
-        if record_residuals:
-            trace.residual_sq[t - 1] = measurement_residual(x_new, y, A)
-            trace.cg_iters[t] = iterations
-        x = x_new
+    with NormalStream(rng, x.size // A.d * (A.d + A.m), T) as normals:
+        if isinstance(noise, IsotropicNoise) and A.dense is not None:
+            step = _spectral_steps(A, noise, scalars, normals.take)
+        else:
+            step = _rebuilt_steps(A, noise, scalars, normals.take, config)
+        y_at = np.moveaxis(chain.y_levels, -2, 0)  # (T+1, ...) view of the levels
+        s_cur = None  # the frozen score of level t + 1
+        for t in range(T, 0, -1):
+            s_hat = np.asarray(score_fn(x, t), dtype=float)
+            if record_scores and t < T:
+                _pair_scores(trace, t + 1, s_hat, s_cur)
+            s_cur = s_hat
+            x_new, iterations, rows = step(x, t, s_hat, y_at[t - 1])
+            if rows.size:
+                failed[rows] = True
+            if record_residuals:
+                trace.residual_sq[t - 1] = measurement_residual(x_new, y, A)
+                trace.cg_iters[t] = iterations
+            x = x_new
 
     if record_scores:
         _pair_scores(trace, 1, np.asarray(score_fn(x, 0), dtype=float), s_cur)
@@ -578,7 +690,8 @@ def dps_sample(
     guidance).  ``denoiser_jvp_fn(x, t, u)`` must return the Jacobian of the
     posterior-mean denoiser applied to u.  Each step calls it at the same
     ``(x, t)`` as ``score_fn``, and the ``gmm`` closures built on one mixture
-    share one responsibilities pass there.
+    share one responsibilities pass there.  The steps' normals come from a
+    ``NormalStream`` on ``rng``, which the run holds until it returns.
     """
     y = np.asarray(y, dtype=float)
     T = schedule.num_steps
@@ -591,20 +704,20 @@ def dps_sample(
         trace.residual_sq = np.zeros((T + 1,) + batch)
         trace.residual_sq[T] = measurement_residual(x, y, A)
 
-    for t in range(T, 0, -1):
-        s_hat = np.asarray(score_fn(x, t), dtype=float)
-        z = rng.standard_normal(shape)
-        x_unc, x0_hat = _ancestral_step(x, t, s_hat, schedule, z)
+    with NormalStream(rng, x.size, T) as normals:
+        for t in range(T, 0, -1):
+            s_hat = np.asarray(score_fn(x, t), dtype=float)
+            x_unc, x0_hat = _ancestral_step(x, t, s_hat, schedule, normals.take(shape))
 
-        resid = y - A.apply(x0_hat)
-        norm = np.sqrt(np.einsum("...i,...i->...", resid, resid))
-        jw = denoiser_jvp_fn(x, t, A.adjoint(resid))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(norm > 0, zeta / np.where(norm == 0, 1.0, norm), 0.0)
-        x = x_unc + step[..., None] * jw
+            resid = y - A.apply(x0_hat)
+            norm = np.sqrt(np.einsum("...i,...i->...", resid, resid))
+            jw = denoiser_jvp_fn(x, t, A.adjoint(resid))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(norm > 0, zeta / np.where(norm == 0, 1.0, norm), 0.0)
+            x = x_unc + step[..., None] * jw
 
-        if record_residuals:
-            trace.residual_sq[t - 1] = measurement_residual(x, y, A)
+            if record_residuals:
+                trace.residual_sq[t - 1] = measurement_residual(x, y, A)
     return x, trace
 
 
@@ -615,7 +728,11 @@ def _pinv(mat: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
 
 
 def _noisy_target_sample(kind, y, A, schedule, score_fn, rng, n_chains, scale, record_residuals):
-    """Shared driver for the noisy-target guidance baselines."""
+    """Shared loop of the noisy-target guidance baselines.
+
+    Each step takes its ancestral noise (n, d), then the target's noise
+    (n, m), from a ``NormalStream`` on ``rng``.
+    """
     if kind == "ilvr" and A.dense is None:
         raise ValueError("ilvr needs an operator with a dense form (A.dense)")
     y = np.asarray(y, dtype=float)
@@ -630,22 +747,22 @@ def _noisy_target_sample(kind, y, A, schedule, score_fn, rng, n_chains, scale, r
         trace.residual_sq = np.zeros((T + 1,) + batch)
         trace.residual_sq[T] = measurement_residual(x, y, A)
 
-    for t in range(T, 0, -1):
-        abar = schedule.alpha_bars[t]
-        s_hat = np.asarray(score_fn(x, t), dtype=float)
-        z = rng.standard_normal(shape)
-        x_unc, _ = _ancestral_step(x, t, s_hat, schedule, z)
+    eps_shape = (A.m,) if n_chains is None else (n_chains, A.m)
+    with NormalStream(rng, x.size // A.d * (A.d + A.m), T) as normals:
+        for t in range(T, 0, -1):
+            abar = schedule.alpha_bars[t]
+            s_hat = np.asarray(score_fn(x, t), dtype=float)
+            x_unc, _ = _ancestral_step(x, t, s_hat, schedule, normals.take(shape))
 
-        # Noisy target matched to the forward marginal at level t.
-        eps_shape = (A.m,) if n_chains is None else (n_chains, A.m)
-        eps = rng.standard_normal(eps_shape)
-        target = np.sqrt(abar) * y + np.sqrt(1.0 - abar) * eps
-        resid = target - A.apply(x)
-        grad = -(resid @ pinv.T) if kind == "ilvr" else -A.adjoint(resid)
-        x = x_unc - scale * grad
+            # Noisy target matched to the forward marginal at level t.
+            eps = normals.take(eps_shape)
+            target = np.sqrt(abar) * y + np.sqrt(1.0 - abar) * eps
+            resid = target - A.apply(x)
+            grad = -(resid @ pinv.T) if kind == "ilvr" else -A.adjoint(resid)
+            x = x_unc - scale * grad
 
-        if record_residuals:
-            trace.residual_sq[t - 1] = measurement_residual(x, y, A)
+            if record_residuals:
+                trace.residual_sq[t - 1] = measurement_residual(x, y, A)
     return x, trace
 
 
@@ -736,4 +853,5 @@ def cdps_step_nonlinear(
     offset = np.asarray(g.apply(x_t), dtype=float) - A_lin.apply(x_t)
     b_vec = offset + (1.0 - scalars.abar_prev[t - 1]) * A_lin.apply(s_hat)
     params = _build_params(t, A_lin, noise, scalars, b_vec, score=s_hat)
-    return _step(params, x_t, chain.y_at(t - 1), rng, config, "nonlinear step")[0]
+    return _step(params, x_t, chain.y_at(t - 1), rng.standard_normal, config,
+                 "nonlinear step")[0]

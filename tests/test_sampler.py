@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,6 +35,7 @@ from cdps.sampler import (
     ChainFailureError,
     MeasurementChain,
     NonlinearMap,
+    NormalStream,
     SolverConfig,
     _ancestral_step,
     _pinv,
@@ -303,12 +306,14 @@ def test_strict_cg_failure_raises_at_the_first_step():
     rng = np.random.default_rng(42)
     A = dataclasses.replace(make_random_svd_operator(8, 4, rng), dense=None)
     schedule = make_linear_schedule(5, 0.1, 1.25)
+    threads = threading.active_count()
     with pytest.raises(ChainFailureError) as err:
         cdps_sample(rng.standard_normal(4), A, IsotropicNoise(1e-2), schedule,
                     score_fn_for(make_grid_gmm(8), schedule), np.random.default_rng(43),
                     n_chains=6, config=SolverConfig(cg_tol=1e-14, cg_max_iter=1))
     assert err.value.t == schedule.num_steps
     assert err.value.rows.tolist() == list(range(6))
+    assert threading.active_count() == threads  # the normals' producer is joined
 
 
 def test_cdps_sample_shared_chain(monkeypatch):
@@ -400,9 +405,11 @@ def _check_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkey
         s_hat = score_fn(x_t, t)
         return s_hat * np.nan if t == 10 else s_hat
 
+    threads = threading.active_count()
     with pytest.raises(ValueError, match="rhs must be finite"):
         cdps_sample(y, A, IsotropicNoise(sigma2), schedule, nan_at_10,
                     np.random.default_rng(71), **kwargs)
+    assert threading.active_count() == threads  # the normals' producer is joined
 
 
 @pytest.mark.parametrize("fused", [True, False])
@@ -428,6 +435,148 @@ def test_spectral_run_stream_order(fused, shared, monkeypatch):
         expected.standard_normal((n, d))
         expected.standard_normal((n, m))
     assert rng.bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize("path", ["rebuilt", "single", "dps", "score_sde"])
+def test_run_stream_order_on_every_path(path):
+    # Whichever thread draws them, every sampler leaves its generator where
+    # serial draws in the documented order leave it, and no thread behind.
+    d, m, n = 6, 2, 5
+    rng = np.random.default_rng(76)
+    A = from_dense(rng.standard_normal((m, d)))
+    y = rng.standard_normal(m)
+    schedule = make_linear_schedule(30, 0.1, 20.0)
+    T = schedule.num_steps
+    prior = make_grid_gmm(d)
+    score_fn = score_fn_for(prior, schedule)
+    rng = np.random.default_rng(77)
+    threads = threading.active_count()
+    if path in ("rebuilt", "single"):
+        batch = (n,) if path == "rebuilt" else ()
+        noise = DiagonalNoise(np.full(m, 0.01)) if path == "rebuilt" else IsotropicNoise(0.01)
+        cdps_sample(y, A, noise, schedule, score_fn, rng, n_chains=batch[0] if batch else None)
+        serial = [batch + (T, m), batch + (d,)] + [batch + (d,), batch + (m,)] * T
+    elif path == "dps":
+        dps_sample(y, A, schedule, score_fn, denoiser_jvp_fn_for(prior, schedule), rng,
+                   n_chains=n)
+        serial = [(n, d)] * (T + 1)
+    else:
+        score_sde_sample(y, A, schedule, score_fn, rng, n_chains=n)
+        serial = [(n, d)] + [(n, d), (n, m)] * T
+    assert threading.active_count() == threads
+    expected = np.random.default_rng(77)
+    for shape in serial:
+        expected.standard_normal(shape)
+    assert rng.bit_generator.state == expected.bit_generator.state
+
+
+def test_normal_stream_equals_serial_draws(monkeypatch):
+    # Steps taken whole or in two parts, from blocks of three steps cycled
+    # through recycled buffers, return the serial stream in order; the
+    # generator ends where the serial draws leave it.  A take beyond the
+    # stream, or one that spans two blocks, raises.
+    monkeypatch.setattr(cdps.sampler, "NORMAL_BLOCK_BYTES", 8 * 7 * 3)
+    rng = np.random.default_rng(78)
+    got = []
+    with NormalStream(rng, 7, 10) as stream:
+        for step in range(10):
+            first = step % 8
+            for shape in ((first,), (1, 7 - first)):
+                taken = stream.take(shape)
+                assert taken.shape == shape
+                got.append(taken.ravel().copy())  # a view is valid until the next block
+        with pytest.raises(ValueError, match="every normal"):
+            stream.take(1)
+    expected = np.random.default_rng(78)
+    np.testing.assert_array_equal(np.concatenate(got), expected.standard_normal(70))
+    assert rng.bit_generator.state == expected.bit_generator.state
+    with NormalStream(np.random.default_rng(78), 7, 10) as stream:
+        stream.take(4)
+        with pytest.raises(ValueError, match="spans two blocks"):
+            stream.take(20)
+
+
+class _StandInGenerator:
+    """A generator stand-in whose ``standard_normal`` raises (or stalls) from call ``fail_at``."""
+
+    def __init__(self, seed, fail_at, stall_s=None):
+        self._rng = np.random.default_rng(seed)
+        self._fail_at = fail_at
+        self._stall_s = stall_s
+        self.stalled = threading.Event()
+        self.calls = 0
+
+    def standard_normal(self, size=None, out=None):
+        self.calls += 1
+        if self.calls >= self._fail_at:
+            if self._stall_s is None:
+                raise FloatingPointError(f"stand-in failure at call {self.calls}")
+            self.stalled.set()
+            time.sleep(self._stall_s)
+        return self._rng.standard_normal(size, out=out)
+
+
+@pytest.mark.parametrize("method", ["cdps", "dps"])
+def test_producer_error_reaches_the_caller(method, monkeypatch):
+    # Two steps per block: the shared chain and x_T are the stand-in's first
+    # calls (x_T alone for DPS), the producer's first blocks the next ones,
+    # and its third block raises.  The run must raise that error, within a
+    # bounded wait and leaving no thread behind.
+    d, m, n = 6, 2, 5
+    monkeypatch.setattr(cdps.sampler, "NORMAL_BLOCK_BYTES", 8 * n * (d + m) * 2)
+    rng = np.random.default_rng(79)
+    A = from_dense(rng.standard_normal((m, d)))
+    y = rng.standard_normal(m)
+    schedule = make_linear_schedule(30, 0.1, 20.0)
+    prior = make_grid_gmm(d)
+    score_fn = score_fn_for(prior, schedule)
+    fail_at = 5 if method == "cdps" else 4
+    failing = _StandInGenerator(80, fail_at)
+    caught = []
+
+    def run():
+        try:
+            if method == "cdps":
+                cdps_sample(y, A, IsotropicNoise(0.01), schedule, score_fn, failing,
+                            n_chains=n, shared_chain=True)
+            else:
+                dps_sample(y, A, schedule, score_fn, denoiser_jvp_fn_for(prior, schedule),
+                           failing, n_chains=n)
+        except FloatingPointError as exc:
+            caught.append(exc)
+
+    threads = threading.active_count()
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive()
+    assert threading.active_count() == threads
+    assert [str(exc) for exc in caught] == [f"stand-in failure at call {fail_at}"]
+    assert failing.calls == fail_at
+
+
+def test_consumer_error_joins_a_busy_producer():
+    # The run raises at its first score call, once the producer is inside
+    # its first draw (the stand-in's third call, after the shared chain and
+    # x_T); the sampler returns only after that draw ends and the producer
+    # has stopped.
+    d, m, n = 6, 2, 5
+    rng = np.random.default_rng(79)
+    A = from_dense(rng.standard_normal((m, d)))
+    y = rng.standard_normal(m)
+    schedule = make_linear_schedule(30, 0.1, 20.0)
+    stalling = _StandInGenerator(80, 3, stall_s=0.3)
+
+    def score_during_draw(x, t):
+        assert stalling.stalled.wait(timeout=30)
+        raise ArithmeticError("score failed")
+
+    threads = threading.active_count()
+    with pytest.raises(ArithmeticError, match="score failed"):
+        cdps_sample(y, A, IsotropicNoise(0.01), schedule, score_during_draw, stalling,
+                    n_chains=n, shared_chain=True)
+    assert threading.active_count() == threads
+    assert stalling.calls == 3
 
 
 def _reference_fused_run(y, A, sigma2, schedule, score_fn, rng, n_chains, shared_chain,
@@ -536,6 +685,39 @@ def test_fused_run_equals_per_step_reference(shape, chains, steps, prior_mode):
         assert np.array_equal(tr.residual_sq, tr_ref.residual_sq)
         assert np.array_equal(tr.score_cos, tr_ref.score_cos, equal_nan=True)
         assert np.array_equal(tr.score_mse, tr_ref.score_mse, equal_nan=True)
+
+
+@pytest.mark.parametrize("steps", ["1", "block-1", "block", "block+1", "recycled"])
+def test_fused_run_across_normal_blocks(steps, monkeypatch):
+    # The fused run takes each step's normals from the stream's blocks; on
+    # either side of the first block's end, and over 14 blocks in recycled
+    # buffers, samples and traces equal the serial per-step run bit for bit.
+    d, m, n = 6, 2, 5
+    if steps == "recycled":
+        monkeypatch.setattr(cdps.sampler, "NORMAL_BLOCK_BYTES", 8 * n * (d + m) * 3)
+        T = 40
+    else:
+        block = cdps.sampler.NORMAL_BLOCK_BYTES // (8 * n * (d + m))
+        T = {"1": 1, "block-1": block - 1, "block": block, "block+1": block + 1}[steps]
+    rng = np.random.default_rng(81)
+    A = from_dense(rng.standard_normal((m, d)))
+    y = rng.standard_normal(m)
+    schedule = make_linear_schedule(T, 0.1, 20.0)
+    prior = make_grid_gmm(d)
+
+    def per_call_score(x, t):
+        return score(prior, x, alpha_bar(schedule, t))
+
+    x_ref, tr_ref = _reference_fused_run(
+        y, A, 0.01, schedule, per_call_score, np.random.default_rng(82), n, False, "score",
+        True)
+    x, tr = cdps_sample(y, A, IsotropicNoise(0.01), schedule, score_fn_for(prior, schedule),
+                        np.random.default_rng(82), n_chains=n, record_residuals=True,
+                        record_scores=True)
+    assert np.array_equal(x, x_ref)
+    assert np.array_equal(tr.residual_sq, tr_ref.residual_sq)
+    assert np.array_equal(tr.score_cos, tr_ref.score_cos, equal_nan=True)
+    assert np.array_equal(tr.score_mse, tr_ref.score_mse, equal_nan=True)
 
 
 def conjugate_output_law(schedule):
