@@ -20,7 +20,6 @@ from .linalg import (
     PrecisionOperator,
     cg_solve,
     diag_preconditioner,
-    precision_solve,
 )
 from .gmm import (
     GaussianMixture,

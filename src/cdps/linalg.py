@@ -3,10 +3,11 @@
 Every reverse sampling step draws from a Gaussian with precision
 ``P = c * I + B^T B``, ``B = W A``, in one solve: with a synthetic
 right-hand side ``z = sqrt(c) eps1 + B^T eps2`` whose covariance is ``P``
-itself, ``P^{-1} (rhs + z)`` is a draw around the mean ``P^{-1} rhs``.  When
-``A`` has a dense form the solve is exact, through the thin SVD of ``B``;
-otherwise it runs matrix-free CG with the precision's diagonal as
-preconditioner.  ``PrecisionOperator(c, A, W)`` is that one precision; the
+itself, ``P^{-1} (rhs + z)`` is a draw around the mean ``P^{-1} rhs``.  The
+sampler makes that solve in one of two ways.  When ``A`` has a dense form it
+is exact: ``spectral_factor`` of ``B`` and ``spectral_solve``.  Otherwise
+``cg_solve`` runs matrix-free CG on ``PrecisionOperator(c, A, W)``, with the
+precision's diagonal, ``diag_preconditioner``, as preconditioner.  The
 whitener ``W`` is the symmetric callable of ``operators.make_whitener``, so
 ``B^T = A^T W``.  A measurement-free precision ``c * I`` is built over
 ``operators.zero_operator``.  Right-hand sides may be batched with the
@@ -23,7 +24,6 @@ and ``w`` of a run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -56,17 +56,6 @@ class PrecisionOperator:
     def bt(self, v: np.ndarray) -> np.ndarray:
         """B^T v = A^T W v."""
         return self.op.adjoint(self.whitener(v))
-
-    @cached_property
-    def dense_t(self) -> np.ndarray | None:
-        """B^T as a (d, m) array, row i = W A e_i; None without a dense A.
-
-        Built on first use and kept, so a step's right-hand side and its
-        solve share one product with the whitener.
-        """
-        if self.op.dense is None:
-            return None
-        return self.whitener(self.op.dense.T)
 
     def matvec(self, u: np.ndarray) -> np.ndarray:
         return self.c * u + self.bt(self.whitener(self.op.apply(u)))
@@ -179,31 +168,6 @@ def cg_solve(
     if not np.all(row_conv):
         x = best_x
     return x, CgReport(iterations, row_conv)
-
-
-def precision_solve(
-    op: PrecisionOperator,
-    rhs: np.ndarray,
-    preconditioner: np.ndarray | None = None,
-    tol: float = 1e-8,
-    max_iter: int | None = None,
-) -> tuple[np.ndarray, CgReport]:
-    """Solve ``op.matvec(x) = rhs`` for every row of ``rhs``.
-
-    Exact when the measurement operator has a dense form (``op.dense_t`` is
-    not None): ``spectral_solve`` from the thin SVD of ``B``.  Otherwise one
-    batched ``cg_solve`` with the given preconditioner, tolerance and
-    iteration cap, which the exact path ignores.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if op.dense_t is None:
-        return cg_solve(op, rhs, preconditioner=preconditioner, tol=tol, max_iter=max_iter)
-    if rhs.shape[-1] != op.d:
-        raise ValueError(f"rhs last axis must be {op.d}")
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("rhs must be finite")
-    v, s2 = spectral_factor(op.dense_t.T)
-    return spectral_solve(v, s2, op.c, 1.0, rhs), CgReport(0, np.ones(rhs.shape[:-1], dtype=bool))
 
 
 def spectral_factor(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

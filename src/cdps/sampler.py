@@ -11,7 +11,8 @@ side plus a synthetic perturbation whose covariance is the precision itself,
 so the solution is the mean plus a posterior draw.  The measurement term and
 the perturbation's measurement part share one product with ``B^T = (W A)^T``.
 When A has a dense form, the offset is a product with ``A^T`` and the solve
-goes through the thin SVD of ``B``, so the step makes no operator call.  A
+is exact, through the thin SVD of ``B``, so the step makes no operator call;
+without one, the solve is diagonally preconditioned CG (``cg_solve``).  A
 whole run with isotropic noise and a dense A factors ``A`` once, by a thin
 SVD: every step's precision ``c_t I + A^T A / gamma_t`` is diagonal in its
 basis, so a step builds no noise model, whitener, precision or report and
@@ -19,6 +20,8 @@ factors nothing.  Up to ``FUSED_STEP_MAX_D`` dimensions such a step is fused:
 the precision's d x d inverse and the d x d map of the frozen score into the
 right-hand side are built from ``A^T A``, which is formed once per run, for a
 block of steps at a time, and the step ends in one product with that inverse.
+One function, ``_steps``, picks the step for ``cdps_sample``, ``cdps_step``
+and ``cdps_step_nonlinear``, so a single step is the run's step bit for bit.
 The measurement chain is stored time-major, so the level a step reads is
 contiguous.
 
@@ -48,13 +51,13 @@ import numpy as np
 from .linalg import (
     CgReport,
     PrecisionOperator,
+    cg_solve,
     diag_preconditioner,
-    precision_solve,
     spectral_factor,
     spectral_solve,
 )
-# Looked up here by callers that patch or import the solver layers by name.
-from .linalg import cg_solve, pw_cg_draw  # noqa: F401
+# Looked up here by callers that patch or import the draw by name.
+from .linalg import pw_cg_draw  # noqa: F401
 from .metrics import batch_cosine, measurement_residual
 from .operators import (
     IsotropicNoise,
@@ -103,6 +106,10 @@ class SolverConfig:
     def __post_init__(self):
         if self.prior_mode not in ("score", "identity", "none"):
             raise ValueError("prior_mode must be one of 'score', 'identity', 'none'")
+        if not (math.isfinite(self.cg_tol) and self.cg_tol > 0):
+            raise ValueError("cg_tol must be positive and finite")
+        if self.cg_max_iter is not None and self.cg_max_iter < 1:
+            raise ValueError("cg_max_iter must be None or at least 1")
 
 
 @dataclass(frozen=True)
@@ -223,25 +230,6 @@ class PosteriorStepParams:
     score: np.ndarray
 
 
-def _build_params(
-    t: int,
-    A: LinearOperator,
-    noise: NoiseModel,
-    scalars: _StepScalars,
-    b_vec: np.ndarray,
-    score: np.ndarray,
-) -> PosteriorStepParams:
-    i = t - 1
-    whitener = make_whitener(mix_conditional_cov(noise, scalars.abar_prev[i]))
-    precision = PrecisionOperator(scalars.c[i], A, whitener)
-    return PosteriorStepParams(
-        t=t, keep=scalars.keep[i], pull=scalars.pull[i], tweedie=scalars.tweedie[i],
-        b_prev=b_vec, precision=precision,
-        preconditioner=None if precision.dense_t is not None else diag_preconditioner(precision),
-        score=score,
-    )
-
-
 def _score_offset(A: LinearOperator, s_hat: np.ndarray, abar_prev: float) -> np.ndarray:
     """The measurement mean's offset b = (1 - abar_{t-1}) A s_hat, through A's dense form if any."""
     A_s = A.apply(s_hat) if A.dense is None else s_hat @ A.dense.T
@@ -250,8 +238,15 @@ def _score_offset(A: LinearOperator, s_hat: np.ndarray, abar_prev: float) -> np.
 
 def _linear_params(t, s_hat, A, noise, scalars) -> PosteriorStepParams:
     """Step t's parameters around the frozen score."""
-    b_vec = _score_offset(A, s_hat, scalars.abar_prev[t - 1])
-    return _build_params(t, A, noise, scalars, b_vec, s_hat)
+    i = t - 1
+    whitener = make_whitener(mix_conditional_cov(noise, scalars.abar_prev[i]))
+    precision = PrecisionOperator(scalars.c[i], A, whitener)
+    return PosteriorStepParams(
+        t=t, keep=scalars.keep[i], pull=scalars.pull[i], tweedie=scalars.tweedie[i],
+        b_prev=_score_offset(A, s_hat, scalars.abar_prev[i]), precision=precision,
+        preconditioner=None if A.dense is not None else diag_preconditioner(precision),
+        score=s_hat,
+    )
 
 
 def make_step_params(
@@ -297,25 +292,30 @@ def _posterior_rhs(x_t, s_hat, white, keep, pull, tweedie, c, bt, draw):
     return rhs
 
 
+_NO_ROWS = np.empty(0, dtype=int)  # the failed rows of an exact solve
+
+
 def _step(params: PosteriorStepParams, x_t, y_prev, draw, config: SolverConfig, kind: str):
     """The one solve of a coupled step: the posterior mean, or mean plus draw with ``draw``.
 
-    The right-hand side is ``_posterior_rhs``'s; its merged product goes
-    through the dense B^T when A has a dense form, one adjoint otherwise.
-    Returns the solution, the solve's report and the rows whose CG solve
-    did not converge, which raise under ``config.strict``.
+    With a dense A the right-hand side's merged product is with B = W A, built
+    once, and the solve is exact, through B's thin SVD; otherwise the product
+    is one adjoint and the solve is ``cg_solve``.  Returns the solution, the
+    solve's report and the rows whose CG solve did not converge, which raise
+    under ``config.strict``.
     """
     precision = params.precision
-    bt = precision.dense_t
+    bw = None if precision.op.dense is None else precision.whitener(precision.op.dense.T).T
     rhs = _posterior_rhs(
         x_t, params.score, precision.whitener(y_prev - params.b_prev),
         params.keep, params.pull, params.tweedie, precision.c,
-        precision.bt if bt is None else (lambda u: u @ bt.T), draw,
+        precision.bt if bw is None else (lambda u: u @ bw), draw,
     )
-    x_next, report = precision_solve(
-        precision, rhs, preconditioner=params.preconditioner,
-        tol=config.cg_tol, max_iter=config.cg_max_iter,
-    )
+    if bw is not None:
+        x_next = spectral_solve(*spectral_factor(bw), precision.c, 1.0, rhs)
+        return x_next, CgReport(0, np.ones(rhs.shape[:-1], dtype=bool)), _NO_ROWS
+    x_next, report = cg_solve(precision, rhs, preconditioner=params.preconditioner,
+                              tol=config.cg_tol, max_iter=config.cg_max_iter)
     rows = np.nonzero(~np.atleast_1d(report.row_converged))[0]
     if rows.size and config.strict:
         raise ChainFailureError(params.t, rows, kind)
@@ -338,31 +338,6 @@ def posterior_mean(
     """
     config = config or SolverConfig()
     return _step(params, x_t, y_prev, None, config, "mean")[:2]
-
-
-def cdps_step(
-    x_t: np.ndarray,
-    chain: MeasurementChain,
-    t: int,
-    score_fn: Callable,
-    A: LinearOperator,
-    noise: NoiseModel,
-    schedule: NoiseSchedule,
-    rng: np.random.Generator,
-    config: SolverConfig | None = None,
-) -> np.ndarray:
-    """One coupled reverse step: x_{t-1} = mu_post + v.
-
-    The score is frozen at the current iterate, the conditional covariance
-    and affine offset use the cumulative product at t-1, and the mean and
-    the covariance draw come from one solve against the step precision.
-    """
-    config = config or SolverConfig()
-    x_t = np.asarray(x_t, dtype=float)
-    if not np.all(np.isfinite(x_t)):
-        raise ValueError("x_t must be finite")
-    params = make_step_params(x_t, t, score_fn, A, noise, schedule, config)
-    return _step(params, x_t, chain.y_at(t - 1), rng.standard_normal, config, "step")[0]
 
 
 @dataclass
@@ -525,7 +500,6 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars, draw):
     mat = A.dense
     v, s2 = spectral_factor(mat)
     scale = [mix_variance(noise.sigma2, a) ** -0.5 for a in scalars.abar_prev]
-    no_rows = np.empty(0, dtype=int)
 
     if A.d > FUSED_STEP_MAX_D:
         def factored_step(x, t, s_hat, y_prev):
@@ -535,7 +509,7 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars, draw):
             bw = w * mat  # B = W A
             rhs = _posterior_rhs(x, s_hat, (y_prev - b) * w, scalars.keep[i], scalars.pull[i],
                                  scalars.tweedie[i], scalars.c[i], lambda u: u @ bw, draw)
-            return spectral_solve(v, s2, scalars.c[i], w * w, rhs), 0, no_rows
+            return spectral_solve(v, s2, scalars.c[i], w * w, rhs), 0, _NO_ROWS
         return factored_step
 
     d, m = A.d, A.m
@@ -581,8 +555,19 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars, draw):
         # A sum over finite entries is finite unless it overflows.
         if not np.isfinite(rhs.sum()) and not np.all(np.isfinite(rhs)):
             raise ValueError("rhs must be finite")
-        return rhs @ solves[j], 0, no_rows
+        return rhs @ solves[j], 0, _NO_ROWS
     return fused_step
+
+
+def _steps(A, noise, scalars, draw, config):
+    """The coupled step for these inputs, as (x, t, s_hat, y_{t-1}) -> (x_{t-1}, iterations, rows).
+
+    Isotropic noise with a dense A takes the per-run spectral factor; every
+    other input rebuilds the step's precision at each step.
+    """
+    if isinstance(noise, IsotropicNoise) and A.dense is not None:
+        return _spectral_steps(A, noise, scalars, draw)
+    return _rebuilt_steps(A, noise, scalars, draw, config)
 
 
 def cdps_sample(
@@ -603,9 +588,8 @@ def cdps_sample(
     Generates the measurement chain once (per row unless ``shared_chain``),
     initializes x_T standard normal, and applies the coupled step T times.
     Rows whose CG solve fails are recorded in the trace (or raise when
-    ``config.strict``); exact solves never fail a row.  Isotropic noise with
-    a dense A takes the per-run spectral factor; every other input rebuilds
-    the step's precision at each step.  The steps' normals come from a
+    ``config.strict``); exact solves never fail a row.  Every step is
+    ``_steps``'s for these inputs, and its normals come from a
     ``NormalStream`` on ``rng``, which the run holds until it returns.
     """
     config = config or SolverConfig()
@@ -629,10 +613,7 @@ def cdps_sample(
     failed = np.zeros(batch if batch else (1,), dtype=bool)
     scalars = _step_scalars(schedule, config.prior_mode)
     with NormalStream(rng, x.size // A.d * (A.d + A.m), T) as normals:
-        if isinstance(noise, IsotropicNoise) and A.dense is not None:
-            step = _spectral_steps(A, noise, scalars, normals.take)
-        else:
-            step = _rebuilt_steps(A, noise, scalars, normals.take, config)
+        step = _steps(A, noise, scalars, normals.take, config)
         y_at = np.moveaxis(chain.y_levels, -2, 0)  # (T+1, ...) view of the levels
         s_cur = None  # the frozen score of level t + 1
         for t in range(T, 0, -1):
@@ -653,6 +634,41 @@ def cdps_sample(
 
     trace.failed_rows = np.nonzero(failed)[0]
     return x, trace
+
+
+def _single_step(x_t, t, chain, score_fn, A, noise, schedule, rng, config, offset=0.0):
+    """Step t of a run on these inputs, at the chain's level y_{t-1} less ``offset``."""
+    config = config or SolverConfig()
+    if not np.all(np.isfinite(x_t)):
+        raise ValueError("x_t must be finite")
+    if not 1 <= t <= schedule.num_steps:
+        raise ValueError("t must be in [1, T]")
+    scalars = _step_scalars(schedule, config.prior_mode)
+    step = _steps(A, noise, scalars, rng.standard_normal, config)
+    return step(x_t, t, np.asarray(score_fn(x_t, t), dtype=float), chain.y_at(t - 1) - offset)[0]
+
+
+def cdps_step(
+    x_t: np.ndarray,
+    chain: MeasurementChain,
+    t: int,
+    score_fn: Callable,
+    A: LinearOperator,
+    noise: NoiseModel,
+    schedule: NoiseSchedule,
+    rng: np.random.Generator,
+    config: SolverConfig | None = None,
+) -> np.ndarray:
+    """One coupled reverse step: x_{t-1} = mu_post + v.
+
+    The score is frozen at the current iterate, and the mean and the
+    covariance draw come from one solve against the step precision.  It is
+    the step ``cdps_sample`` takes on the same inputs: from the run's x_t and
+    the generator's state before the step's draws, it returns the run's
+    x_{t-1} bit for bit.
+    """
+    x_t = np.asarray(x_t, dtype=float)
+    return _single_step(x_t, t, chain, score_fn, A, noise, schedule, rng, config)
 
 
 # ---------------------------------------------------------------------------
@@ -835,23 +851,13 @@ def cdps_step_nonlinear(
 ) -> np.ndarray:
     """Coupled step for y = g(x) + noise via local linearization at x_t.
 
-    Runs the exact same Gaussian step as the linear case with the Jacobian
-    in place of the operator and the affine offset
-    g(x_t) - J x_t + (1 - abar_prev) J s_hat; for an affine map it
-    reproduces the linear step exactly (same draws, same arithmetic).
+    The linear step of ``cdps_step`` with the Jacobian J in place of the
+    operator and the observation level shifted by the linearization's
+    offset, y_{t-1} - (g(x_t) - J x_t).  For a linear g computed as
+    ``x @ J.T``, like a dense operator, that offset is exactly zero and the
+    step is the linear step bit for bit (same draws, same arithmetic).
     """
-    config = config or SolverConfig()
     x_t = np.asarray(x_t, dtype=float)
-    if x_t.ndim != 1:
-        raise ValueError("nonlinear steps operate on a single chain")
-    if not 1 <= t <= schedule.num_steps:
-        raise ValueError("t must be in [1, T]")
-
-    A_lin = linearize(g, x_t)
-    scalars = _step_scalars(schedule, config.prior_mode)
-    s_hat = np.asarray(score_fn(x_t, t), dtype=float)
+    A_lin = linearize(g, x_t)  # raises unless x_t is a single chain
     offset = np.asarray(g.apply(x_t), dtype=float) - A_lin.apply(x_t)
-    b_vec = offset + (1.0 - scalars.abar_prev[t - 1]) * A_lin.apply(s_hat)
-    params = _build_params(t, A_lin, noise, scalars, b_vec, score=s_hat)
-    return _step(params, x_t, chain.y_at(t - 1), rng.standard_normal, config,
-                 "nonlinear step")[0]
+    return _single_step(x_t, t, chain, score_fn, A_lin, noise, schedule, rng, config, offset)

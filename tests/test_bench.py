@@ -430,9 +430,13 @@ def test_perfbench_tracer_sites_resolve_and_restore():
     calls = tracer.summary()["calls"]
     for name in ("sampler.cdps_sample", "sampler.generate_measurement_chain",
                  "operators.mix_conditional_cov", "operators.make_whitener",
-                 "linalg.diag_preconditioner", "linalg.cg_solve.draw", "linalg.matvec",
+                 "linalg.diag_preconditioner", "linalg.cg_solve.mean", "linalg.matvec",
                  "operators.apply", "operators.adjoint"):
         assert calls[name] > 0, name
+    # The step's CG solve is looked up as cdps.sampler.cg_solve, so its report
+    # reaches the mean solve's counters.
+    assert tracer.counters["linalg.cg_solve.mean.iters"] > 0
+    assert tracer.counters["cg.rows_attempted"] > 0
 
 
 def test_perfbench_tracer_counts_run_config_samplers():
@@ -489,3 +493,14 @@ def test_bench_pairs_claim_and_bound_verdicts(change, claim, worse):
     flipped = [{side: {"m": -v["m"]} for side, v in pair.items()} for pair in runs]
     higher = pairs_mod.summarize(flipped, [{**spec, "better": "higher"}])["m"]
     assert (higher["claim_rule_met"], higher["worse_beyond_bound"]) == (claim, worse)
+
+
+def test_bench_pairs_counts_src_lines(tmp_path):
+    # Every .py file under src/, at any depth, and nothing else.
+    pairs_mod = load_module("tools/bench_pairs.py")
+    (tmp_path / "src" / "pkg" / "sub").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\n\ny = 2\n")
+    (tmp_path / "src" / "pkg" / "sub" / "b.py").write_text("z = 3")
+    (tmp_path / "src" / "pkg" / "notes.txt").write_text("not code\n")
+    (tmp_path / "setup.py").write_text("outside src\n")
+    assert pairs_mod.src_lines(tmp_path) == 4

@@ -9,7 +9,6 @@ from cdps.linalg import (
     PrecisionOperator,
     cg_solve,
     diag_preconditioner,
-    precision_solve,
     pw_cg_draw,
     spectral_factor,
     spectral_solve,
@@ -204,23 +203,23 @@ def make_noise(kind, rng, m):
     n=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_precision_solve_matches_dense_solve(kind, shape, d, abar, log_c, n, seed):
-    # The solve from the thin SVD of B = W A (with its null-space part when
-    # m < d) against LU on the probed dense precision; the norm of B is at
-    # most ~sqrt(500), so the condition number stays below ~5e4 and 1e-9 has
-    # ample margin.  Isotropic noise also goes through the spectral solve
-    # from A's thin SVD.
+def test_spectral_solve_of_whitened_operator_matches_dense_solve(kind, shape, d, abar, log_c, n,
+                                                                  seed):
+    # The exact step solve, from the thin SVD of B = W A (with its null-space
+    # part when m < d), against LU on the probed dense precision; the norm of
+    # B is at most ~sqrt(500), so the condition number stays below ~5e4 and
+    # 1e-9 has ample margin.  Isotropic noise also goes through the spectral
+    # solve from A's thin SVD.
     rng = np.random.default_rng(seed)
     m = {"m<d": int(rng.integers(1, d)), "m=d": d, "m>d": d + int(rng.integers(1, 4))}[shape]
     cov = mix_conditional_cov(make_noise(kind, rng, m), abar)
     op = PrecisionOperator(10.0 ** log_c, from_dense(rng.standard_normal((m, d))),
                            make_whitener(cov))
     rhs = rng.standard_normal((n, d))
-    x, rep = precision_solve(op, rhs)
     expected = np.linalg.solve(op.dense(), rhs.T).T
-    assert op.dense_t is not None and rep.row_converged.all() and rep.iterations == 0
     pairs = [(rhs, expected), (rhs[0], expected[0])]
-    solves = [(x, expected), (precision_solve(op, rhs[0])[0], expected[0])]
+    v, s2 = spectral_factor(op.whitener(op.op.dense.T).T)
+    solves = [(spectral_solve(v, s2, op.c, 1.0, r), e) for r, e in pairs]
     if kind == "isotropic":
         v, s2 = spectral_factor(op.op.dense)
         solves += [(spectral_solve(v, s2, op.c, 1.0 / cov.sigma2, r), e) for r, e in pairs]
@@ -228,17 +227,14 @@ def test_precision_solve_matches_dense_solve(kind, shape, d, abar, log_c, n, see
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
-def test_precision_solve_takes_cg_without_dense_form():
+def test_cg_solve_matches_spectral_solve_without_dense_form():
+    # The step's two solves agree: preconditioned CG on the operator without
+    # its dense form, and the exact solve from the thin SVD of B = W A.
     rng = np.random.default_rng(14)
     op = make_precision(rng, d=10, m=4)
     free = dataclasses.replace(op, op=dataclasses.replace(op.op, dense=None))
-    assert op.dense_t is not None and free.dense_t is None
     rhs = rng.standard_normal((3, 10))
-    x_cg, rep = precision_solve(free, rhs, diag_preconditioner(free), tol=1e-12)
-    x_direct, _ = precision_solve(op, rhs)
+    x_cg, rep = cg_solve(free, rhs, diag_preconditioner(free), tol=1e-12)
+    x_direct = spectral_solve(*spectral_factor(op.whitener(op.op.dense.T).T), op.c, 1.0, rhs)
     assert rep.iterations > 0 and rep.row_converged.all()
     np.testing.assert_allclose(x_cg, x_direct, rtol=1e-9, atol=1e-12)
-    for target in (op, free):
-        with pytest.raises(ValueError, match="rhs must be finite"):
-            precision_solve(target, np.array([1.0, np.nan] + [0.0] * 8))
-

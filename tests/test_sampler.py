@@ -470,6 +470,44 @@ def test_run_stream_order_on_every_path(path):
     assert rng.bit_generator.state == expected.bit_generator.state
 
 
+@pytest.mark.parametrize("path", ["fused", "factored", "diagonal", "cg"])
+def test_single_step_is_the_runs_step(path, monkeypatch):
+    # From a run's shared chain, x_T and generator state, cdps_step returns
+    # that run's output on a one-step schedule bit for bit, and leaves the
+    # generator where the run leaves it, on every path a run can take.
+    if path == "factored":
+        monkeypatch.setattr(cdps.sampler, "FUSED_STEP_MAX_D", 0)
+    d, m, n = 6, 2, 5
+    rng = np.random.default_rng(78)
+    A = from_dense(rng.standard_normal((m, d)))
+    if path == "cg":
+        A = dataclasses.replace(A, dense=None)
+    noise = DiagonalNoise(np.full(m, 0.01)) if path == "diagonal" else IsotropicNoise(0.01)
+    y = rng.standard_normal(m)
+    schedule = make_linear_schedule(1, 0.1, 20.0)
+    score_fn = score_fn_for(make_grid_gmm(d), schedule)
+    rng, clone = np.random.default_rng(79), np.random.default_rng(79)
+    x_run, _ = cdps_sample(y, A, noise, schedule, score_fn, rng, n_chains=n, shared_chain=True)
+    chain = generate_measurement_chain(y, schedule, clone)
+    x_T = clone.standard_normal((n, d))
+    x_step = cdps_step(x_T, chain, 1, score_fn, A, noise, schedule, clone)
+    np.testing.assert_array_equal(x_step, x_run)
+    assert clone.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"cg_tol": float("nan")}, {"cg_tol": float("inf")}, {"cg_tol": 0.0}, {"cg_tol": -1e-8},
+    {"cg_max_iter": 0}, {"cg_max_iter": -1},
+], ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "max_iter-zero", "max_iter-negative"])
+def test_solver_config_rejects_bad_cg_settings(kwargs):
+    # A NaN tolerance would fail every CG row silently (nan <= 0 is false in
+    # cg_solve), so the config refuses it, and every other unusable setting,
+    # up front.
+    with pytest.raises(ValueError, match="cg_"):
+        SolverConfig(**kwargs)
+    SolverConfig(cg_tol=1e-300, cg_max_iter=1)
+
+
 def test_normal_stream_equals_serial_draws(monkeypatch):
     # Steps taken whole or in two parts, from blocks of three steps cycled
     # through recycled buffers, return the serial stream in order; the
@@ -937,7 +975,7 @@ def test_fused_step_equals_mean_plus_pw_cg_draw(kind, dense):
     fused = cdps_step(x_t, chain, t, score_fn, A, noise, schedule,
                       np.random.default_rng(51), cfg)
     params = make_step_params(x_t, t, score_fn, A, noise, schedule, cfg)
-    assert (params.precision.dense_t is not None) == dense
+    assert (params.preconditioner is None) == dense
     mu, _ = posterior_mean(params, x_t, chain.y_at(t - 1), cfg)
 
     beta = schedule.betas[t - 1]
@@ -1218,14 +1256,12 @@ def test_nonlinear_quadratic_matches_gauss_newton_oracle():
     rhs = np.sqrt(1.0 - beta) / beta * x_t + J.T @ (y_prev - c_vec) / gamma
     expected_mu = np.linalg.solve(lam, rhs)
 
-    # reproduce the step's mean by replaying its internals
-    from cdps.sampler import _build_params, _step_scalars
+    # reproduce the step's mean: the linear step on the Jacobian, with the
+    # linearization's offset taken off the observation
     A_lin = linearize(g, x_t)
     offset = g.apply(x_t) - A_lin.apply(x_t)
-    b_vec = offset + (1.0 - abar_prev) * A_lin.apply(s_hat)
-    scalars = _step_scalars(schedule, cfg.prior_mode)
-    params = _build_params(t, A_lin, noise, scalars, b_vec, score=s_hat)
-    mu, _ = posterior_mean(params, x_t, y_prev, cfg)
+    params = make_step_params(x_t, t, score_fn, A_lin, noise, schedule, cfg)
+    mu, _ = posterior_mean(params, x_t, y_prev - offset, cfg)
     assert np.linalg.norm(mu - expected_mu) / np.linalg.norm(expected_mu) < 1e-8
 
 

@@ -29,6 +29,9 @@ the raw median seconds per task of each method, ``cdps.task_s`` and ``dps.task_s
 dimension (m = 4, sigma = 1e-2, matrix 0, 100 chains, full grid), three
 times per side, alternating which side runs first. These timings are
 recorded, not gated.
+
+Each side's package size, the line count of its ``src/**/*.py``, is
+recorded as ``src_lines``, so a change that deletes code shows by how much.
 """
 
 from __future__ import annotations
@@ -86,6 +89,11 @@ def copy_worktree(dest: Path) -> None:
         if src.is_file():
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dest / name)
+
+
+def src_lines(tree: Path) -> int:
+    """Lines of the ``src/**/*.py`` files under ``tree``."""
+    return sum(len(path.read_text().splitlines()) for path in tree.glob("src/**/*.py"))
 
 
 def bench_run(tree: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
@@ -215,6 +223,7 @@ def main(argv=None) -> int:
         copy_worktree(trees["change"])
         change = f"the working tree on {git('rev-parse', 'HEAD').strip()}"
         report["git"] = {"parent": parent_sha, "change": change}
+        report["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
         report["command"] = (" ".join(spec["command"]) + " --workload {" + ",".join(workloads)
                              + "} --seed N --seconds " + f"{spec['run_seconds']} --trace 0")
         report["protocol"] = (
