@@ -25,6 +25,9 @@ and ``cdps_step_nonlinear``, so a single step is the run's step bit for bit.
 The measurement chain is stored time-major, so the level a step reads is
 contiguous.
 
+Every sampler checks y, then runs one reverse-time loop, ``_reverse_run``,
+from x_T; C-DPS, DPS, Score-SDE and ILVR differ only in the step it applies.
+
 Random draws happen in a fixed documented order, so results are reproducible
 per seed: the chain noise, chain by chain as one (n, T, m) block, then the
 initial state, then per step the perturbation's eps1 (n, d) and eps2 (n, m);
@@ -35,8 +38,8 @@ thread fills a few fixed buffers from the same generator, in the same order,
 while the sampler evaluates the score and the step's products, so the samples
 and the generator's final state equal those of serial draws.  The generator
 belongs to the sampler until the sampler returns; its state after a run that
-raised is unspecified.  The guidance baselines draw their per-step normals
-the same way.
+raised is unspecified.  The guidance baselines draw x_T, then per step the
+ancestral noise (n, d) and, for Score-SDE and ILVR, the target's (n, m).
 """
 
 from __future__ import annotations
@@ -358,9 +361,9 @@ def _pair_scores(trace: SamplerTrace, t: int, s_prev: np.ndarray, s_cur: np.ndar
     trace.score_cos[t] = batch_cosine(s_prev, s_cur)
 
 
-def _rebuilt_steps(A, noise, scalars, draw, config):
+def _rebuilt_steps(A, noise, scalars, config):
     """Steps that build each precision afresh: any noise model, and CG without a dense A."""
-    def step(x, t, s_hat, y_prev):
+    def step(x, t, s_hat, y_prev, draw):
         params = _linear_params(t, s_hat, A, noise, scalars)
         x_next, report, rows = _step(params, x, y_prev, draw, config, "sample")
         return x_next, report.iterations, rows
@@ -476,7 +479,7 @@ class NormalStream:
         return out.reshape(shape)
 
 
-def _spectral_steps(A, noise: IsotropicNoise, scalars, draw):
+def _spectral_steps(A, noise: IsotropicNoise, scalars):
     """Steps under isotropic noise from one thin SVD of the dense A.
 
     The conditional covariance gamma_t I, gamma_t = abar_{t-1} sigma^2 +
@@ -489,8 +492,9 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars, draw):
     b = (1 - abar_{t-1}) A s_hat expanded, the general step's right-hand
     side is (keep + pull) x_t + s_hat (pull tweedie I - w_t^2 (1 - abar_{t-1}) A^T A)
     + sqrt(c_t) eps1 + (eps2 + w_t y_{t-1}) w_t A, and x_{t-1} = rhs S_t.
-    A^T A, I - V V^T and I are built once per run; S_t, the score map and
-    w_t A are built by batched products for a block of steps at once, within
+    A^T A, I - V V^T and I are built once per run; S_t, the score map, w_t A
+    and the step's floats w_t, sqrt(c_t) and keep + pull are built for a
+    block of steps at once, the matrices by batched products within
     ``STEP_BLOCK_BYTES``, each entry rounding as it would one step at a time.
     Each step takes eps1 (n, d) and eps2 (n, m) from ``draw`` as one call of
     n (d + m) normals, the same stream as two calls.  Above
@@ -499,10 +503,11 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars, draw):
     """
     mat = A.dense
     v, s2 = spectral_factor(mat)
-    scale = [mix_variance(noise.sigma2, a) ** -0.5 for a in scalars.abar_prev]
 
     if A.d > FUSED_STEP_MAX_D:
-        def factored_step(x, t, s_hat, y_prev):
+        scale = [mix_variance(noise.sigma2, a) ** -0.5 for a in scalars.abar_prev]
+
+        def factored_step(x, t, s_hat, y_prev, draw):
             i = t - 1
             w = scale[i]
             b = _score_offset(A, s_hat, scalars.abar_prev[i])
@@ -516,41 +521,40 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars, draw):
     gram = mat.T @ mat
     eye = np.eye(d)
     null = eye - v @ v.T if v.shape[1] < d else None
-    root_c = [math.sqrt(c) for c in scalars.c]
-    keep_pull = [keep + pull for keep, pull in zip(scalars.keep, scalars.pull)]
-    # Per-step factors as columns that broadcast against a block's matrices.
-    w_col, c_col, pull, tweedie, abar_prev = (
-        np.array(a)[:, None, None]
-        for a in (scale, scalars.c, scalars.pull, scalars.tweedie, scalars.abar_prev))
-    pull_tweedie = pull * tweedie
-    measure = (w_col * w_col) * (1.0 - abar_prev)
     size = max(1, STEP_BLOCK_BYTES // (8 * d * (2 * d + m)))
-    lo, solves, drifts, wmats = 0, (), (), ()  # the block of steps lo + 1..lo + len(solves)
+    lo, solves, drifts, wmats, floats = 0, (), (), (), ()  # steps lo + 1..lo + len(floats)
 
     def build(hi):
-        """S_t, the score map and w_t A of steps lo + 1..hi."""
-        w, c = w_col[lo:hi], c_col[lo:hi]
-        solve = (v / (c + (w * w) * s2)) @ v.T
+        """S_t, the score map, w_t A and (w_t, sqrt(c_t), keep + pull) of steps lo + 1..hi."""
+        steps = range(lo, hi)
+        w = [mix_variance(noise.sigma2, scalars.abar_prev[i]) ** -0.5 for i in steps]
+        # Per-step factors as columns that broadcast against the block's matrices.
+        w_col, c_col, pull_tweedie, measure = np.array((
+            w, scalars.c[lo:hi], [scalars.pull[i] * scalars.tweedie[i] for i in steps],
+            [(a * a) * (1.0 - b) for a, b in zip(w, scalars.abar_prev[lo:hi])]))[..., None, None]
+        solve = (v / (c_col + (w_col * w_col) * s2)) @ v.T
         if null is not None:
-            solve += null / c
-        return solve, pull_tweedie[lo:hi] * eye - measure[lo:hi] * gram, w * mat
+            solve += null / c_col
+        return solve, pull_tweedie * eye - measure * gram, w_col * mat, [
+            (w[i - lo], math.sqrt(scalars.c[i]), scalars.keep[i] + scalars.pull[i]) for i in steps]
 
-    def fused_step(x, t, s_hat, y_prev):
-        nonlocal lo, solves, drifts, wmats
+    def fused_step(x, t, s_hat, y_prev, draw):
+        nonlocal lo, solves, drifts, wmats, floats
         i = t - 1
-        if not lo <= i < lo + len(solves):
-            solves = drifts = wmats = ()  # freed before the next block is built
+        if not lo <= i < lo + len(floats):
+            solves = drifts = wmats = floats = ()  # freed before the next block is built
             lo = max(0, t - size)
-            solves, drifts, wmats = build(t)
+            solves, drifts, wmats, floats = build(t)
         j = i - lo
+        w, root_c, keep_pull = floats[j]
         eps = draw(x.size // d * (d + m))
         eps1 = eps[:x.size].reshape(x.shape)
         eps2 = eps[x.size:].reshape(x.shape[:-1] + (m,))
-        eps2 += scale[i] * y_prev
+        eps2 += w * y_prev
         rhs = eps2 @ wmats[j]
         rhs += s_hat @ drifts[j]
-        rhs += keep_pull[i] * x
-        eps1 *= root_c[i]
+        rhs += keep_pull * x
+        eps1 *= root_c
         rhs += eps1
         # A sum over finite entries is finite unless it overflows.
         if not np.isfinite(rhs.sum()) and not np.all(np.isfinite(rhs)):
@@ -559,15 +563,48 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars, draw):
     return fused_step
 
 
-def _steps(A, noise, scalars, draw, config):
-    """The coupled step for these inputs, as (x, t, s_hat, y_{t-1}) -> (x_{t-1}, iterations, rows).
+def _steps(A, noise, scalars, config):
+    """The coupled step for these inputs: (x, t, s_hat, y_{t-1}, draw) -> (x_{t-1}, iters, rows).
 
     Isotropic noise with a dense A takes the per-run spectral factor; every
     other input rebuilds the step's precision at each step.
     """
     if isinstance(noise, IsotropicNoise) and A.dense is not None:
-        return _spectral_steps(A, noise, scalars, draw)
-    return _rebuilt_steps(A, noise, scalars, draw, config)
+        return _spectral_steps(A, noise, scalars)
+    return _rebuilt_steps(A, noise, scalars, config)
+
+
+def _checked_y(y, A: LinearOperator) -> np.ndarray:
+    """y as a float vector of A's m measurements, refused unless that shape and finite."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (A.m,):
+        raise ValueError(f"y must have shape ({A.m},), got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
+    return y
+
+
+def _reverse_run(y, A, schedule, score_fn, rng, n_chains, per_row, step, record_residuals,
+                 trace=None):
+    """The reverse-time loop of every sampler: x_T ~ N(0, I), then x = step(x, t, s_hat, draw).
+
+    For t = T..1 the score is frozen at (x, t) and ``draw`` is the ``take`` of
+    the run's one ``NormalStream``, ``per_row`` normals per row and step.
+    Returns x_0 and ``trace`` (or a new one), with ``residual_sq`` at level T
+    and after every step if ``record_residuals``.
+    """
+    T = schedule.num_steps
+    x = rng.standard_normal((A.d,) if n_chains is None else (n_chains, A.d))
+    trace = SamplerTrace() if trace is None else trace
+    if record_residuals:
+        trace.residual_sq = np.zeros((T + 1,) + x.shape[:-1])
+        trace.residual_sq[T] = measurement_residual(x, y, A)
+    with NormalStream(rng, x.size // A.d * per_row, T) as normals:
+        for t in range(T, 0, -1):
+            x = step(x, t, np.asarray(score_fn(x, t), dtype=float), normals.take)
+            if record_residuals:
+                trace.residual_sq[t - 1] = measurement_residual(x, y, A)
+    return x, trace
 
 
 def cdps_sample(
@@ -586,52 +623,43 @@ def cdps_sample(
     """Run the full coupled sampler from pure noise down to x_0.
 
     Generates the measurement chain once (per row unless ``shared_chain``),
-    initializes x_T standard normal, and applies the coupled step T times.
-    Rows whose CG solve fails are recorded in the trace (or raise when
-    ``config.strict``); exact solves never fail a row.  Every step is
-    ``_steps``'s for these inputs, and its normals come from a
-    ``NormalStream`` on ``rng``, which the run holds until it returns.
+    then runs ``_reverse_run`` with the coupled step, ``_steps``'s for these
+    inputs.  Rows whose CG solve fails are recorded in the trace (or raise
+    when ``config.strict``); exact solves never fail a row.
     """
     config = config or SolverConfig()
+    y = _checked_y(y, A)
     T = schedule.num_steps
-    chain = generate_measurement_chain(
-        y, schedule, rng, n_chains=None if shared_chain else n_chains
-    )
-    shape = (A.d,) if n_chains is None else (n_chains, A.d)
-    x = rng.standard_normal(shape)
+    chain = generate_measurement_chain(y, schedule, rng, None if shared_chain else n_chains)
+    y_at = np.moveaxis(chain.y_levels, -2, 0)  # (T+1, ...) view of the levels
+    coupled = _steps(A, noise, _step_scalars(schedule, config.prior_mode), config)
 
     trace = SamplerTrace()
     batch = () if n_chains is None else (n_chains,)
     if record_residuals:
-        trace.residual_sq = np.zeros((T + 1,) + batch)
         trace.cg_iters = np.zeros(T + 1, dtype=int)
-        trace.residual_sq[T] = measurement_residual(x, y, A)
     if record_scores:
         trace.score_cos = np.full((T + 1,) + batch, np.nan)
         trace.score_mse = np.full((T + 1,) + batch, np.nan)
-
     failed = np.zeros(batch if batch else (1,), dtype=bool)
-    scalars = _step_scalars(schedule, config.prior_mode)
-    with NormalStream(rng, x.size // A.d * (A.d + A.m), T) as normals:
-        step = _steps(A, noise, scalars, normals.take, config)
-        y_at = np.moveaxis(chain.y_levels, -2, 0)  # (T+1, ...) view of the levels
-        s_cur = None  # the frozen score of level t + 1
-        for t in range(T, 0, -1):
-            s_hat = np.asarray(score_fn(x, t), dtype=float)
-            if record_scores and t < T:
-                _pair_scores(trace, t + 1, s_hat, s_cur)
-            s_cur = s_hat
-            x_new, iterations, rows = step(x, t, s_hat, y_at[t - 1])
-            if rows.size:
-                failed[rows] = True
-            if record_residuals:
-                trace.residual_sq[t - 1] = measurement_residual(x_new, y, A)
-                trace.cg_iters[t] = iterations
-            x = x_new
+    s_cur = None  # the frozen score of level t + 1
 
+    def step(x, t, s_hat, draw):
+        nonlocal s_cur
+        if record_scores and t < T:
+            _pair_scores(trace, t + 1, s_hat, s_cur)
+        s_cur = s_hat
+        x_new, iterations, rows = coupled(x, t, s_hat, y_at[t - 1], draw)
+        if rows.size:
+            failed[rows] = True
+        if record_residuals:
+            trace.cg_iters[t] = iterations
+        return x_new
+
+    x, trace = _reverse_run(y, A, schedule, score_fn, rng, n_chains, A.d + A.m, step,
+                            record_residuals, trace)
     if record_scores:
         _pair_scores(trace, 1, np.asarray(score_fn(x, 0), dtype=float), s_cur)
-
     trace.failed_rows = np.nonzero(failed)[0]
     return x, trace
 
@@ -643,9 +671,11 @@ def _single_step(x_t, t, chain, score_fn, A, noise, schedule, rng, config, offse
         raise ValueError("x_t must be finite")
     if not 1 <= t <= schedule.num_steps:
         raise ValueError("t must be in [1, T]")
-    scalars = _step_scalars(schedule, config.prior_mode)
-    step = _steps(A, noise, scalars, rng.standard_normal, config)
-    return step(x_t, t, np.asarray(score_fn(x_t, t), dtype=float), chain.y_at(t - 1) - offset)[0]
+    if chain.y_levels.shape[-1] != A.m:
+        raise ValueError(f"the chain's levels must have length {A.m}")
+    step = _steps(A, noise, _step_scalars(schedule, config.prior_mode), config)
+    return step(x_t, t, np.asarray(score_fn(x_t, t), dtype=float), chain.y_at(t - 1) - offset,
+                rng.standard_normal)[0]
 
 
 def cdps_step(
@@ -709,32 +739,18 @@ def dps_sample(
     share one responsibilities pass there.  The steps' normals come from a
     ``NormalStream`` on ``rng``, which the run holds until it returns.
     """
-    y = np.asarray(y, dtype=float)
-    T = schedule.num_steps
-    shape = (A.d,) if n_chains is None else (n_chains, A.d)
-    x = rng.standard_normal(shape)
+    y = _checked_y(y, A)
 
-    trace = SamplerTrace()
-    batch = () if n_chains is None else (n_chains,)
-    if record_residuals:
-        trace.residual_sq = np.zeros((T + 1,) + batch)
-        trace.residual_sq[T] = measurement_residual(x, y, A)
+    def guided(x, t, s_hat, draw):
+        x_unc, x0_hat = _ancestral_step(x, t, s_hat, schedule, draw(x.shape))
+        resid = y - A.apply(x0_hat)
+        norm = np.sqrt(np.einsum("...i,...i->...", resid, resid))
+        jw = denoiser_jvp_fn(x, t, A.adjoint(resid))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.where(norm > 0, zeta / np.where(norm == 0, 1.0, norm), 0.0)
+        return x_unc + gain[..., None] * jw
 
-    with NormalStream(rng, x.size, T) as normals:
-        for t in range(T, 0, -1):
-            s_hat = np.asarray(score_fn(x, t), dtype=float)
-            x_unc, x0_hat = _ancestral_step(x, t, s_hat, schedule, normals.take(shape))
-
-            resid = y - A.apply(x0_hat)
-            norm = np.sqrt(np.einsum("...i,...i->...", resid, resid))
-            jw = denoiser_jvp_fn(x, t, A.adjoint(resid))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(norm > 0, zeta / np.where(norm == 0, 1.0, norm), 0.0)
-            x = x_unc + step[..., None] * jw
-
-            if record_residuals:
-                trace.residual_sq[t - 1] = measurement_residual(x, y, A)
-    return x, trace
+    return _reverse_run(y, A, schedule, score_fn, rng, n_chains, A.d, guided, record_residuals)
 
 
 def _pinv(mat: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
@@ -743,49 +759,28 @@ def _pinv(mat: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
     return (vt.T * inv) @ u.T
 
 
-def _noisy_target_sample(kind, y, A, schedule, score_fn, rng, n_chains, scale, record_residuals):
-    """Shared loop of the noisy-target guidance baselines.
+def _noisy_target_sample(back, y, A, schedule, score_fn, rng, n_chains, scale, record_residuals):
+    """Noisy-target guidance: an ancestral step plus ``scale`` times ``back`` of the misfit.
 
-    Each step takes its ancestral noise (n, d), then the target's noise
-    (n, m), from a ``NormalStream`` on ``rng``.
+    ``back`` maps the misfit to the noisy target into R^d.  Each step draws
+    its ancestral noise (n, d), then the target's noise (n, m).
     """
-    if kind == "ilvr" and A.dense is None:
-        raise ValueError("ilvr needs an operator with a dense form (A.dense)")
-    y = np.asarray(y, dtype=float)
-    T = schedule.num_steps
-    shape = (A.d,) if n_chains is None else (n_chains, A.d)
-    x = rng.standard_normal(shape)
-    pinv = _pinv(A.dense) if kind == "ilvr" else None
+    def guided(x, t, s_hat, draw):
+        x_unc, _ = _ancestral_step(x, t, s_hat, schedule, draw(x.shape))
+        # Noisy target matched to the forward marginal at level t.
+        abar = schedule.alpha_bars[t]
+        target = np.sqrt(abar) * y + np.sqrt(1.0 - abar) * draw(x.shape[:-1] + (A.m,))
+        return x_unc + scale * back(target - A.apply(x))
 
-    trace = SamplerTrace()
-    batch = () if n_chains is None else (n_chains,)
-    if record_residuals:
-        trace.residual_sq = np.zeros((T + 1,) + batch)
-        trace.residual_sq[T] = measurement_residual(x, y, A)
-
-    eps_shape = (A.m,) if n_chains is None else (n_chains, A.m)
-    with NormalStream(rng, x.size // A.d * (A.d + A.m), T) as normals:
-        for t in range(T, 0, -1):
-            abar = schedule.alpha_bars[t]
-            s_hat = np.asarray(score_fn(x, t), dtype=float)
-            x_unc, _ = _ancestral_step(x, t, s_hat, schedule, normals.take(shape))
-
-            # Noisy target matched to the forward marginal at level t.
-            eps = normals.take(eps_shape)
-            target = np.sqrt(abar) * y + np.sqrt(1.0 - abar) * eps
-            resid = target - A.apply(x)
-            grad = -(resid @ pinv.T) if kind == "ilvr" else -A.adjoint(resid)
-            x = x_unc - scale * grad
-
-            if record_residuals:
-                trace.residual_sq[t - 1] = measurement_residual(x, y, A)
-    return x, trace
+    return _reverse_run(y, A, schedule, score_fn, rng, n_chains, A.d + A.m, guided,
+                        record_residuals)
 
 
 def score_sde_sample(y, A, schedule, score_fn, rng, n_chains=None, scale=1.0,
                      record_residuals=False):
     """Adjoint-guidance baseline pushing toward a rescaled noisy observation."""
-    return _noisy_target_sample("score_sde", y, A, schedule, score_fn, rng,
+    y = _checked_y(y, A)
+    return _noisy_target_sample(A.adjoint, y, A, schedule, score_fn, rng,
                                 n_chains, scale, record_residuals)
 
 
@@ -795,7 +790,11 @@ def ilvr_sample(y, A, schedule, score_fn, rng, n_chains=None, scale=1.0,
 
     The pseudo-inverse is taken of ``A.dense``, so ``A`` must have a dense form.
     """
-    return _noisy_target_sample("ilvr", y, A, schedule, score_fn, rng,
+    y = _checked_y(y, A)
+    if A.dense is None:
+        raise ValueError("ilvr needs an operator with a dense form (A.dense)")
+    pinv = _pinv(A.dense)
+    return _noisy_target_sample(lambda r: r @ pinv.T, y, A, schedule, score_fn, rng,
                                 n_chains, scale, record_residuals)
 
 

@@ -437,7 +437,7 @@ def test_spectral_run_stream_order(fused, shared, monkeypatch):
     assert rng.bit_generator.state == expected.bit_generator.state
 
 
-@pytest.mark.parametrize("path", ["rebuilt", "single", "dps", "score_sde"])
+@pytest.mark.parametrize("path", ["rebuilt", "single", "dps", "score_sde", "ilvr"])
 def test_run_stream_order_on_every_path(path):
     # Whichever thread draws them, every sampler leaves its generator where
     # serial draws in the documented order leave it, and no thread behind.
@@ -461,13 +461,54 @@ def test_run_stream_order_on_every_path(path):
                    n_chains=n)
         serial = [(n, d)] * (T + 1)
     else:
-        score_sde_sample(y, A, schedule, score_fn, rng, n_chains=n)
+        sample = score_sde_sample if path == "score_sde" else ilvr_sample
+        sample(y, A, schedule, score_fn, rng, n_chains=n)
         serial = [(n, d)] + [(n, d), (n, m)] * T
     assert threading.active_count() == threads
     expected = np.random.default_rng(77)
     for shape in serial:
         expected.standard_normal(shape)
     assert rng.bit_generator.state == expected.bit_generator.state
+
+
+@pytest.mark.parametrize("case", [
+    f"{method}-{bad}" for method in ("cdps", "dps", "score_sde", "ilvr") for bad in ("short", "nan")
+] + ["cdps_step", "cdps_step_nonlinear"])
+def test_bad_y_is_refused_before_any_draw(case):
+    # Every sampler requires y of shape (m,) with finite entries, and each
+    # single step a chain of m-long levels.  A 1-long y used to broadcast
+    # over the m measurements, and a NaN y gave NaN samples; now each raises
+    # before the generator moves.
+    d, m, n = 8, 4, 3
+    rng = np.random.default_rng(83)
+    M = rng.standard_normal((m, d))
+    A, noise = from_dense(M), IsotropicNoise(0.01)
+    schedule = make_linear_schedule(5, 0.1, 1.25)
+    prior = make_grid_gmm(d)
+    score_fn = score_fn_for(prior, schedule)
+    method, _, bad = case.partition("-")
+    y = np.array([0.5]) if bad == "short" else np.full(m, np.nan)
+    match = {"short": r"shape \(4,\)", "nan": "finite", "": "length 4"}[bad]
+    rng = np.random.default_rng(84)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        if method == "cdps":
+            cdps_sample(y, A, noise, schedule, score_fn, rng, n_chains=n)
+        elif method == "dps":
+            dps_sample(y, A, schedule, score_fn, denoiser_jvp_fn_for(prior, schedule), rng,
+                       n_chains=n)
+        elif method in ("score_sde", "ilvr"):
+            sample = score_sde_sample if method == "score_sde" else ilvr_sample
+            sample(y, A, schedule, score_fn, rng, n_chains=n)
+        else:
+            chain = generate_measurement_chain(np.array([0.5]), schedule,
+                                               np.random.default_rng(85))
+            x_t = np.random.default_rng(86).standard_normal(d)
+            if method == "cdps_step":
+                cdps_step(x_t, chain, 3, score_fn, A, noise, schedule, rng)
+            else:
+                cdps_step_nonlinear(x_t, chain, 3, score_fn, affine_map(M), noise, schedule, rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("path", ["fused", "factored", "diagonal", "cg"])

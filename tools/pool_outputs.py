@@ -6,11 +6,14 @@ Usage, from the root of a checkout:
 
 Every pool task of each workload in ``perfbench/workloads.py`` (all of them
 by default) runs with every method, through that module's ``build_inputs``
-and ``run_method``, with one BLAS thread. The output maps workload, task
-index and method to the SHA-256 of the samples' bytes (with their shape and
-dtype) and the ``repr`` of the sliced Wasserstein distance. Two commits
-whose files are equal give the same samples and SW bit for bit on every
-pool task.
+and ``run_method``, with one BLAS thread. The benchmark runs only C-DPS and
+DPS, so the workloads whose tasks are ``bench.run_config`` tasks (not the
+blur ones) also run every other method ``cdps.bench`` knows, Score-SDE and
+ILVR, through ``bench.run_config``. The output maps workload, task index and
+method to the SHA-256 of the samples' bytes (with their shape and dtype),
+the ``repr`` of the sliced Wasserstein distance and the failed chains. Two
+commits whose files are equal give the same samples and SW bit for bit on
+every pool task.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ def main(argv=None) -> int:
         os.environ[var] = "1"  # set before numpy loads
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads as wl
+    from cdps import bench
 
+    others = tuple(method for method in bench.KNOWN_METHODS if method not in wl.METHODS)
     out = {}
     for name in args.workload or list(wl.WORKLOADS):
         w = wl.WORKLOADS[name]
@@ -53,6 +58,13 @@ def main(argv=None) -> int:
                 result, _ = wl.run_method(inputs, task, method)
                 row[method] = {"samples_sha256": fingerprint(result.samples),
                                "sw": repr(result.sw), "failures": result.failures}
+            if not w.blur:
+                rows, samples = bench.run_config(w.bench_config(others), w.d, task.m, wl.SIGMA,
+                                                 index, keep_samples=True)
+                for result in rows:
+                    row[result["method"]] = {
+                        "samples_sha256": fingerprint(samples[result["method"]]),
+                        "sw": repr(result["sw"]), "failures": result["failures"]}
             out[name][str(index)] = row
             print(name, index, json.dumps(row), flush=True)
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
