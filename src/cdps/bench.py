@@ -31,8 +31,6 @@ KNOWN_METHODS = ("cdps", "dps", "score_sde", "ilvr")
 
 RESULT_COLUMNS = ("method", "d", "m", "sigma", "matrix", "sw", "failures", "seconds")
 
-FULL_GRID_MAX_D = 80  # larger dims only run with full_grid=True
-
 
 class BenchAbort(RuntimeError):
     """Raised when more than 10% of a task's chains fail."""
@@ -40,7 +38,7 @@ class BenchAbort(RuntimeError):
 
 @dataclass
 class BenchConfig:
-    dims: tuple[int, ...] = (8, 80, 800)
+    dims: tuple[int, ...] = (8, 80)  # the paper's full grid adds 800
     measurements: tuple[int, ...] = (1, 2, 4)
     sigmas: tuple[float, ...] = (1e-2, 1e-1, 1.0)
     matrices_per_config: int = 20
@@ -55,7 +53,6 @@ class BenchConfig:
     dps_zeta: float = 1.0
     guidance_scale: float = 1.0  # score_sde / ilvr step scale
     shared_y_chain: bool = False
-    full_grid: bool = False
     scatter: bool = False
     workers: int = 1
     record_timing: bool = True  # False zeroes the seconds column for byte-stable output
@@ -85,11 +82,6 @@ class BenchConfig:
         if not all(np.isfinite(s) and s > 0 for s in self.sigmas):
             raise ValueError("every sigma must be positive and finite")
         make_linear_schedule(self.num_steps, self.beta_min, self.beta_max)  # checks the betas
-
-    def active_dims(self) -> tuple[int, ...]:
-        if self.full_grid:
-            return self.dims
-        return tuple(d for d in self.dims if d <= FULL_GRID_MAX_D)
 
 
 def derive_rng(master_seed: int, *parts) -> np.random.Generator:
@@ -243,7 +235,7 @@ def run_grid(cfg: BenchConfig) -> BenchResult:
     """
     tasks = [
         (replace(cfg, methods=(method,)), d, m, sigma, k, cfg.scatter and k == 0)
-        for d in cfg.active_dims()
+        for d in cfg.dims
         for m in cfg.measurements
         for sigma in cfg.sigmas
         for k in range(cfg.matrices_per_config)

@@ -40,15 +40,10 @@ def _cmd_run(args) -> int:
         "master_seed": args.seed,
         "workers": args.workers,
         "sw_order": args.sw_order,
+        "shared_y_chain": args.shared_y_chain,
+        "scatter": args.scatter,
     }
     cfg = _load_config(args.config, overrides)
-    if args.full_grid:
-        cfg.full_grid = True
-    if args.shared_y_chain:
-        cfg.shared_y_chain = True
-    if args.scatter:
-        cfg.scatter = True
-
     result = run_grid(cfg)
     written = emit_results(result, args.out, cfg)
     if args.trace:
@@ -72,11 +67,10 @@ def _trace_csv_rows(trace, n_chains):
     if res.ndim == 1:
         res = res[:, None]
         n_chains = 1
-    iters = trace.cg_iters
     for chain in range(n_chains):
         for t in range(T, -1, -1):
             produced_by = t + 1  # step consuming beta_{t+1} produced level t
-            cg = int(iters[produced_by]) if iters is not None and produced_by <= T else 0
+            cg = int(trace.cg_iters[produced_by]) if produced_by <= T else 0
             yield [chain, t, f"{res[t, chain]:.12g}", cg]
 
 
@@ -84,7 +78,7 @@ def _write_run_traces(cfg: BenchConfig, out_dir) -> list[Path]:
     """Residual traces for the first matrix of every grid point."""
     out = Path(out_dir)
     written = []
-    for d in cfg.active_dims():
+    for d in cfg.dims:
         for m in cfg.measurements:
             for sigma in cfg.sigmas:
                 rng = derive_rng(cfg.master_seed, "trace", d, m, sigma)
@@ -175,11 +169,10 @@ def main(argv=None) -> int:
     run.add_argument("--config", help="JSON config mirroring BenchConfig fields")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--methods", help="comma-separated subset of cdps,dps,score_sde,ilvr")
-    run.add_argument("--full-grid", action="store_true", help="include dims above 80")
     run.add_argument("--trace", action="store_true", help="also write residual trace CSVs")
-    run.add_argument("--shared-y-chain", action="store_true",
+    run.add_argument("--shared-y-chain", action="store_true", default=None,
                      help="one shared measurement chain per observation")
-    run.add_argument("--scatter", action="store_true",
+    run.add_argument("--scatter", action="store_true", default=None,
                      help="write first-two-dimension scatter CSVs for matrix 0")
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--workers", type=int, default=None)

@@ -25,8 +25,10 @@ and ``cdps_step_nonlinear``, so a single step is the run's step bit for bit.
 The measurement chain is stored time-major, so the level a step reads is
 contiguous.
 
-Every sampler checks y, then runs one reverse-time loop, ``_reverse_run``,
-from x_T; C-DPS, DPS, Score-SDE and ILVR differ only in the step it applies.
+Every sampler checks y, builds its step and makes one call to the reverse-time
+loop, ``_reverse_run``, from x_T; C-DPS, DPS, Score-SDE and ILVR differ only
+in the step it applies.  A step returns (x_{t-1}, iterations, failed rows),
+and the loop keeps every record of the run in its ``SamplerTrace``.
 
 Random draws happen in a fixed documented order, so results are reproducible
 per seed: the chain noise, chain by chain as one (n, T, m) block, then the
@@ -295,7 +297,7 @@ def _posterior_rhs(x_t, s_hat, white, keep, pull, tweedie, c, bt, draw):
     return rhs
 
 
-_NO_ROWS = np.empty(0, dtype=int)  # the failed rows of an exact solve
+_NO_ROWS = np.empty(0, dtype=int)  # the failed rows of a step that makes no CG solve
 
 
 def _step(params: PosteriorStepParams, x_t, y_prev, draw, config: SolverConfig, kind: str):
@@ -345,7 +347,12 @@ def posterior_mean(
 
 @dataclass
 class SamplerTrace:
-    """Optional per-step records; arrays are indexed by the time level t."""
+    """A run's records, kept by ``_reverse_run``; arrays are indexed by the time level t.
+
+    Every sampler sets ``failed_rows``, and ``residual_sq`` and ``cg_iters``
+    with ``record_residuals`` (0 iterations for a baseline's step or an exact
+    solve); C-DPS sets ``score_cos`` and ``score_mse`` with ``record_scores``.
+    """
 
     failed_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     residual_sq: np.ndarray | None = None  # (T+1, ...) misfit of x_t, t = 0..T
@@ -585,25 +592,42 @@ def _checked_y(y, A: LinearOperator) -> np.ndarray:
 
 
 def _reverse_run(y, A, schedule, score_fn, rng, n_chains, per_row, step, record_residuals,
-                 trace=None):
-    """The reverse-time loop of every sampler: x_T ~ N(0, I), then x = step(x, t, s_hat, draw).
+                 record_scores=False):
+    """The reverse-time loop of every sampler; it keeps every record of the run.
 
-    For t = T..1 the score is frozen at (x, t) and ``draw`` is the ``take`` of
-    the run's one ``NormalStream``, ``per_row`` normals per row and step.
-    Returns x_0 and ``trace`` (or a new one), with ``residual_sq`` at level T
-    and after every step if ``record_residuals``.
+    x_T ~ N(0, I).  For t = T..1 the score is frozen at (x, t), and
+    ``step(x, t, s_hat, draw)`` returns (x_{t-1}, iterations, failed rows);
+    ``draw`` is the ``take`` of the run's one ``NormalStream``, ``per_row``
+    normals per row and step.  Returns x_0 and the run's ``SamplerTrace``.
+    With ``record_scores``, entry t pairs level t - 1's frozen score with
+    level t's, level 0's being taken at x_0.
     """
     T = schedule.num_steps
     x = rng.standard_normal((A.d,) if n_chains is None else (n_chains, A.d))
-    trace = SamplerTrace() if trace is None else trace
+    batch = x.shape[:-1]
+    trace = SamplerTrace()
     if record_residuals:
-        trace.residual_sq = np.zeros((T + 1,) + x.shape[:-1])
+        trace.residual_sq = np.zeros((T + 1,) + batch)
         trace.residual_sq[T] = measurement_residual(x, y, A)
+        trace.cg_iters = np.zeros(T + 1, dtype=int)
+    if record_scores:
+        trace.score_cos = np.full((T + 1,) + batch, np.nan)
+        trace.score_mse = np.full((T + 1,) + batch, np.nan)
+    failed = np.zeros(batch or (1,), dtype=bool)
     with NormalStream(rng, x.size // A.d * per_row, T) as normals:
         for t in range(T, 0, -1):
-            x = step(x, t, np.asarray(score_fn(x, t), dtype=float), normals.take)
+            s_hat = np.asarray(score_fn(x, t), dtype=float)
+            if record_scores and t < T:
+                _pair_scores(trace, t + 1, s_hat, s_cur)
+            s_cur = s_hat  # the frozen score of level t, paired at the next step
+            x, iterations, rows = step(x, t, s_hat, normals.take)
+            failed[rows] = True
             if record_residuals:
                 trace.residual_sq[t - 1] = measurement_residual(x, y, A)
+                trace.cg_iters[t] = iterations
+    if record_scores:
+        _pair_scores(trace, 1, np.asarray(score_fn(x, 0), dtype=float), s_cur)
+    trace.failed_rows = np.nonzero(failed)[0]
     return x, trace
 
 
@@ -629,39 +653,12 @@ def cdps_sample(
     """
     config = config or SolverConfig()
     y = _checked_y(y, A)
-    T = schedule.num_steps
     chain = generate_measurement_chain(y, schedule, rng, None if shared_chain else n_chains)
     y_at = np.moveaxis(chain.y_levels, -2, 0)  # (T+1, ...) view of the levels
     coupled = _steps(A, noise, _step_scalars(schedule, config.prior_mode), config)
-
-    trace = SamplerTrace()
-    batch = () if n_chains is None else (n_chains,)
-    if record_residuals:
-        trace.cg_iters = np.zeros(T + 1, dtype=int)
-    if record_scores:
-        trace.score_cos = np.full((T + 1,) + batch, np.nan)
-        trace.score_mse = np.full((T + 1,) + batch, np.nan)
-    failed = np.zeros(batch if batch else (1,), dtype=bool)
-    s_cur = None  # the frozen score of level t + 1
-
-    def step(x, t, s_hat, draw):
-        nonlocal s_cur
-        if record_scores and t < T:
-            _pair_scores(trace, t + 1, s_hat, s_cur)
-        s_cur = s_hat
-        x_new, iterations, rows = coupled(x, t, s_hat, y_at[t - 1], draw)
-        if rows.size:
-            failed[rows] = True
-        if record_residuals:
-            trace.cg_iters[t] = iterations
-        return x_new
-
-    x, trace = _reverse_run(y, A, schedule, score_fn, rng, n_chains, A.d + A.m, step,
-                            record_residuals, trace)
-    if record_scores:
-        _pair_scores(trace, 1, np.asarray(score_fn(x, 0), dtype=float), s_cur)
-    trace.failed_rows = np.nonzero(failed)[0]
-    return x, trace
+    return _reverse_run(y, A, schedule, score_fn, rng, n_chains, A.d + A.m,
+                        lambda x, t, s_hat, draw: coupled(x, t, s_hat, y_at[t - 1], draw),
+                        record_residuals, record_scores)
 
 
 def _single_step(x_t, t, chain, score_fn, A, noise, schedule, rng, config, offset=0.0):
@@ -748,7 +745,7 @@ def dps_sample(
         jw = denoiser_jvp_fn(x, t, A.adjoint(resid))
         with np.errstate(divide="ignore", invalid="ignore"):
             gain = np.where(norm > 0, zeta / np.where(norm == 0, 1.0, norm), 0.0)
-        return x_unc + gain[..., None] * jw
+        return x_unc + gain[..., None] * jw, 0, _NO_ROWS
 
     return _reverse_run(y, A, schedule, score_fn, rng, n_chains, A.d, guided, record_residuals)
 
@@ -770,7 +767,7 @@ def _noisy_target_sample(back, y, A, schedule, score_fn, rng, n_chains, scale, r
         # Noisy target matched to the forward marginal at level t.
         abar = schedule.alpha_bars[t]
         target = np.sqrt(abar) * y + np.sqrt(1.0 - abar) * draw(x.shape[:-1] + (A.m,))
-        return x_unc + scale * back(target - A.apply(x))
+        return x_unc + scale * back(target - A.apply(x)), 0, _NO_ROWS
 
     return _reverse_run(y, A, schedule, score_fn, rng, n_chains, A.d + A.m, guided,
                         record_residuals)

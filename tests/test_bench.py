@@ -142,11 +142,14 @@ def test_grid_completeness():
     assert len(keys) == len(result.rows) == 2 * 2 * 2
 
 
-def test_full_grid_flag_gates_large_dims():
-    cfg = smoke_config(dims=(8, 800))
-    assert cfg.active_dims() == (8,)
-    cfg.full_grid = True
-    assert cfg.active_dims() == (8, 800)
+def test_grid_runs_every_dim_it_lists():
+    # Large dims are not filtered out: a grid of only d = 82 returns its rows.
+    cfg = smoke_config(dims=(82,), matrices_per_config=2, samples_per_run=20,
+                       sw_slices=100, num_steps=20)
+    result = run_grid(cfg)
+    assert result.aborted == []
+    assert [(r["method"], r["d"], r["matrix"]) for r in result.rows] == [
+        (method, 82, k) for method in ("cdps", "dps") for k in range(2)]
 
 
 def test_shared_measurement_model_across_methods():

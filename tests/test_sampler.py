@@ -17,7 +17,7 @@ from cdps.gmm import (
     score_fn_for,
     denoiser_jvp_fn_for,
 )
-from cdps.linalg import spectral_factor, spectral_solve
+from cdps.linalg import CgReport, cg_solve, spectral_factor, spectral_solve
 from cdps.metrics import measurement_residual, sliced_wasserstein
 from cdps.operators import (
     CirculantNoise,
@@ -314,6 +314,69 @@ def test_strict_cg_failure_raises_at_the_first_step():
     assert err.value.t == schedule.num_steps
     assert err.value.rows.tolist() == list(range(6))
     assert threading.active_count() == threads  # the normals' producer is joined
+
+
+def _report_unconverged(monkeypatch, T, rows_at):
+    """Make the step's CG solve report ``rows_at[t]`` unconverged at step t, the solution kept."""
+    steps = iter(range(T, 0, -1))
+
+    def flagged(*args, **kwargs):
+        x, report = cg_solve(*args, **kwargs)
+        converged = report.row_converged.copy()
+        converged[rows_at.get(next(steps), [])] = False
+        return x, CgReport(report.iterations, converged)
+
+    monkeypatch.setattr(cdps.sampler, "cg_solve", flagged)
+
+
+def test_failed_rows_are_gathered_from_every_step(monkeypatch):
+    # Rows reported unconverged at different steps all reach the trace, once
+    # each, and are still stepped; strict mode raises at the first such step.
+    rng = np.random.default_rng(44)
+    A = dataclasses.replace(make_random_svd_operator(8, 4, rng), dense=None)
+    y = rng.standard_normal(4)
+    schedule = make_linear_schedule(5, 0.1, 1.25)
+    T = schedule.num_steps
+    score_fn = score_fn_for(make_grid_gmm(8), schedule)
+
+    def run(strict):
+        return cdps_sample(y, A, IsotropicNoise(1e-2), schedule, score_fn,
+                           np.random.default_rng(45), n_chains=6,
+                           config=SolverConfig(strict=strict))
+
+    x_ref, trace_ref = run(strict=False)
+    assert trace_ref.failed_rows.size == 0
+    _report_unconverged(monkeypatch, T, {T: [1], 2: [4, 1]})
+    x, trace = run(strict=False)
+    assert trace.failed_rows.tolist() == [1, 4]
+    np.testing.assert_array_equal(x, x_ref)
+    _report_unconverged(monkeypatch, T, {T: [1], 2: [4, 1]})
+    with pytest.raises(ChainFailureError) as err:
+        run(strict=True)
+    assert err.value.t == T
+    assert err.value.rows.tolist() == [1]
+
+
+@pytest.mark.parametrize("method", ["dps", "score_sde", "ilvr"])
+def test_baseline_trace_has_zero_iterations_and_no_failed_rows(method):
+    d, m, n = 6, 2, 5
+    rng = np.random.default_rng(78)
+    A = from_dense(rng.standard_normal((m, d)))
+    y = rng.standard_normal(m)
+    schedule = make_linear_schedule(10, 0.1, 5.0)
+    T = schedule.num_steps
+    prior = make_grid_gmm(d)
+    score_fn = score_fn_for(prior, schedule)
+    rng = np.random.default_rng(79)
+    if method == "dps":
+        _, trace = dps_sample(y, A, schedule, score_fn, denoiser_jvp_fn_for(prior, schedule),
+                              rng, n_chains=n, record_residuals=True)
+    else:
+        sample = score_sde_sample if method == "score_sde" else ilvr_sample
+        _, trace = sample(y, A, schedule, score_fn, rng, n_chains=n, record_residuals=True)
+    assert trace.residual_sq.shape == (T + 1, n)
+    np.testing.assert_array_equal(trace.cg_iters, np.zeros(T + 1, dtype=int))
+    assert trace.failed_rows.size == 0
 
 
 def test_cdps_sample_shared_chain(monkeypatch):

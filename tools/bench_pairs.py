@@ -26,9 +26,9 @@ the raw median seconds per task of each method, ``cdps.task_s`` and ``dps.task_s
 ``task_cal`` but not in ``task_s`` is a shift of that unit.
 
 ``--run-config-dims`` also times one ``bench.run_config`` C-DPS task per
-dimension (m = 4, sigma = 1e-2, matrix 0, 100 chains, full grid), three
-times per side, alternating which side runs first. These timings are
-recorded, not gated.
+dimension (m = 4, sigma = 1e-2, matrix 0, 100 chains), three times per
+side, alternating which side runs first. These timings are recorded, not
+gated.
 
 Each side's package size, the line count of its ``src/**/*.py``, is
 recorded as ``src_lines``, so a change that deletes code shows by how much.
@@ -59,7 +59,7 @@ sys.path.insert(0, "src")
 from cdps import bench
 d, n = int(sys.argv[1]), int(sys.argv[2])
 cfg = bench.BenchConfig(dims=(d,), measurements=(4,), sigmas=(1e-2,), samples_per_run=n,
-                        methods=("cdps",), full_grid=True)
+                        methods=("cdps",))
 started = time.perf_counter()
 rows, _ = bench.run_config(cfg, d, 4, 1e-2, 0)
 rows[0]["task_s"] = time.perf_counter() - started

@@ -14,6 +14,13 @@ method to the SHA-256 of the samples' bytes (with their shape and dtype),
 the ``repr`` of the sliced Wasserstein distance and the failed chains. Two
 commits whose files are equal give the same samples and SW bit for bit on
 every pool task.
+
+On those same tasks every method also runs once more through
+``bench.make_task`` and ``bench.run_method``, on a fixed stream, recording
+residuals (and, for C-DPS, scores). Its ``trace_sha256`` holds the SHA-256
+of the trace's ``residual_sq`` and ``failed_rows``, and for C-DPS also of
+``cg_iters``, ``score_cos`` and ``score_mse``, so equal files also mean
+equal records. The baselines' ``cg_iters`` is left out: they make no solve.
 """
 
 from __future__ import annotations
@@ -32,6 +39,22 @@ def fingerprint(samples) -> str:
     digest = hashlib.sha256(f"{samples.dtype.str}{samples.shape}".encode())
     digest.update(samples.tobytes())
     return digest.hexdigest()
+
+
+def trace_fingerprints(bench, cfg, d: int, m: int, sigma: float, index: int) -> dict:
+    """Each method's recorded trace on one ``bench.run_config`` task, as SHA-256 digests."""
+    task = bench.make_task(cfg, d, m, sigma, index)
+    out = {}
+    for method in bench.KNOWN_METHODS:
+        rng = bench.derive_rng(cfg.master_seed, "pool_outputs", "trace", method, d, m, index)
+        record = {"record_residuals": True}
+        names = ("residual_sq", "failed_rows")
+        if method == "cdps":
+            record["record_scores"] = True
+            names += ("cg_iters", "score_cos", "score_mse")
+        _, trace = bench.run_method(method, cfg, task, rng, cfg.samples_per_run, **record)
+        out[method] = {name: fingerprint(getattr(trace, name)) for name in names}
+    return out
 
 
 def main(argv=None) -> int:
@@ -65,6 +88,10 @@ def main(argv=None) -> int:
                     row[result["method"]] = {
                         "samples_sha256": fingerprint(samples[result["method"]]),
                         "sw": repr(result["sw"]), "failures": result["failures"]}
+                traces = trace_fingerprints(bench, w.bench_config(bench.KNOWN_METHODS), w.d,
+                                            task.m, wl.SIGMA, index)
+                for method, digests in traces.items():
+                    row[method]["trace_sha256"] = digests
             out[name][str(index)] = row
             print(name, index, json.dumps(row), flush=True)
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
