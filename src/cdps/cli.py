@@ -62,11 +62,8 @@ def _cmd_run(args) -> int:
 
 def _trace_csv_rows(trace, n_chains):
     """(chain_id, t, residual_sq, cg_iters) CSV rows."""
-    T = trace.residual_sq.shape[0] - 1
     res = trace.residual_sq
-    if res.ndim == 1:
-        res = res[:, None]
-        n_chains = 1
+    T = res.shape[0] - 1
     for chain in range(n_chains):
         for t in range(T, -1, -1):
             produced_by = t + 1  # step consuming beta_{t+1} produced level t

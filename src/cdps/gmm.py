@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import LinearOperator
+from .operators import LinearOperator, checked_y
 from .schedules import NoiseSchedule
 
 _WSUM_TOL = 1e-12
@@ -365,11 +365,7 @@ def exact_posterior(gmm: GaussianMixture, A: LinearOperator, y: np.ndarray,
         raise ValueError("exact posterior requires a dense operator")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (A.m,):
-        raise ValueError(f"y must have shape ({A.m},)")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
+    y = checked_y(y, A)
 
     mat = A.dense
     d = gmm.d

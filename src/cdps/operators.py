@@ -40,6 +40,16 @@ class LinearOperator:
             raise ValueError("dense matrix shape mismatch")
 
 
+def checked_y(y, A: LinearOperator) -> np.ndarray:
+    """y as a float vector of A's m measurements, refused unless that shape and finite."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (A.m,):
+        raise ValueError(f"y must have shape ({A.m},), got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y must be finite")
+    return y
+
+
 def from_dense(mat: np.ndarray) -> LinearOperator:
     """Wrap a dense (m, d) matrix as a batched LinearOperator."""
     mat = np.ascontiguousarray(np.asarray(mat, dtype=float))

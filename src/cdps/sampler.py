@@ -20,8 +20,10 @@ factors nothing.  Up to ``FUSED_STEP_MAX_D`` dimensions such a step is fused:
 the precision's d x d inverse and the d x d map of the frozen score into the
 right-hand side are built from ``A^T A``, which is formed once per run, for a
 block of steps at a time, and the step ends in one product with that inverse.
-One function, ``_steps``, picks the step for ``cdps_sample``, ``cdps_step``
-and ``cdps_step_nonlinear``, so a single step is the run's step bit for bit.
+The first block is the step asked for alone, so a single step builds only
+its own matrices and a run builds each step's once.  One function,
+``_steps``, picks the step for ``cdps_sample``, ``cdps_step`` and
+``cdps_step_nonlinear``, so a single step is the run's step bit for bit.
 The measurement chain is stored time-major, so the level a step reads is
 contiguous.
 
@@ -68,6 +70,7 @@ from .operators import (
     IsotropicNoise,
     LinearOperator,
     NoiseModel,
+    checked_y,
     from_dense,
     make_whitener,
     mix_conditional_cov,
@@ -189,13 +192,13 @@ def generate_measurement_chain(
 
 @dataclass(frozen=True)
 class _StepScalars:
-    """The schedule's per-step scalars for one prior mode; entry t - 1 is step t."""
+    """The schedule's per-step scalars for one prior mode, as (T,) arrays; entry t - 1 is step t."""
 
-    abar_prev: list[float]
-    c: list[float]  # weight of the identity in the step precision
-    keep: list[float]  # sqrt(1 - beta_t) / beta_t, the transition's weight on x_t
-    pull: list[float]  # score prior's weight on x_t + (1 - abar_t) s_hat; 0 without it
-    tweedie: list[float]  # 1 - abar_t
+    abar_prev: np.ndarray
+    c: np.ndarray  # weight of the identity in the step precision
+    keep: np.ndarray  # sqrt(1 - beta_t) / beta_t, the transition's weight on x_t
+    pull: np.ndarray  # score prior's weight on x_t + (1 - abar_t) s_hat; 0 without it
+    tweedie: np.ndarray  # 1 - abar_t
 
 
 def _step_scalars(schedule: NoiseSchedule, prior_mode: str) -> _StepScalars:
@@ -215,10 +218,8 @@ def _step_scalars(schedule: NoiseSchedule, prior_mode: str) -> _StepScalars:
         # written with sqrt(abar_{t-1}/abar_t) = 1/sqrt(1-beta) so the
         # denoised estimate never divides by a vanishing sqrt(abar_t).
         pull[1:] = prior / np.sqrt(1.0 - beta[1:])
-    return _StepScalars(
-        abar_prev=abar_prev.tolist(), c=c.tolist(), keep=(np.sqrt(1.0 - beta) / beta).tolist(),
-        pull=pull.tolist(), tweedie=(1.0 - schedule.alpha_bars[1:]).tolist(),
-    )
+    return _StepScalars(abar_prev=abar_prev, c=c, keep=np.sqrt(1.0 - beta) / beta, pull=pull,
+                        tweedie=1.0 - schedule.alpha_bars[1:])
 
 
 @dataclass(frozen=True)
@@ -500,23 +501,24 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
     side is (keep + pull) x_t + s_hat (pull tweedie I - w_t^2 (1 - abar_{t-1}) A^T A)
     + sqrt(c_t) eps1 + (eps2 + w_t y_{t-1}) w_t A, and x_{t-1} = rhs S_t.
     A^T A, I - V V^T and I are built once per run; S_t, the score map, w_t A
-    and the step's floats w_t, sqrt(c_t) and keep + pull are built for a
-    block of steps at once, the matrices by batched products within
-    ``STEP_BLOCK_BYTES``, each entry rounding as it would one step at a time.
+    and the step's scalars w_t, sqrt(c_t) and keep + pull are built for a
+    block of steps at once, sliced from ``scalars``, the matrices by batched
+    products within ``STEP_BLOCK_BYTES``, each entry rounding as it would one
+    step at a time.  The first block is the step asked for alone; each later
+    one ends at the step asked for and holds as many steps as fit.
     Each step takes eps1 (n, d) and eps2 (n, m) from ``draw`` as one call of
     n (d + m) normals, the same stream as two calls.  Above
     ``FUSED_STEP_MAX_D`` the right-hand side is ``_posterior_rhs``'s and
-    ``spectral_solve`` applies S_t in factored form.
+    ``spectral_solve`` applies S_t in factored form, with w_t computed for
+    the step alone.
     """
     mat = A.dense
     v, s2 = spectral_factor(mat)
 
     if A.d > FUSED_STEP_MAX_D:
-        scale = [mix_variance(noise.sigma2, a) ** -0.5 for a in scalars.abar_prev]
-
         def factored_step(x, t, s_hat, y_prev, draw):
             i = t - 1
-            w = scale[i]
+            w = mix_variance(noise.sigma2, scalars.abar_prev[i]) ** -0.5
             b = _score_offset(A, s_hat, scalars.abar_prev[i])
             bw = w * mat  # B = W A
             rhs = _posterior_rhs(x, s_hat, (y_prev - b) * w, scalars.keep[i], scalars.pull[i],
@@ -533,24 +535,26 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
 
     def build(hi):
         """S_t, the score map, w_t A and (w_t, sqrt(c_t), keep + pull) of steps lo + 1..hi."""
-        steps = range(lo, hi)
-        w = [mix_variance(noise.sigma2, scalars.abar_prev[i]) ** -0.5 for i in steps]
+        cut = slice(lo, hi)
+        abar_prev, c, pull = scalars.abar_prev[cut], scalars.c[cut], scalars.pull[cut]
+        # One power per step: a power over the array may round differently.
+        w = [mix_variance(noise.sigma2, a) ** -0.5 for a in abar_prev.tolist()]
         # Per-step factors as columns that broadcast against the block's matrices.
         w_col, c_col, pull_tweedie, measure = np.array((
-            w, scalars.c[lo:hi], [scalars.pull[i] * scalars.tweedie[i] for i in steps],
-            [(a * a) * (1.0 - b) for a, b in zip(w, scalars.abar_prev[lo:hi])]))[..., None, None]
+            w, c, pull * scalars.tweedie[cut], np.square(w) * (1.0 - abar_prev)))[..., None, None]
         solve = (v / (c_col + (w_col * w_col) * s2)) @ v.T
         if null is not None:
             solve += null / c_col
-        return solve, pull_tweedie * eye - measure * gram, w_col * mat, [
-            (w[i - lo], math.sqrt(scalars.c[i]), scalars.keep[i] + scalars.pull[i]) for i in steps]
+        # The step's own scalars as Python floats, which unpack faster than an array's row.
+        return solve, pull_tweedie * eye - measure * gram, w_col * mat, list(zip(
+            w, np.sqrt(c).tolist(), (scalars.keep[cut] + pull).tolist()))
 
     def fused_step(x, t, s_hat, y_prev, draw):
         nonlocal lo, solves, drifts, wmats, floats
         i = t - 1
         if not lo <= i < lo + len(floats):
+            lo = max(0, t - (size if floats else 1))  # the first block is step t alone
             solves = drifts = wmats = floats = ()  # freed before the next block is built
-            lo = max(0, t - size)
             solves, drifts, wmats, floats = build(t)
         j = i - lo
         w, root_c, keep_pull = floats[j]
@@ -579,16 +583,6 @@ def _steps(A, noise, scalars, config):
     if isinstance(noise, IsotropicNoise) and A.dense is not None:
         return _spectral_steps(A, noise, scalars)
     return _rebuilt_steps(A, noise, scalars, config)
-
-
-def _checked_y(y, A: LinearOperator) -> np.ndarray:
-    """y as a float vector of A's m measurements, refused unless that shape and finite."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (A.m,):
-        raise ValueError(f"y must have shape ({A.m},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
-    return y
 
 
 def _reverse_run(y, A, schedule, score_fn, rng, n_chains, per_row, step, record_residuals,
@@ -652,7 +646,7 @@ def cdps_sample(
     when ``config.strict``); exact solves never fail a row.
     """
     config = config or SolverConfig()
-    y = _checked_y(y, A)
+    y = checked_y(y, A)
     chain = generate_measurement_chain(y, schedule, rng, None if shared_chain else n_chains)
     y_at = np.moveaxis(chain.y_levels, -2, 0)  # (T+1, ...) view of the levels
     coupled = _steps(A, noise, _step_scalars(schedule, config.prior_mode), config)
@@ -736,7 +730,7 @@ def dps_sample(
     share one responsibilities pass there.  The steps' normals come from a
     ``NormalStream`` on ``rng``, which the run holds until it returns.
     """
-    y = _checked_y(y, A)
+    y = checked_y(y, A)
 
     def guided(x, t, s_hat, draw):
         x_unc, x0_hat = _ancestral_step(x, t, s_hat, schedule, draw(x.shape))
@@ -776,7 +770,7 @@ def _noisy_target_sample(back, y, A, schedule, score_fn, rng, n_chains, scale, r
 def score_sde_sample(y, A, schedule, score_fn, rng, n_chains=None, scale=1.0,
                      record_residuals=False):
     """Adjoint-guidance baseline pushing toward a rescaled noisy observation."""
-    y = _checked_y(y, A)
+    y = checked_y(y, A)
     return _noisy_target_sample(A.adjoint, y, A, schedule, score_fn, rng,
                                 n_chains, scale, record_residuals)
 
@@ -787,7 +781,7 @@ def ilvr_sample(y, A, schedule, score_fn, rng, n_chains=None, scale=1.0,
 
     The pseudo-inverse is taken of ``A.dense``, so ``A`` must have a dense form.
     """
-    y = _checked_y(y, A)
+    y = checked_y(y, A)
     if A.dense is None:
         raise ValueError("ilvr needs an operator with a dense form (A.dense)")
     pinv = _pinv(A.dense)

@@ -397,6 +397,8 @@ def test_exact_posterior_rejects_bad_inputs():
     A = from_dense(np.ones((2, 4)))
     with pytest.raises(ValueError):
         exact_posterior(prior, A, np.array([1.0, np.nan]), 0.5)
+    with pytest.raises(ValueError, match=r"shape \(2,\), got \(3,\)"):
+        exact_posterior(prior, A, np.zeros(3), 0.5)
     with pytest.raises(ValueError):
         exact_posterior(prior, A, np.zeros(2), -1.0)
 

@@ -599,6 +599,35 @@ def test_single_step_is_the_runs_step(path, monkeypatch):
     assert clone.bit_generator.state == rng.bit_generator.state
 
 
+@pytest.mark.parametrize("path", ["fused", "factored"])
+def test_each_step_is_built_once(path, monkeypatch):
+    # The spectral step calls mix_variance once for each step whose w_t (and,
+    # fused, whose matrices) it builds: one call for a single step, and T for
+    # a run, whatever the fused block size.
+    if path == "factored":
+        monkeypatch.setattr(cdps.sampler, "FUSED_STEP_MAX_D", 0)
+    d, m = 8, 4
+    rng = np.random.default_rng(87)
+    A = make_random_svd_operator(d, m, rng)
+    y = rng.standard_normal(m)
+    schedule = BENCH_SCHEDULE
+    score_fn = score_fn_for(make_grid_gmm(d), schedule)
+    chain = generate_measurement_chain(y, schedule, rng)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return mix_variance(*args)
+
+    monkeypatch.setattr(cdps.sampler, "mix_variance", counted)
+    cdps_step(rng.standard_normal((100, d)), chain, 500, score_fn, A, IsotropicNoise(1e-4),
+              schedule, rng)
+    assert len(calls) == 1
+    calls.clear()
+    cdps_sample(y, A, IsotropicNoise(1e-4), schedule, score_fn, rng, n_chains=2)
+    assert len(calls) == schedule.num_steps
+
+
 @pytest.mark.parametrize("kwargs", [
     {"cg_tol": float("nan")}, {"cg_tol": float("inf")}, {"cg_tol": 0.0}, {"cg_tol": -1e-8},
     {"cg_max_iter": 0}, {"cg_max_iter": -1},

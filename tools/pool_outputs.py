@@ -21,6 +21,12 @@ residuals (and, for C-DPS, scores). Its ``trace_sha256`` holds the SHA-256
 of the trace's ``residual_sq`` and ``failed_rows``, and for C-DPS also of
 ``cg_iters``, ``score_cos`` and ``score_mse``, so equal files also mean
 equal records. The baselines' ``cg_iters`` is left out: they make no solve.
+
+On those tasks single C-DPS steps are fingerprinted too: ``cdps.sampler.cdps_step``
+at t in {1, 2, T // 2, T}, from one fixed x_t and per-row chain, once with the
+task's isotropic noise (the fused spectral step) and once with a diagonal noise
+of the same variance (the step that rebuilds its precision). ``step_sha256``
+holds the SHA-256 of each step's output.
 """
 
 from __future__ import annotations
@@ -54,6 +60,27 @@ def trace_fingerprints(bench, cfg, d: int, m: int, sigma: float, index: int) -> 
             names += ("cg_iters", "score_cos", "score_mse")
         _, trace = bench.run_method(method, cfg, task, rng, cfg.samples_per_run, **record)
         out[method] = {name: fingerprint(getattr(trace, name)) for name in names}
+    return out
+
+
+def step_fingerprints(bench, cfg, d: int, m: int, sigma: float, index: int) -> dict:
+    """C-DPS's single steps on one ``bench.run_config`` task, as SHA-256 digests."""
+    import numpy as np
+    from cdps.operators import DiagonalNoise, IsotropicNoise
+    from cdps.sampler import cdps_step, generate_measurement_chain
+
+    task = bench.make_task(cfg, d, m, sigma, index)
+    schedule, n = task.schedule, cfg.samples_per_run
+    rng = bench.derive_rng(cfg.master_seed, "pool_outputs", "step", d, m, index)
+    chain = generate_measurement_chain(task.y, schedule, rng, n)
+    x_t = rng.standard_normal((n, d))
+    T = schedule.num_steps
+    out = {}
+    for kind, noise in (("isotropic", IsotropicNoise(sigma * sigma)),
+                        ("diagonal", DiagonalNoise(np.full(m, sigma * sigma)))):
+        for t in (1, 2, T // 2, T):
+            x = cdps_step(x_t, chain, t, task.score_fn, task.A, noise, schedule, rng)
+            out[f"{kind}_t{t}"] = fingerprint(x)
     return out
 
 
@@ -92,6 +119,8 @@ def main(argv=None) -> int:
                                             task.m, wl.SIGMA, index)
                 for method, digests in traces.items():
                     row[method]["trace_sha256"] = digests
+                row["cdps"]["step_sha256"] = step_fingerprints(
+                    bench, w.bench_config(), w.d, task.m, wl.SIGMA, index)
             out[name][str(index)] = row
             print(name, index, json.dumps(row), flush=True)
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
