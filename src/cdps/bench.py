@@ -172,9 +172,9 @@ def run_config(cfg: BenchConfig, d: int, m: int, sigma: float, matrix_index: int
                 f"{failures} of {cfg.samples_per_run} chains failed"
             )
         x0 = np.delete(x0, trace.failed_rows, axis=0)
-        ref = reference if x0.shape[0] == reference.shape[0] else reference[: x0.shape[0]]
         sw_rng = derive_rng(cfg.master_seed, "slices", d, m, sigma, matrix_index)
-        sw = sliced_wasserstein(x0, ref, cfg.sw_slices, sw_rng, order=cfg.sw_order)
+        sw = sliced_wasserstein(x0, reference[: x0.shape[0]], cfg.sw_slices, sw_rng,
+                                order=cfg.sw_order)
         seconds = time.perf_counter() - started if cfg.record_timing else 0.0
         rows.append({
             "method": method, "d": d, "m": m, "sigma": sigma,

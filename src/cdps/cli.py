@@ -146,8 +146,7 @@ def _cmd_diagnostics(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cos = np.atleast_2d(trace.score_cos.T).T
-    mse = np.atleast_2d(trace.score_mse.T).T
+    cos, mse = trace.score_cos, trace.score_mse
     rows = ([t, f"{np.nanmean(cos[t]):.8g}", f"{np.nanmean(mse[t]):.8g}", args.chains]
             for t in range(schedule.num_steps, 0, -1))
     path = write_csv(out / f"diagnostics_d{args.d}_m{args.m}_s{args.sigma!r}.csv",

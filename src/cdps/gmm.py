@@ -91,6 +91,8 @@ class GaussianMixture:
         K, d = means.shape
         if weights.shape != (K,):
             raise ValueError("weights must be (K,)")
+        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(weights))):
+            raise ValueError("means and weights must be finite")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > _WSUM_TOL:
             raise ValueError("weights must be nonnegative and sum to 1")
         if (self.variances is None) == (self.cov is None):
@@ -100,8 +102,8 @@ class GaussianMixture:
             var = np.asarray(self.variances, dtype=float)
             if var.shape != (K,):
                 raise ValueError("variances must be (K,)")
-            if np.any(var <= 0):
-                raise ValueError("variances must be positive")
+            if not np.all(np.isfinite(var) & (var > 0)):
+                raise ValueError("variances must be positive and finite")
             object.__setattr__(self, "variances", var)
             equal_var = bool(np.allclose(var, var[0], rtol=1e-12, atol=0))
             object.__setattr__(self, "_var", _scalar_if_equal(var))
@@ -109,6 +111,8 @@ class GaussianMixture:
             cov = np.asarray(self.cov, dtype=float)
             if cov.shape != (d, d):
                 raise ValueError("cov must be (d, d)")
+            if not np.all(np.isfinite(cov)):
+                raise ValueError("cov must be finite")
             # Raises LinAlgError if not SPD.
             np.linalg.cholesky(cov)
             object.__setattr__(self, "cov", cov)
@@ -363,8 +367,8 @@ def exact_posterior(gmm: GaussianMixture, A: LinearOperator, y: np.ndarray,
         raise ValueError("exact posterior requires unit-variance components")
     if A.dense is None:
         raise ValueError("exact posterior requires a dense operator")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (np.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be positive and finite")
     y = checked_y(y, A)
 
     mat = A.dense

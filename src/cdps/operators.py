@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-DENSE_LIMIT = 1 << 20  # max m*d for dense materialization (oracles/tests only)
+DENSE_LIMIT = 1 << 20  # max m*d for dense materialization (exact steps, ILVR, oracles)
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,7 @@ class LinearOperator:
     ``apply`` maps ``(..., d) -> (..., m)`` and ``adjoint`` maps
     ``(..., m) -> (..., d)``; both must satisfy the inner-product adjoint
     identity.  ``dense`` is an optional (m, d) materialization, only present
-    for small instances and used by oracles and tests.
+    for small instances; the sampler's exact steps, ILVR and the oracles use it.
     """
 
     m: int

@@ -16,14 +16,15 @@ without one, the solve is diagonally preconditioned CG (``cg_solve``).  A
 whole run with isotropic noise and a dense A factors ``A`` once, by a thin
 SVD: every step's precision ``c_t I + A^T A / gamma_t`` is diagonal in its
 basis, so a step builds no noise model, whitener, precision or report and
-factors nothing.  Up to ``FUSED_STEP_MAX_D`` dimensions such a step is fused:
-the precision's d x d inverse and the d x d map of the frozen score into the
-right-hand side are built from ``A^T A``, which is formed once per run, for a
-block of steps at a time, and the step ends in one product with that inverse.
-The first block is the step asked for alone, so a single step builds only
-its own matrices and a run builds each step's once.  One function,
-``_steps``, picks the step for ``cdps_sample``, ``cdps_step`` and
-``cdps_step_nonlinear``, so a single step is the run's step bit for bit.
+factors nothing.  When d and m are both at most ``FUSED_STEP_MAX_D`` such a
+step is fused: the precision's d x d inverse and the d x d map of the frozen
+score into the right-hand side are built from ``A^T A``, which is formed once
+per run, for a block of ``STEP_BLOCK`` steps at a time, and the step ends in
+one product with that inverse.  The first block is the step asked for alone,
+so a single step builds only its own matrices and a run builds each step's
+once.  One function, ``_steps``, picks the step for ``cdps_sample``,
+``cdps_step`` and ``cdps_step_nonlinear``, so a single step is the run's step
+bit for bit.
 The measurement chain is stored time-major, so the level a step reads is
 contiguous.
 
@@ -292,7 +293,7 @@ def _posterior_rhs(x_t, s_hat, white, keep, pull, tweedie, c, bt, draw):
         batch = x_t.shape[:-1]
         rhs += np.sqrt(c) * draw(batch + (x_t.shape[-1],))
         white = white + draw(batch + (white.shape[-1],))
-    rhs = rhs + bt(white)  # broadcasts a single x_t against per-row chains
+    rhs = rhs + bt(white)  # posterior_mean broadcasts one x_t against per-row levels
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
     return rhs
@@ -378,15 +379,14 @@ def _rebuilt_steps(A, noise, scalars, config):
     return step
 
 
-# Largest d whose spectral steps are fused into one d x d product.  The fused
-# step makes fewer, larger calls: its products cost O(n d^2) and its matrix
-# O(d^2 min(m, d)), against the factored step's O(n d min(m, d)).  With 100
-# chains and m = 4 it was 3% faster than the factored step at d = 64, 5%
-# slower at d = 80 and 4.5 times slower at d = 800.
+# Largest d and m whose spectral steps are fused into one d x d product.  The
+# fused step makes fewer, larger calls: its products cost O(n d^2) and its
+# matrix O(d^2 min(m, d)), against the factored step's O(n d min(m, d)).  With
+# 100 chains and m = 4 it was 3% faster than the factored step at d = 64, 5%
+# slower at d = 80 and 4.5 times slower at d = 800.  Bounding m as well bounds
+# a step's matrices, 8 d (2d + m) bytes, by 96 KiB.
 FUSED_STEP_MAX_D = 64
-# Bytes of the per-step matrices (S_t, the score map and w_t A) that the fused
-# step builds for a block of steps at once.
-STEP_BLOCK_BYTES = 1 << 16
+STEP_BLOCK = 32  # steps whose matrices the fused step builds at once: at most 3 MiB
 # Bytes of one block of a run's per-step normals (or of one step's, if more),
 # and the number of such blocks ``NormalStream`` keeps: the sampler reads one
 # while the producer fills the others.  Much smaller blocks hand over too
@@ -496,26 +496,25 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
     S_t = V diag(1 / (c_t + w_t^2 s^2)) V^T, plus (I - V V^T) / c_t on A's
     null space when m < d.
 
-    Up to ``FUSED_STEP_MAX_D`` the step is fused.  With the offset
-    b = (1 - abar_{t-1}) A s_hat expanded, the general step's right-hand
-    side is (keep + pull) x_t + s_hat (pull tweedie I - w_t^2 (1 - abar_{t-1}) A^T A)
+    When d and m are both at most ``FUSED_STEP_MAX_D`` the step is fused.
+    With the offset b = (1 - abar_{t-1}) A s_hat expanded, the general step's
+    right-hand side is (keep + pull) x_t + s_hat (pull tweedie I - w_t^2 (1 - abar_{t-1}) A^T A)
     + sqrt(c_t) eps1 + (eps2 + w_t y_{t-1}) w_t A, and x_{t-1} = rhs S_t.
-    A^T A, I - V V^T and I are built once per run; S_t, the score map, w_t A
-    and the step's scalars w_t, sqrt(c_t) and keep + pull are built for a
+    A^T A, I - V V^T and I are built once per run.  Each step's record,
+    (S_t, the score map, w_t A, w_t, sqrt(c_t), keep + pull), is built for a
     block of steps at once, sliced from ``scalars``, the matrices by batched
-    products within ``STEP_BLOCK_BYTES``, each entry rounding as it would one
-    step at a time.  The first block is the step asked for alone; each later
-    one ends at the step asked for and holds as many steps as fit.
-    Each step takes eps1 (n, d) and eps2 (n, m) from ``draw`` as one call of
-    n (d + m) normals, the same stream as two calls.  Above
-    ``FUSED_STEP_MAX_D`` the right-hand side is ``_posterior_rhs``'s and
-    ``spectral_solve`` applies S_t in factored form, with w_t computed for
-    the step alone.
+    products, each entry rounding as it would one step at a time.  The first
+    block is the step asked for alone; each later one ends at the step asked
+    for and holds ``STEP_BLOCK`` steps.  Each step takes eps1 (n, d) and
+    eps2 (n, m) from ``draw`` as one call of n (d + m) normals, the same
+    stream as two calls.  Otherwise the right-hand side is
+    ``_posterior_rhs``'s and ``spectral_solve`` applies S_t in factored
+    form, with w_t computed for the step alone.
     """
     mat = A.dense
     v, s2 = spectral_factor(mat)
 
-    if A.d > FUSED_STEP_MAX_D:
+    if max(A.d, A.m) > FUSED_STEP_MAX_D:
         def factored_step(x, t, s_hat, y_prev, draw):
             i = t - 1
             w = mix_variance(noise.sigma2, scalars.abar_prev[i]) ** -0.5
@@ -530,11 +529,10 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
     gram = mat.T @ mat
     eye = np.eye(d)
     null = eye - v @ v.T if v.shape[1] < d else None
-    size = max(1, STEP_BLOCK_BYTES // (8 * d * (2 * d + m)))
-    lo, solves, drifts, wmats, floats = 0, (), (), (), ()  # steps lo + 1..lo + len(floats)
+    lo, block = 0, []  # the records of steps lo + 1..lo + len(block)
 
     def build(hi):
-        """S_t, the score map, w_t A and (w_t, sqrt(c_t), keep + pull) of steps lo + 1..hi."""
+        """The records of steps lo + 1..hi."""
         cut = slice(lo, hi)
         abar_prev, c, pull = scalars.abar_prev[cut], scalars.c[cut], scalars.pull[cut]
         # One power per step: a power over the array may round differently.
@@ -546,31 +544,29 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
         if null is not None:
             solve += null / c_col
         # The step's own scalars as Python floats, which unpack faster than an array's row.
-        return solve, pull_tweedie * eye - measure * gram, w_col * mat, list(zip(
-            w, np.sqrt(c).tolist(), (scalars.keep[cut] + pull).tolist()))
+        return list(zip(solve, pull_tweedie * eye - measure * gram, w_col * mat, w,
+                        np.sqrt(c).tolist(), (scalars.keep[cut] + pull).tolist()))
 
     def fused_step(x, t, s_hat, y_prev, draw):
-        nonlocal lo, solves, drifts, wmats, floats
-        i = t - 1
-        if not lo <= i < lo + len(floats):
-            lo = max(0, t - (size if floats else 1))  # the first block is step t alone
-            solves = drifts = wmats = floats = ()  # freed before the next block is built
-            solves, drifts, wmats, floats = build(t)
-        j = i - lo
-        w, root_c, keep_pull = floats[j]
+        nonlocal lo, block
+        if not lo < t <= lo + len(block):
+            lo = max(0, t - (STEP_BLOCK if block else 1))  # the first block is step t alone
+            block = []  # freed before the next block is built
+            block = build(t)
+        solve, drift, wmat, w, root_c, keep_pull = block[t - 1 - lo]
         eps = draw(x.size // d * (d + m))
         eps1 = eps[:x.size].reshape(x.shape)
         eps2 = eps[x.size:].reshape(x.shape[:-1] + (m,))
         eps2 += w * y_prev
-        rhs = eps2 @ wmats[j]
-        rhs += s_hat @ drifts[j]
+        rhs = eps2 @ wmat
+        rhs += s_hat @ drift
         rhs += keep_pull * x
         eps1 *= root_c
         rhs += eps1
         # A sum over finite entries is finite unless it overflows.
         if not np.isfinite(rhs.sum()) and not np.all(np.isfinite(rhs)):
             raise ValueError("rhs must be finite")
-        return rhs @ solves[j], 0, _NO_ROWS
+        return rhs @ solve, 0, _NO_ROWS
     return fused_step
 
 
@@ -664,6 +660,8 @@ def _single_step(x_t, t, chain, score_fn, A, noise, schedule, rng, config, offse
         raise ValueError("t must be in [1, T]")
     if chain.y_levels.shape[-1] != A.m:
         raise ValueError(f"the chain's levels must have length {A.m}")
+    if chain.y_levels.shape[:-2] not in ((), x_t.shape[:-1]):
+        raise ValueError(f"chain levels {chain.y_levels.shape} do not match x_t {x_t.shape}")
     step = _steps(A, noise, _step_scalars(schedule, config.prior_mode), config)
     return step(x_t, t, np.asarray(score_fn(x_t, t), dtype=float), chain.y_at(t - 1) - offset,
                 rng.standard_normal)[0]

@@ -399,8 +399,9 @@ def test_exact_posterior_rejects_bad_inputs():
         exact_posterior(prior, A, np.array([1.0, np.nan]), 0.5)
     with pytest.raises(ValueError, match=r"shape \(2,\), got \(3,\)"):
         exact_posterior(prior, A, np.zeros(3), 0.5)
-    with pytest.raises(ValueError):
-        exact_posterior(prior, A, np.zeros(2), -1.0)
+    for sigma in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            exact_posterior(prior, A, np.zeros(2), sigma)
 
 
 def test_sample_mixture_single_component_moments():
@@ -437,3 +438,16 @@ def test_mixture_validation():
     with pytest.raises(np.linalg.LinAlgError):
         GaussianMixture(means=np.zeros((1, 2)), weights=np.ones(1),
                         cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # NaN passes both the weight-sum test and var <= 0, so finiteness is its own check.
+    good = dict(means=np.zeros((2, 2)), weights=np.full(2, 0.5), variances=np.ones(2))
+    for name, bad in (("means", np.array([[0.0, np.nan], [0.0, 0.0]])),
+                      ("means", np.array([[0.0, np.inf], [0.0, 0.0]])),
+                      ("weights", np.array([np.nan, 0.5])),
+                      ("weights", np.array([np.nan, np.nan])),
+                      ("variances", np.array([1.0, np.nan])),
+                      ("variances", np.array([1.0, np.inf]))):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianMixture(**{**good, name: bad})
+    for cov in (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([1.0, np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianMixture(means=np.zeros((1, 2)), weights=np.ones(1), cov=cov)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import threading
 import time
 import tracemalloc
@@ -419,24 +420,19 @@ def test_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypa
     _check_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypatch)
 
 
-@pytest.mark.parametrize("shape", list(SPECTRAL_SHAPES))
+@pytest.mark.parametrize("shape", list(SPECTRAL_SHAPES) + ["tall"])
 @pytest.mark.parametrize("prior_mode", ["score", "identity", "none"])
 @pytest.mark.parametrize("chains", ["rows", "shared", "single"])
 def test_factored_spectral_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypatch):
-    # Above FUSED_STEP_MAX_D the spectral step keeps its factored solve.
-    monkeypatch.setattr(cdps.sampler, "FUSED_STEP_MAX_D", 0)
-    solves = []
-
-    def counted(*args):
-        solves.append(1)
-        return spectral_solve(*args)
-
-    monkeypatch.setattr(cdps.sampler, "spectral_solve", counted)
-    _check_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypatch)
-    assert solves
+    # When d or m is above FUSED_STEP_MAX_D the spectral step keeps its
+    # factored solve; "tall" is the m > d shape with only m above it.
+    monkeypatch.setattr(cdps.sampler, "FUSED_STEP_MAX_D", 4 if shape == "tall" else 0)
+    assert _check_isotropic_run_matches_rebuilt_steps("m>d" if shape == "tall" else shape,
+                                                      prior_mode, chains, monkeypatch)
 
 
 def _check_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypatch):
+    """Returns the number of ``spectral_solve`` calls the isotropic run made."""
     d, m = SPECTRAL_SHAPES[shape]
     rng = np.random.default_rng(70)
     A = from_dense(rng.standard_normal((m, d)))
@@ -455,8 +451,16 @@ def _check_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkey
         raise AssertionError("the isotropic run rebuilt a step's covariance")
 
     monkeypatch.setattr(cdps.sampler, "mix_conditional_cov", rebuilt)
+    solves = []
+
+    def counted(*args):
+        solves.append(1)
+        return spectral_solve(*args)
+
+    monkeypatch.setattr(cdps.sampler, "spectral_solve", counted)
     x, tr = cdps_sample(y, A, IsotropicNoise(sigma2), schedule, score_fn,
                         np.random.default_rng(71), **kwargs)
+    isotropic_solves = len(solves)
     for got, ref in ((x, x_ref), (tr.residual_sq, tr_ref.residual_sq),
                      (tr.score_cos[1:], tr_ref.score_cos[1:]),
                      (tr.score_mse[1:], tr_ref.score_mse[1:])):
@@ -473,6 +477,7 @@ def _check_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkey
         cdps_sample(y, A, IsotropicNoise(sigma2), schedule, nan_at_10,
                     np.random.default_rng(71), **kwargs)
     assert threading.active_count() == threads  # the normals' producer is joined
+    return isotropic_solves
 
 
 @pytest.mark.parametrize("fused", [True, False])
@@ -603,7 +608,7 @@ def test_single_step_is_the_runs_step(path, monkeypatch):
 def test_each_step_is_built_once(path, monkeypatch):
     # The spectral step calls mix_variance once for each step whose w_t (and,
     # fused, whose matrices) it builds: one call for a single step, and T for
-    # a run, whatever the fused block size.
+    # a run, whatever the fused block size, which leaves the samples as they are.
     if path == "factored":
         monkeypatch.setattr(cdps.sampler, "FUSED_STEP_MAX_D", 0)
     d, m = 8, 4
@@ -623,9 +628,64 @@ def test_each_step_is_built_once(path, monkeypatch):
     cdps_step(rng.standard_normal((100, d)), chain, 500, score_fn, A, IsotropicNoise(1e-4),
               schedule, rng)
     assert len(calls) == 1
-    calls.clear()
-    cdps_sample(y, A, IsotropicNoise(1e-4), schedule, score_fn, rng, n_chains=2)
-    assert len(calls) == schedule.num_steps
+    runs = []
+    for block in (cdps.sampler.STEP_BLOCK, 1, 3):
+        monkeypatch.setattr(cdps.sampler, "STEP_BLOCK", block)
+        calls.clear()
+        x, _ = cdps_sample(y, A, IsotropicNoise(1e-4), schedule, score_fn,
+                           np.random.default_rng(88), n_chains=2)
+        assert len(calls) == schedule.num_steps
+        runs.append(x)
+    for x in runs[1:]:
+        assert np.array_equal(x, runs[0])
+
+
+@pytest.mark.parametrize("path", ["fused", "factored", "diagonal", "cg"])
+@pytest.mark.parametrize("rows", [(), (3,)], ids=["single", "three"])
+def test_single_step_refuses_a_chain_of_other_rows(path, rows, monkeypatch):
+    # A single step draws one eps1 and eps2 per row of x_t.  A chain of four
+    # rows against one x_t used to fail mid-step on the fused path and, on
+    # the rebuilt one, to give four rows sharing one draw; x_t must have the
+    # chain's rows, or the chain none, and any other pair raises before a draw.
+    if path == "factored":
+        monkeypatch.setattr(cdps.sampler, "FUSED_STEP_MAX_D", 0)
+    d, m = 6, 2
+    rng = np.random.default_rng(89)
+    A = from_dense(rng.standard_normal((m, d)))
+    if path == "cg":
+        A = dataclasses.replace(A, dense=None)
+    noise = DiagonalNoise(np.full(m, 0.01)) if path == "diagonal" else IsotropicNoise(0.01)
+    schedule = make_linear_schedule(5, 0.1, 1.25)
+    score_fn = score_fn_for(make_grid_gmm(d), schedule)
+    y = rng.standard_normal(m)
+    chain = generate_measurement_chain(y, schedule, rng, n_chains=4)
+    x_t = rng.standard_normal(rows + (d,))
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=re.escape(f"(4, 6, 2) do not match x_t {x_t.shape}")):
+        cdps_step(x_t, chain, 3, score_fn, A, noise, schedule, rng)
+    assert rng.bit_generator.state == state
+    shared = generate_measurement_chain(y, schedule, rng)
+    for x, c in ((rng.standard_normal((4, d)), chain), (x_t, shared)):
+        assert cdps_step(x, c, 3, score_fn, A, noise, schedule, rng).shape == x.shape
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_posterior_mean_broadcasts_one_x_t_against_per_row_levels(dense):
+    # posterior_mean draws nothing, so one x_t against four levels is four
+    # means, each that of its own level.
+    d, m = 6, 2
+    rng = np.random.default_rng(90)
+    A = from_dense(rng.standard_normal((m, d)))
+    if not dense:
+        A = dataclasses.replace(A, dense=None)
+    schedule = make_linear_schedule(5, 0.1, 1.25)
+    x_t, y_prev = rng.standard_normal(d), rng.standard_normal((4, m))
+    params = make_step_params(x_t, 3, lambda x, t: -x, A, IsotropicNoise(0.01), schedule)
+    mu, _ = posterior_mean(params, x_t, y_prev)
+    assert mu.shape == (4, d)
+    for row in range(4):
+        np.testing.assert_allclose(mu[row], posterior_mean(params, x_t, y_prev[row])[0],
+                                   rtol=1e-6)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -814,8 +874,8 @@ def _reference_fused_run(y, A, sigma2, schedule, score_fn, rng, n_chains, shared
     return x, trace
 
 
-def _fused_block_steps(d, m):
-    return cdps.sampler.STEP_BLOCK_BYTES // (8 * d * (2 * d + m))
+def _fused_block_steps():
+    return cdps.sampler.STEP_BLOCK
 
 
 @pytest.mark.parametrize("shape", list(SPECTRAL_SHAPES))
@@ -830,7 +890,7 @@ def test_fused_run_equals_per_step_reference(shape, chains, steps, prior_mode):
     # sample and trace must still equal the per-step run bit for bit, on
     # either side of a block boundary.
     d, m = SPECTRAL_SHAPES[shape]
-    block = _fused_block_steps(d, m)
+    block = _fused_block_steps()
     T = {"1": 1, "block-1": block - 1, "block": block, "block+1": block + 1}[steps]
     rng = np.random.default_rng(74)
     A = from_dense(rng.standard_normal((m, d)))

@@ -22,8 +22,9 @@ of the trace's ``residual_sq`` and ``failed_rows``, and for C-DPS also of
 ``cg_iters``, ``score_cos`` and ``score_mse``, so equal files also mean
 equal records. The baselines' ``cg_iters`` is left out: they make no solve.
 
-On those tasks single C-DPS steps are fingerprinted too: ``cdps.sampler.cdps_step``
-at t in {1, 2, T // 2, T}, from one fixed x_t and per-row chain, once with the
+On every pool task single C-DPS steps are fingerprinted too:
+``cdps.sampler.cdps_step`` at t in {1, 2, T // 2, T}, from one fixed x_t and
+per-row chain built from the task's own prior, A, y and schedule, once with the
 task's isotropic noise (the fused spectral step) and once with a diagonal noise
 of the same variance (the step that rebuilds its precision). ``step_sha256``
 holds the SHA-256 of each step's output.
@@ -63,23 +64,20 @@ def trace_fingerprints(bench, cfg, d: int, m: int, sigma: float, index: int) -> 
     return out
 
 
-def step_fingerprints(bench, cfg, d: int, m: int, sigma: float, index: int) -> dict:
-    """C-DPS's single steps on one ``bench.run_config`` task, as SHA-256 digests."""
+def step_fingerprints(A, y, score_fn, schedule, sigma: float, n: int, rng) -> dict:
+    """C-DPS's single steps on one task, as SHA-256 digests."""
     import numpy as np
     from cdps.operators import DiagonalNoise, IsotropicNoise
     from cdps.sampler import cdps_step, generate_measurement_chain
 
-    task = bench.make_task(cfg, d, m, sigma, index)
-    schedule, n = task.schedule, cfg.samples_per_run
-    rng = bench.derive_rng(cfg.master_seed, "pool_outputs", "step", d, m, index)
-    chain = generate_measurement_chain(task.y, schedule, rng, n)
-    x_t = rng.standard_normal((n, d))
+    chain = generate_measurement_chain(y, schedule, rng, n)
+    x_t = rng.standard_normal((n, A.d))
     T = schedule.num_steps
     out = {}
     for kind, noise in (("isotropic", IsotropicNoise(sigma * sigma)),
-                        ("diagonal", DiagonalNoise(np.full(m, sigma * sigma)))):
+                        ("diagonal", DiagonalNoise(np.full(A.m, sigma * sigma)))):
         for t in (1, 2, T // 2, T):
-            x = cdps_step(x_t, chain, t, task.score_fn, task.A, noise, schedule, rng)
+            x = cdps_step(x_t, chain, t, score_fn, A, noise, schedule, rng)
             out[f"{kind}_t{t}"] = fingerprint(x)
     return out
 
@@ -93,7 +91,7 @@ def main(argv=None) -> int:
         os.environ[var] = "1"  # set before numpy loads
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads as wl
-    from cdps import bench
+    from cdps import bench, gmm
 
     others = tuple(method for method in bench.KNOWN_METHODS if method not in wl.METHODS)
     out = {}
@@ -119,8 +117,11 @@ def main(argv=None) -> int:
                                             task.m, wl.SIGMA, index)
                 for method, digests in traces.items():
                     row[method]["trace_sha256"] = digests
-                row["cdps"]["step_sha256"] = step_fingerprints(
-                    bench, w.bench_config(), w.d, task.m, wl.SIGMA, index)
+            rng = bench.derive_rng(wl.POOL_SEED, "pool_outputs", "step", w.d, task.m, index)
+            schedule = inputs.schedule
+            row["cdps"]["step_sha256"] = step_fingerprints(
+                task.A, task.y, gmm.score_fn_for(task.prior, schedule), schedule, wl.SIGMA,
+                w.chains, rng)
             out[name][str(index)] = row
             print(name, index, json.dumps(row), flush=True)
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
