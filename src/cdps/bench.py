@@ -74,6 +74,7 @@ class BenchConfig:
             (self.samples_per_run, "samples_per_run"),
             (self.sw_slices, "sw_slices"),
             (self.num_steps, "num_steps"),
+            (self.workers, "workers"),
         ]:
             if val < 1:
                 raise ValueError(f"{name} must be positive")

@@ -38,6 +38,8 @@ class LinearOperator:
             raise ValueError("operator dimensions must be positive")
         if self.dense is not None and self.dense.shape != (self.m, self.d):
             raise ValueError("dense matrix shape mismatch")
+        if self.dense is not None and not np.all(np.isfinite(self.dense)):
+            raise ValueError("dense matrix must be finite")
 
 
 def checked_y(y, A: LinearOperator) -> np.ndarray:
@@ -55,6 +57,8 @@ def from_dense(mat: np.ndarray) -> LinearOperator:
     mat = np.ascontiguousarray(np.asarray(mat, dtype=float))
     if mat.ndim != 2:
         raise ValueError("expected a 2-D matrix")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix must be finite")
     m, d = mat.shape
     dense = mat if m * d <= DENSE_LIMIT else None
     return LinearOperator(
@@ -279,6 +283,8 @@ def blur_operator(kernel, d: int) -> LinearOperator:
     h = np.asarray(kernel, dtype=float)
     if h.ndim != 1 or h.size == 0:
         raise ValueError("kernel must be a nonempty vector")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("kernel must be finite")
     if h.size % 2 == 0:
         raise ValueError("kernel length must be odd")
     if h.size > d:

@@ -38,19 +38,20 @@ per seed: the chain noise, chain by chain as one (n, T, m) block, then the
 initial state, then per step the perturbation's eps1 (n, d) and eps2 (n, m);
 the right-hand side and the solve consume no randomness.  The chain noise and
 the initial state are drawn on the calling thread.  The per-step normals,
-exactly T n (d + m) of them, are drawn by a ``NormalStream``: a background
-thread fills a few fixed buffers from the same generator, in the same order,
-while the sampler evaluates the score and the step's products, so the samples
-and the generator's final state equal those of serial draws.  The generator
-belongs to the sampler until the sampler returns; its state after a run that
-raised is unspecified.  The guidance baselines draw x_T, then per step the
-ancestral noise (n, d) and, for Score-SDE and ILVR, the target's (n, m).
+exactly T n (d + m) of them, are drawn by a ``NormalStream``: the one worker
+of a thread-pool executor fills a few fixed buffers from the same generator,
+a block at a time and in the same order, while the sampler evaluates the
+score and the step's products, so the samples and the generator's final
+state equal those of serial draws.  A failed draw is raised at the step that
+reaches its block.  The generator belongs to the sampler until the sampler
+returns; its state after a run that raised is unspecified.  The guidance
+baselines draw x_T, then per step the ancestral noise (n, d) and, for
+Score-SDE and ILVR, the target's (n, m).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -396,7 +397,7 @@ NORMAL_BLOCKS = 3
 
 
 class NormalStream:
-    """A run's per-step standard normals, drawn ahead on a background thread.
+    """A run's per-step standard normals, drawn ahead on a one-worker executor.
 
     ``NormalStream(rng, per_step, steps)`` draws exactly ``per_step * steps``
     normals from ``rng``, in stream order, so the values ``take`` returns and
@@ -406,18 +407,17 @@ class NormalStream:
     core while the caller computes.
 
     The normals come in blocks of whole steps, about ``NORMAL_BLOCK_BYTES``
-    each, cycled through ``NORMAL_BLOCKS`` buffers that are allocated here, on
-    the calling thread.  ``take`` returns a view into the current block; a
-    buffer is refilled only after the caller has moved on to the next block,
-    so the view may be read and written until the caller's next step.  The
-    takes of each step must add up to ``per_step`` normals, so that none
-    spans two blocks.
+    each, cycled through ``NORMAL_BLOCKS`` buffers that are allocated here.
+    ``take`` returns a view into the current block; a buffer is refilled only
+    after the caller has moved on to the next block, so the view may be read
+    and written until the caller's next step.  The takes of each step must add
+    up to ``per_step`` normals, so that none spans two blocks.
 
-    Use it as a context manager.  Leaving it cancels and joins the producer,
-    so no thread outlives the ``with`` block.  An error raised in the producer
-    is raised again at the caller's next ``take``.  The generator belongs to
-    the stream until the block is left; its state is unspecified if the block
-    is left before every normal was taken.
+    Use it as a context manager: leaving it cancels the fills not yet begun
+    and joins the worker.  A draw that raised fails every later block without
+    a draw, and its error is raised at the ``take`` that reaches its block.
+    The generator belongs to the stream until the block is left; its state is
+    unspecified if the block is left before every normal was taken.
     """
 
     def __init__(self, rng: np.random.Generator, per_step: int, steps: int):
@@ -427,63 +427,43 @@ class NormalStream:
         block = step * max(1, NORMAL_BLOCK_BYTES // (8 * step))
         self._sizes = [min(block, total - lo) for lo in range(0, total, block)]
         self._buffers = [np.empty(size) for size in self._sizes[:NORMAL_BLOCKS]]
-        self._free = threading.Semaphore(len(self._buffers))  # buffers the producer may fill
-        self._ready = threading.Semaphore(0)  # blocks filled and not yet taken up
-        self._cancelled = False
-        self._error: BaseException | None = None
-        self._block = np.empty(0)  # the block ``take`` reads, from ``_pos`` on
-        self._pos = 0
+        self._fills = []  # a future per block submitted, in stream order
+        self._block = np.empty(0)  # what ``take`` has not yet read of its current block
         self._taken_blocks = 0
-        # A daemon: a producer left waiting by an interrupted exit never holds up
-        # the interpreter's exit.
-        self._thread = threading.Thread(target=self._produce, name="cdps-normals", daemon=True)
 
     def __enter__(self) -> "NormalStream":
-        self._thread.start()
+        from concurrent.futures import ThreadPoolExecutor  # not loaded by importing cdps
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cdps-normals")
+        for _ in self._buffers:
+            self._submit_next()
         return self
 
     def __exit__(self, *exc_info) -> None:
-        self._cancelled = True
-        self._free.release()  # wakes a producer waiting for a buffer
-        self._thread.join()
+        self._pool.shutdown(cancel_futures=True)
 
-    def _produce(self) -> None:
-        try:
-            for i, size in enumerate(self._sizes):
-                self._free.acquire()
-                if self._cancelled:
-                    return
-                self._rng.standard_normal(out=self._buffers[i % len(self._buffers)][:size])
-                self._ready.release()
-        except BaseException as exc:  # handed to the caller's next take
-            self._error = exc
-            self._ready.release()
+    def _submit_next(self) -> None:
+        if len(self._fills) < len(self._sizes):
+            self._fills.append(self._pool.submit(self._fill, len(self._fills)))
 
-    def _next_block(self) -> None:
-        i = self._taken_blocks
-        if i == len(self._sizes):
-            raise ValueError("every normal of the stream has been taken")
+    def _fill(self, i: int) -> np.ndarray:
         if i:
-            self._free.release()  # the block left behind may be refilled
-        self._ready.acquire()
-        if self._error is not None:
-            raise self._error
-        self._block = self._buffers[i % len(self._buffers)][:self._sizes[i]]
-        self._pos = 0
-        self._taken_blocks = i + 1
+            self._fills[i - 1].result()  # raises a failed block's error again, drawing nothing
+        return self._rng.standard_normal(out=self._buffers[i % len(self._buffers)][:self._sizes[i]])
 
     def take(self, shape) -> np.ndarray:
         """The stream's next ``prod(shape)`` normals, as an array of ``shape``."""
-        if self._error is not None:
-            raise self._error
         size = math.prod(shape) if isinstance(shape, tuple) else shape
-        if self._pos == self._block.size and size:
-            self._next_block()
-        end = self._pos + size
-        if end > self._block.size:
+        if not self._block.size and size:
+            i = self._taken_blocks
+            if i == len(self._sizes):
+                raise ValueError("every normal of the stream has been taken")
+            if i:
+                self._submit_next()  # into block i - 1's buffer, which the caller has left
+            self._block = self._fills[i].result()
+            self._taken_blocks = i + 1
+        if size > self._block.size:
             raise ValueError("a take spans two blocks: each step must take per_step normals")
-        out = self._block[self._pos:end]
-        self._pos = end
+        out, self._block = self._block[:size], self._block[size:]
         return out.reshape(shape)
 
 
@@ -656,8 +636,8 @@ def _single_step(x_t, t, chain, score_fn, A, noise, schedule, rng, config, offse
     config = config or SolverConfig()
     if not np.all(np.isfinite(x_t)):
         raise ValueError("x_t must be finite")
-    if not 1 <= t <= schedule.num_steps:
-        raise ValueError("t must be in [1, T]")
+    if not isinstance(t, (int, np.integer)) or not 1 <= t <= schedule.num_steps:
+        raise ValueError("t must be an integer in [1, T]")
     if chain.y_levels.shape[-1] != A.m:
         raise ValueError(f"the chain's levels must have length {A.m}")
     if chain.y_levels.shape[:-2] not in ((), x_t.shape[:-1]):

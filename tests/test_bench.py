@@ -199,6 +199,10 @@ def test_config_validation():
         BenchConfig(beta_min=0.0)
     with pytest.raises(ValueError, match="underflowed"):
         BenchConfig(num_steps=200)
+    # Zero or negative workers used to run the grid in serial without a word.
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            BenchConfig(workers=workers)
 
 
 def test_run_config_scatter_samples():
@@ -286,9 +290,11 @@ def test_workers_do_not_change_results(tmp_path):
 
 
 def test_import_loads_neither_scipy_nor_process_pool():
+    # Each sampler run and a grid with workers > 1 import the executor they
+    # use, so importing cdps loads no module of concurrent.futures.
     code = ("import sys, cdps, cdps.cli\n"
             "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')"
-            " or k == 'concurrent.futures.process'))\n")
+            " or k == 'concurrent.futures' or k.startswith('concurrent.futures.')))\n")
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdps.operators import (
+    DENSE_LIMIT,
     CirculantNoise,
     DiagonalNoise,
     IsotropicNoise,
+    LinearOperator,
     LowRankNoise,
     blur_operator,
     from_dense,
@@ -88,6 +90,25 @@ def test_batched_apply_matches_rowwise():
     batched = op.apply(X)
     for i in range(4):
         np.testing.assert_allclose(batched[i], op.apply(X[i]), rtol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_operators_are_refused(bad):
+    # One NaN in A used to make C-DPS fail mid-run in its SVD and DPS return
+    # NaN samples without an error; every constructor now refuses it, also
+    # for a matrix too large to keep a dense form.
+    mat = np.eye(3, 5)
+    mat[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        LinearOperator(3, 5, lambda x: x @ mat.T, lambda y: y @ mat, dense=mat)
+    with pytest.raises(ValueError, match="finite"):
+        from_dense(mat)
+    big = np.ones((1, DENSE_LIMIT + 1))
+    big[0, -1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        from_dense(big)
+    with pytest.raises(ValueError, match="finite"):
+        blur_operator([bad, 1.0, 0.0], 8)
 
 
 def test_random_svd_operator_contract():

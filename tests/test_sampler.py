@@ -541,12 +541,12 @@ def test_run_stream_order_on_every_path(path):
 
 @pytest.mark.parametrize("case", [
     f"{method}-{bad}" for method in ("cdps", "dps", "score_sde", "ilvr") for bad in ("short", "nan")
-] + ["cdps_step", "cdps_step_nonlinear"])
+] + ["cdps_step", "cdps_step_nonlinear", "cdps_step-t", "cdps_step_nonlinear-t"])
 def test_bad_y_is_refused_before_any_draw(case):
     # Every sampler requires y of shape (m,) with finite entries, and each
-    # single step a chain of m-long levels.  A 1-long y used to broadcast
-    # over the m measurements, and a NaN y gave NaN samples; now each raises
-    # before the generator moves.
+    # single step a chain of m-long levels and an integer t.  A 1-long y used
+    # to broadcast over the m measurements, a NaN y gave NaN samples, and
+    # t = 3.5 failed inside numpy; now each raises before the generator moves.
     d, m, n = 8, 4, 3
     rng = np.random.default_rng(83)
     M = rng.standard_normal((m, d))
@@ -556,7 +556,7 @@ def test_bad_y_is_refused_before_any_draw(case):
     score_fn = score_fn_for(prior, schedule)
     method, _, bad = case.partition("-")
     y = np.array([0.5]) if bad == "short" else np.full(m, np.nan)
-    match = {"short": r"shape \(4,\)", "nan": "finite", "": "length 4"}[bad]
+    match = {"short": r"shape \(4,\)", "nan": "finite", "": "length 4", "t": "integer"}[bad]
     rng = np.random.default_rng(84)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=match):
@@ -569,13 +569,14 @@ def test_bad_y_is_refused_before_any_draw(case):
             sample = score_sde_sample if method == "score_sde" else ilvr_sample
             sample(y, A, schedule, score_fn, rng, n_chains=n)
         else:
-            chain = generate_measurement_chain(np.array([0.5]), schedule,
+            chain = generate_measurement_chain(np.zeros(m) if bad else np.array([0.5]), schedule,
                                                np.random.default_rng(85))
             x_t = np.random.default_rng(86).standard_normal(d)
+            t = 3.5 if bad else 3
             if method == "cdps_step":
-                cdps_step(x_t, chain, 3, score_fn, A, noise, schedule, rng)
+                cdps_step(x_t, chain, t, score_fn, A, noise, schedule, rng)
             else:
-                cdps_step_nonlinear(x_t, chain, 3, score_fn, affine_map(M), noise, schedule, rng)
+                cdps_step_nonlinear(x_t, chain, t, score_fn, affine_map(M), noise, schedule, rng)
     assert rng.bit_generator.state == state
 
 
@@ -728,7 +729,10 @@ def test_normal_stream_equals_serial_draws(monkeypatch):
 
 
 class _StandInGenerator:
-    """A generator stand-in whose ``standard_normal`` raises (or stalls) from call ``fail_at``."""
+    """A generator stand-in whose ``standard_normal`` raises (or stalls) from call ``fail_at``.
+
+    ``calls`` counts the calls begun, ``drawn`` those that returned.
+    """
 
     def __init__(self, seed, fail_at, stall_s=None):
         self._rng = np.random.default_rng(seed)
@@ -736,6 +740,7 @@ class _StandInGenerator:
         self._stall_s = stall_s
         self.stalled = threading.Event()
         self.calls = 0
+        self.drawn = 0
 
     def standard_normal(self, size=None, out=None):
         self.calls += 1
@@ -744,7 +749,36 @@ class _StandInGenerator:
                 raise FloatingPointError(f"stand-in failure at call {self.calls}")
             self.stalled.set()
             time.sleep(self._stall_s)
-        return self._rng.standard_normal(size, out=out)
+        values = self._rng.standard_normal(size, out=out)
+        self.drawn += 1
+        return values
+
+
+def test_normal_stream_views_stay_in_its_buffers(monkeypatch):
+    # Every take is a view into one of the NORMAL_BLOCKS buffers the stream
+    # allocated before its first take.  Once the caller is in block k, the
+    # producer may fill every block up to k + NORMAL_BLOCKS - 1, into the
+    # buffers of the blocks the caller has left; with it that far ahead, the
+    # view of the caller's step still holds that step's serial draws.
+    monkeypatch.setattr(cdps.sampler, "NORMAL_BLOCK_BYTES", 8 * 7 * 3)
+    per_step, steps = 7, 20  # seven blocks: six of three steps and one of two
+    counting = _StandInGenerator(91, fail_at=math.inf)
+    stream = NormalStream(counting, per_step, steps)
+    buffers = list(stream._buffers)
+    assert len(buffers) == cdps.sampler.NORMAL_BLOCKS
+    expected = np.random.default_rng(91).standard_normal((steps, per_step))
+    with stream:
+        for step in range(steps):
+            view = stream.take((per_step,))
+            assert sum(np.shares_memory(view, buf) for buf in buffers) == 1
+            allowed = min(step // 3 + cdps.sampler.NORMAL_BLOCKS, 7)
+            deadline = time.monotonic() + 30
+            while counting.drawn < allowed:
+                assert time.monotonic() < deadline
+                time.sleep(1e-3)
+            time.sleep(5e-3)  # time for a fill beyond the allowed ones to begin
+            assert counting.calls == allowed
+            np.testing.assert_array_equal(view, expected[step])
 
 
 @pytest.mark.parametrize("method", ["cdps", "dps"])
