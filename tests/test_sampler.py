@@ -1295,6 +1295,55 @@ def test_dps_zero_residual_means_zero_guidance():
     np.testing.assert_array_equal(x_guided, x_free)
 
 
+def _guided_reference(y, A, schedule, score_fn, jvp_fn, rng, n, zeta):
+    """DPS from x_T down to x_0, one guided step at a time.
+
+    Each step is ``_ancestral_step`` plus zeta / ||y - A x0_hat|| times the
+    denoiser's Jacobian at x applied to A^T (y - A x0_hat), a zero or NaN
+    norm giving no guidance; ``rng`` draws x_T, then each step's (n, d)
+    normals.  Returns the state and each step's misfit norms.
+    """
+    x = rng.standard_normal((n, A.d))
+    norms = {}
+    for t in range(schedule.num_steps, 0, -1):
+        x_unc, x0_hat = _ancestral_step(x, t, score_fn(x, t), schedule,
+                                        rng.standard_normal(x.shape))
+        resid = y - A.apply(x0_hat)
+        norm = np.sqrt(np.einsum("...i,...i->...", resid, resid))
+        jw = jvp_fn(x, t, A.adjoint(resid))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.where(norm > 0, zeta / np.where(norm == 0, 1.0, norm), 0.0)
+        x = x_unc + gain[..., None] * jw
+        norms[t] = norm
+    return x, norms
+
+
+@pytest.mark.parametrize("operator", ["dense", "blur"])
+def test_dps_guided_run_matches_reference_loop_bitwise(operator):
+    # A zeta = 1 run must equal the guided step written out above, bit for
+    # bit: DPS amplifies rounding, so a re-associated sum would show.  Chain
+    # 2's misfit at the first step is exactly zero, so its gain there is 0.
+    d, m, n, T = 8, 4, 5, 12
+    rng = np.random.default_rng(26)
+    prior = make_grid_gmm(d)
+    A = (from_dense(rng.standard_normal((m, d))) if operator == "dense"
+         else blur_operator([0.25, 0.5, 0.25], d))
+    schedule = make_linear_schedule(T, 0.1, 5.0)
+    score_fn = score_fn_for(prior, schedule)
+    jvp_fn = denoiser_jvp_fn_for(prior, schedule)
+    x_T = np.random.default_rng(27).standard_normal((n, d))
+    abar = schedule.alpha_bars[T]
+    y = A.apply((x_T + (1.0 - abar) * score_fn(x_T, T)) / np.sqrt(abar))[2]
+
+    x, trace = dps_sample(y, A, schedule, score_fn, jvp_fn, np.random.default_rng(27),
+                          n_chains=n, zeta=1.0, record_residuals=True)
+    x_ref, norms = _guided_reference(y, A, schedule, score_fn, jvp_fn,
+                                     np.random.default_rng(27), n, 1.0)
+    assert norms[T][2] == 0.0 and np.all(np.delete(norms[T], 2) > 0)
+    np.testing.assert_array_equal(x, x_ref)
+    np.testing.assert_array_equal(trace.residual_sq[0], measurement_residual(x_ref, y, A))
+
+
 def test_dps_shared_pass_leaves_output_unchanged():
     # The stock closures share one responsibilities pass per step; a JVP
     # built on a distinct mixture never does, and must give the same run.
