@@ -31,7 +31,10 @@ def _load_config(path: str | None, overrides: dict) -> BenchConfig:
         if unknown:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
     data.update({k: v for k, v in overrides.items() if v is not None})
-    return BenchConfig(**data)
+    try:
+        return BenchConfig(**data)
+    except ValueError as err:
+        raise SystemExit(f"invalid config: {err}") from None
 
 
 def _cmd_run(args) -> int:

@@ -17,7 +17,10 @@ rounding: a mixture takes the log of its weights once, when it is built, and
 carries its variances and its log weights as one scalar each when they are
 exactly equal (the grid prior's are), so the time-marginal variance is a
 scalar too; and the logits' factors -2 and -1/2, both powers of two, are
-folded into the expression instead of applied in passes of their own.
+folded into the expression instead of applied in passes of their own.  The
+denoiser's Jacobian product, which DPS makes every step, likewise computes
+its products in place, each with the operands and in the order of the
+expression written out with fresh arrays.
 
 The sampler closures (``score_fn_for``, ``denoiser_jvp_fn_for``) read the
 constants of each level t = 0..T from a table each builds once:
@@ -318,7 +321,8 @@ def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np
     sqrt(abar) * (var/v * u + (1-abar)/v^2 * Cov_r(mu) u) with Cov_r the
     responsibility-weighted covariance of the component means.  This form
     avoids the catastrophic cancellation of (u + (1-abar) H u)/sqrt(abar)
-    when abar underflows toward zero.  ``level`` is as for ``score``.
+    when abar underflows toward zero.  ``level`` is as for ``score``.  The
+    products are made in place, each rounding as in that expression.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -326,16 +330,20 @@ def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np
         raise ValueError("denoiser Jacobian requires isotropic components")
     if not gmm._equal_var:
         raise ValueError("denoiser Jacobian requires equal component variances")
+    if u.shape != x.shape:  # the products below are in place, at the broadcast shape
+        u = np.broadcast_to(u, np.broadcast_shapes(u.shape, x.shape))
     r, _, var_t, root = _pass(gmm, x, abar, level)
     v = float(np.ravel(var_t)[0])
 
-    mu_u = u @ gmm.means.T  # (..., K) inner products <mu_k, u>
-    t = r * mu_u
-    first = t @ gmm.means  # sum_k r_k mu_k <mu_k, u>
-    mean_mu = r @ gmm.means
-    mean_dot = t.sum(axis=-1)[..., None]
-    cov_u = first - mean_mu * mean_dot
-    return root * ((gmm.variances[0] / v) * u + ((1.0 - abar) / (v * v)) * cov_u)
+    t = u @ gmm.means.T  # (..., K) inner products <mu_k, u>
+    t *= r
+    cov_u = t @ gmm.means  # sum_k r_k mu_k <mu_k, u>
+    cov_u -= (r @ gmm.means) * t.sum(axis=-1)[..., None]
+    cov_u *= (1.0 - abar) / (v * v)
+    out = u * (gmm.variances[0] / v)
+    out += cov_u
+    out *= root
+    return out
 
 
 def denoiser_jvp_fn_for(gmm: GaussianMixture, schedule: NoiseSchedule):

@@ -279,7 +279,10 @@ def mask_operator(keep_indices, d: int) -> LinearOperator:
 
 
 def blur_operator(kernel, d: int) -> LinearOperator:
-    """Circular convolution with an odd-length kernel; adjoint is correlation."""
+    """Circular convolution with an odd-length kernel; adjoint is correlation.
+
+    Both sum the taps in kernel order, each product made in one scratch buffer.
+    """
     h = np.asarray(kernel, dtype=float)
     if h.ndim != 1 or h.size == 0:
         raise ValueError("kernel must be a nonempty vector")
@@ -290,7 +293,7 @@ def blur_operator(kernel, d: int) -> LinearOperator:
     if h.size > d:
         raise ValueError("kernel longer than the signal")
     r = h.size // 2
-    offsets = range(-r, r + 1)
+    taps = list(zip(h.tolist(), range(-r, r + 1)))
 
     def padded(x):
         # Circular padding by r on each side: xp[..., r + i] == x[..., i % d],
@@ -300,15 +303,17 @@ def blur_operator(kernel, d: int) -> LinearOperator:
     def apply(x):
         xp = padded(x)
         out = np.zeros(x.shape[:-1] + (d,))
-        for w, j in zip(h, offsets):
-            out += w * xp[..., r - j:r - j + d]
+        tmp = np.empty_like(out)
+        for w, j in taps:
+            out += np.multiply(xp[..., r - j:r - j + d], w, out=tmp)
         return out
 
     def adjoint(y):
         yp = padded(y)
         out = np.zeros(y.shape[:-1] + (d,))
-        for w, j in zip(h, offsets):
-            out += w * yp[..., r + j:r + j + d]
+        tmp = np.empty_like(out)
+        for w, j in taps:
+            out += np.multiply(yp[..., r + j:r + j + d], w, out=tmp)
         return out
 
     dense = apply(np.eye(d)).T if d * d <= DENSE_LIMIT else None

@@ -31,7 +31,9 @@ contiguous.
 Every sampler checks y, builds its step and makes one call to the reverse-time
 loop, ``_reverse_run``, from x_T; C-DPS, DPS, Score-SDE and ILVR differ only
 in the step it applies.  A step returns (x_{t-1}, iterations, failed rows),
-and the loop keeps every record of the run in its ``SamplerTrace``.
+and the loop keeps every record of the run in its ``SamplerTrace``.  The
+three baselines share one ancestral update, ``_ancestral_update``, whose
+coefficients each run builds once.
 
 Random draws happen in a fixed documented order, so results are reproducible
 per seed: the chain noise, chain by chain as one (n, T, m) block, then the
@@ -244,6 +246,12 @@ def _score_offset(A: LinearOperator, s_hat: np.ndarray, abar_prev: float) -> np.
     return (1.0 - abar_prev) * A_s
 
 
+def _check_t(t, schedule: NoiseSchedule) -> None:
+    """Refuse a step t that is not an integer in [1, T]."""
+    if not isinstance(t, (int, np.integer)) or not 1 <= t <= schedule.num_steps:
+        raise ValueError("t must be an integer in [1, T]")
+
+
 def _linear_params(t, s_hat, A, noise, scalars) -> PosteriorStepParams:
     """Step t's parameters around the frozen score."""
     i = t - 1
@@ -268,8 +276,7 @@ def make_step_params(
 ) -> PosteriorStepParams:
     """Freeze the score at (x_t, t) and assemble the step's Gaussian parameters."""
     config = config or SolverConfig()
-    if not 1 <= t <= schedule.num_steps:
-        raise ValueError("t must be in [1, T]")
+    _check_t(t, schedule)
     scalars = _step_scalars(schedule, config.prior_mode)
     return _linear_params(t, np.asarray(score_fn(x_t, t), dtype=float), A, noise, scalars)
 
@@ -636,8 +643,7 @@ def _single_step(x_t, t, chain, score_fn, A, noise, schedule, rng, config, offse
     config = config or SolverConfig()
     if not np.all(np.isfinite(x_t)):
         raise ValueError("x_t must be finite")
-    if not isinstance(t, (int, np.integer)) or not 1 <= t <= schedule.num_steps:
-        raise ValueError("t must be an integer in [1, T]")
+    _check_t(t, schedule)
     if chain.y_levels.shape[-1] != A.m:
         raise ValueError(f"the chain's levels must have length {A.m}")
     if chain.y_levels.shape[:-2] not in ((), x_t.shape[:-1]):
@@ -675,7 +681,11 @@ def cdps_step(
 
 
 def _ancestral_step(x_t, t, s_hat, schedule, z):
-    """Plain reverse diffusion step; returns the new state and the denoised estimate."""
+    """Plain reverse diffusion step; returns the new state and the denoised estimate.
+
+    The samplers take this step through ``_ancestral_update``; tests compare
+    against this form.
+    """
     beta = schedule.betas[t - 1]
     alpha = schedule.alphas[t - 1]
     abar = schedule.alpha_bars[t]
@@ -684,6 +694,39 @@ def _ancestral_step(x_t, t, s_hat, schedule, z):
     mu = (np.sqrt(alpha) * (1.0 - abar_prev) * x_t + np.sqrt(abar_prev) * beta * x0_hat) / (1.0 - abar)
     sigma = np.sqrt(beta * (1.0 - abar_prev) / (1.0 - abar))
     return mu + sigma * z, x0_hat
+
+
+def _ancestral_update(schedule: NoiseSchedule, shape):
+    """A run's ancestral step on states of ``shape``: (x, t, s_hat, z) -> (x_{t-1}, x0_hat).
+
+    It is ``_ancestral_step`` bit for bit.  Each step's coefficients,
+    1 - abar_t, sqrt(abar_t), sqrt(alpha_t) (1 - abar_{t-1}),
+    sqrt(abar_{t-1}) beta_t and sigma_t, are built once per run as Python
+    floats, elementwise by the operations that step makes, and the step
+    applies them in place: x0_hat is a buffer of the run, valid until the
+    next step, and the normals z are scaled where they lie.
+    """
+    beta, abar, abar_prev = schedule.betas, schedule.alpha_bars[1:], schedule.alpha_bars[:-1]
+    tweedies = 1.0 - abar
+    table = list(zip(tweedies.tolist(), np.sqrt(abar).tolist(),
+                     (np.sqrt(schedule.alphas) * (1.0 - abar_prev)).tolist(),
+                     (np.sqrt(abar_prev) * beta).tolist(),
+                     np.sqrt(beta * (1.0 - abar_prev) / tweedies).tolist()))
+    x0_hat, tmp = np.empty(shape), np.empty(shape)
+
+    def update(x, t, s_hat, z):
+        tweedie, root, keep, pull, sigma = table[t - 1]
+        np.multiply(s_hat, tweedie, out=x0_hat)
+        np.add(x0_hat, x, out=x0_hat)
+        np.divide(x0_hat, root, out=x0_hat)
+        x_prev = np.multiply(x, keep)
+        x_prev += np.multiply(x0_hat, pull, out=tmp)
+        x_prev /= tweedie
+        z *= sigma
+        x_prev += z
+        return x_prev, x0_hat
+
+    return update
 
 
 def dps_sample(
@@ -701,23 +744,33 @@ def dps_sample(
 
     Each reverse step is unconditional ancestral sampling followed by a
     correction along the measurement-misfit gradient at the denoised
-    estimate, with step size zeta / ||y - A x0_hat|| (zero misfit means zero
-    guidance).  ``denoiser_jvp_fn(x, t, u)`` must return the Jacobian of the
-    posterior-mean denoiser applied to u.  Each step calls it at the same
-    ``(x, t)`` as ``score_fn``, and the ``gmm`` closures built on one mixture
-    share one responsibilities pass there.  The steps' normals come from a
-    ``NormalStream`` on ``rng``, which the run holds until it returns.
+    estimate, with step size zeta / ||y - A x0_hat|| (a zero or NaN misfit
+    norm means zero guidance).  ``denoiser_jvp_fn(x, t, u)`` must return
+    the Jacobian of the posterior-mean denoiser applied to u.  Each step
+    calls it at the same ``(x, t)`` as ``score_fn``, and the ``gmm`` closures
+    built on one mixture share one responsibilities pass there.  The step
+    is ``_ancestral_update``'s, then the misfit, its norm, the gain and the
+    correction, computed in buffers the run allocates once, by the same
+    arithmetic as the step written out with fresh arrays.  The steps'
+    normals come from a ``NormalStream`` on ``rng``, which the run holds
+    until it returns.
     """
     y = checked_y(y, A)
+    batch = () if n_chains is None else (n_chains,)
+    ancestral = _ancestral_update(schedule, batch + (A.d,))
+    resid, tmp = np.empty(batch + (A.m,)), np.empty(batch + (A.d,))
+    norm, gain = np.empty(batch), np.empty(batch)
 
     def guided(x, t, s_hat, draw):
-        x_unc, x0_hat = _ancestral_step(x, t, s_hat, schedule, draw(x.shape))
-        resid = y - A.apply(x0_hat)
-        norm = np.sqrt(np.einsum("...i,...i->...", resid, resid))
+        x_prev, x0_hat = ancestral(x, t, s_hat, draw(x.shape))
+        np.subtract(y, A.apply(x0_hat), out=resid)
+        np.einsum("...i,...i->...", resid, resid, out=norm)
+        np.sqrt(norm, out=norm)
         jw = denoiser_jvp_fn(x, t, A.adjoint(resid))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gain = np.where(norm > 0, zeta / np.where(norm == 0, 1.0, norm), 0.0)
-        return x_unc + gain[..., None] * jw, 0, _NO_ROWS
+        gain.fill(0.0)
+        np.divide(zeta, norm, out=gain, where=norm > 0)
+        x_prev += np.multiply(jw, gain[..., None], out=tmp)
+        return x_prev, 0, _NO_ROWS
 
     return _reverse_run(y, A, schedule, score_fn, rng, n_chains, A.d, guided, record_residuals)
 
@@ -734,8 +787,10 @@ def _noisy_target_sample(back, y, A, schedule, score_fn, rng, n_chains, scale, r
     ``back`` maps the misfit to the noisy target into R^d.  Each step draws
     its ancestral noise (n, d), then the target's noise (n, m).
     """
+    ancestral = _ancestral_update(schedule, (A.d,) if n_chains is None else (n_chains, A.d))
+
     def guided(x, t, s_hat, draw):
-        x_unc, _ = _ancestral_step(x, t, s_hat, schedule, draw(x.shape))
+        x_unc, _ = ancestral(x, t, s_hat, draw(x.shape))
         # Noisy target matched to the forward marginal at level t.
         abar = schedule.alpha_bars[t]
         target = np.sqrt(abar) * y + np.sqrt(1.0 - abar) * draw(x.shape[:-1] + (A.m,))

@@ -372,6 +372,20 @@ def test_cli_rejects_unknown_config_keys(tmp_path):
         cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
 
 
+@pytest.mark.parametrize("config, flags, refused", [
+    ({}, ["--workers", "0"], "workers must be positive"),
+    ({"num_steps": 0}, [], "num_steps must be positive"),
+    ({"dims": [7]}, [], "every d must be an even integer >= 2"),
+], ids=["workers", "num_steps", "odd-d"])
+def test_cli_reports_a_refused_config_value_in_one_line(tmp_path, config, flags, refused):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), *flags])
+    assert exc.value.code == f"invalid config: {refused}"
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_methods_override(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
@@ -513,3 +527,19 @@ def test_bench_pairs_counts_src_lines(tmp_path):
     (tmp_path / "src" / "pkg" / "notes.txt").write_text("not code\n")
     (tmp_path / "setup.py").write_text("outside src\n")
     assert pairs_mod.src_lines(tmp_path) == 4
+
+
+def test_bench_pairs_run_config_summary_keeps_each_method():
+    # --run-config-dims times C-DPS and DPS in one task; each method's
+    # seconds are summarised on their own, per dimension and side.
+    pairs_mod = load_module("tools/bench_pairs.py")
+    assert pairs_mod.RUN_CONFIG_METHODS == ("cdps", "dps")
+    tasks = [{"side": side, "rep": rep, "task_s": 9.0, "rows": [
+        {"method": "cdps", "d": 80, "seconds": base + rep},
+        {"method": "dps", "d": 80, "seconds": 2 * base + rep}]}
+        for rep in range(3) for side, base in (("parent", 1.0), ("change", 0.5))]
+    tasks.append({"side": "change", "rep": 3, "exit": 1, "error": "boom"})
+    summary = pairs_mod.run_config_summary(tasks)
+    assert summary["d=80"]["cdps"]["parent"] == [1.0, 2.0, 3.0]
+    assert summary["d=80"]["dps"]["change"] == [1.0, 2.0, 3.0]
+    assert summary["d=80"]["dps"]["median_s"] == {"parent": 3.0, "change": 2.0}

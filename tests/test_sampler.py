@@ -689,6 +689,20 @@ def test_posterior_mean_broadcasts_one_x_t_against_per_row_levels(dense):
                                    rtol=1e-6)
 
 
+def test_make_step_params_takes_only_an_integer_t():
+    # t = 3.5 passed the range check and failed inside numpy with IndexError.
+    d, m = 6, 2
+    rng = np.random.default_rng(91)
+    A = from_dense(rng.standard_normal((m, d)))
+    schedule = make_linear_schedule(5, 0.1, 1.25)
+    x_t = rng.standard_normal(d)
+    args = (lambda x, t: -x, A, IsotropicNoise(0.01), schedule)
+    for t in (3.5, 0, 6):
+        with pytest.raises(ValueError, match=r"integer in \[1, T\]"):
+            make_step_params(x_t, t, *args)
+    assert make_step_params(x_t, np.int64(2), *args).t == 2
+
+
 @pytest.mark.parametrize("kwargs", [
     {"cg_tol": float("nan")}, {"cg_tol": float("inf")}, {"cg_tol": 0.0}, {"cg_tol": -1e-8},
     {"cg_max_iter": 0}, {"cg_max_iter": -1},

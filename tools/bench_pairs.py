@@ -25,10 +25,11 @@ the raw median seconds per task of each method, ``cdps.task_s`` and ``dps.task_s
 ``task_cal`` divides them by the speed probe's unit, so a gain that shows in
 ``task_cal`` but not in ``task_s`` is a shift of that unit.
 
-``--run-config-dims`` also times one ``bench.run_config`` C-DPS task per
-dimension (m = 4, sigma = 1e-2, matrix 0, 100 chains), three times per
-side, alternating which side runs first. These timings are recorded, not
-gated.
+``--run-config-dims`` also times one ``bench.run_config`` task per
+dimension (m = 4, sigma = 1e-2, matrix 0, 100 chains) with C-DPS and DPS,
+three times per side, alternating which side runs first, and records each
+method's seconds (sampling plus SW). These timings are recorded, not
+gated: no benchmark workload runs at these dimensions.
 
 Each side's package size, the line count of its ``src/**/*.py``, is
 recorded as ``src_lines``, so a change that deletes code shows by how much.
@@ -53,17 +54,17 @@ RAW_METRICS = ({"name": "cdps.task_s", "better": "lower"},
                {"name": "dps.task_s", "better": "lower"})
 RUN_CONFIG_CHAINS = 100
 RUN_CONFIG_REPS = 3
+RUN_CONFIG_METHODS = ("cdps", "dps")
 RUN_CONFIG_CODE = """
 import json, sys, time
 sys.path.insert(0, "src")
 from cdps import bench
 d, n = int(sys.argv[1]), int(sys.argv[2])
 cfg = bench.BenchConfig(dims=(d,), measurements=(4,), sigmas=(1e-2,), samples_per_run=n,
-                        methods=("cdps",))
+                        methods=tuple(sys.argv[3:]))
 started = time.perf_counter()
 rows, _ = bench.run_config(cfg, d, 4, 1e-2, 0)
-rows[0]["task_s"] = time.perf_counter() - started
-print(json.dumps(rows[0]))
+print(json.dumps({"task_s": time.perf_counter() - started, "rows": rows}))
 """
 
 
@@ -178,24 +179,26 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
 
 
 def run_config_task(tree: Path, d: int, chains: int) -> dict:
-    done = subprocess.run([sys.executable, "-c", RUN_CONFIG_CODE, str(d), str(chains)],
-                          cwd=tree, capture_output=True, text=True)
+    """One ``bench.run_config`` task with every method of ``RUN_CONFIG_METHODS``."""
+    done = subprocess.run([sys.executable, "-c", RUN_CONFIG_CODE, str(d), str(chains),
+                           *RUN_CONFIG_METHODS], cwd=tree, capture_output=True, text=True)
     if done.returncode:
         return {"exit": done.returncode, "error": done.stderr[-2000:]}
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
 def run_config_summary(tasks: list[dict]) -> dict:
-    """Per dimension, each side's method seconds and their median."""
-    out = {"what": "seconds of the cdps method inside bench.run_config (sampling plus SW), "
+    """Per dimension and method, each side's seconds and their median."""
+    out = {"what": "seconds of each method inside bench.run_config (sampling plus SW), "
                    "m = 4; recorded, not gated"}
     for task in tasks:
-        if "seconds" in task:
-            out.setdefault(f"d={task['d']}", {}).setdefault(task["side"], []).append(
-                round(task["seconds"], 3))
-    for key, sides in out.items():
+        for row in task.get("rows", []):
+            out.setdefault(f"d={row['d']}", {}).setdefault(row["method"], {}).setdefault(
+                task["side"], []).append(round(row["seconds"], 3))
+    for key, methods in out.items():
         if key != "what":
-            sides["median_s"] = {side: float(np.median(sides[side])) for side in list(sides)}
+            for sides in methods.values():
+                sides["median_s"] = {side: float(np.median(sides[side])) for side in list(sides)}
     return out
 
 
@@ -256,7 +259,7 @@ def main(argv=None) -> int:
                         tasks.append({"side": side, "rep": rep, "chains": RUN_CONFIG_CHAINS,
                                       **row})
                         print("run_config", json.dumps(tasks[-1]), flush=True)
-            report["run_config_cdps_m4"] = tasks
+            report["run_config_m4"] = tasks
             report["run_config_summary"] = run_config_summary(tasks)
         report["runs"] = runs
     out = ROOT / f"BENCH_{args.label}.json"
