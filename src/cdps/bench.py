@@ -82,6 +82,8 @@ class BenchConfig:
             raise ValueError("sw_order must be 1 or 2")
         if not all(np.isfinite(s) and s > 0 for s in self.sigmas):
             raise ValueError("every sigma must be positive and finite")
+        if not (np.isfinite(self.dps_zeta) and np.isfinite(self.guidance_scale)):
+            raise ValueError("dps_zeta and guidance_scale must be finite")
         make_linear_schedule(self.num_steps, self.beta_min, self.beta_max)  # checks the betas
 
 

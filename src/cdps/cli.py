@@ -37,6 +37,13 @@ def _load_config(path: str | None, overrides: dict) -> BenchConfig:
         raise SystemExit(f"invalid config: {err}") from None
 
 
+def _point_task(args, samples: int):
+    """The flags' ``BenchConfig``, refused in one line unless valid, and its task."""
+    cfg = _load_config(None, {"dims": (args.d,), "measurements": (args.m,), "sigmas": (args.sigma,),
+                              "samples_per_run": samples, "master_seed": args.seed})
+    return cfg, make_task(cfg, args.d, args.m, args.sigma, args.matrix)
+
+
 def _cmd_run(args) -> int:
     overrides = {
         "methods": tuple(args.methods.split(",")) if args.methods else None,
@@ -92,7 +99,7 @@ def _write_run_traces(cfg: BenchConfig, out_dir) -> list[Path]:
 
 
 def _cmd_oracle(args) -> int:
-    task = make_task(BenchConfig(master_seed=args.seed), args.d, args.m, args.sigma, args.matrix)
+    _, task = _point_task(args, args.samples)
     posterior = gmm_mod.exact_posterior(task.prior, task.A, task.y, args.sigma)
     rng = derive_rng(args.seed, "oracle", args.d, args.m, args.sigma, args.matrix)
     samples = gmm_mod.sample_mixture(posterior, args.samples, rng)
@@ -118,8 +125,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    cfg = BenchConfig(master_seed=args.seed)
-    task = make_task(cfg, args.d, args.m, args.sigma, args.matrix)
+    cfg, task = _point_task(args, args.chains)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -141,8 +147,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_diagnostics(args) -> int:
-    cfg = BenchConfig(master_seed=args.seed)
-    task = make_task(cfg, args.d, args.m, args.sigma, args.matrix)
+    cfg, task = _point_task(args, args.chains)
     schedule = task.schedule
     rng = derive_rng(args.seed, "diagnostics", args.d, args.m, args.sigma)
     _, trace = run_method("cdps", cfg, task, rng, args.chains, record_scores=True)

@@ -28,12 +28,12 @@ bit for bit.
 The measurement chain is stored time-major, so the level a step reads is
 contiguous.
 
-Every sampler checks y, builds its step and makes one call to the reverse-time
-loop, ``_reverse_run``, from x_T; C-DPS, DPS, Score-SDE and ILVR differ only
-in the step it applies.  A step returns (x_{t-1}, iterations, failed rows),
-and the loop keeps every record of the run in its ``SamplerTrace``.  The
-three baselines share one ancestral update, ``_ancestral_update``, whose
-coefficients each run builds once.
+Every sampler checks y and ``n_chains``, builds its step and makes one call
+to the reverse-time loop, ``_reverse_run``, from x_T; C-DPS, DPS, Score-SDE
+and ILVR differ only in the step it applies.  A step (x, t, s_hat, eps)
+returns (x_{t-1}, iterations, failed rows), and the loop keeps every record
+of the run in its ``SamplerTrace``.  The three baselines share one ancestral
+update, ``_ancestral_update``, whose coefficients each run builds once.
 
 Random draws happen in a fixed documented order, so results are reproducible
 per seed: the chain noise, chain by chain as one (n, T, m) block, then the
@@ -44,11 +44,12 @@ exactly T n (d + m) of them, are drawn by a ``NormalStream``: the one worker
 of a thread-pool executor fills a few fixed buffers from the same generator,
 a block at a time and in the same order, while the sampler evaluates the
 score and the step's products, so the samples and the generator's final
-state equal those of serial draws.  A failed draw is raised at the step that
-reaches its block.  The generator belongs to the sampler until the sampler
-returns; its state after a run that raised is unspecified.  The guidance
-baselines draw x_T, then per step the ancestral noise (n, d) and, for
-Score-SDE and ILVR, the target's (n, m).
+state equal those of serial draws.  The loop hands each step its normals as
+one flat view, ``eps``, and the step slices them in stream order.  A failed
+draw is raised at the step that reaches its block.  The generator belongs to
+the sampler until the sampler returns; its state after a run that raised is
+unspecified.  The guidance baselines draw x_T, then per step the ancestral
+noise (n, d) and, for Score-SDE and ILVR, the target's (n, m).
 """
 
 from __future__ import annotations
@@ -281,26 +282,25 @@ def make_step_params(
     return _linear_params(t, np.asarray(score_fn(x_t, t), dtype=float), A, noise, scalars)
 
 
-def _posterior_rhs(x_t, s_hat, white, keep, pull, tweedie, c, bt, draw):
-    """Right-hand side of a coupled step's solve, with its perturbation when ``draw`` is given.
+def _posterior_rhs(x_t, s_hat, white, keep, pull, tweedie, c, bt, eps):
+    """Right-hand side of a coupled step's solve, with its perturbation when ``eps`` is given.
 
     The posterior part is keep x_t, keep = sqrt(1-beta)/beta, the score
     prior's pull (x_t + tweedie s_hat) and the measurement term
     A^T Sigma^{-1} (y_{t-1} - b), given ``white`` = W (y_{t-1} - b) and
-    ``bt``, the map v -> B^T v with B = W A.  With ``draw``, a function of a
-    shape returning that many standard normals, it adds the perturbation
+    ``bt``, the map v -> B^T v with B = W A.  With ``eps``, the step's
+    n (d + m) standard normals as one flat array, it adds the perturbation
     z = sqrt(c) eps1 + B^T eps2, whose covariance is the precision
-    c I + B^T B, drawing eps1 (d) before eps2 (m).  Since
+    c I + B^T B, with eps1 = ``eps[:x_t.size]`` and eps2 the rest.  Since
     W^T W = Sigma^{-1}, the measurement term and B^T eps2 are one product,
     B^T (W (y_{t-1} - b) + eps2).
     """
     rhs = keep * x_t
     if pull:
         rhs += pull * (x_t + tweedie * s_hat)
-    if draw is not None:
-        batch = x_t.shape[:-1]
-        rhs += np.sqrt(c) * draw(batch + (x_t.shape[-1],))
-        white = white + draw(batch + (white.shape[-1],))
+    if eps is not None:
+        rhs += np.sqrt(c) * eps[:x_t.size].reshape(x_t.shape)
+        white = white + eps[x_t.size:].reshape(x_t.shape[:-1] + (-1,))
     rhs = rhs + bt(white)  # posterior_mean broadcasts one x_t against per-row levels
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
@@ -310,8 +310,8 @@ def _posterior_rhs(x_t, s_hat, white, keep, pull, tweedie, c, bt, draw):
 _NO_ROWS = np.empty(0, dtype=int)  # the failed rows of a step that makes no CG solve
 
 
-def _step(params: PosteriorStepParams, x_t, y_prev, draw, config: SolverConfig, kind: str):
-    """The one solve of a coupled step: the posterior mean, or mean plus draw with ``draw``.
+def _step(params: PosteriorStepParams, x_t, y_prev, eps, config: SolverConfig, kind: str):
+    """The one solve of a coupled step: the posterior mean, or mean plus draw with ``eps``.
 
     With a dense A the right-hand side's merged product is with B = W A, built
     once, and the solve is exact, through B's thin SVD; otherwise the product
@@ -324,7 +324,7 @@ def _step(params: PosteriorStepParams, x_t, y_prev, draw, config: SolverConfig, 
     rhs = _posterior_rhs(
         x_t, params.score, precision.whitener(y_prev - params.b_prev),
         params.keep, params.pull, params.tweedie, precision.c,
-        precision.bt if bw is None else (lambda u: u @ bw), draw,
+        precision.bt if bw is None else (lambda u: u @ bw), eps,
     )
     if bw is not None:
         x_next = spectral_solve(*spectral_factor(bw), precision.c, 1.0, rhs)
@@ -351,8 +351,7 @@ def posterior_mean(
     the coupled step without its perturbation, so a CG solve that does not
     converge raises under ``config.strict``.
     """
-    config = config or SolverConfig()
-    return _step(params, x_t, y_prev, None, config, "mean")[:2]
+    return _step(params, x_t, y_prev, None, config or SolverConfig(), "mean")[:2]
 
 
 @dataclass
@@ -380,9 +379,9 @@ def _pair_scores(trace: SamplerTrace, t: int, s_prev: np.ndarray, s_cur: np.ndar
 
 def _rebuilt_steps(A, noise, scalars, config):
     """Steps that build each precision afresh: any noise model, and CG without a dense A."""
-    def step(x, t, s_hat, y_prev, draw):
+    def step(x, t, s_hat, y_prev, eps):
         params = _linear_params(t, s_hat, A, noise, scalars)
-        x_next, report, rows = _step(params, x, y_prev, draw, config, "sample")
+        x_next, report, rows = _step(params, x, y_prev, eps, config, "sample")
         return x_next, report.iterations, rows
     return step
 
@@ -407,71 +406,58 @@ class NormalStream:
     """A run's per-step standard normals, drawn ahead on a one-worker executor.
 
     ``NormalStream(rng, per_step, steps)`` draws exactly ``per_step * steps``
-    normals from ``rng``, in stream order, so the values ``take`` returns and
-    the generator's state once all are taken equal those of serial
+    normals from ``rng``, in stream order; iterated, it yields them as
+    ``steps`` flat views of ``per_step`` each, whose values, and the
+    generator's state once all are yielded, equal those of serial
     ``rng.standard_normal`` calls of the same sizes.  numpy fills an array of
     normals with the interpreter lock released, so the drawing runs on another
     core while the caller computes.
 
     The normals come in blocks of whole steps, about ``NORMAL_BLOCK_BYTES``
-    each, cycled through ``NORMAL_BLOCKS`` buffers that are allocated here.
-    ``take`` returns a view into the current block; a buffer is refilled only
-    after the caller has moved on to the next block, so the view may be read
-    and written until the caller's next step.  The takes of each step must add
-    up to ``per_step`` normals, so that none spans two blocks.
+    each, cycled through ``NORMAL_BLOCKS`` buffers allocated here.  A buffer is
+    refilled only once the caller has asked for a view of the next block, so a
+    view may be read and written until the caller asks for the next.
 
-    Use it as a context manager: leaving it cancels the fills not yet begun
-    and joins the worker.  A draw that raised fails every later block without
-    a draw, and its error is raised at the ``take`` that reaches its block.
-    The generator belongs to the stream until the block is left; its state is
-    unspecified if the block is left before every normal was taken.
+    Use it as a context manager and iterate it once: leaving it cancels the
+    fills not yet begun and joins the worker.  A draw that raised fails every
+    later block without a draw, and its error is raised when the caller asks
+    for the first view of its block.  The generator belongs to the stream
+    until the block is left; its state is unspecified if the block is left
+    before every view was yielded.
     """
 
     def __init__(self, rng: np.random.Generator, per_step: int, steps: int):
         self._rng = rng
+        self._per_step = per_step
         total = per_step * steps
-        step = max(per_step, 1)
-        block = step * max(1, NORMAL_BLOCK_BYTES // (8 * step))
+        block = per_step * max(1, NORMAL_BLOCK_BYTES // (8 * per_step))
         self._sizes = [min(block, total - lo) for lo in range(0, total, block)]
         self._buffers = [np.empty(size) for size in self._sizes[:NORMAL_BLOCKS]]
         self._fills = []  # a future per block submitted, in stream order
-        self._block = np.empty(0)  # what ``take`` has not yet read of its current block
-        self._taken_blocks = 0
 
     def __enter__(self) -> "NormalStream":
         from concurrent.futures import ThreadPoolExecutor  # not loaded by importing cdps
         self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cdps-normals")
-        for _ in self._buffers:
-            self._submit_next()
+        for i in range(len(self._buffers)):
+            self._fills.append(self._pool.submit(self._fill, i))
         return self
 
     def __exit__(self, *exc_info) -> None:
         self._pool.shutdown(cancel_futures=True)
 
-    def _submit_next(self) -> None:
-        if len(self._fills) < len(self._sizes):
-            self._fills.append(self._pool.submit(self._fill, len(self._fills)))
+    def __iter__(self):
+        ahead = len(self._buffers) - 1  # blocks submitted beyond the caller's
+        for i in range(len(self._sizes)):
+            if i and i + ahead < len(self._sizes):  # into block i - 1's buffer, left by the caller
+                self._fills.append(self._pool.submit(self._fill, i + ahead))
+            block = self._fills[i].result()
+            for lo in range(0, block.size, self._per_step):
+                yield block[lo:lo + self._per_step]
 
     def _fill(self, i: int) -> np.ndarray:
         if i:
             self._fills[i - 1].result()  # raises a failed block's error again, drawing nothing
         return self._rng.standard_normal(out=self._buffers[i % len(self._buffers)][:self._sizes[i]])
-
-    def take(self, shape) -> np.ndarray:
-        """The stream's next ``prod(shape)`` normals, as an array of ``shape``."""
-        size = math.prod(shape) if isinstance(shape, tuple) else shape
-        if not self._block.size and size:
-            i = self._taken_blocks
-            if i == len(self._sizes):
-                raise ValueError("every normal of the stream has been taken")
-            if i:
-                self._submit_next()  # into block i - 1's buffer, which the caller has left
-            self._block = self._fills[i].result()
-            self._taken_blocks = i + 1
-        if size > self._block.size:
-            raise ValueError("a take spans two blocks: each step must take per_step normals")
-        out, self._block = self._block[:size], self._block[size:]
-        return out.reshape(shape)
 
 
 def _spectral_steps(A, noise: IsotropicNoise, scalars):
@@ -492,23 +478,22 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
     block of steps at once, sliced from ``scalars``, the matrices by batched
     products, each entry rounding as it would one step at a time.  The first
     block is the step asked for alone; each later one ends at the step asked
-    for and holds ``STEP_BLOCK`` steps.  Each step takes eps1 (n, d) and
-    eps2 (n, m) from ``draw`` as one call of n (d + m) normals, the same
-    stream as two calls.  Otherwise the right-hand side is
-    ``_posterior_rhs``'s and ``spectral_solve`` applies S_t in factored
-    form, with w_t computed for the step alone.
+    for and holds ``STEP_BLOCK`` steps.  Each step slices eps1 (n, d), then
+    eps2 (n, m), from its flat ``eps`` of n (d + m) normals.  Otherwise the
+    right-hand side is ``_posterior_rhs``'s and ``spectral_solve`` applies
+    S_t in factored form, with w_t computed for the step alone.
     """
     mat = A.dense
     v, s2 = spectral_factor(mat)
 
     if max(A.d, A.m) > FUSED_STEP_MAX_D:
-        def factored_step(x, t, s_hat, y_prev, draw):
+        def factored_step(x, t, s_hat, y_prev, eps):
             i = t - 1
             w = mix_variance(noise.sigma2, scalars.abar_prev[i]) ** -0.5
             b = _score_offset(A, s_hat, scalars.abar_prev[i])
             bw = w * mat  # B = W A
             rhs = _posterior_rhs(x, s_hat, (y_prev - b) * w, scalars.keep[i], scalars.pull[i],
-                                 scalars.tweedie[i], scalars.c[i], lambda u: u @ bw, draw)
+                                 scalars.tweedie[i], scalars.c[i], lambda u: u @ bw, eps)
             return spectral_solve(v, s2, scalars.c[i], w * w, rhs), 0, _NO_ROWS
         return factored_step
 
@@ -534,14 +519,13 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
         return list(zip(solve, pull_tweedie * eye - measure * gram, w_col * mat, w,
                         np.sqrt(c).tolist(), (scalars.keep[cut] + pull).tolist()))
 
-    def fused_step(x, t, s_hat, y_prev, draw):
+    def fused_step(x, t, s_hat, y_prev, eps):
         nonlocal lo, block
         if not lo < t <= lo + len(block):
             lo = max(0, t - (STEP_BLOCK if block else 1))  # the first block is step t alone
             block = []  # freed before the next block is built
             block = build(t)
         solve, drift, wmat, w, root_c, keep_pull = block[t - 1 - lo]
-        eps = draw(x.size // d * (d + m))
         eps1 = eps[:x.size].reshape(x.shape)
         eps2 = eps[x.size:].reshape(x.shape[:-1] + (m,))
         eps2 += w * y_prev
@@ -558,7 +542,7 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
 
 
 def _steps(A, noise, scalars, config):
-    """The coupled step for these inputs: (x, t, s_hat, y_{t-1}, draw) -> (x_{t-1}, iters, rows).
+    """The coupled step for these inputs: (x, t, s_hat, y_{t-1}, eps) -> (x_{t-1}, iters, rows).
 
     Isotropic noise with a dense A takes the per-run spectral factor; every
     other input rebuilds the step's precision at each step.
@@ -572,12 +556,12 @@ def _reverse_run(y, A, schedule, score_fn, rng, n_chains, per_row, step, record_
                  record_scores=False):
     """The reverse-time loop of every sampler; it keeps every record of the run.
 
-    x_T ~ N(0, I).  For t = T..1 the score is frozen at (x, t), and
-    ``step(x, t, s_hat, draw)`` returns (x_{t-1}, iterations, failed rows);
-    ``draw`` is the ``take`` of the run's one ``NormalStream``, ``per_row``
-    normals per row and step.  Returns x_0 and the run's ``SamplerTrace``.
-    With ``record_scores``, entry t pairs level t - 1's frozen score with
-    level t's, level 0's being taken at x_0.
+    x_T ~ N(0, I).  For t = T..1 the loop takes step t's flat view ``eps`` of
+    the run's one ``NormalStream``, ``per_row`` normals per row, then freezes
+    the score at (x, t); ``step(x, t, s_hat, eps)`` may overwrite ``eps`` and
+    returns (x_{t-1}, iterations, failed rows).  Returns x_0 and the run's
+    ``SamplerTrace``.  With ``record_scores``, entry t pairs level t - 1's
+    frozen score with level t's, level 0's being taken at x_0.
     """
     T = schedule.num_steps
     x = rng.standard_normal((A.d,) if n_chains is None else (n_chains, A.d))
@@ -592,12 +576,12 @@ def _reverse_run(y, A, schedule, score_fn, rng, n_chains, per_row, step, record_
         trace.score_mse = np.full((T + 1,) + batch, np.nan)
     failed = np.zeros(batch or (1,), dtype=bool)
     with NormalStream(rng, x.size // A.d * per_row, T) as normals:
-        for t in range(T, 0, -1):
+        for t, eps in zip(range(T, 0, -1), normals):
             s_hat = np.asarray(score_fn(x, t), dtype=float)
             if record_scores and t < T:
                 _pair_scores(trace, t + 1, s_hat, s_cur)
             s_cur = s_hat  # the frozen score of level t, paired at the next step
-            x, iterations, rows = step(x, t, s_hat, normals.take)
+            x, iterations, rows = step(x, t, s_hat, eps)
             failed[rows] = True
             if record_residuals:
                 trace.residual_sq[t - 1] = measurement_residual(x, y, A)
@@ -606,6 +590,13 @@ def _reverse_run(y, A, schedule, score_fn, rng, n_chains, per_row, step, record_
         _pair_scores(trace, 1, np.asarray(score_fn(x, 0), dtype=float), s_cur)
     trace.failed_rows = np.nonzero(failed)[0]
     return x, trace
+
+
+def _checked_inputs(y, A, n_chains):
+    """``checked_y(y, A)``, once ``n_chains`` is None or at least 1."""
+    if n_chains is not None and n_chains < 1:
+        raise ValueError("n_chains must be None or at least 1")
+    return checked_y(y, A)
 
 
 def cdps_sample(
@@ -629,12 +620,12 @@ def cdps_sample(
     when ``config.strict``); exact solves never fail a row.
     """
     config = config or SolverConfig()
-    y = checked_y(y, A)
+    y = _checked_inputs(y, A, n_chains)
     chain = generate_measurement_chain(y, schedule, rng, None if shared_chain else n_chains)
     y_at = np.moveaxis(chain.y_levels, -2, 0)  # (T+1, ...) view of the levels
     coupled = _steps(A, noise, _step_scalars(schedule, config.prior_mode), config)
     return _reverse_run(y, A, schedule, score_fn, rng, n_chains, A.d + A.m,
-                        lambda x, t, s_hat, draw: coupled(x, t, s_hat, y_at[t - 1], draw),
+                        lambda x, t, s_hat, eps: coupled(x, t, s_hat, y_at[t - 1], eps),
                         record_residuals, record_scores)
 
 
@@ -649,8 +640,9 @@ def _single_step(x_t, t, chain, score_fn, A, noise, schedule, rng, config, offse
     if chain.y_levels.shape[:-2] not in ((), x_t.shape[:-1]):
         raise ValueError(f"chain levels {chain.y_levels.shape} do not match x_t {x_t.shape}")
     step = _steps(A, noise, _step_scalars(schedule, config.prior_mode), config)
-    return step(x_t, t, np.asarray(score_fn(x_t, t), dtype=float), chain.y_at(t - 1) - offset,
-                rng.standard_normal)[0]
+    s_hat = np.asarray(score_fn(x_t, t), dtype=float)
+    eps = rng.standard_normal(x_t.size // A.d * (A.d + A.m))  # eps1 then eps2, as a run draws
+    return step(x_t, t, s_hat, chain.y_at(t - 1) - offset, eps)[0]
 
 
 def cdps_step(
@@ -751,18 +743,18 @@ def dps_sample(
     built on one mixture share one responsibilities pass there.  The step
     is ``_ancestral_update``'s, then the misfit, its norm, the gain and the
     correction, computed in buffers the run allocates once, by the same
-    arithmetic as the step written out with fresh arrays.  The steps'
-    normals come from a ``NormalStream`` on ``rng``, which the run holds
-    until it returns.
+    arithmetic as the step written out with fresh arrays.  A step's
+    ancestral noise is its ``eps`` from ``_reverse_run``, reshaped to x's
+    shape; the run's ``NormalStream`` holds ``rng`` until the run returns.
     """
-    y = checked_y(y, A)
+    y = _checked_inputs(y, A, n_chains)
     batch = () if n_chains is None else (n_chains,)
     ancestral = _ancestral_update(schedule, batch + (A.d,))
     resid, tmp = np.empty(batch + (A.m,)), np.empty(batch + (A.d,))
     norm, gain = np.empty(batch), np.empty(batch)
 
-    def guided(x, t, s_hat, draw):
-        x_prev, x0_hat = ancestral(x, t, s_hat, draw(x.shape))
+    def guided(x, t, s_hat, eps):
+        x_prev, x0_hat = ancestral(x, t, s_hat, eps.reshape(x.shape))
         np.subtract(y, A.apply(x0_hat), out=resid)
         np.einsum("...i,...i->...", resid, resid, out=norm)
         np.sqrt(norm, out=norm)
@@ -784,16 +776,18 @@ def _pinv(mat: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
 def _noisy_target_sample(back, y, A, schedule, score_fn, rng, n_chains, scale, record_residuals):
     """Noisy-target guidance: an ancestral step plus ``scale`` times ``back`` of the misfit.
 
-    ``back`` maps the misfit to the noisy target into R^d.  Each step draws
-    its ancestral noise (n, d), then the target's noise (n, m).
+    ``back`` maps the misfit to the noisy target into R^d.  A step's flat
+    ``eps`` holds its ancestral noise (n, d), then the target's noise (n, m).
     """
+    y = _checked_inputs(y, A, n_chains)
     ancestral = _ancestral_update(schedule, (A.d,) if n_chains is None else (n_chains, A.d))
 
-    def guided(x, t, s_hat, draw):
-        x_unc, _ = ancestral(x, t, s_hat, draw(x.shape))
+    def guided(x, t, s_hat, eps):
+        x_unc, _ = ancestral(x, t, s_hat, eps[:x.size].reshape(x.shape))
         # Noisy target matched to the forward marginal at level t.
         abar = schedule.alpha_bars[t]
-        target = np.sqrt(abar) * y + np.sqrt(1.0 - abar) * draw(x.shape[:-1] + (A.m,))
+        noise = eps[x.size:].reshape(x.shape[:-1] + (A.m,))
+        target = np.sqrt(abar) * y + np.sqrt(1.0 - abar) * noise
         return x_unc + scale * back(target - A.apply(x)), 0, _NO_ROWS
 
     return _reverse_run(y, A, schedule, score_fn, rng, n_chains, A.d + A.m, guided,
@@ -803,7 +797,6 @@ def _noisy_target_sample(back, y, A, schedule, score_fn, rng, n_chains, scale, r
 def score_sde_sample(y, A, schedule, score_fn, rng, n_chains=None, scale=1.0,
                      record_residuals=False):
     """Adjoint-guidance baseline pushing toward a rescaled noisy observation."""
-    y = checked_y(y, A)
     return _noisy_target_sample(A.adjoint, y, A, schedule, score_fn, rng,
                                 n_chains, scale, record_residuals)
 
@@ -814,7 +807,6 @@ def ilvr_sample(y, A, schedule, score_fn, rng, n_chains=None, scale=1.0,
 
     The pseudo-inverse is taken of ``A.dense``, so ``A`` must have a dense form.
     """
-    y = checked_y(y, A)
     if A.dense is None:
         raise ValueError("ilvr needs an operator with a dense form (A.dense)")
     pinv = _pinv(A.dense)

@@ -203,6 +203,12 @@ def test_config_validation():
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             BenchConfig(workers=workers)
+    # json.load reads a NaN literal; a NaN dps_zeta used to abort every DPS task of the grid.
+    for name in ("dps_zeta", "guidance_scale"):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match=f"{name}.* must be finite"):
+                BenchConfig(**{name: bad})
+    BenchConfig(dps_zeta=0.0, guidance_scale=-1.0)
 
 
 def test_run_config_scatter_samples():
@@ -376,7 +382,8 @@ def test_cli_rejects_unknown_config_keys(tmp_path):
     ({}, ["--workers", "0"], "workers must be positive"),
     ({"num_steps": 0}, [], "num_steps must be positive"),
     ({"dims": [7]}, [], "every d must be an even integer >= 2"),
-], ids=["workers", "num_steps", "odd-d"])
+    ({"dps_zeta": float("nan")}, [], "dps_zeta and guidance_scale must be finite"),
+], ids=["workers", "num_steps", "odd-d", "nan-zeta"])
 def test_cli_reports_a_refused_config_value_in_one_line(tmp_path, config, flags, refused):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
@@ -384,6 +391,31 @@ def test_cli_reports_a_refused_config_value_in_one_line(tmp_path, config, flags,
         cli_main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o"), *flags])
     assert exc.value.code == f"invalid config: {refused}"
     assert not (tmp_path / "o").exists()
+
+
+_POINT_REFUSALS = [
+    (command, flags, refused)
+    for command in ("oracle", "trace", "diagnostics")
+    for flags, refused in [
+        (["--d", "7"], "every d must be an even integer >= 2"),
+        (["--m", "9"], "need 1 <= m <= d for every grid point"),
+        (["--sigma", "-1"], "every sigma must be positive and finite"),
+        (["--samples" if command == "oracle" else "--chains", "0"],
+         "samples_per_run must be positive"),
+    ]
+]
+
+
+@pytest.mark.parametrize("command, flags, refused", _POINT_REFUSALS,
+                         ids=[f"{c}{'-'.join(f)}" for c, f, _ in _POINT_REFUSALS])
+def test_point_commands_report_a_refused_value_in_one_line(tmp_path, command, flags, refused):
+    # oracle, trace and diagnostics used to end in a traceback for these, and
+    # trace --chains 0 printed NaN means and wrote a header-only CSV.
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, *flags, *([] if command == "oracle" else ["--out", str(out)])])
+    assert exc.value.code == f"invalid config: {refused}"
+    assert not out.exists()
 
 
 def test_cli_methods_override(tmp_path):

@@ -505,10 +505,12 @@ def test_spectral_run_stream_order(fused, shared, monkeypatch):
     assert rng.bit_generator.state == expected.bit_generator.state
 
 
-@pytest.mark.parametrize("path", ["rebuilt", "single", "dps", "score_sde", "ilvr"])
+@pytest.mark.parametrize("path", ["rebuilt", "single", "dps", "score_sde", "ilvr",
+                                  "dps-single", "score_sde-single", "ilvr-single"])
 def test_run_stream_order_on_every_path(path):
     # Whichever thread draws them, every sampler leaves its generator where
-    # serial draws in the documented order leave it, and no thread behind.
+    # serial draws in the documented order leave it, and no thread behind,
+    # with n chains or one (n_chains=None; "single" is C-DPS's).
     d, m, n = 6, 2, 5
     rng = np.random.default_rng(76)
     A = from_dense(rng.standard_normal((m, d)))
@@ -519,19 +521,21 @@ def test_run_stream_order_on_every_path(path):
     score_fn = score_fn_for(prior, schedule)
     rng = np.random.default_rng(77)
     threads = threading.active_count()
-    if path in ("rebuilt", "single"):
-        batch = (n,) if path == "rebuilt" else ()
-        noise = DiagonalNoise(np.full(m, 0.01)) if path == "rebuilt" else IsotropicNoise(0.01)
-        cdps_sample(y, A, noise, schedule, score_fn, rng, n_chains=batch[0] if batch else None)
+    method, _, single = path.partition("-")
+    batch = () if single or method == "single" else (n,)
+    n_chains = batch[0] if batch else None
+    if method in ("rebuilt", "single"):
+        noise = DiagonalNoise(np.full(m, 0.01)) if method == "rebuilt" else IsotropicNoise(0.01)
+        cdps_sample(y, A, noise, schedule, score_fn, rng, n_chains=n_chains)
         serial = [batch + (T, m), batch + (d,)] + [batch + (d,), batch + (m,)] * T
-    elif path == "dps":
+    elif method == "dps":
         dps_sample(y, A, schedule, score_fn, denoiser_jvp_fn_for(prior, schedule), rng,
-                   n_chains=n)
-        serial = [(n, d)] * (T + 1)
+                   n_chains=n_chains)
+        serial = [batch + (d,)] * (T + 1)
     else:
-        sample = score_sde_sample if path == "score_sde" else ilvr_sample
-        sample(y, A, schedule, score_fn, rng, n_chains=n)
-        serial = [(n, d)] + [(n, d), (n, m)] * T
+        sample = score_sde_sample if method == "score_sde" else ilvr_sample
+        sample(y, A, schedule, score_fn, rng, n_chains=n_chains)
+        serial = [batch + (d,)] + [batch + (d,), batch + (m,)] * T
     assert threading.active_count() == threads
     expected = np.random.default_rng(77)
     for shape in serial:
@@ -577,6 +581,32 @@ def test_bad_y_is_refused_before_any_draw(case):
                 cdps_step(x_t, chain, t, score_fn, A, noise, schedule, rng)
             else:
                 cdps_step_nonlinear(x_t, chain, t, score_fn, affine_map(M), noise, schedule, rng)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("method", ["cdps", "dps", "score_sde", "ilvr"])
+@pytest.mark.parametrize("n_chains", [0, -3])
+def test_samplers_refuse_fewer_than_one_chain(method, n_chains):
+    # Zero chains used to run every step on an empty batch and return a
+    # (0, d) array, and -3 ended in numpy's "negative dimensions"; each
+    # sampler now refuses both before any draw, C-DPS before its chain.
+    d, m = 8, 4
+    rng = np.random.default_rng(87)
+    A = from_dense(rng.standard_normal((m, d)))
+    y = rng.standard_normal(m)
+    schedule = make_linear_schedule(5, 0.1, 1.25)
+    prior = make_grid_gmm(d)
+    score_fn = score_fn_for(prior, schedule)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n_chains must be None or at least 1"):
+        if method == "cdps":
+            cdps_sample(y, A, IsotropicNoise(0.01), schedule, score_fn, rng, n_chains=n_chains)
+        elif method == "dps":
+            dps_sample(y, A, schedule, score_fn, denoiser_jvp_fn_for(prior, schedule), rng,
+                       n_chains=n_chains)
+        else:
+            sample = score_sde_sample if method == "score_sde" else ilvr_sample
+            sample(y, A, schedule, score_fn, rng, n_chains=n_chains)
     assert rng.bit_generator.state == state
 
 
@@ -717,29 +747,21 @@ def test_solver_config_rejects_bad_cg_settings(kwargs):
 
 
 def test_normal_stream_equals_serial_draws(monkeypatch):
-    # Steps taken whole or in two parts, from blocks of three steps cycled
-    # through recycled buffers, return the serial stream in order; the
-    # generator ends where the serial draws leave it.  A take beyond the
-    # stream, or one that spans two blocks, raises.
+    # Iterated, the stream yields one flat view of seven normals per step,
+    # from blocks of three steps (the last of one) cycled through recycled
+    # buffers: the serial stream in order, and the generator ends where the
+    # serial draws leave it.
     monkeypatch.setattr(cdps.sampler, "NORMAL_BLOCK_BYTES", 8 * 7 * 3)
     rng = np.random.default_rng(78)
     got = []
     with NormalStream(rng, 7, 10) as stream:
-        for step in range(10):
-            first = step % 8
-            for shape in ((first,), (1, 7 - first)):
-                taken = stream.take(shape)
-                assert taken.shape == shape
-                got.append(taken.ravel().copy())  # a view is valid until the next block
-        with pytest.raises(ValueError, match="every normal"):
-            stream.take(1)
+        for view in stream:
+            assert view.shape == (7,)
+            got.append(view.copy())  # a view is valid until the next one is asked for
+    assert len(got) == 10
     expected = np.random.default_rng(78)
     np.testing.assert_array_equal(np.concatenate(got), expected.standard_normal(70))
     assert rng.bit_generator.state == expected.bit_generator.state
-    with NormalStream(np.random.default_rng(78), 7, 10) as stream:
-        stream.take(4)
-        with pytest.raises(ValueError, match="spans two blocks"):
-            stream.take(20)
 
 
 class _StandInGenerator:
@@ -769,8 +791,8 @@ class _StandInGenerator:
 
 
 def test_normal_stream_views_stay_in_its_buffers(monkeypatch):
-    # Every take is a view into one of the NORMAL_BLOCKS buffers the stream
-    # allocated before its first take.  Once the caller is in block k, the
+    # Every view the stream yields lies in one of the NORMAL_BLOCKS buffers it
+    # allocated before it was entered.  Once the caller is in block k, the
     # producer may fill every block up to k + NORMAL_BLOCKS - 1, into the
     # buffers of the blocks the caller has left; with it that far ahead, the
     # view of the caller's step still holds that step's serial draws.
@@ -782,8 +804,8 @@ def test_normal_stream_views_stay_in_its_buffers(monkeypatch):
     assert len(buffers) == cdps.sampler.NORMAL_BLOCKS
     expected = np.random.default_rng(91).standard_normal((steps, per_step))
     with stream:
-        for step in range(steps):
-            view = stream.take((per_step,))
+        for step, view in enumerate(stream):
+            assert view.shape == (per_step,)
             assert sum(np.shares_memory(view, buf) for buf in buffers) == 1
             allowed = min(step // 3 + cdps.sampler.NORMAL_BLOCKS, 7)
             deadline = time.monotonic() + 30
@@ -793,6 +815,7 @@ def test_normal_stream_views_stay_in_its_buffers(monkeypatch):
             time.sleep(5e-3)  # time for a fill beyond the allowed ones to begin
             assert counting.calls == allowed
             np.testing.assert_array_equal(view, expected[step])
+    assert step == steps - 1
 
 
 @pytest.mark.parametrize("method", ["cdps", "dps"])
@@ -834,17 +857,19 @@ def test_producer_error_reaches_the_caller(method, monkeypatch):
     assert failing.calls == fail_at
 
 
-def test_consumer_error_joins_a_busy_producer():
-    # The run raises at its first score call, once the producer is inside
-    # its first draw (the stand-in's third call, after the shared chain and
-    # x_T); the sampler returns only after that draw ends and the producer
-    # has stopped.
+def test_consumer_error_joins_a_busy_producer(monkeypatch):
+    # Two steps per block.  The run raises at its first score call, once the
+    # producer is inside its second block's draw (the stand-in's fourth call,
+    # after the shared chain, x_T and the first block, which the loop takes
+    # before the score); the sampler returns only after that draw ends and
+    # the producer has stopped, its third block never drawn.
     d, m, n = 6, 2, 5
+    monkeypatch.setattr(cdps.sampler, "NORMAL_BLOCK_BYTES", 8 * n * (d + m) * 2)
     rng = np.random.default_rng(79)
     A = from_dense(rng.standard_normal((m, d)))
     y = rng.standard_normal(m)
     schedule = make_linear_schedule(30, 0.1, 20.0)
-    stalling = _StandInGenerator(80, 3, stall_s=0.3)
+    stalling = _StandInGenerator(80, 4, stall_s=0.3)
 
     def score_during_draw(x, t):
         assert stalling.stalled.wait(timeout=30)
@@ -855,7 +880,7 @@ def test_consumer_error_joins_a_busy_producer():
         cdps_sample(y, A, IsotropicNoise(0.01), schedule, score_during_draw, stalling,
                     n_chains=n, shared_chain=True)
     assert threading.active_count() == threads
-    assert stalling.calls == 3
+    assert stalling.calls == 4
 
 
 def _reference_fused_run(y, A, sigma2, schedule, score_fn, rng, n_chains, shared_chain,

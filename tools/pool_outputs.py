@@ -7,20 +7,24 @@ Usage, from the root of a checkout:
 Every pool task of each workload in ``perfbench/workloads.py`` (all of them
 by default) runs with every method, through that module's ``build_inputs``
 and ``run_method``, with one BLAS thread. The benchmark runs only C-DPS and
-DPS, so the workloads whose tasks are ``bench.run_config`` tasks (not the
-blur ones) also run every other method ``cdps.bench`` knows, Score-SDE and
-ILVR, through ``bench.run_config``. The output maps workload, task index and
-method to the SHA-256 of the samples' bytes (with their shape and dtype),
-the ``repr`` of the sliced Wasserstein distance and the failed chains. Two
-commits whose files are equal give the same samples and SW bit for bit on
-every pool task.
+DPS, so every pool task also runs every other method ``cdps.bench`` knows,
+Score-SDE and ILVR: a ``bench.run_config`` task through ``bench.run_config``,
+a blur task through ``bench.run_method`` on the task's prior, A, y and
+schedule, on a fixed ``bench.derive_rng`` stream, its samples scored against
+the task's reference draws as the benchmark scores them. The output maps
+workload, task index and method to the SHA-256 of the samples' bytes (with
+their shape and dtype), the ``repr`` of the sliced Wasserstein distance and
+the failed chains. Two commits whose files are equal give the same samples
+and SW bit for bit on every pool task.
 
-On those same tasks every method also runs once more through
+On the ``bench.run_config`` tasks every method also runs once more through
 ``bench.make_task`` and ``bench.run_method``, on a fixed stream, recording
 residuals (and, for C-DPS, scores). Its ``trace_sha256`` holds the SHA-256
 of the trace's ``residual_sq`` and ``failed_rows``, and for C-DPS also of
 ``cg_iters``, ``score_cos`` and ``score_mse``, so equal files also mean
 equal records. The baselines' ``cg_iters`` is left out: they make no solve.
+On a blur task the other methods' runs record residuals too, and their
+``trace_sha256`` holds the digests of ``residual_sq`` and ``failed_rows``.
 
 On every pool task single C-DPS steps are fingerprinted too:
 ``cdps.sampler.cdps_step`` at t in {1, 2, T // 2, T}, from one fixed x_t and
@@ -61,6 +65,28 @@ def trace_fingerprints(bench, cfg, d: int, m: int, sigma: float, index: int) -> 
             names += ("cg_iters", "score_cos", "score_mse")
         _, trace = bench.run_method(method, cfg, task, rng, cfg.samples_per_run, **record)
         out[method] = {name: fingerprint(getattr(trace, name)) for name in names}
+    return out
+
+
+def blur_fingerprints(bench, wl, inputs, task, methods) -> dict:
+    """Score-SDE and ILVR on one blur pool task: samples, SW and trace, as digests."""
+    from cdps import gmm, metrics
+
+    w, schedule = inputs.workload, inputs.schedule
+    btask = bench.Task(task.prior, task.A, None, task.y, wl.SIGMA, schedule,
+                       gmm.score_fn_for(task.prior, schedule))
+    out = {}
+    for method in methods:
+        rng = bench.derive_rng(wl.POOL_SEED, "pool_outputs", w.name, method, task.index)
+        x0, trace = bench.run_method(method, w.bench_config(methods), btask, rng, w.chains,
+                                     record_residuals=True)
+        sw_rng = bench.derive_rng(wl.POOL_SEED, w.name, "slices", task.index)
+        sw = metrics.sliced_wasserstein(x0, task.reference, wl.SW_SLICES, sw_rng,
+                                        order=wl.SW_ORDER)
+        out[method] = {"samples_sha256": fingerprint(x0), "sw": repr(sw),
+                       "failures": int(trace.failed_rows.size),
+                       "trace_sha256": {name: fingerprint(getattr(trace, name))
+                                        for name in ("residual_sq", "failed_rows")}}
     return out
 
 
@@ -106,7 +132,9 @@ def main(argv=None) -> int:
                 result, _ = wl.run_method(inputs, task, method)
                 row[method] = {"samples_sha256": fingerprint(result.samples),
                                "sw": repr(result.sw), "failures": result.failures}
-            if not w.blur:
+            if w.blur:
+                row.update(blur_fingerprints(bench, wl, inputs, task, others))
+            else:
                 rows, samples = bench.run_config(w.bench_config(others), w.d, task.m, wl.SIGMA,
                                                  index, keep_samples=True)
                 for result in rows:
