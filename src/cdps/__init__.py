@@ -32,14 +32,12 @@ from .gmm import (
     sample_mixture,
     score,
     score_fn_for,
-    score_jacobian_vp,
 )
-from .metrics import measurement_residual, score_consistency, sliced_wasserstein
+from .metrics import measurement_residual, sliced_wasserstein
 from .sampler import (
     ChainFailureError,
     MeasurementChain,
     NonlinearMap,
-    PosteriorStepParams,
     SamplerTrace,
     SolverConfig,
     cdps_sample,

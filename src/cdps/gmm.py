@@ -7,20 +7,24 @@ Gaussian measurement the posterior is itself a mixture of Gaussians and is
 computed exactly, providing the ground truth the samplers are scored
 against.
 
-A score and a Jacobian product at the same ``(x, abar)`` -- DPS makes both
-every step -- share one responsibilities pass: each mixture keeps its last
-pass, keyed on ``abar`` and an exact copy of ``x``.  A mixture and its arrays
-are therefore not to be changed in place once built.
+The score and the denoiser's Jacobian product at the same ``(x, abar)``
+-- DPS makes both every step -- share one responsibilities pass: each
+mixture keeps its last pass, keyed on ``abar`` and an exact copy of ``x``.
+A mixture and its arrays are therefore not to be changed in place once
+built.
 
 The pass is trimmed without moving a bit, because DPS amplifies the score's
-rounding: a mixture takes the log of its weights once, when it is built, and
-carries its variances and its log weights as one scalar each when they are
-exactly equal (the grid prior's are), so the time-marginal variance is a
-scalar too; and the logits' factors -2 and -1/2, both powers of two, are
-folded into the expression instead of applied in passes of their own.  The
-denoiser's Jacobian product, which DPS makes every step, likewise computes
-its products in place, each with the operands and in the order of the
-expression written out with fresh arrays.
+rounding: summing the score's last product in another order moved DPS's
+sliced Wasserstein distance past the benchmark reference's rtol of 1e-4 on
+41 of its 81 pool tasks, by up to 48%, and C-DPS's by at most 5e-15.  So a
+mixture takes the log of its weights once, when it is built, and carries
+its variances and its log weights as one scalar each when they are exactly
+equal (the grid prior's are), so the time-marginal variance is a scalar
+too; and the logits' factors -2 and -1/2, both powers of two, are folded
+into the expression instead of applied in passes of their own.  The
+denoiser's Jacobian product likewise computes its products in place, each
+with the operands and in the order of the expression written out with
+fresh arrays.
 
 The sampler closures (``score_fn_for``, ``denoiser_jvp_fn_for``) read the
 constants of each level t = 0..T from a table each builds once:
@@ -276,26 +280,6 @@ def log_marginal_density(gmm: GaussianMixture, x: np.ndarray, abar: float) -> np
     sq = x2 - 2.0 * cross + m2
     logits = gmm._log_weights - 0.5 * (sq / var_t + d * np.log(2.0 * np.pi * var_t))
     return _logsumexp(logits, axis=-1)
-
-
-def score_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np.ndarray) -> np.ndarray:
-    """Product of the score Jacobian (log-density Hessian) with u.
-
-    H u = -sum_k r_k / v_k * u + sum_k r_k g_k <g_k, u> - s <s, u>
-    with g_k the per-component score; evaluated without (n, K, d) temporaries.
-    """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    r, means_t, var_t, _ = _pass(gmm, x, abar)
-    rv = r / var_t
-
-    s = rv @ means_t - x * rv.sum(axis=-1)[..., None]
-    # <g_k, u> = (m_k . u - x . u) / v_k, shape (..., K)
-    gu = (u @ means_t.T - np.einsum("...i,...i->...", x, u)[..., None]) / var_t
-    t = r * gu
-    term = t @ means_t - x * t.sum(axis=-1)[..., None]
-    su = np.einsum("...i,...i->...", s, u)[..., None]
-    return -rv.sum(axis=-1)[..., None] * u + term - s * su
 
 
 def score_fn_for(gmm: GaussianMixture, schedule: NoiseSchedule):

@@ -86,18 +86,3 @@ def batch_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     denom = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(denom > 0, dot / np.where(denom == 0, 1.0, denom), np.nan)
-
-
-def score_consistency(score_fn, x_t: np.ndarray, x_prev: np.ndarray, t: int) -> tuple[float, float]:
-    """Alignment between the frozen score and the score one step later.
-
-    Returns the cosine similarity of score(x_prev, t-1) against
-    score(x_t, t) and their mean squared difference (1/d) ||.||^2.  The
-    cosine is NaN if either vector is zero.
-    """
-    s_prev = np.asarray(score_fn(x_prev, t - 1), dtype=float)
-    s_cur = np.asarray(score_fn(x_t, t), dtype=float)
-    if s_prev.shape != s_cur.shape or s_prev.ndim != 1:
-        raise ValueError("scores must be matching 1-D vectors")
-    diff = s_prev - s_cur
-    return float(batch_cosine(s_prev, s_cur)), float(diff @ diff) / s_prev.size

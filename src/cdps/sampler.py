@@ -147,6 +147,11 @@ class MeasurementChain:
 CHAIN_DRAW_BYTES = 1 << 16
 
 
+def _check_n_chains(n_chains):
+    if n_chains is not None and n_chains < 1:
+        raise ValueError("n_chains must be None or at least 1")
+
+
 def generate_measurement_chain(
     y0: np.ndarray,
     schedule: NoiseSchedule,
@@ -155,15 +160,16 @@ def generate_measurement_chain(
 ) -> MeasurementChain:
     """Noise the observation forward: y_t = sqrt(1-beta_t) y_{t-1} + sqrt(beta_t) z_t.
 
-    With ``n_chains`` the same y0 seeds that many independent chains, one per
-    row.  The levels are stored time-major, (T+1, n, m), so each step of the
-    recursion and each level a sampler reads is contiguous; ``y_levels`` is
-    their (n, T+1, m) view.  The noise stream is still that of one (n, T, m)
-    block: each row's noise is drawn in order, a piece at a time, into one
-    reused buffer of at most ``CHAIN_DRAW_BYTES`` (or one level, if larger)
-    and copied into place.
+    With ``n_chains`` (None or at least 1) the same y0 seeds that many
+    independent chains, one per row.  The levels are stored time-major,
+    (T+1, n, m), so each step of the recursion and each level a sampler
+    reads is contiguous; ``y_levels`` is their (n, T+1, m) view.  The noise
+    stream is still that of one (n, T, m) block: each row's noise is drawn
+    in order, a piece at a time, into one reused buffer of at most
+    ``CHAIN_DRAW_BYTES`` (or one level, if larger) and copied into place.
     The recursion then runs in place.
     """
+    _check_n_chains(n_chains)
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1:
         raise ValueError("y0 must be a 1-D measurement vector")
@@ -594,8 +600,7 @@ def _reverse_run(y, A, schedule, score_fn, rng, n_chains, per_row, step, record_
 
 def _checked_inputs(y, A, n_chains):
     """``checked_y(y, A)``, once ``n_chains`` is None or at least 1."""
-    if n_chains is not None and n_chains < 1:
-        raise ValueError("n_chains must be None or at least 1")
+    _check_n_chains(n_chains)
     return checked_y(y, A)
 
 

@@ -460,6 +460,17 @@ def test_cli_oracle_trace_diagnostics(tmp_path, capsys):
     assert len(rows) == 1 + 1000
 
 
+def test_perfbench_tracer_lookup_sites_exist():
+    # `installed()` reads every site it patches, so a name deleted from the
+    # package makes a `perfbench/run.py --trace 1` run raise AttributeError.
+    # This checks the names alone, installing nothing.
+    tracer_mod = load_module("perfbench/tracer.py")
+    missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
+               for owner, attr, _ in tracer_mod._patches(tracer_mod.Tracer())
+               if not hasattr(owner, attr)]
+    assert not missing
+
+
 def test_perfbench_tracer_sites_resolve_and_restore():
     # perfbench/tracer.py patches named attributes of the package.  Each must
     # resolve, be replaced while the tracer is installed and be restored on

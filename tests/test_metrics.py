@@ -1,12 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from cdps.gmm import make_grid_gmm, score_fn_for
-from cdps.metrics import measurement_residual, score_consistency, sliced_wasserstein
+from cdps.metrics import batch_cosine, measurement_residual, sliced_wasserstein
 from cdps.operators import IsotropicNoise, from_dense, make_random_svd_operator
-from cdps.sampler import SolverConfig, _ancestral_step, cdps_sample
+from cdps.sampler import SamplerTrace, SolverConfig, _ancestral_step, _pair_scores, cdps_sample
 from cdps.schedules import make_linear_schedule
 
 
@@ -95,26 +93,27 @@ def test_measurement_residual_matches_naive_loop():
     assert measurement_residual(x, y, A) == pytest.approx(naive, rel=1e-12)
 
 
-def test_score_consistency_identical_and_antiparallel():
-    fn = lambda x, t: np.asarray(x, dtype=float)
-    cos, mse = score_consistency(fn, np.array([1.0, 2.0]), np.array([1.0, 2.0]), 5)
-    assert cos == pytest.approx(1.0) and mse == pytest.approx(0.0)
+def test_batch_cosine_signs_and_zero_norm():
+    # +-1 for equal or opposite vectors and NaN where either vector is zero,
+    # row by row, and for a single pair of vectors.
+    a = np.array([[1.0, 2.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+    b = np.array([[1.0, 2.0], [-1.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    cos = batch_cosine(a, b)
+    assert cos[:2] == pytest.approx([1.0, -1.0])
+    assert np.all(np.isnan(cos[2:]))
+    assert batch_cosine(a[1], b[1]) == pytest.approx(-1.0)
+    assert np.isnan(batch_cosine(a[2], b[2]))
 
-    def flip(x, t):
-        return np.array([1.0, 0.0]) if t == 5 else np.array([-1.0, 0.0])
 
-    cos, mse = score_consistency(flip, np.zeros(2), np.zeros(2), 5)
-    assert cos == pytest.approx(-1.0)
-    assert mse == pytest.approx(2.0)
-
-
-def test_score_consistency_zero_norm_sentinel():
-    def fn(x, t):
-        return np.zeros(3) if t == 4 else np.ones(3)
-
-    cos, mse = score_consistency(fn, np.zeros(3), np.zeros(3), 5)
-    assert math.isnan(cos)
-    assert mse == pytest.approx(1.0)
+def test_pair_scores_cosine_and_mse():
+    # Entry t pairs level t-1's score with level t's: their cosine and their
+    # mean squared difference (1/d) ||.||^2, per chain.
+    trace = SamplerTrace(score_cos=np.full((3, 2), np.nan), score_mse=np.full((3, 2), np.nan))
+    s_cur = np.array([[1.0, 0.0], [1.0, 1.0]])
+    _pair_scores(trace, 2, np.array([[-1.0, 0.0], [0.0, 0.0]]), s_cur)
+    assert trace.score_cos[2, 0] == pytest.approx(-1.0) and np.isnan(trace.score_cos[2, 1])
+    assert trace.score_mse[2] == pytest.approx([2.0, 1.0])
+    assert np.all(np.isnan(trace.score_cos[[0, 1]]))
 
 
 def ancestral_score_cosine(score_fn, schedule, rng, n_chains, d):

@@ -134,6 +134,18 @@ def test_chain_validates_inputs():
         chain.y_at(1001)
 
 
+@pytest.mark.parametrize("n_chains", [0, -3])
+def test_chain_refuses_fewer_than_one_chain(n_chains):
+    # 0 used to return an empty chain and -3 to end in numpy's "negative
+    # dimensions"; the chain now refuses both as the samplers do, before
+    # any draw.
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="n_chains must be None or at least 1"):
+        generate_measurement_chain(np.zeros(2), BENCH_SCHEDULE, rng, n_chains)
+    assert rng.bit_generator.state == state
+
+
 # ---------------------------------------------------------------------------
 # Coupled step
 
@@ -1360,7 +1372,8 @@ def _guided_reference(y, A, schedule, score_fn, jvp_fn, rng, n, zeta):
 @pytest.mark.parametrize("operator", ["dense", "blur"])
 def test_dps_guided_run_matches_reference_loop_bitwise(operator):
     # A zeta = 1 run must equal the guided step written out above, bit for
-    # bit: DPS amplifies rounding, so a re-associated sum would show.  Chain
+    # bit: DPS amplifies rounding (a few ulps of the score move its
+    # benchmark SW by up to 48%), so a re-associated sum would show.  Chain
     # 2's misfit at the first step is exactly zero, so its gain there is 0.
     d, m, n, T = 8, 4, 5, 12
     rng = np.random.default_rng(26)
