@@ -46,8 +46,6 @@ from .sampler import (
     dps_sample,
     generate_measurement_chain,
     ilvr_sample,
-    make_step_params,
-    posterior_mean,
     score_sde_sample,
 )
 from .bench import BenchConfig, BenchResult, derive_rng, emit_results, run_config, run_grid

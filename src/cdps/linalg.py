@@ -105,8 +105,8 @@ def cg_solve(
     row) is returned, its unconverged rows flagged in ``row_converged``, and
     the caller decides.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[-1] != op.d:
         raise ValueError(f"rhs last axis must be {op.d}")

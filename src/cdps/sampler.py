@@ -12,7 +12,9 @@ so the solution is the mean plus a posterior draw.  The measurement term and
 the perturbation's measurement part share one product with ``B^T = (W A)^T``.
 When A has a dense form, the offset is a product with ``A^T`` and the solve
 is exact, through the thin SVD of ``B``, so the step makes no operator call;
-without one, the solve is diagonally preconditioned CG (``cg_solve``).  A
+without one, it is diagonally preconditioned CG at ``cg_solve``'s settings.
+A run records a row whose CG solve did not converge, or raises under
+``SolverConfig.strict``; a single step keeps no trace, so it raises.  A
 whole run with isotropic noise and a dense A factors ``A`` once, by a thin
 SVD: every step's precision ``c_t I + A^T A / gamma_t`` is diagonal in its
 basis, so a step builds no noise model, whitener, precision or report and
@@ -54,14 +56,12 @@ noise (n, d) and, for Score-SDE and ILVR, the target's (n, m).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
 from .linalg import (
-    CgReport,
     PrecisionOperator,
     cg_solve,
     diag_preconditioner,
@@ -95,14 +95,13 @@ class ChainFailureError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Knobs for the per-step linear solves and posterior variants.
+    """Knobs for the posterior variants and for a run's failed rows.
 
-    The CG knobs apply only to operators without a dense form, which are
-    solved by diagonally preconditioned CG; the others are solved exactly.
+    CG runs at ``cg_solve``'s own settings; a run records a row whose solve
+    did not converge, or raises under ``strict``.  A single step or mean
+    keeps no trace, so it raises.
     """
 
-    cg_tol: float = 1e-8
-    cg_max_iter: int | None = None  # defaults to 10 * d inside cg_solve
     # How to reintroduce the time-(t-1) prior on x_{t-1}:
     #   "score"    Gaussian with precision 1/(1-abar_{t-1}) centered at
     #              sqrt(abar_{t-1}) * x0_hat(x_t); combined with the forward
@@ -114,15 +113,11 @@ class SolverConfig:
     #   "identity" zero-mean unit Gaussian: adds only +I to the precision
     #   "none"     drop the prior entirely (the bare two-factor posterior)
     prior_mode: str = "score"
-    strict: bool = True  # raise on CG non-convergence instead of recording
+    strict: bool = True  # a run raises on CG non-convergence instead of recording
 
     def __post_init__(self):
         if self.prior_mode not in ("score", "identity", "none"):
             raise ValueError("prior_mode must be one of 'score', 'identity', 'none'")
-        if not (math.isfinite(self.cg_tol) and self.cg_tol > 0):
-            raise ValueError("cg_tol must be positive and finite")
-        if self.cg_max_iter is not None and self.cg_max_iter < 1:
-            raise ValueError("cg_max_iter must be None or at least 1")
 
 
 @dataclass(frozen=True)
@@ -316,14 +311,14 @@ def _posterior_rhs(x_t, s_hat, white, keep, pull, tweedie, c, bt, eps):
 _NO_ROWS = np.empty(0, dtype=int)  # the failed rows of a step that makes no CG solve
 
 
-def _step(params: PosteriorStepParams, x_t, y_prev, eps, config: SolverConfig, kind: str):
+def _step(params: PosteriorStepParams, x_t, y_prev, eps):
     """The one solve of a coupled step: the posterior mean, or mean plus draw with ``eps``.
 
     With a dense A the right-hand side's merged product is with B = W A, built
     once, and the solve is exact, through B's thin SVD; otherwise the product
-    is one adjoint and the solve is ``cg_solve``.  Returns the solution, the
-    solve's report and the rows whose CG solve did not converge, which raise
-    under ``config.strict``.
+    is one adjoint and the solve is ``cg_solve`` at its own settings.  Returns
+    (x_{t-1}, iterations, failed rows), as a run's step does: the rows whose
+    CG solve did not converge, left to the caller.
     """
     precision = params.precision
     bw = None if precision.op.dense is None else precision.whitener(precision.op.dense.T).T
@@ -333,31 +328,28 @@ def _step(params: PosteriorStepParams, x_t, y_prev, eps, config: SolverConfig, k
         precision.bt if bw is None else (lambda u: u @ bw), eps,
     )
     if bw is not None:
-        x_next = spectral_solve(*spectral_factor(bw), precision.c, 1.0, rhs)
-        return x_next, CgReport(0, np.ones(rhs.shape[:-1], dtype=bool)), _NO_ROWS
-    x_next, report = cg_solve(precision, rhs, preconditioner=params.preconditioner,
-                              tol=config.cg_tol, max_iter=config.cg_max_iter)
-    rows = np.nonzero(~np.atleast_1d(report.row_converged))[0]
-    if rows.size and config.strict:
-        raise ChainFailureError(params.t, rows, kind)
-    return x_next, report, rows
+        return spectral_solve(*spectral_factor(bw), precision.c, 1.0, rhs), 0, _NO_ROWS
+    x_next, report = cg_solve(precision, rhs, preconditioner=params.preconditioner)
+    return x_next, report.iterations, np.nonzero(~np.atleast_1d(report.row_converged))[0]
 
 
 def posterior_mean(
     params: PosteriorStepParams,
     x_t: np.ndarray,
     y_prev: np.ndarray,
-    config: SolverConfig | None = None,
-) -> tuple[np.ndarray, CgReport]:
+) -> np.ndarray:
     """Solve the step precision against the posterior right-hand side.
 
     The transition kernel contributes sqrt(1-beta)/beta * x_t, the
     measurement contributes A^T Sigma^{-1} (y_{t-1} - b), and in "score"
     prior mode the marginal prior pulls toward its denoised mean.  This is
-    the coupled step without its perturbation, so a CG solve that does not
-    converge raises under ``config.strict``.
+    the coupled step without its perturbation.  It keeps no trace, so a CG
+    solve that does not converge raises ``ChainFailureError``.
     """
-    return _step(params, x_t, y_prev, None, config or SolverConfig(), "mean")[:2]
+    mean, _, rows = _step(params, x_t, y_prev, None)
+    if rows.size:
+        raise ChainFailureError(params.t, rows, "mean")
+    return mean
 
 
 @dataclass
@@ -383,12 +375,17 @@ def _pair_scores(trace: SamplerTrace, t: int, s_prev: np.ndarray, s_cur: np.ndar
     trace.score_cos[t] = batch_cosine(s_prev, s_cur)
 
 
-def _rebuilt_steps(A, noise, scalars, config):
-    """Steps that build each precision afresh: any noise model, and CG without a dense A."""
+def _rebuilt_steps(A, noise, scalars, strict: bool):
+    """Steps that build each precision afresh: any noise model, and CG without a dense A.
+
+    Under ``strict`` a row whose CG solve did not converge raises.
+    """
     def step(x, t, s_hat, y_prev, eps):
         params = _linear_params(t, s_hat, A, noise, scalars)
-        x_next, report, rows = _step(params, x, y_prev, eps, config, "sample")
-        return x_next, report.iterations, rows
+        x_next, iterations, rows = _step(params, x, y_prev, eps)
+        if rows.size and strict:
+            raise ChainFailureError(t, rows, "sample")
+        return x_next, iterations, rows
     return step
 
 
@@ -547,7 +544,7 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
     return fused_step
 
 
-def _steps(A, noise, scalars, config):
+def _steps(A, noise, scalars, strict: bool):
     """The coupled step for these inputs: (x, t, s_hat, y_{t-1}, eps) -> (x_{t-1}, iters, rows).
 
     Isotropic noise with a dense A takes the per-run spectral factor; every
@@ -555,7 +552,7 @@ def _steps(A, noise, scalars, config):
     """
     if isinstance(noise, IsotropicNoise) and A.dense is not None:
         return _spectral_steps(A, noise, scalars)
-    return _rebuilt_steps(A, noise, scalars, config)
+    return _rebuilt_steps(A, noise, scalars, strict)
 
 
 def _reverse_run(y, A, schedule, score_fn, rng, n_chains, per_row, step, record_residuals,
@@ -621,14 +618,15 @@ def cdps_sample(
 
     Generates the measurement chain once (per row unless ``shared_chain``),
     then runs ``_reverse_run`` with the coupled step, ``_steps``'s for these
-    inputs.  Rows whose CG solve fails are recorded in the trace (or raise
-    when ``config.strict``); exact solves never fail a row.
+    inputs.  An exact solve never fails a row.  CG runs at ``cg_solve``'s
+    settings (tol 1e-8, at most 10 d iterations); a row it leaves unconverged
+    is recorded in ``failed_rows``, or raises when ``config.strict``.
     """
     config = config or SolverConfig()
     y = _checked_inputs(y, A, n_chains)
     chain = generate_measurement_chain(y, schedule, rng, None if shared_chain else n_chains)
     y_at = np.moveaxis(chain.y_levels, -2, 0)  # (T+1, ...) view of the levels
-    coupled = _steps(A, noise, _step_scalars(schedule, config.prior_mode), config)
+    coupled = _steps(A, noise, _step_scalars(schedule, config.prior_mode), config.strict)
     return _reverse_run(y, A, schedule, score_fn, rng, n_chains, A.d + A.m,
                         lambda x, t, s_hat, eps: coupled(x, t, s_hat, y_at[t - 1], eps),
                         record_residuals, record_scores)
@@ -644,7 +642,7 @@ def _single_step(x_t, t, chain, score_fn, A, noise, schedule, rng, config, offse
         raise ValueError(f"the chain's levels must have length {A.m}")
     if chain.y_levels.shape[:-2] not in ((), x_t.shape[:-1]):
         raise ValueError(f"chain levels {chain.y_levels.shape} do not match x_t {x_t.shape}")
-    step = _steps(A, noise, _step_scalars(schedule, config.prior_mode), config)
+    step = _steps(A, noise, _step_scalars(schedule, config.prior_mode), strict=True)
     s_hat = np.asarray(score_fn(x_t, t), dtype=float)
     eps = rng.standard_normal(x_t.size // A.d * (A.d + A.m))  # eps1 then eps2, as a run draws
     return step(x_t, t, s_hat, chain.y_at(t - 1) - offset, eps)[0]
@@ -667,7 +665,8 @@ def cdps_step(
     covariance draw come from one solve against the step precision.  It is
     the step ``cdps_sample`` takes on the same inputs: from the run's x_t and
     the generator's state before the step's draws, it returns the run's
-    x_{t-1} bit for bit.
+    x_{t-1} bit for bit.  It keeps no trace, so a row whose CG solve does
+    not converge raises ``ChainFailureError`` whatever ``config.strict`` says.
     """
     x_t = np.asarray(x_t, dtype=float)
     return _single_step(x_t, t, chain, score_fn, A, noise, schedule, rng, config)

@@ -54,10 +54,6 @@ class NoiseSchedule:
                 "num_steps is too small for this beta range"
             )
 
-    @property
-    def T(self) -> int:
-        return self.num_steps
-
 
 def make_linear_schedule(num_steps: int, beta_min: float, beta_max: float) -> NoiseSchedule:
     """Linearly interpolated variance-preserving schedule.

@@ -228,11 +228,12 @@ def test_optional_guidance_methods_run():
 
 
 def test_failed_cdps_rows_are_counted_and_dropped(monkeypatch):
-    # An operator without a dense form runs CG; one iteration at tol 1e-14
-    # fails every row. run_method records the failed rows instead of raising,
-    # and run_config counts them and gives the task up past 10% of its chains.
-    monkeypatch.setattr(cdps.bench, "SolverConfig", functools.partial(
-        cdps.sampler.SolverConfig, cg_tol=1e-14, cg_max_iter=1))
+    # An operator without a dense form runs CG; held to one iteration at tol
+    # 1e-14 it fails every row. run_method records the failed rows instead of
+    # raising, and run_config counts them and gives the task up past 10% of
+    # its chains.
+    monkeypatch.setattr(cdps.sampler, "cg_solve", functools.partial(
+        cdps.sampler.cg_solve, tol=1e-14, max_iter=1))
     real = cdps.bench.cdps_sample
     monkeypatch.setattr(cdps.bench, "cdps_sample", lambda y, A, *args, **kwargs: real(
         y, dataclasses.replace(A, dense=None), *args, **kwargs))

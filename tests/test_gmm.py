@@ -102,6 +102,18 @@ def test_denoiser_jacobian_vp_stable_at_vanishing_abar():
     assert np.linalg.norm(jv) < 1e-60  # scales like sqrt(abar)
 
 
+def test_denoiser_jacobian_vp_broadcasts_one_u_against_a_batch():
+    # One u against five points gives each point's own product with that u.
+    g = make_grid_gmm(4)
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-10, 10, (5, 4))
+    u = rng.standard_normal(4)
+    batched = denoiser_jacobian_vp(g, X, 0.4, u)
+    assert batched.shape == X.shape
+    for i in range(5):
+        np.testing.assert_allclose(batched[i], denoiser_jacobian_vp(g, X[i], 0.4, u), rtol=1e-12)
+
+
 def count_passes(monkeypatch):
     """Count responsibilities evaluations through cdps.gmm."""
     calls = []

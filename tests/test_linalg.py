@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cdps.linalg
 from cdps.linalg import (
     PrecisionOperator,
     cg_solve,
@@ -97,6 +98,20 @@ def test_diag_preconditioner_values():
     )
 
 
+def test_diag_preconditioner_above_probe_limit_leaves_cg_unpreconditioned(monkeypatch):
+    # Above the probe limit no diagonal is probed; CG then runs with the
+    # identity preconditioner and reaches the preconditioned solve.
+    rng = np.random.default_rng(12)
+    op = make_precision(rng, d=6, m=3)
+    rhs = rng.standard_normal((4, 6))
+    x_pre, rep_pre = cg_solve(op, rhs, diag_preconditioner(op), tol=1e-12)
+    monkeypatch.setattr(cdps.linalg, "PRECOND_PROBE_LIMIT", 5)
+    assert diag_preconditioner(op) is None
+    x, rep = cg_solve(op, rhs, diag_preconditioner(op), tol=1e-12)
+    assert rep_pre.row_converged.all() and rep.row_converged.all()
+    np.testing.assert_allclose(x, x_pre, rtol=1e-10)
+
+
 def test_pw_cg_draw_measurement_free_closed_form():
     op = measurement_free(4.0, 6)
     v, rep = pw_cg_draw(op, np.random.default_rng(4))
@@ -180,6 +195,20 @@ def test_cg_rejects_bad_inputs():
         cg_solve(op, np.ones(3), tol=-1.0)
     with pytest.raises(ValueError):
         PrecisionOperator(-1.0, op.op, op.whitener)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"tol": -1e-8},
+    {"max_iter": 0}, {"max_iter": -1},
+], ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "max_iter-zero", "max_iter-negative"])
+def test_cg_rejects_bad_settings(kwargs):
+    # A NaN tolerance would fail every row silently (nan <= tol is false) and
+    # an infinite one would return zeros flagged as converged, so cg_solve
+    # refuses both, and every other unusable setting, before it iterates.
+    op = measurement_free(1.0, 3)
+    with pytest.raises(ValueError, match="tol must be positive and finite|max_iter"):
+        cg_solve(op, np.ones(3), **kwargs)
+    cg_solve(op, np.ones(3), tol=1e-300, max_iter=1)
 
 
 def make_noise(kind, rng, m):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import re
 import threading
@@ -55,15 +56,6 @@ from cdps.sampler import (
 from cdps.schedules import alpha_bar, make_linear_schedule
 
 BENCH_SCHEDULE = make_linear_schedule(1000, 0.1, 500.0)
-
-
-def linear_score_fn(mu, schedule):
-    """Exact score of a single unit-variance Gaussian prior."""
-
-    def fn(x, t):
-        return np.sqrt(schedule.alpha_bars[t]) * mu - x
-
-    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +154,7 @@ def test_step_measurement_free_collapse():
     beta = schedule.betas[t - 1]
 
     params = make_step_params(x_t, t, lambda x, tt: -x, A, noise, schedule, cfg)
-    mu, rep = posterior_mean(params, x_t, np.zeros(m), cfg)
+    mu = posterior_mean(params, x_t, np.zeros(m))
     np.testing.assert_allclose(mu, x_t / np.sqrt(1.0 - beta), rtol=1e-10)
 
     rng = np.random.default_rng(4)
@@ -188,7 +180,7 @@ def test_step_matches_dense_posterior_oracle():
     x_t = rng.standard_normal(d)
     y_prev = rng.standard_normal(m)
     params = make_step_params(x_t, t, score_fn, A, noise, schedule, cfg)
-    mu, _ = posterior_mean(params, x_t, y_prev, cfg)
+    mu = posterior_mean(params, x_t, y_prev)
 
     beta = schedule.betas[t - 1]
     abar_prev = schedule.alpha_bars[t - 1]
@@ -211,7 +203,7 @@ def test_step_prior_dominates_as_beta_vanishes():
     x_t = rng.standard_normal(d)
     y = 100.0 * rng.standard_normal(m)
     params = make_step_params(x_t, 1, lambda x, tt: -x, A, noise, schedule, cfg)
-    mu, _ = posterior_mean(params, x_t, y, cfg)
+    mu = posterior_mean(params, x_t, y)
     assert np.linalg.norm(mu - x_t) / np.linalg.norm(x_t) < 1e-3
 
 
@@ -223,7 +215,7 @@ def test_step_distributional_covariance():
     schedule = BENCH_SCHEDULE
     A = from_dense(rng.standard_normal((m, d)))
     noise = IsotropicNoise(0.5)
-    cfg = SolverConfig(prior_mode="none", strict=False)
+    cfg = SolverConfig(prior_mode="none")
     gmm = make_grid_gmm(d)
     score_fn = score_fn_for(gmm, schedule)
 
@@ -239,7 +231,7 @@ def test_step_distributional_covariance():
     params = make_step_params(x_t[0], t, score_fn, A, noise, schedule, cfg)
     target = np.linalg.inv(params.precision.dense())
     assert np.linalg.norm(emp - target) / np.linalg.norm(target) < 0.05
-    mu, _ = posterior_mean(params, x_t[0], y_prev, cfg)
+    mu = posterior_mean(params, x_t[0], y_prev)
     se = np.sqrt(np.diag(target) / n)
     assert np.all(np.abs(x_next.mean(axis=0) - mu) < 4 * se)
 
@@ -260,7 +252,7 @@ def test_remark2_prior_inclusion_changes_mean_by_order_beta():
         for mode in ("none", "identity"):
             cfg = SolverConfig(prior_mode=mode)
             params = make_step_params(x_t, t, score_fn, A, noise, schedule, cfg)
-            mus[mode], _ = posterior_mean(params, x_t, y_prev, cfg)
+            mus[mode] = posterior_mean(params, x_t, y_prev)
         change = np.linalg.norm(mus["identity"] - mus["none"]) / np.linalg.norm(mus["none"])
         assert change < 10.0 * beta
 
@@ -312,10 +304,12 @@ def test_cdps_sample_single_chain_shape():
     assert tr.residual_sq.shape == (31,)
 
 
-def test_strict_cg_failure_raises_at_the_first_step():
-    # Without a dense form the step runs CG; one iteration at tol 1e-14
-    # converges no row, and the default (strict) config raises at t = T
-    # naming every failed row instead of recording them.
+def test_strict_cg_failure_raises_at_the_first_step(monkeypatch):
+    # Without a dense form the step runs CG; held to one iteration at tol
+    # 1e-14 it converges no row, and the default (strict) config raises at
+    # t = T naming every failed row instead of recording them.
+    monkeypatch.setattr(cdps.sampler, "cg_solve",
+                        functools.partial(cg_solve, tol=1e-14, max_iter=1))
     rng = np.random.default_rng(42)
     A = dataclasses.replace(make_random_svd_operator(8, 4, rng), dense=None)
     schedule = make_linear_schedule(5, 0.1, 1.25)
@@ -323,10 +317,34 @@ def test_strict_cg_failure_raises_at_the_first_step():
     with pytest.raises(ChainFailureError) as err:
         cdps_sample(rng.standard_normal(4), A, IsotropicNoise(1e-2), schedule,
                     score_fn_for(make_grid_gmm(8), schedule), np.random.default_rng(43),
-                    n_chains=6, config=SolverConfig(cg_tol=1e-14, cg_max_iter=1))
+                    n_chains=6)
     assert err.value.t == schedule.num_steps
     assert err.value.rows.tolist() == list(range(6))
     assert threading.active_count() == threads  # the normals' producer is joined
+
+
+def test_single_steps_raise_on_a_failed_cg_row_whatever_strict_says(monkeypatch):
+    # A single step or mean keeps no trace to record a failed row in, so it
+    # raises under strict=False too; a run under strict=False records the row.
+    monkeypatch.setattr(cdps.sampler, "cg_solve",
+                        functools.partial(cg_solve, tol=1e-14, max_iter=1))
+    rng = np.random.default_rng(46)
+    A = dataclasses.replace(make_random_svd_operator(8, 4, rng), dense=None)
+    schedule = make_linear_schedule(5, 0.1, 1.25)
+    score_fn = score_fn_for(make_grid_gmm(8), schedule)
+    noise, lax = IsotropicNoise(1e-2), SolverConfig(strict=False)
+    y = rng.standard_normal(4)
+    chain = generate_measurement_chain(y, schedule, rng, n_chains=3)
+    x_t = rng.standard_normal((3, 8))
+    with pytest.raises(ChainFailureError, match="sample CG solve failed at step t=3") as err:
+        cdps_step(x_t, chain, 3, score_fn, A, noise, schedule, rng, lax)
+    assert err.value.rows.tolist() == [0, 1, 2]
+    params = make_step_params(x_t, 3, score_fn, A, noise, schedule, lax)
+    with pytest.raises(ChainFailureError, match="mean CG solve failed at step t=3"):
+        posterior_mean(params, x_t, chain.y_at(2))
+    _, trace = cdps_sample(y, A, noise, schedule, score_fn, np.random.default_rng(47),
+                           n_chains=3, config=lax)
+    assert trace.failed_rows.tolist() == [0, 1, 2]
 
 
 def _report_unconverged(monkeypatch, T, rows_at):
@@ -724,11 +742,10 @@ def test_posterior_mean_broadcasts_one_x_t_against_per_row_levels(dense):
     schedule = make_linear_schedule(5, 0.1, 1.25)
     x_t, y_prev = rng.standard_normal(d), rng.standard_normal((4, m))
     params = make_step_params(x_t, 3, lambda x, t: -x, A, IsotropicNoise(0.01), schedule)
-    mu, _ = posterior_mean(params, x_t, y_prev)
+    mu = posterior_mean(params, x_t, y_prev)
     assert mu.shape == (4, d)
     for row in range(4):
-        np.testing.assert_allclose(mu[row], posterior_mean(params, x_t, y_prev[row])[0],
-                                   rtol=1e-6)
+        np.testing.assert_allclose(mu[row], posterior_mean(params, x_t, y_prev[row]), rtol=1e-6)
 
 
 def test_make_step_params_takes_only_an_integer_t():
@@ -743,19 +760,6 @@ def test_make_step_params_takes_only_an_integer_t():
         with pytest.raises(ValueError, match=r"integer in \[1, T\]"):
             make_step_params(x_t, t, *args)
     assert make_step_params(x_t, np.int64(2), *args).t == 2
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"cg_tol": float("nan")}, {"cg_tol": float("inf")}, {"cg_tol": 0.0}, {"cg_tol": -1e-8},
-    {"cg_max_iter": 0}, {"cg_max_iter": -1},
-], ids=["tol-nan", "tol-inf", "tol-zero", "tol-negative", "max_iter-zero", "max_iter-negative"])
-def test_solver_config_rejects_bad_cg_settings(kwargs):
-    # A NaN tolerance would fail every CG row silently (nan <= 0 is false in
-    # cg_solve), so the config refuses it, and every other unusable setting,
-    # up front.
-    with pytest.raises(ValueError, match="cg_"):
-        SolverConfig(**kwargs)
-    SolverConfig(cg_tol=1e-300, cg_max_iter=1)
 
 
 def test_normal_stream_equals_serial_draws(monkeypatch):
@@ -1192,7 +1196,7 @@ def test_cdps_sample_matches_conjugate_recursion():
     for t in (1, 2):
         x_t, y_prev = rng.standard_normal(d), rng.standard_normal(d)
         params = make_step_params(x_t, t, two_score, A, IsotropicNoise(1.0), two)
-        mu, _ = posterior_mean(params, x_t, y_prev)
+        mu = posterior_mean(params, x_t, y_prev)
         Fx, Fy, K = dense_step_kernel(t, two, two_score, A, 1.0)
         np.testing.assert_allclose(mu, Fx @ x_t + Fy @ y_prev, rtol=1e-8)
         np.testing.assert_allclose(params.precision.dense(), np.linalg.inv(K), rtol=1e-12)
@@ -1230,7 +1234,7 @@ FUSED_NOISES = {
     ("isotropic", True), ("diagonal", True), ("lowrank", True), ("circulant", True),
     ("isotropic", False),
 ], ids=["isotropic-dense", "diagonal-dense", "lowrank-dense", "circulant-dense", "isotropic-cg"])
-def test_fused_step_equals_mean_plus_pw_cg_draw(kind, dense):
+def test_fused_step_equals_mean_plus_pw_cg_draw(kind, dense, monkeypatch):
     # One solve of P x = rhs + z, with the measurement term and B^T eps2 in
     # one product, gives the mean solve plus the PW-CG draw made from the
     # same generator state, on the exact path for every noise model and on
@@ -1244,17 +1248,17 @@ def test_fused_step_equals_mean_plus_pw_cg_draw(kind, dense):
         A = dataclasses.replace(A, dense=None)
     noise = FUSED_NOISES[kind]
     score_fn = score_fn_for(make_grid_gmm(d), schedule)
-    cfg = SolverConfig(cg_tol=1e-10)
+    monkeypatch.setattr(cdps.sampler, "cg_solve", functools.partial(cg_solve, tol=1e-10))
     x_t = rng.standard_normal((n, d))
     levels = np.zeros((schedule.num_steps + 1, m))
     levels[t - 1] = rng.standard_normal(m)
     chain = MeasurementChain(y_levels=levels, schedule=schedule)
 
     fused = cdps_step(x_t, chain, t, score_fn, A, noise, schedule,
-                      np.random.default_rng(51), cfg)
-    params = make_step_params(x_t, t, score_fn, A, noise, schedule, cfg)
+                      np.random.default_rng(51))
+    params = make_step_params(x_t, t, score_fn, A, noise, schedule)
     assert (params.preconditioner is None) == dense
-    mu, _ = posterior_mean(params, x_t, chain.y_at(t - 1), cfg)
+    mu = posterior_mean(params, x_t, chain.y_at(t - 1))
 
     beta = schedule.betas[t - 1]
     abar, abar_prev = schedule.alpha_bars[t], schedule.alpha_bars[t - 1]
@@ -1554,6 +1558,19 @@ def test_nonlinear_jacobian_probe_and_adjoint():
     assert abs(lhs - rhs) / abs(lhs) < 1e-10
 
 
+def test_linearize_jvp_route_matches_vjp_route():
+    # Without a vjp the Jacobian J = M diag(2 x) is probed through jvp, one
+    # column per unit vector, and transposed into the vjp route's (m, d) rows.
+    M = np.random.default_rng(32).standard_normal((2, 3))
+    g = NonlinearMap(m=2, d=3, apply=lambda x: (x * x) @ M.T,
+                     jvp=lambda x, u: (2.0 * x * u) @ M.T, vjp=lambda x, v: 2.0 * x * (v @ M))
+    x = np.array([0.5, -1.0, 2.0])
+    J = linearize(dataclasses.replace(g, vjp=None), x).dense
+    assert J.shape == (2, 3)
+    np.testing.assert_allclose(J, linearize(g, x).dense, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(J, M * (2.0 * x), rtol=1e-14, atol=0)
+
+
 def test_nonlinear_fd_fallback_close_to_exact():
     g_exact = square_map(3)
     g_fd = NonlinearMap(m=3, d=3, apply=g_exact.apply)
@@ -1589,7 +1606,7 @@ def test_nonlinear_quadratic_matches_gauss_newton_oracle():
     A_lin = linearize(g, x_t)
     offset = g.apply(x_t) - A_lin.apply(x_t)
     params = make_step_params(x_t, t, score_fn, A_lin, noise, schedule, cfg)
-    mu, _ = posterior_mean(params, x_t, y_prev - offset, cfg)
+    mu = posterior_mean(params, x_t, y_prev - offset)
     assert np.linalg.norm(mu - expected_mu) / np.linalg.norm(expected_mu) < 1e-8
 
 

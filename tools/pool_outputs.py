@@ -28,15 +28,18 @@ On a blur task the other methods' runs record residuals too, and their
 
 On every pool task single C-DPS steps are fingerprinted too:
 ``cdps.sampler.cdps_step`` at t in {1, 2, T // 2, T}, from one fixed x_t and
-per-row chain built from the task's own prior, A, y and schedule, once with the
-task's isotropic noise (the fused spectral step) and once with a diagonal noise
-of the same variance (the step that rebuilds its precision). ``step_sha256``
-holds the SHA-256 of each step's output.
+per-row chain built from the task's own prior, A, y and schedule: with the
+task's isotropic noise (the fused spectral step), with a diagonal noise of the
+same variance (the step that rebuilds its precision and solves it exactly) and
+with the isotropic noise on A stripped of its dense form (the CG step, at
+``cg_solve``'s settings). ``step_sha256`` holds the SHA-256 of each step's
+output.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -100,10 +103,12 @@ def step_fingerprints(A, y, score_fn, schedule, sigma: float, n: int, rng) -> di
     x_t = rng.standard_normal((n, A.d))
     T = schedule.num_steps
     out = {}
-    for kind, noise in (("isotropic", IsotropicNoise(sigma * sigma)),
-                        ("diagonal", DiagonalNoise(np.full(A.m, sigma * sigma)))):
+    isotropic = IsotropicNoise(sigma * sigma)
+    for kind, op, noise in (("isotropic", A, isotropic),
+                            ("diagonal", A, DiagonalNoise(np.full(A.m, sigma * sigma))),
+                            ("cg", dataclasses.replace(A, dense=None), isotropic)):
         for t in (1, 2, T // 2, T):
-            x = cdps_step(x_t, chain, t, score_fn, A, noise, schedule, rng)
+            x = cdps_step(x_t, chain, t, score_fn, op, noise, schedule, rng)
             out[f"{kind}_t{t}"] = fingerprint(x)
     return out
 
