@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import platform
 import subprocess
@@ -267,16 +268,20 @@ def run_grid(cfg: BenchConfig) -> BenchResult:
     return result
 
 
-def write_csv(path: Path, header, rows) -> Path:
-    """Write ``header`` then every row of ``rows`` to ``path``; returns the path."""
+def _write(path: Path, fill) -> Path:
+    """Make ``path``'s directory, open ``path`` and ``fill(fh)``; an OSError names the path."""
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fill(fh)
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
     return path
+
+
+def write_csv(path: Path, header, rows) -> Path:
+    """Write ``header`` then every row of ``rows`` to ``path``, through ``_write``."""
+    return _write(path, lambda fh: csv.writer(fh).writerows(itertools.chain([header], rows)))
 
 
 def environment(master_seed: int | None) -> dict:
@@ -305,22 +310,17 @@ def emit_results(result: BenchResult, out_dir, cfg: BenchConfig | None = None) -
     summary.json carries the run's ``environment`` beside the aggregates.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     rows = ([row["method"], row["d"], row["m"], repr(float(row["sigma"])), row["matrix"],
              f"{row['sw']:.12g}", row["failures"], f"{row['seconds']:.3f}"]
             for row in result.rows)
     written = [write_csv(out / "results.csv", RESULT_COLUMNS, rows)]
 
-    summary_path = out / "summary.json"
     payload = {"aggregates": result.aggregates, "aborted": result.aborted,
                "environment": environment(None if cfg is None else cfg.master_seed)}
     if cfg is not None:
         payload["config"] = asdict(cfg)
-    try:
-        summary_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed writing {summary_path}: {exc}") from exc
-    written.append(summary_path)
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    written.append(_write(out / "summary.json", lambda fh: fh.write(text)))
 
     for (d, m, sigma), samples in sorted(result.scatter.items()):
         path = out / f"scatter_d{d}_m{m}_s{sigma!r}.csv"

@@ -115,9 +115,7 @@ def _cmd_oracle(args) -> int:
     print(f"truth x*[:2]:       {task.x_star[:2]}")
 
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        path = write_csv(out / f"oracle_d{args.d}_m{args.m}_s{args.sigma!r}.csv",
+        path = write_csv(Path(args.out) / f"oracle_d{args.d}_m{args.m}_s{args.sigma!r}.csv",
                          [f"x{i}" for i in range(samples.shape[1])],
                          ([f"{v:.12g}" for v in p] for p in samples))
         print(f"wrote {path}")
@@ -127,8 +125,6 @@ def _cmd_oracle(args) -> int:
 def _cmd_trace(args) -> int:
     cfg, task = _point_task(args, args.chains)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     traces = {}
     for method in ("cdps", "dps"):
         rng = derive_rng(args.seed, "trace", method, args.d, args.m, args.sigma)
@@ -140,7 +136,7 @@ def _cmd_trace(args) -> int:
 
     rows = ([method] + row for method, trace in traces.items()
             for row in _trace_csv_rows(trace, args.chains))
-    path = write_csv(out / f"trace_d{args.d}_m{args.m}_s{args.sigma!r}.csv",
+    path = write_csv(Path(args.out) / f"trace_d{args.d}_m{args.m}_s{args.sigma!r}.csv",
                      ["method", "chain_id", "t", "residual_sq", "cg_iters"], rows)
     print(f"wrote {path}")
     return 0
@@ -152,12 +148,10 @@ def _cmd_diagnostics(args) -> int:
     rng = derive_rng(args.seed, "diagnostics", args.d, args.m, args.sigma)
     _, trace = run_method("cdps", cfg, task, rng, args.chains, record_scores=True)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     cos, mse = trace.score_cos, trace.score_mse
     rows = ([t, f"{np.nanmean(cos[t]):.8g}", f"{np.nanmean(mse[t]):.8g}", args.chains]
             for t in range(schedule.num_steps, 0, -1))
-    path = write_csv(out / f"diagnostics_d{args.d}_m{args.m}_s{args.sigma!r}.csv",
+    path = write_csv(Path(args.out) / f"diagnostics_d{args.d}_m{args.m}_s{args.sigma!r}.csv",
                      ["t", "cos_mean", "mse_mean", "n_chains"], rows)
     valid = np.arange(1, schedule.num_steps + 1)
     print(f"mean cosine over trajectory: {np.nanmean(cos[valid]):.4f}")

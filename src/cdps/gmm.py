@@ -32,6 +32,10 @@ sqrt(abar_t), the marginal variance, 0.5 ||sqrt(abar_t) mu_k||^2 and -d/2
 log of the variance.  The table is built by the same elementwise operations
 and the same per-component einsum as one level at a time, so a pass reads
 the same bits it would compute.
+
+The exact posterior's weights are normalised by their largest log weight,
+then by their sum; the oracle log densities sum over the components by
+numpy's ``logaddexp.reduce``, a few ulp from ``scipy.special.logsumexp``.
 """
 
 from __future__ import annotations
@@ -51,24 +55,9 @@ _LEVEL_BLOCK_BYTES = 1 << 18
 
 
 def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
-    """log(sum(exp(a))) over ``axis`` for real input, by the algorithm of
-    ``scipy.special.logsumexp`` and bit for bit equal to it.
-
-    The largest entry is factored out and its ties counted, so the sum of
-    the rest enters through log1p:
-    ``log1p(sum(exp(a_rest - a_max)) / m) + log(m) + a_max`` with ``m`` the
-    number of ties.  Where that is not finite (all entries -inf, or an inf
-    among them) the plain ``log(sum(exp(a)))`` is used.
-    """
-    a = np.asarray(a, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
-        is_max = a == a_max
-        m = np.sum(is_max, axis=axis, keepdims=True, dtype=float)
-        rest = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=axis, keepdims=True)
-        out = np.log1p(rest / m) + np.log(m) + a_max
-        out = np.where(np.isfinite(out), out, np.log(np.sum(np.exp(a), axis=axis, keepdims=True)))
-    return np.squeeze(out, axis=axis)[()]
+    """log(sum(exp(a))) over ``axis``, within a few ulp of ``scipy.special.logsumexp``."""
+    with np.errstate(invalid="ignore"):
+        return np.logaddexp.reduce(a, axis=axis)
 
 
 def _scalar_if_equal(a: np.ndarray):
@@ -104,7 +93,7 @@ class GaussianMixture:
             raise ValueError("weights must be nonnegative and sum to 1")
         if (self.variances is None) == (self.cov is None):
             raise ValueError("exactly one of variances/cov must be given")
-        equal_var = False
+        equal_var, chol = False, None
         if self.variances is not None:
             var = np.asarray(self.variances, dtype=float)
             if var.shape != (K,):
@@ -120,12 +109,12 @@ class GaussianMixture:
                 raise ValueError("cov must be (d, d)")
             if not np.all(np.isfinite(cov)):
                 raise ValueError("cov must be finite")
-            # Raises LinAlgError if not SPD.
-            np.linalg.cholesky(cov)
+            chol = np.linalg.cholesky(cov)  # raises LinAlgError if not SPD
             object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_equal_var", equal_var)
+        object.__setattr__(self, "_chol", chol)  # lower Cholesky factor of cov
         # Posterior weights can underflow to exactly 0, whose log is -inf.
         with np.errstate(divide="ignore"):
             object.__setattr__(self, "_log_weights", _scalar_if_equal(np.log(weights)))
@@ -269,17 +258,13 @@ def score(gmm: GaussianMixture, x: np.ndarray, abar: float, level: _Levels | Non
 
 
 def log_marginal_density(gmm: GaussianMixture, x: np.ndarray, abar: float) -> np.ndarray:
-    """Log density of the forward-time marginal mixture (for oracles)."""
+    """Log density of the forward-time marginal mixture (for oracles), from abar's constants."""
     x = np.asarray(x, dtype=float)
     level = _level(gmm, abar)
-    means_t, var_t = level.root * gmm.means, level.var
-    d = gmm.d
-    x2 = np.einsum("...i,...i->...", x, x)[..., None]
-    cross = x @ means_t.T
-    m2 = np.einsum("ki,ki->k", means_t, means_t)
-    sq = x2 - 2.0 * cross + m2
-    logits = gmm._log_weights - 0.5 * (sq / var_t + d * np.log(2.0 * np.pi * var_t))
-    return _logsumexp(logits, axis=-1)
+    half_x2 = 0.5 * np.einsum("...i,...i->...", x, x)[..., None]
+    logits = (x @ (level.root * gmm.means).T - half_x2 - level.half_m2) / level.var
+    logits += level.log_norm + gmm._log_weights
+    return _logsumexp(logits, axis=-1) - 0.5 * gmm.d * np.log(2.0 * np.pi)
 
 
 def score_fn_for(gmm: GaussianMixture, schedule: NoiseSchedule):
@@ -376,14 +361,14 @@ def exact_posterior(gmm: GaussianMixture, A: LinearOperator, y: np.ndarray,
     resid = y - gmm.means @ mat.T  # (K, m)
     white = np.linalg.solve(L, resid.T).T
     logw = gmm._log_weights - 0.5 * np.einsum("ki,ki->k", white, white)
-    logw -= _logsumexp(logw)
-    return GaussianMixture(means=means, weights=np.exp(logw), cov=cov)
+    weights = np.exp(logw - logw.max())  # the largest is 1, so the sum is at least 1
+    return GaussianMixture(means=means, weights=weights / weights.sum(), cov=cov)
 
 
 def sample_mixture(gmm: GaussianMixture, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n vectors: categorical component choice, then a Gaussian draw.
 
-    Full-covariance mixtures share one Cholesky factor across components.
+    Full-covariance mixtures share their covariance's Cholesky factor.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -391,8 +376,7 @@ def sample_mixture(gmm: GaussianMixture, n: int, rng: np.random.Generator) -> np
     eps = rng.standard_normal((n, gmm.d))
     if gmm.variances is not None:
         return gmm.means[ks] + eps * np.sqrt(gmm.variances)[ks, None]
-    L = np.linalg.cholesky(gmm.cov)
-    return gmm.means[ks] + eps @ L.T
+    return gmm.means[ks] + eps @ gmm._chol.T
 
 
 def mixture_log_density(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray:
@@ -401,7 +385,7 @@ def mixture_log_density(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     d = gmm.d
     if gmm.variances is not None:
         return log_marginal_density(gmm, x, 1.0)
-    L = np.linalg.cholesky(gmm.cov)
+    L = gmm._chol
     logdet = 2.0 * np.log(np.diag(L)).sum()
     diff = x[..., None, :] - gmm.means  # (..., K, d)
     white = np.linalg.solve(L, diff[..., None]).squeeze(-1)

@@ -85,6 +85,16 @@ def diag_preconditioner(op: PrecisionOperator) -> np.ndarray | None:
     return op.c + np.einsum("ij,ij->i", cols, cols)
 
 
+def _checked_settings(op: PrecisionOperator, tol: float, max_iter: int | None) -> int:
+    """``max_iter`` (``10 d`` if None), refused with ``tol`` unless both are valid."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
+    max_iter = 10 * op.d if max_iter is None else max_iter
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    return max_iter
+
+
 def _row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", v, v))
 
@@ -105,17 +115,12 @@ def cg_solve(
     row) is returned, its unconverged rows flagged in ``row_converged``, and
     the caller decides.
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
+    max_iter = _checked_settings(op, tol, max_iter)
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[-1] != op.d:
         raise ValueError(f"rhs last axis must be {op.d}")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs must be finite")
-    if max_iter is None:
-        max_iter = 10 * op.d
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
 
     x = np.zeros_like(rhs)
     r = rhs.copy()
@@ -206,8 +211,9 @@ def pw_cg_draw(
     side ``z = sqrt(c) * eps1 + B^T eps2`` with cov(z) = op (Papandreou
     & Yuille 2010; Orieux et al. 2012).  eps1, shape (d,) or (n, d), is drawn
     before eps2, shape (m,) or (n, m), the order the coupled step uses.  Pass
-    ``n`` to draw a batch of independent vectors.
+    ``n`` to draw a batch of independent vectors; a refused CG setting draws none.
     """
+    max_iter = _checked_settings(op, tol, max_iter)
     batch = () if n is None else (n,)
     z = np.sqrt(op.c) * rng.standard_normal(batch + (op.d,))
     z = z + op.bt(rng.standard_normal(batch + (op.m,)))

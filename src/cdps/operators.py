@@ -281,7 +281,10 @@ def mask_operator(keep_indices, d: int) -> LinearOperator:
 def blur_operator(kernel, d: int) -> LinearOperator:
     """Circular convolution with an odd-length kernel; adjoint is correlation.
 
-    Both sum the taps in kernel order, each product made in one scratch buffer.
+    Both run one tap loop over a circularly padded copy of the input: tap
+    ``h[r + j]`` reads the input shifted by ``j`` for the convolution and by
+    ``-j`` for the correlation.  The taps are summed in kernel order, each
+    product made in one scratch buffer.
     """
     h = np.asarray(kernel, dtype=float)
     if h.ndim != 1 or h.size == 0:
@@ -293,28 +296,22 @@ def blur_operator(kernel, d: int) -> LinearOperator:
     if h.size > d:
         raise ValueError("kernel longer than the signal")
     r = h.size // 2
-    taps = list(zip(h.tolist(), range(-r, r + 1)))
 
-    def padded(x):
+    def tap_sum(sign):
         # Circular padding by r on each side: xp[..., r + i] == x[..., i % d],
         # so roll(x, j)[..., i] == xp[..., r - j + i] for |j| <= r.
-        return np.concatenate((x[..., d - r:], x, x[..., :r]), axis=-1)
+        taps = [(w, r - sign * j) for w, j in zip(h.tolist(), range(-r, r + 1))]
 
-    def apply(x):
-        xp = padded(x)
-        out = np.zeros(x.shape[:-1] + (d,))
-        tmp = np.empty_like(out)
-        for w, j in taps:
-            out += np.multiply(xp[..., r - j:r - j + d], w, out=tmp)
-        return out
+        def fn(x):
+            xp = np.concatenate((x[..., d - r:], x, x[..., :r]), axis=-1)
+            out = np.zeros(x.shape[:-1] + (d,))
+            tmp = np.empty_like(out)
+            for w, lo in taps:
+                out += np.multiply(xp[..., lo:lo + d], w, out=tmp)
+            return out
 
-    def adjoint(y):
-        yp = padded(y)
-        out = np.zeros(y.shape[:-1] + (d,))
-        tmp = np.empty_like(out)
-        for w, j in taps:
-            out += np.multiply(yp[..., r + j:r + j + d], w, out=tmp)
-        return out
+        return fn
 
+    apply, adjoint = tap_sum(1), tap_sum(-1)
     dense = apply(np.eye(d)).T if d * d <= DENSE_LIMIT else None
     return LinearOperator(m=d, d=d, apply=apply, adjoint=adjoint, dense=dense)

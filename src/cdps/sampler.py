@@ -156,33 +156,31 @@ def generate_measurement_chain(
     """Noise the observation forward: y_t = sqrt(1-beta_t) y_{t-1} + sqrt(beta_t) z_t.
 
     With ``n_chains`` (None or at least 1) the same y0 seeds that many
-    independent chains, one per row.  The levels are stored time-major,
-    (T+1, n, m), so each step of the recursion and each level a sampler
-    reads is contiguous; ``y_levels`` is their (n, T+1, m) view.  The noise
-    stream is still that of one (n, T, m) block: each row's noise is drawn
-    in order, a piece at a time, into one reused buffer of at most
+    independent chains, one per row; without it, one chain, drawn as a
+    single row.  The levels are stored time-major, (T+1, n, m), so each step
+    of the recursion and each level a sampler reads is contiguous;
+    ``y_levels`` is their (n, T+1, m) view, or (T+1, m) for one chain.  The
+    noise stream is still that of one (n, T, m) block: each row's noise is
+    drawn in order, a piece at a time, into one reused buffer of at most
     ``CHAIN_DRAW_BYTES`` (or one level, if larger) and copied into place.
     The recursion then runs in place.
     """
     _check_n_chains(n_chains)
     y0 = np.asarray(y0, dtype=float)
-    if y0.ndim != 1:
-        raise ValueError("y0 must be a 1-D measurement vector")
+    if y0.ndim != 1 or y0.size == 0:
+        raise ValueError("y0 must be a nonempty 1-D measurement vector")
     if not np.all(np.isfinite(y0)):
         raise ValueError("y0 must be finite")
     T = schedule.num_steps
     m = y0.size
-    levels = np.empty((T + 1, m) if n_chains is None else (T + 1, n_chains, m))
-    if n_chains is None:
-        rng.standard_normal(out=levels[1:])
-    else:
-        piece = max(1, min(T, CHAIN_DRAW_BYTES // (8 * m)))
-        buf = np.empty((piece, m))
-        for row in range(n_chains):
-            for lo in range(1, T + 1, piece):
-                part = buf[:min(piece, T + 1 - lo)]
-                rng.standard_normal(out=part)
-                levels[lo:lo + part.shape[0], row] = part
+    levels = np.empty((T + 1, n_chains or 1, m))
+    piece = max(1, min(T, CHAIN_DRAW_BYTES // (8 * m)))
+    buf = np.empty((piece, m))
+    for row in range(levels.shape[1]):
+        for lo in range(1, T + 1, piece):
+            part = buf[:min(piece, T + 1 - lo)]
+            rng.standard_normal(out=part)
+            levels[lo:lo + part.shape[0], row] = part
 
     levels[0] = y0
     root_keep = np.sqrt(schedule.alphas)
@@ -192,7 +190,7 @@ def generate_measurement_chain(
         level = levels[t]
         level *= root_add[t - 1]
         level += np.multiply(root_keep[t - 1], levels[t - 1], out=tmp)
-    y_levels = levels if n_chains is None else levels.transpose(1, 0, 2)
+    y_levels = levels[:, 0] if n_chains is None else levels.transpose(1, 0, 2)
     return MeasurementChain(y_levels=y_levels, schedule=schedule)
 
 

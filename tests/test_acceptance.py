@@ -236,6 +236,7 @@ def test_criterion_6_measurement_chain_statistics():
     assert elapsed < 60.0
 
 
+@pytest.mark.slow
 def test_criterion_7_benchmark_table_reproduction():
     start = time.perf_counter()
     # published targets at d=8, sigma=1e-2, windows widened to +-2 CI

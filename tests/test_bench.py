@@ -133,6 +133,28 @@ def test_single_row_csv(tmp_path):
     assert len(read_csv(tmp_path / "results.csv")) == 2
 
 
+def test_output_files_make_their_directory_and_name_a_failed_write(tmp_path):
+    # Every output file, summary.json included, goes through one writer: it
+    # makes the file's directory and names the file in an OSError.
+    path = cdps.bench.write_csv(tmp_path / "new" / "deeper" / "x.csv", ["a", "b"], [[1, 2]])
+    assert read_csv(path) == [["a", "b"], ["1", "2"]]
+    cfg = smoke_config(methods=())
+    (tmp_path / "out" / "summary.json").mkdir(parents=True)
+    with pytest.raises(OSError, match=r"failed writing .*summary\.json"):
+        emit_results(run_grid(cfg), tmp_path / "out", cfg)
+
+
+@pytest.mark.parametrize("method", ["bogus", "CDPS"])
+def test_run_method_refuses_an_unknown_method(method):
+    cfg = smoke_config()
+    task = make_task(cfg, 8, 4, 1e-2, 0)
+    rng = derive_rng(0, "unknown method")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"unknown method '{method}'"):
+        run_method(method, cfg, task, rng, 3)
+    assert rng.bit_generator.state == state
+
+
 def test_grid_completeness():
     cfg = smoke_config(dims=(4, 8), measurements=(1, 2), sigmas=(0.1, 1.0),
                        methods=("cdps",), matrices_per_config=1,

@@ -211,6 +211,23 @@ def test_cg_rejects_bad_settings(kwargs):
     cg_solve(op, np.ones(3), tol=1e-300, max_iter=1)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tol": float("inf")}, {"tol": 0.0}, {"tol": float("nan")}, {"max_iter": 0},
+], ids=["tol-inf", "tol-zero", "tol-nan", "max_iter-zero"])
+def test_pw_cg_draw_refuses_bad_settings_before_drawing(kwargs):
+    op = make_precision(np.random.default_rng(0), 4, 2)
+    rng = np.random.default_rng(1)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="tol must be positive and finite|max_iter"):
+        pw_cg_draw(op, rng, n=3, **kwargs)
+    assert rng.bit_generator.state == before
+
+
+def test_cg_solve_refuses_rhs_of_wrong_length():
+    with pytest.raises(ValueError, match="rhs last axis must be 3"):
+        cg_solve(measurement_free(1.0, 3), np.ones((2, 4)))
+
+
 def make_noise(kind, rng, m):
     """A noise model of the given kind whose covariance eigenvalues are >= 0.1."""
     if kind == "isotropic":

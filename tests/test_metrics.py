@@ -151,3 +151,27 @@ def test_score_consistency_along_sampler_trajectory():
     cos = trace.score_cos[1:]  # pairs exist for t = 1..T
     reference = ancestral_score_cosine(score_fn, schedule, np.random.default_rng(13), 10, d)
     assert np.nanmean(cos) >= reference
+
+
+@pytest.mark.parametrize("case, match", [
+    ("1-d", r"a must be a nonempty \(n, d\) array"),
+    ("empty", r"b must be a nonempty \(n, d\) array"),
+    ("no-slices", "n_slices must be >= 1"),
+    ("residual-x", "dimension mismatch"),
+    ("residual-y", "dimension mismatch"),
+], ids=["1-d", "empty", "no-slices", "residual-x", "residual-y"])
+def test_metric_input_refusals(case, match):
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((4, 3))
+    A = from_dense(rng.standard_normal((2, 3)))
+    with pytest.raises(ValueError, match=match):
+        if case == "1-d":
+            sliced_wasserstein(a[0], a[0], 10, rng)
+        elif case == "empty":
+            sliced_wasserstein(a, np.zeros((0, 3)), 10, rng)
+        elif case == "no-slices":
+            sliced_wasserstein(a, a, 0, rng)
+        elif case == "residual-x":
+            measurement_residual(np.zeros((4, 2)), np.zeros(2), A)
+        else:
+            measurement_residual(a, np.zeros(3), A)

@@ -298,3 +298,27 @@ def test_circulant_whitener_length_mismatch():
 def test_zero_operator():
     op = zero_operator(2, 3)
     np.testing.assert_array_equal(op.apply(np.ones(3)), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("case, match", [
+    (lambda: LinearOperator(0, 3, np.negative, np.negative), "dimensions must be positive"),
+    (lambda: LinearOperator(2, 0, np.negative, np.negative), "dimensions must be positive"),
+    (lambda: LinearOperator(2, 3, np.negative, np.negative, dense=np.zeros((3, 2))),
+     "dense matrix shape mismatch"),
+    (lambda: from_dense(np.ones(3)), "expected a 2-D matrix"),
+    (lambda: DiagonalNoise(np.zeros(0)), "variances must be a nonempty vector"),
+    (lambda: CirculantNoise(np.zeros(0)), "spectrum must be a nonempty vector"),
+    (lambda: LowRankNoise(np.ones((2, 3)), 1.0), r"U must be a tall \(m, r\) matrix"),
+    (lambda: LowRankNoise(np.ones(3), 1.0), r"U must be a tall \(m, r\) matrix"),
+    (lambda: LowRankNoise(np.array([[1.0], [np.inf]]), 1.0), "U must be finite"),
+    (lambda: LowRankNoise(np.ones((2, 1)), 0.0), "sigma2 must be positive and finite"),
+    (lambda: LowRankNoise(np.ones((2, 1)), np.nan), "sigma2 must be positive and finite"),
+    (lambda: blur_operator(np.zeros(0), 5), "kernel must be a nonempty vector"),
+    (lambda: mix_conditional_cov(np.eye(2), 0.5), "unsupported noise model ndarray"),
+    (lambda: make_whitener(np.eye(2)), "unsupported noise model ndarray"),
+], ids=["m-zero", "d-zero", "dense-shape", "from_dense-1d", "diagonal-empty", "circulant-empty",
+        "lowrank-wide", "lowrank-1d", "lowrank-nonfinite", "lowrank-sigma2-zero",
+        "lowrank-sigma2-nan", "blur-empty", "mix-unsupported", "whitener-unsupported"])
+def test_operator_and_noise_input_refusals(case, match):
+    with pytest.raises((ValueError, TypeError), match=match):
+        case()

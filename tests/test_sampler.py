@@ -640,6 +640,46 @@ def test_samplers_refuse_fewer_than_one_chain(method, n_chains):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("case, match", [
+    ("cdps_step-nan-x_t", "x_t must be finite"),
+    ("cdps_step_nonlinear-nan-x_t", "x_t must be finite"),
+    ("chain-length", "chain length must be T"),
+    ("chain-2d-y0", "y0 must be a nonempty 1-D"),
+    ("chain-empty-y0", "y0 must be a nonempty 1-D"),
+    ("linearize-shape", "Jacobian probe produced a wrong shape"),
+    ("prior_mode", "prior_mode must be one of"),
+], ids=["cdps_step-nan-x_t", "cdps_step_nonlinear-nan-x_t", "chain-length", "chain-2d-y0",
+        "chain-empty-y0", "linearize-shape", "prior_mode"])
+def test_sampler_input_refusals(case, match):
+    # Each input check, on its own; a non-finite x_t is refused before the
+    # step draws anything.
+    d, m = 4, 2
+    M = np.random.default_rng(88).standard_normal((m, d))
+    schedule = make_linear_schedule(5, 0.1, 1.25)
+    score_fn = score_fn_for(make_grid_gmm(d), schedule)
+    chain = generate_measurement_chain(np.zeros(m), schedule, np.random.default_rng(89))
+    x_t = np.full(d, np.nan)
+    rng = np.random.default_rng(90)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=match):
+        if case == "cdps_step-nan-x_t":
+            cdps_step(x_t, chain, 3, score_fn, from_dense(M), IsotropicNoise(0.01), schedule, rng)
+        elif case == "cdps_step_nonlinear-nan-x_t":
+            cdps_step_nonlinear(x_t, chain, 3, score_fn, affine_map(M), IsotropicNoise(0.01),
+                                schedule, rng)
+        elif case == "chain-length":
+            MeasurementChain(np.zeros((schedule.num_steps, m)), schedule)
+        elif case.startswith("chain-"):
+            y0 = np.zeros((2, m)) if case == "chain-2d-y0" else np.zeros(0)
+            generate_measurement_chain(y0, schedule, rng)
+        elif case == "linearize-shape":
+            linearize(NonlinearMap(m=m, d=d, apply=lambda x: x[..., :m],
+                                   jvp=lambda x, u: u[..., :m + 1]), np.zeros(d))
+        else:
+            SolverConfig(prior_mode="bogus")
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("path", ["fused", "factored", "diagonal", "cg"])
 def test_single_step_is_the_runs_step(path, monkeypatch):
     # From a run's shared chain, x_T and generator state, cdps_step returns

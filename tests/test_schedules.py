@@ -107,3 +107,32 @@ def test_schedule_validates_invariants():
             alphas=np.array([0.7, 0.8]),
             alpha_bars=np.array([1.0, 0.7, 0.56]),
         )
+
+
+def _direct_schedule(betas, alphas=None, alpha_bars=None, num_steps=None):
+    betas = np.asarray(betas, dtype=float)
+    alphas = 1.0 - betas if alphas is None else alphas
+    if alpha_bars is None:
+        alpha_bars = np.concatenate(([1.0], np.cumprod(alphas)))
+    return NoiseSchedule(num_steps=betas.size if num_steps is None else num_steps, betas=betas,
+                         alphas=alphas, alpha_bars=alpha_bars)
+
+
+@pytest.mark.parametrize("case, match", [
+    ({"betas": np.zeros(0)}, "num_steps must be >= 1"),
+    ({"betas": [0.1, 0.2], "num_steps": 3}, r"betas must have shape \(3,\)"),
+    ({"betas": [0.1, np.nan]}, "betas must be finite"),
+    ({"betas": [0.0, 0.2]}, r"strictly inside \(0, 1\)"),
+    ({"betas": [0.1, 1.0]}, r"strictly inside \(0, 1\)"),
+    ({"betas": [0.3, 0.2]}, "nondecreasing"),
+    ({"betas": [0.1, 0.2], "alphas": np.ones(3), "alpha_bars": np.array([1.0, 0.9, 0.72])},
+     "inconsistent derived arrays"),
+    ({"betas": [0.1, 0.2], "alpha_bars": np.ones(2)}, "inconsistent derived arrays"),
+    ({"betas": [0.1, 0.2], "alpha_bars": np.array([1.0, 0.9, 0.0])}, "underflowed to zero"),
+    ({"betas": [0.1, 0.2], "alpha_bars": np.array([1.0, 5e-324, 5e-324])},
+     "underflowed to zero"),
+], ids=["no-steps", "betas-shape", "betas-nan", "beta-zero", "beta-one", "decreasing",
+        "alphas-shape", "alpha_bars-shape", "alpha_bar-zero", "alpha_bar-stuck-subnormal"])
+def test_schedule_built_directly_refuses_each_bad_field(case, match):
+    with pytest.raises(ValueError, match=match):
+        _direct_schedule(**case)

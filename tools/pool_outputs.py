@@ -34,6 +34,11 @@ same variance (the step that rebuilds its precision and solves it exactly) and
 with the isotropic noise on A stripped of its dense form (the CG step, at
 ``cg_solve``'s settings). ``step_sha256`` holds the SHA-256 of each step's
 output.
+
+Every pool task also records ``oracle_sha256``: the SHA-256 of its exact
+posterior's weights, means and covariance, and of the reference draws the
+samples are scored against, so a change to the oracle shows, and so does any
+change it makes to the draws.
 """
 
 from __future__ import annotations
@@ -132,7 +137,10 @@ def main(argv=None) -> int:
         for index in range(w.pool_size):
             inputs = wl.build_inputs(w, [index])
             task = inputs.tasks[0]
-            row = {}
+            posterior = task.posterior
+            row = {"oracle_sha256": {
+                "weights": fingerprint(posterior.weights), "means": fingerprint(posterior.means),
+                "cov": fingerprint(posterior.cov), "reference": fingerprint(task.reference)}}
             for method in wl.METHODS:
                 result, _ = wl.run_method(inputs, task, method)
                 row[method] = {"samples_sha256": fingerprint(result.samples),
