@@ -32,6 +32,11 @@ KNOWN_METHODS = ("cdps", "dps", "score_sde", "ilvr")
 
 RESULT_COLUMNS = ("method", "d", "m", "sigma", "matrix", "sw", "failures", "seconds")
 
+# Config fields a run counts with; a float would be truncated or fail deep in
+# numpy, and a bool would count as 0 or 1.
+_INTEGER_FIELDS = ("dims", "measurements", "matrices_per_config", "samples_per_run", "sw_slices",
+                  "sw_order", "num_steps", "master_seed", "workers")
+
 
 class BenchAbort(RuntimeError):
     """Raised when more than 10% of a task's chains fail."""
@@ -59,6 +64,13 @@ class BenchConfig:
     record_timing: bool = True  # False zeroes the seconds column for byte-stable output
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            many = name in ("dims", "measurements")
+            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                       for v in (value if many else [value])):
+                raise ValueError(f"{name} must be {'integers' if many else 'an integer'}, "
+                                 f"got {value!r}")
         self.dims = tuple(int(d) for d in self.dims)
         self.measurements = tuple(int(m) for m in self.measurements)
         self.sigmas = tuple(float(s) for s in self.sigmas)
@@ -70,14 +82,8 @@ class BenchConfig:
             raise ValueError("every d must be an even integer >= 2")
         if any(not 1 <= m <= d for d in self.dims for m in self.measurements):
             raise ValueError("need 1 <= m <= d for every grid point")
-        for val, name in [
-            (self.matrices_per_config, "matrices_per_config"),
-            (self.samples_per_run, "samples_per_run"),
-            (self.sw_slices, "sw_slices"),
-            (self.num_steps, "num_steps"),
-            (self.workers, "workers"),
-        ]:
-            if val < 1:
+        for name in ("matrices_per_config", "samples_per_run", "sw_slices", "num_steps", "workers"):
+            if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         if self.sw_order not in (1, 2):
             raise ValueError("sw_order must be 1 or 2")
@@ -284,7 +290,7 @@ def write_csv(path: Path, header, rows) -> Path:
     return _write(path, lambda fh: csv.writer(fh).writerows(itertools.chain([header], rows)))
 
 
-def environment(master_seed: int | None) -> dict:
+def environment(master_seed: int) -> dict:
     """What a run's numbers depend on besides its config: seed, code and numerical stack.
 
     The git sha is that of the checkout holding this package, "unknown"
@@ -304,10 +310,10 @@ def environment(master_seed: int | None) -> dict:
     }
 
 
-def emit_results(result: BenchResult, out_dir, cfg: BenchConfig | None = None) -> list[Path]:
+def emit_results(result: BenchResult, out_dir, cfg: BenchConfig) -> list[Path]:
     """Write results.csv, summary.json and any scatter CSVs; returns the paths.
 
-    summary.json carries the run's ``environment`` beside the aggregates.
+    summary.json carries the run's ``config`` and ``environment`` beside the aggregates.
     """
     out = Path(out_dir)
     rows = ([row["method"], row["d"], row["m"], repr(float(row["sigma"])), row["matrix"],
@@ -316,9 +322,7 @@ def emit_results(result: BenchResult, out_dir, cfg: BenchConfig | None = None) -
     written = [write_csv(out / "results.csv", RESULT_COLUMNS, rows)]
 
     payload = {"aggregates": result.aggregates, "aborted": result.aborted,
-               "environment": environment(None if cfg is None else cfg.master_seed)}
-    if cfg is not None:
-        payload["config"] = asdict(cfg)
+               "config": asdict(cfg), "environment": environment(cfg.master_seed)}
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     written.append(_write(out / "summary.json", lambda fh: fh.write(text)))
 

@@ -67,7 +67,10 @@ class PrecisionOperator:
 
 @dataclass
 class CgReport:
-    """Outcome of one (possibly batched) solve; an exact dense solve takes zero iterations."""
+    """Outcome of one (possibly batched) CG solve: the iterations run and each row's convergence.
+
+    A solve whose rows all start converged, as zero right-hand sides do, runs none.
+    """
 
     iterations: int
     row_converged: np.ndarray
@@ -139,7 +142,6 @@ def cg_solve(
     p = z.copy()
     rz = np.einsum("...i,...i->...", r, z)
 
-    iterations = 0
     for k in range(1, max_iter + 1):
         ap = op.matvec(p)
         pap = np.einsum("...i,...i->...", p, ap)
@@ -147,18 +149,13 @@ def cg_solve(
             alpha = np.where(pap > 0, rz / np.where(pap == 0, 1.0, pap), 0.0)
         x = x + alpha[..., None] * p
         r = r - alpha[..., None] * ap
-        iterations = k
         if callback is not None:
             callback(x.copy())
 
         rel = _row_norms(r) / safe_norm
         improved = rel < best_rel
-        if np.any(improved):
-            best_rel = np.where(improved, rel, best_rel)
-            if improved.ndim == 0:
-                best_x = x.copy()
-            else:
-                best_x[improved] = x[improved]
+        best_rel = np.where(improved, rel, best_rel)
+        np.copyto(best_x, x, where=improved[..., None])
         row_conv = row_conv | (rel <= tol)
         if np.all(row_conv):
             break
@@ -172,7 +169,7 @@ def cg_solve(
 
     if not np.all(row_conv):
         x = best_x
-    return x, CgReport(iterations, row_conv)
+    return x, CgReport(k, row_conv)
 
 
 def spectral_factor(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -630,17 +630,17 @@ def cdps_sample(
                         record_residuals, record_scores)
 
 
-def _single_step(x_t, t, chain, score_fn, A, noise, schedule, rng, config, offset=0.0):
-    """Step t of a run on these inputs, at the chain's level y_{t-1} less ``offset``."""
+def _single_step(x_t, t, chain, score_fn, A, noise, rng, config, offset=0.0):
+    """Step t of a run on the chain's schedule, at the chain's level y_{t-1} less ``offset``."""
     config = config or SolverConfig()
     if not np.all(np.isfinite(x_t)):
         raise ValueError("x_t must be finite")
-    _check_t(t, schedule)
+    _check_t(t, chain.schedule)
     if chain.y_levels.shape[-1] != A.m:
         raise ValueError(f"the chain's levels must have length {A.m}")
     if chain.y_levels.shape[:-2] not in ((), x_t.shape[:-1]):
         raise ValueError(f"chain levels {chain.y_levels.shape} do not match x_t {x_t.shape}")
-    step = _steps(A, noise, _step_scalars(schedule, config.prior_mode), strict=True)
+    step = _steps(A, noise, _step_scalars(chain.schedule, config.prior_mode), strict=True)
     s_hat = np.asarray(score_fn(x_t, t), dtype=float)
     eps = rng.standard_normal(x_t.size // A.d * (A.d + A.m))  # eps1 then eps2, as a run draws
     return step(x_t, t, s_hat, chain.y_at(t - 1) - offset, eps)[0]
@@ -653,21 +653,21 @@ def cdps_step(
     score_fn: Callable,
     A: LinearOperator,
     noise: NoiseModel,
-    schedule: NoiseSchedule,
     rng: np.random.Generator,
     config: SolverConfig | None = None,
 ) -> np.ndarray:
     """One coupled reverse step: x_{t-1} = mu_post + v.
 
     The score is frozen at the current iterate, and the mean and the
-    covariance draw come from one solve against the step precision.  It is
-    the step ``cdps_sample`` takes on the same inputs: from the run's x_t and
-    the generator's state before the step's draws, it returns the run's
-    x_{t-1} bit for bit.  It keeps no trace, so a row whose CG solve does
-    not converge raises ``ChainFailureError`` whatever ``config.strict`` says.
+    covariance draw come from one solve against the step precision, on the
+    schedule ``chain`` was drawn on (a t beyond its T is refused).  It is the
+    step ``cdps_sample`` takes on the same inputs: from the run's x_t and the
+    generator's state before the step's draws, it returns the run's x_{t-1}
+    bit for bit.  It keeps no trace, so a row whose CG solve does not
+    converge raises ``ChainFailureError`` whatever ``config.strict`` says.
     """
     x_t = np.asarray(x_t, dtype=float)
-    return _single_step(x_t, t, chain, score_fn, A, noise, schedule, rng, config)
+    return _single_step(x_t, t, chain, score_fn, A, noise, rng, config)
 
 
 # ---------------------------------------------------------------------------
@@ -769,9 +769,9 @@ def dps_sample(
     return _reverse_run(y, A, schedule, score_fn, rng, n_chains, A.d, guided, record_residuals)
 
 
-def _pinv(mat: np.ndarray, cutoff: float = 1e-10) -> np.ndarray:
+def _pinv(mat: np.ndarray) -> np.ndarray:
     u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    inv = np.where(s > cutoff, 1.0 / np.where(s == 0, 1.0, s), 0.0)
+    inv = np.where(s > 1e-10, 1.0 / np.where(s == 0, 1.0, s), 0.0)
     return (vt.T * inv) @ u.T
 
 
@@ -819,6 +819,8 @@ def ilvr_sample(y, A, schedule, score_fn, rng, n_chains=None, scale=1.0,
 # ---------------------------------------------------------------------------
 # Locally linearized steps for differentiable nonlinear measurements
 
+FD_STEP = 1e-6  # central-difference step of ``linearize``'s Jacobian probe
+
 
 @dataclass(frozen=True)
 class NonlinearMap:
@@ -826,7 +828,7 @@ class NonlinearMap:
 
     ``apply`` must accept batches on the last axis.  When neither ``jvp``
     (u -> J(x) u) nor ``vjp`` (v -> J(x)^T v) is given, the Jacobian is
-    probed by central finite differences with ``fd_step`` (lower accuracy).
+    probed by central finite differences with step ``FD_STEP`` (lower accuracy).
     """
 
     m: int
@@ -834,7 +836,6 @@ class NonlinearMap:
     apply: Callable[[np.ndarray], np.ndarray]
     jvp: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     vjp: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    fd_step: float = 1e-6
 
 
 def linearize(g: NonlinearMap, x: np.ndarray) -> LinearOperator:
@@ -847,9 +848,8 @@ def linearize(g: NonlinearMap, x: np.ndarray) -> LinearOperator:
     elif g.jvp is not None:
         jac = np.asarray(g.jvp(x, np.eye(g.d)), dtype=float).T
     else:
-        h = g.fd_step
-        probes = np.eye(g.d)
-        jac = ((g.apply(x + h * probes) - g.apply(x - h * probes)) / (2.0 * h)).T
+        probes = FD_STEP * np.eye(g.d)
+        jac = ((g.apply(x + probes) - g.apply(x - probes)) / (2.0 * FD_STEP)).T
     if jac.shape != (g.m, g.d):
         raise ValueError("Jacobian probe produced a wrong shape")
     return from_dense(jac)
@@ -862,11 +862,10 @@ def cdps_step_nonlinear(
     score_fn: Callable,
     g: NonlinearMap,
     noise: NoiseModel,
-    schedule: NoiseSchedule,
     rng: np.random.Generator,
     config: SolverConfig | None = None,
 ) -> np.ndarray:
-    """Coupled step for y = g(x) + noise via local linearization at x_t.
+    """Coupled step for y = g(x) + noise via local linearization at x_t, on the chain's schedule.
 
     The linear step of ``cdps_step`` with the Jacobian J in place of the
     operator and the observation level shifted by the linearization's
@@ -877,4 +876,4 @@ def cdps_step_nonlinear(
     x_t = np.asarray(x_t, dtype=float)
     A_lin = linearize(g, x_t)  # raises unless x_t is a single chain
     offset = np.asarray(g.apply(x_t), dtype=float) - A_lin.apply(x_t)
-    return _single_step(x_t, t, chain, score_fn, A_lin, noise, schedule, rng, config, offset)
+    return _single_step(x_t, t, chain, score_fn, A_lin, noise, rng, config, offset)

@@ -1,12 +1,13 @@
 """Discrete variance-preserving noise schedules.
 
-One schedule is shared by the data-space chain and the measurement-space
-chain, so both inject the same noise fraction at every step.
+One schedule, given by its betas alone, is shared by the data-space chain
+and the measurement-space chain, so both inject the same noise fraction at
+every step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,43 +17,46 @@ _BETA_EPS = 1e-12
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Per-step noise rates beta_t with derived alpha_t and cumulative products.
+    """Per-step noise rates beta_t, which fix T, alpha_t = 1 - beta_t and their running products.
 
     ``betas[i]`` holds beta_{i+1} for steps t = 1..T.  ``alpha_bars`` has
     length T+1 with ``alpha_bars[0] = 1`` so that step-boundary quantities at
-    t-1 = 0 reduce to their noise-free values.
+    t-1 = 0 reduce to their noise-free values.  All three arrays are
+    read-only, so the derived two cannot go stale.
     """
 
-    num_steps: int
     betas: np.ndarray
-    alphas: np.ndarray
-    alpha_bars: np.ndarray
+    num_steps: int = field(init=False)
+    alphas: np.ndarray = field(init=False)
+    alpha_bars: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        T = self.num_steps
-        if T < 1:
-            raise ValueError("num_steps must be >= 1")
-        betas = np.asarray(self.betas, dtype=float)
-        if betas.shape != (T,):
-            raise ValueError(f"betas must have shape ({T},)")
+        betas = np.array(self.betas, dtype=float)  # a copy, frozen below with what it fixes
+        if betas.ndim != 1 or betas.size < 1:
+            raise ValueError("betas must be a nonempty 1-D array")
         if not np.all(np.isfinite(betas)):
             raise ValueError("betas must be finite")
         if np.any(betas <= 0.0) or np.any(betas >= 1.0):
             raise ValueError("betas must lie strictly inside (0, 1)")
         if np.any(np.diff(betas) < 0.0):
             raise ValueError("betas must be nondecreasing")
-        if self.alphas.shape != (T,) or self.alpha_bars.shape != (T + 1,):
-            raise ValueError("inconsistent derived arrays")
+        alphas = 1.0 - betas
+        alpha_bars = np.empty(betas.size + 1)
+        alpha_bars[0] = 1.0
+        np.cumprod(alphas, out=alpha_bars[1:])
         # A cumulative product that underflows can stick among the subnormals
         # (at 5e-324 once every later beta is below 0.5) instead of reaching 0.
         # One that keeps decreasing there is still a schedule.
-        last = self.alpha_bars[-1]
-        if last <= 0.0 or (last < np.finfo(float).tiny
-                           and np.any(np.diff(self.alpha_bars) >= 0.0)):
+        last = alpha_bars[-1]
+        if last <= 0.0 or (last < np.finfo(float).tiny and np.any(np.diff(alpha_bars) >= 0.0)):
             raise ValueError(
                 "cumulative signal level underflowed to zero; "
                 "num_steps is too small for this beta range"
             )
+        object.__setattr__(self, "num_steps", betas.size)
+        for name, value in (("betas", betas), ("alphas", alphas), ("alpha_bars", alpha_bars)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def make_linear_schedule(num_steps: int, beta_min: float, beta_max: float) -> NoiseSchedule:
@@ -76,13 +80,7 @@ def make_linear_schedule(num_steps: int, beta_min: float, beta_max: float) -> No
     T = int(num_steps)
     frac = np.arange(T, dtype=float) / max(T - 1, 1)
     betas = (beta_min + frac * (beta_max - beta_min)) / T
-    betas = np.clip(betas, _BETA_EPS, 1.0 - _BETA_EPS)
-
-    alphas = 1.0 - betas
-    alpha_bars = np.empty(T + 1)
-    alpha_bars[0] = 1.0
-    np.cumprod(alphas, out=alpha_bars[1:])
-    return NoiseSchedule(num_steps=T, betas=betas, alphas=alphas, alpha_bars=alpha_bars)
+    return NoiseSchedule(np.clip(betas, _BETA_EPS, 1.0 - _BETA_EPS))
 
 
 def alpha_bar(schedule: NoiseSchedule, t: int) -> float:

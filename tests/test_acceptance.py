@@ -343,9 +343,9 @@ def test_criterion_9_nonlinear_affine_reduction():
                          jvp=lambda x, u, _M=M: u @ _M.T,
                          vjp=lambda x, v, _M=M: v @ _M)
         seed = int(rng.integers(0, 2**31))
-        out_lin = cdps_step(x_t, chain, t, score_fn, from_dense(M), noise, schedule,
+        out_lin = cdps_step(x_t, chain, t, score_fn, from_dense(M), noise,
                             np.random.default_rng(seed))
-        out_nl = cdps_step_nonlinear(x_t, chain, t, score_fn, g, noise, schedule,
+        out_nl = cdps_step_nonlinear(x_t, chain, t, score_fn, g, noise,
                                      np.random.default_rng(seed))
         if np.array_equal(out_lin, out_nl):
             matches += 1

@@ -233,6 +233,34 @@ def test_config_validation():
     BenchConfig(dps_zeta=0.0, guidance_scale=-1.0)
 
 
+@pytest.mark.parametrize("field, value, refused", [
+    ("dims", (8.5,), "dims must be integers"),
+    ("dims", (8, True), "dims must be integers"),
+    ("measurements", (1.5,), "measurements must be integers"),
+    ("samples_per_run", 10.5, "samples_per_run must be an integer"),
+    ("matrices_per_config", 1.5, "matrices_per_config must be an integer"),
+    ("sw_slices", 100.0, "sw_slices must be an integer"),
+    ("sw_order", True, "sw_order must be an integer"),
+    ("num_steps", 200.0, "num_steps must be an integer"),
+    ("master_seed", 1.5, "master_seed must be an integer"),
+    ("workers", 1.5, "workers must be an integer"),
+], ids=["dims-float", "dims-bool", "measurements-float", "samples_per_run-float",
+        "matrices_per_config-float", "sw_slices-float", "sw_order-bool", "num_steps-float",
+        "master_seed-float", "workers-float"])
+def test_config_refuses_a_count_that_is_not_an_integer(field, value, refused):
+    # d = 8.5 used to run d = 8 and a fractional seed was truncated; the
+    # other counts ended in a TypeError deep in numpy, range or
+    # multiprocessing, and sw_order = True scored SW of order 1.
+    with pytest.raises(ValueError, match=refused):
+        BenchConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = BenchConfig(dims=(np.int64(8),), measurements=(np.int32(2),),
+                      samples_per_run=np.int64(10), master_seed=np.uint8(3))
+    assert cfg.dims == (8,) and type(cfg.dims[0]) is int and cfg.measurements == (2,)
+
+
 def test_run_config_scatter_samples():
     cfg = smoke_config(methods=("cdps",), samples_per_run=30, sw_slices=100,
                        num_steps=50)
@@ -406,7 +434,8 @@ def test_cli_rejects_unknown_config_keys(tmp_path):
     ({"num_steps": 0}, [], "num_steps must be positive"),
     ({"dims": [7]}, [], "every d must be an even integer >= 2"),
     ({"dps_zeta": float("nan")}, [], "dps_zeta and guidance_scale must be finite"),
-], ids=["workers", "num_steps", "odd-d", "nan-zeta"])
+    ({"dims": [8.5]}, [], "dims must be integers, got [8.5]"),
+], ids=["workers", "num_steps", "odd-d", "nan-zeta", "fractional-d"])
 def test_cli_reports_a_refused_config_value_in_one_line(tmp_path, config, flags, refused):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
@@ -492,6 +521,21 @@ def test_perfbench_tracer_lookup_sites_exist():
                for owner, attr, _ in tracer_mod._patches(tracer_mod.Tracer())
                if not hasattr(owner, attr)]
     assert not missing
+
+
+def test_pool_outputs_step_fingerprints_run_on_a_small_task():
+    # tools/pool_outputs.py calls the single step by its signature, so a
+    # change to that signature must show here, not at the tool's next run.
+    tool = load_module("tools/pool_outputs.py")
+    d, m = 4, 2
+    rng = np.random.default_rng(5)
+    A = cdps.operators.from_dense(rng.standard_normal((m, d)))
+    schedule = make_linear_schedule(20, 0.1, 5.0)
+    digests = tool.step_fingerprints(A, rng.standard_normal(m),
+                                     score_fn_for(make_grid_gmm(d), schedule), schedule, 0.1, 3,
+                                     np.random.default_rng(6))
+    assert len(digests) == 12 and len(set(digests.values())) == 12
+    assert all(len(digest) == 64 for digest in digests.values())
 
 
 def test_perfbench_tracer_sites_resolve_and_restore():

@@ -225,8 +225,7 @@ def test_step_distributional_covariance():
     levels = np.zeros((schedule.num_steps + 1, m))
     levels[t - 1] = y_prev
     chain = MeasurementChain(y_levels=levels, schedule=schedule)
-    x_next = cdps_step(x_t, chain, t, score_fn, A, noise, schedule,
-                       np.random.default_rng(8), cfg)
+    x_next = cdps_step(x_t, chain, t, score_fn, A, noise, np.random.default_rng(8), cfg)
     emp = np.cov(x_next.T)
     params = make_step_params(x_t[0], t, score_fn, A, noise, schedule, cfg)
     target = np.linalg.inv(params.precision.dense())
@@ -337,7 +336,7 @@ def test_single_steps_raise_on_a_failed_cg_row_whatever_strict_says(monkeypatch)
     chain = generate_measurement_chain(y, schedule, rng, n_chains=3)
     x_t = rng.standard_normal((3, 8))
     with pytest.raises(ChainFailureError, match="sample CG solve failed at step t=3") as err:
-        cdps_step(x_t, chain, 3, score_fn, A, noise, schedule, rng, lax)
+        cdps_step(x_t, chain, 3, score_fn, A, noise, rng, lax)
     assert err.value.rows.tolist() == [0, 1, 2]
     params = make_step_params(x_t, 3, score_fn, A, noise, schedule, lax)
     with pytest.raises(ChainFailureError, match="mean CG solve failed at step t=3"):
@@ -608,9 +607,9 @@ def test_bad_y_is_refused_before_any_draw(case):
             x_t = np.random.default_rng(86).standard_normal(d)
             t = 3.5 if bad else 3
             if method == "cdps_step":
-                cdps_step(x_t, chain, t, score_fn, A, noise, schedule, rng)
+                cdps_step(x_t, chain, t, score_fn, A, noise, rng)
             else:
-                cdps_step_nonlinear(x_t, chain, t, score_fn, affine_map(M), noise, schedule, rng)
+                cdps_step_nonlinear(x_t, chain, t, score_fn, affine_map(M), noise, rng)
     assert rng.bit_generator.state == state
 
 
@@ -643,16 +642,20 @@ def test_samplers_refuse_fewer_than_one_chain(method, n_chains):
 @pytest.mark.parametrize("case, match", [
     ("cdps_step-nan-x_t", "x_t must be finite"),
     ("cdps_step_nonlinear-nan-x_t", "x_t must be finite"),
+    ("cdps_step-t-beyond-chain", r"t must be an integer in \[1, T\]"),
+    ("cdps_step_nonlinear-t-beyond-chain", r"t must be an integer in \[1, T\]"),
     ("chain-length", "chain length must be T"),
     ("chain-2d-y0", "y0 must be a nonempty 1-D"),
     ("chain-empty-y0", "y0 must be a nonempty 1-D"),
     ("linearize-shape", "Jacobian probe produced a wrong shape"),
     ("prior_mode", "prior_mode must be one of"),
-], ids=["cdps_step-nan-x_t", "cdps_step_nonlinear-nan-x_t", "chain-length", "chain-2d-y0",
-        "chain-empty-y0", "linearize-shape", "prior_mode"])
+], ids=["cdps_step-nan-x_t", "cdps_step_nonlinear-nan-x_t", "cdps_step-t-beyond-chain",
+        "cdps_step_nonlinear-t-beyond-chain", "chain-length", "chain-2d-y0", "chain-empty-y0",
+        "linearize-shape", "prior_mode"])
 def test_sampler_input_refusals(case, match):
-    # Each input check, on its own; a non-finite x_t is refused before the
-    # step draws anything.
+    # Each input check, on its own; a non-finite x_t, or a t beyond the T of
+    # the schedule the chain was drawn on, is refused before the step draws
+    # anything.
     d, m = 4, 2
     M = np.random.default_rng(88).standard_normal((m, d))
     schedule = make_linear_schedule(5, 0.1, 1.25)
@@ -663,10 +666,14 @@ def test_sampler_input_refusals(case, match):
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=match):
         if case == "cdps_step-nan-x_t":
-            cdps_step(x_t, chain, 3, score_fn, from_dense(M), IsotropicNoise(0.01), schedule, rng)
+            cdps_step(x_t, chain, 3, score_fn, from_dense(M), IsotropicNoise(0.01), rng)
         elif case == "cdps_step_nonlinear-nan-x_t":
-            cdps_step_nonlinear(x_t, chain, 3, score_fn, affine_map(M), IsotropicNoise(0.01),
-                                schedule, rng)
+            cdps_step_nonlinear(x_t, chain, 3, score_fn, affine_map(M), IsotropicNoise(0.01), rng)
+        elif case == "cdps_step-t-beyond-chain":
+            cdps_step(np.zeros(d), chain, 6, score_fn, from_dense(M), IsotropicNoise(0.01), rng)
+        elif case == "cdps_step_nonlinear-t-beyond-chain":
+            cdps_step_nonlinear(np.zeros(d), chain, 6, score_fn, affine_map(M),
+                                IsotropicNoise(0.01), rng)
         elif case == "chain-length":
             MeasurementChain(np.zeros((schedule.num_steps, m)), schedule)
         elif case.startswith("chain-"):
@@ -700,7 +707,7 @@ def test_single_step_is_the_runs_step(path, monkeypatch):
     x_run, _ = cdps_sample(y, A, noise, schedule, score_fn, rng, n_chains=n, shared_chain=True)
     chain = generate_measurement_chain(y, schedule, clone)
     x_T = clone.standard_normal((n, d))
-    x_step = cdps_step(x_T, chain, 1, score_fn, A, noise, schedule, clone)
+    x_step = cdps_step(x_T, chain, 1, score_fn, A, noise, clone)
     np.testing.assert_array_equal(x_step, x_run)
     assert clone.bit_generator.state == rng.bit_generator.state
 
@@ -726,8 +733,7 @@ def test_each_step_is_built_once(path, monkeypatch):
         return mix_variance(*args)
 
     monkeypatch.setattr(cdps.sampler, "mix_variance", counted)
-    cdps_step(rng.standard_normal((100, d)), chain, 500, score_fn, A, IsotropicNoise(1e-4),
-              schedule, rng)
+    cdps_step(rng.standard_normal((100, d)), chain, 500, score_fn, A, IsotropicNoise(1e-4), rng)
     assert len(calls) == 1
     runs = []
     for block in (cdps.sampler.STEP_BLOCK, 1, 3):
@@ -763,11 +769,11 @@ def test_single_step_refuses_a_chain_of_other_rows(path, rows, monkeypatch):
     x_t = rng.standard_normal(rows + (d,))
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=re.escape(f"(4, 6, 2) do not match x_t {x_t.shape}")):
-        cdps_step(x_t, chain, 3, score_fn, A, noise, schedule, rng)
+        cdps_step(x_t, chain, 3, score_fn, A, noise, rng)
     assert rng.bit_generator.state == state
     shared = generate_measurement_chain(y, schedule, rng)
     for x, c in ((rng.standard_normal((4, d)), chain), (x_t, shared)):
-        assert cdps_step(x, c, 3, score_fn, A, noise, schedule, rng).shape == x.shape
+        assert cdps_step(x, c, 3, score_fn, A, noise, rng).shape == x.shape
 
 
 @pytest.mark.parametrize("dense", [True, False])
@@ -1294,8 +1300,7 @@ def test_fused_step_equals_mean_plus_pw_cg_draw(kind, dense, monkeypatch):
     levels[t - 1] = rng.standard_normal(m)
     chain = MeasurementChain(y_levels=levels, schedule=schedule)
 
-    fused = cdps_step(x_t, chain, t, score_fn, A, noise, schedule,
-                      np.random.default_rng(51))
+    fused = cdps_step(x_t, chain, t, score_fn, A, noise, np.random.default_rng(51))
     params = make_step_params(x_t, t, score_fn, A, noise, schedule)
     assert (params.preconditioner is None) == dense
     mu = posterior_mean(params, x_t, chain.y_at(t - 1))
@@ -1579,10 +1584,9 @@ def test_nonlinear_affine_reduces_to_linear_step():
     chain = MeasurementChain(y_levels=levels, schedule=schedule)
     x_t = rng.standard_normal(d)
 
-    out_lin = cdps_step(x_t, chain, t, score_fn, from_dense(M), noise, schedule,
-                        np.random.default_rng(29))
+    out_lin = cdps_step(x_t, chain, t, score_fn, from_dense(M), noise, np.random.default_rng(29))
     out_nl = cdps_step_nonlinear(x_t, chain, t, score_fn, affine_map(M), noise,
-                                 schedule, np.random.default_rng(29))
+                                 np.random.default_rng(29))
     np.testing.assert_array_equal(out_lin, out_nl)
 
 
@@ -1657,4 +1661,4 @@ def test_nonlinear_requires_single_chain():
     chain = MeasurementChain(y_levels=levels, schedule=schedule)
     with pytest.raises(ValueError):
         cdps_step_nonlinear(np.zeros((3, 2)), chain, 2, lambda x, t: -x, g,
-                            IsotropicNoise(1.0), schedule, np.random.default_rng(32))
+                            IsotropicNoise(1.0), np.random.default_rng(32))

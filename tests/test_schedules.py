@@ -100,39 +100,42 @@ def test_invalid_inputs_rejected(kwargs):
 
 
 def test_schedule_validates_invariants():
-    with pytest.raises(ValueError):
-        NoiseSchedule(
-            num_steps=2,
-            betas=np.array([0.3, 0.2]),  # decreasing
-            alphas=np.array([0.7, 0.8]),
-            alpha_bars=np.array([1.0, 0.7, 0.56]),
-        )
+    with pytest.raises(ValueError, match="nondecreasing"):
+        NoiseSchedule(np.array([0.3, 0.2]))
 
 
-def _direct_schedule(betas, alphas=None, alpha_bars=None, num_steps=None):
-    betas = np.asarray(betas, dtype=float)
-    alphas = 1.0 - betas if alphas is None else alphas
-    if alpha_bars is None:
-        alpha_bars = np.concatenate(([1.0], np.cumprod(alphas)))
-    return NoiseSchedule(num_steps=betas.size if num_steps is None else num_steps, betas=betas,
-                         alphas=alphas, alpha_bars=alpha_bars)
+@pytest.mark.parametrize("args", [(1000, 0.1, 500.0), (50, 0.1, 20.0), (1, 0.3, 0.3),
+                                  (200, 0.1, 12.5), (4, 0.2, 0.4)])
+def test_schedule_derives_alphas_and_alpha_bars_from_its_betas(args):
+    # A schedule is fixed by its betas; the derived arrays are 1 - betas and
+    # their running product after a leading 1, bit for bit.
+    betas = make_linear_schedule(*args).betas.copy()
+    s = NoiseSchedule(betas)
+    assert s.num_steps == betas.size == args[0]
+    np.testing.assert_array_equal(s.betas, betas)
+    np.testing.assert_array_equal(s.alphas, 1.0 - betas)
+    np.testing.assert_array_equal(s.alpha_bars, np.concatenate(([1.0], np.cumprod(1.0 - betas))))
+    with pytest.raises(TypeError):
+        NoiseSchedule(betas, alphas=1.0 - betas)  # derived, so not an argument
+    with pytest.raises(ValueError, match="read-only"):
+        s.betas[0] = 0.5  # would leave alphas and alpha_bars stale
+    betas[0] = 0.5  # the schedule keeps its own copy
+    assert s.betas[0] != 0.5
 
 
-@pytest.mark.parametrize("case, match", [
-    ({"betas": np.zeros(0)}, "num_steps must be >= 1"),
-    ({"betas": [0.1, 0.2], "num_steps": 3}, r"betas must have shape \(3,\)"),
-    ({"betas": [0.1, np.nan]}, "betas must be finite"),
-    ({"betas": [0.0, 0.2]}, r"strictly inside \(0, 1\)"),
-    ({"betas": [0.1, 1.0]}, r"strictly inside \(0, 1\)"),
-    ({"betas": [0.3, 0.2]}, "nondecreasing"),
-    ({"betas": [0.1, 0.2], "alphas": np.ones(3), "alpha_bars": np.array([1.0, 0.9, 0.72])},
-     "inconsistent derived arrays"),
-    ({"betas": [0.1, 0.2], "alpha_bars": np.ones(2)}, "inconsistent derived arrays"),
-    ({"betas": [0.1, 0.2], "alpha_bars": np.array([1.0, 0.9, 0.0])}, "underflowed to zero"),
-    ({"betas": [0.1, 0.2], "alpha_bars": np.array([1.0, 5e-324, 5e-324])},
-     "underflowed to zero"),
-], ids=["no-steps", "betas-shape", "betas-nan", "beta-zero", "beta-one", "decreasing",
-        "alphas-shape", "alpha_bars-shape", "alpha_bar-zero", "alpha_bar-stuck-subnormal"])
-def test_schedule_built_directly_refuses_each_bad_field(case, match):
+@pytest.mark.parametrize("betas, match", [
+    (np.zeros(0), "nonempty 1-D"),
+    (np.full((2, 2), 0.1), "nonempty 1-D"),
+    ([0.1, np.nan], "betas must be finite"),
+    ([0.0, 0.2], r"strictly inside \(0, 1\)"),
+    ([0.1, 1.0], r"strictly inside \(0, 1\)"),
+    ([0.3, 0.2], "nondecreasing"),
+    # The running product reaches exactly 0.
+    ([1.0 - 1e-12] * 40, "underflowed to zero"),
+    # 0.6 of the smallest subnormal rounds back to it, so the product sticks there.
+    ([0.4] * 1500, "underflowed to zero"),
+], ids=["no-steps", "betas-2d", "betas-nan", "beta-zero", "beta-one", "decreasing",
+        "alpha_bar-zero", "alpha_bar-stuck-subnormal"])
+def test_schedule_built_directly_refuses_each_bad_field(betas, match):
     with pytest.raises(ValueError, match=match):
-        _direct_schedule(**case)
+        NoiseSchedule(betas)

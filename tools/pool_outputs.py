@@ -113,7 +113,7 @@ def step_fingerprints(A, y, score_fn, schedule, sigma: float, n: int, rng) -> di
                             ("diagonal", A, DiagonalNoise(np.full(A.m, sigma * sigma))),
                             ("cg", dataclasses.replace(A, dense=None), isotropic)):
         for t in (1, 2, T // 2, T):
-            x = cdps_step(x_t, chain, t, score_fn, op, noise, schedule, rng)
+            x = cdps_step(x_t, chain, t, score_fn, op, noise, rng)
             out[f"{kind}_t{t}"] = fingerprint(x)
     return out
 
