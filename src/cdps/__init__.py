@@ -33,7 +33,7 @@ from .gmm import (
     score,
     score_fn_for,
 )
-from .metrics import measurement_residual, sliced_wasserstein
+from .metrics import IterateTrace, measurement_residual, sliced_wasserstein
 from .sampler import (
     ChainFailureError,
     MeasurementChain,

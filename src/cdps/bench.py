@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gmm as gmm_mod
-from .metrics import sliced_wasserstein
+from .metrics import IterateTrace, sliced_wasserstein
 from .operators import IsotropicNoise, make_random_svd_operator
 from .sampler import SolverConfig, cdps_sample, dps_sample, ilvr_sample, score_sde_sample
 from .schedules import make_linear_schedule
@@ -132,28 +132,34 @@ def make_task(cfg: BenchConfig, d: int, m: int, sigma: float, matrix_index: int)
     return Task(prior, A, x_star, y, sigma, schedule, gmm_mod.score_fn_for(prior, schedule))
 
 
-def run_method(method: str, cfg: BenchConfig, task: Task, rng: np.random.Generator, n: int,
-               **record):
+def run_method(method: str, cfg: BenchConfig, task: Task, rng: np.random.Generator, n: int):
     """Draw ``n`` posterior samples of ``task`` with one method; returns (x0, SamplerTrace).
 
-    ``record`` (``record_residuals``, ``record_scores``) is passed to the
-    sampler. C-DPS records a chain whose CG solve fails in
-    ``trace.failed_rows`` instead of raising, and follows ``cfg.shared_y_chain``.
+    C-DPS records a chain whose CG solve fails in ``trace.failed_rows``
+    instead of raising, and follows ``cfg.shared_y_chain``.
     """
     y, A, schedule, score_fn = task.y, task.A, task.schedule, task.score_fn
     if method == "cdps":
         return cdps_sample(y, A, IsotropicNoise(task.sigma * task.sigma), schedule, score_fn, rng,
                            n_chains=n, config=SolverConfig(strict=False),
-                           shared_chain=cfg.shared_y_chain, **record)
+                           shared_chain=cfg.shared_y_chain)
     if method == "dps":
         jvp_fn = gmm_mod.denoiser_jvp_fn_for(task.prior, schedule)
-        return dps_sample(y, A, schedule, score_fn, jvp_fn, rng, n_chains=n, zeta=cfg.dps_zeta,
-                          **record)
+        return dps_sample(y, A, schedule, score_fn, jvp_fn, rng, n_chains=n, zeta=cfg.dps_zeta)
     if method in ("score_sde", "ilvr"):
         sample = score_sde_sample if method == "score_sde" else ilvr_sample
-        return sample(y, A, schedule, score_fn, rng, n_chains=n, scale=cfg.guidance_scale,
-                      **record)
+        return sample(y, A, schedule, score_fn, rng, n_chains=n, scale=cfg.guidance_scale)
     raise ValueError(f"unknown method {method!r}")
+
+
+def run_observed(method: str, cfg: BenchConfig, task: Task, rng: np.random.Generator, n: int):
+    """``run_method`` with the task's score observed by an ``IterateTrace``.
+
+    Returns (x0, SamplerTrace, (residual_sq, score_cos, score_mse)).
+    """
+    observer = IterateTrace(task.score_fn, task.y, task.A)
+    x0, trace = run_method(method, cfg, task._replace(score_fn=observer), rng, n)
+    return x0, trace, observer.close(x0)
 
 
 def run_config(cfg: BenchConfig, d: int, m: int, sigma: float, matrix_index: int,

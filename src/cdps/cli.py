@@ -18,7 +18,7 @@ import numpy as np
 
 from . import gmm as gmm_mod
 from .bench import (
-    BenchConfig, derive_rng, emit_results, make_task, run_grid, run_method, write_csv,
+    BenchConfig, derive_rng, emit_results, make_task, run_grid, run_observed, write_csv,
 )
 
 
@@ -70,14 +70,13 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _trace_csv_rows(trace, n_chains):
+def _trace_csv_rows(res, cg_iters, n_chains):
     """(chain_id, t, residual_sq, cg_iters) CSV rows."""
-    res = trace.residual_sq
     T = res.shape[0] - 1
     for chain in range(n_chains):
         for t in range(T, -1, -1):
             produced_by = t + 1  # step consuming beta_{t+1} produced level t
-            cg = int(trace.cg_iters[produced_by]) if produced_by <= T else 0
+            cg = int(cg_iters[produced_by]) if produced_by <= T else 0
             yield [chain, t, f"{res[t, chain]:.12g}", cg]
 
 
@@ -90,11 +89,11 @@ def _write_run_traces(cfg: BenchConfig, out_dir) -> list[Path]:
             for sigma in cfg.sigmas:
                 rng = derive_rng(cfg.master_seed, "trace", d, m, sigma)
                 n = min(cfg.samples_per_run, 100)
-                _, trace = run_method("cdps", cfg, make_task(cfg, d, m, sigma, 0), rng, n,
-                                      record_residuals=True)
+                _, trace, (res, _, _) = run_observed("cdps", cfg, make_task(cfg, d, m, sigma, 0),
+                                                     rng, n)
                 written.append(write_csv(out / f"trace_cdps_d{d}_m{m}_s{sigma!r}.csv",
                                          ["chain_id", "t", "residual_sq", "cg_iters"],
-                                         _trace_csv_rows(trace, n)))
+                                         _trace_csv_rows(res, trace.cg_iters, n)))
     return written
 
 
@@ -128,14 +127,12 @@ def _cmd_trace(args) -> int:
     traces = {}
     for method in ("cdps", "dps"):
         rng = derive_rng(args.seed, "trace", method, args.d, args.m, args.sigma)
-        _, trace = run_method(method, cfg, task, rng, args.chains, record_residuals=True)
-        final = trace.residual_sq[0].mean()
-        start = trace.residual_sq[-1].mean()
-        print(f"{method}: mean residual_sq t=T {start:.4g} -> t=0 {final:.4g}")
-        traces[method] = trace
+        _, trace, (res, _, _) = run_observed(method, cfg, task, rng, args.chains)
+        print(f"{method}: mean residual_sq t=T {res[-1].mean():.4g} -> t=0 {res[0].mean():.4g}")
+        traces[method] = res, trace.cg_iters
 
-    rows = ([method] + row for method, trace in traces.items()
-            for row in _trace_csv_rows(trace, args.chains))
+    rows = ([method] + row for method, (res, cg_iters) in traces.items()
+            for row in _trace_csv_rows(res, cg_iters, args.chains))
     path = write_csv(Path(args.out) / f"trace_d{args.d}_m{args.m}_s{args.sigma!r}.csv",
                      ["method", "chain_id", "t", "residual_sq", "cg_iters"], rows)
     print(f"wrote {path}")
@@ -146,9 +143,8 @@ def _cmd_diagnostics(args) -> int:
     cfg, task = _point_task(args, args.chains)
     schedule = task.schedule
     rng = derive_rng(args.seed, "diagnostics", args.d, args.m, args.sigma)
-    _, trace = run_method("cdps", cfg, task, rng, args.chains, record_scores=True)
+    _, _, (_, cos, mse) = run_observed("cdps", cfg, task, rng, args.chains)
 
-    cos, mse = trace.score_cos, trace.score_mse
     rows = ([t, f"{np.nanmean(cos[t]):.8g}", f"{np.nanmean(mse[t]):.8g}", args.chains]
             for t in range(schedule.num_steps, 0, -1))
     path = write_csv(Path(args.out) / f"diagnostics_d{args.d}_m{args.m}_s{args.sigma!r}.csv",

@@ -41,6 +41,10 @@ def sliced_wasserstein(
         raise ValueError("sample sets must share the dimension")
     if a.shape[0] != b.shape[0]:
         raise ValueError("sample sets must have equal size")
+    # A bool is an int to Python, but no count: True would score order 1.
+    for name, value in (("n_slices", n_slices), ("order", order)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if n_slices < 1:
         raise ValueError("n_slices must be >= 1")
     if order not in (1, 2):
@@ -86,3 +90,37 @@ def batch_cosine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     denom = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(denom > 0, dot / np.where(denom == 0, 1.0, denom), np.nan)
+
+
+class IterateTrace:
+    """A score callable that records the iterates a sampler scores.
+
+    Pass it as a sampler's ``score_fn``: the reverse-time loop calls it once
+    per step, at (x_t, t) for t = T..1, and it records x_t's misfit
+    ``measurement_residual(x_t, y, A)`` and the score ``score_fn`` returns.
+    ``close(x0)`` scores x_0 at t = 0 and returns (residual_sq, score_cos,
+    score_mse), each (T+1, ...) and indexed by the level t: residual_sq[t]
+    is x_t's misfit, and entry t of the other two pairs level t-1's score
+    with level t's, their cosine and mean squared difference; entry 0 is NaN.
+    """
+
+    def __init__(self, score_fn, y: np.ndarray, A: LinearOperator):
+        self._score_fn, self._y, self._A = score_fn, y, A
+        self._residuals, self._cos, self._mse = [], [], []
+        self._last = None  # the score of the level scored last
+
+    def __call__(self, x: np.ndarray, t: int) -> np.ndarray:
+        s = np.asarray(self._score_fn(x, t), dtype=float)
+        self._residuals.append(measurement_residual(x, self._y, self._A))
+        if self._last is not None:
+            diff = s - self._last
+            self._mse.append(np.einsum("...i,...i->...", diff, diff) / diff.shape[-1])
+            self._cos.append(batch_cosine(s, self._last))
+        self._last = s
+        return s
+
+    def close(self, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        self(x0, 0)
+        nan = np.full(np.shape(self._cos[0]), np.nan)
+        return (np.array(self._residuals[::-1]), np.array([nan] + self._cos[::-1]),
+                np.array([nan] + self._mse[::-1]))

@@ -33,9 +33,11 @@ contiguous.
 Every sampler checks y and ``n_chains``, builds its step and makes one call
 to the reverse-time loop, ``_reverse_run``, from x_T; C-DPS, DPS, Score-SDE
 and ILVR differ only in the step it applies.  A step (x, t, s_hat, eps)
-returns (x_{t-1}, iterations, failed rows), and the loop keeps every record
-of the run in its ``SamplerTrace``.  The three baselines share one ancestral
-update, ``_ancestral_update``, whose coefficients each run builds once.
+returns (x_{t-1}, iterations, failed rows); the loop keeps the last two in
+its ``SamplerTrace`` and scores each x_t once, so a score callable such as
+``metrics.IterateTrace`` observes every iterate.  The three baselines share
+one ancestral update, ``_ancestral_update``, whose coefficients each run
+builds once.
 
 Random draws happen in a fixed documented order, so results are reproducible
 per seed: the chain noise, chain by chain as one (n, T, m) block, then the
@@ -43,7 +45,7 @@ initial state, then per step the perturbation's eps1 (n, d) and eps2 (n, m);
 the right-hand side and the solve consume no randomness.  The chain noise and
 the initial state are drawn on the calling thread.  The per-step normals,
 exactly T n (d + m) of them, are drawn by a ``NormalStream``: the one worker
-of a thread-pool executor fills a few fixed buffers from the same generator,
+of a thread-pool executor fills two fixed buffers from the same generator,
 a block at a time and in the same order, while the sampler evaluates the
 score and the step's products, so the samples and the generator's final
 state equal those of serial draws.  The loop hands each step its normals as
@@ -56,7 +58,7 @@ noise (n, d) and, for Score-SDE and ILVR, the target's (n, m).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -70,7 +72,6 @@ from .linalg import (
 )
 # Looked up here by callers that patch or import the draw by name.
 from .linalg import pw_cg_draw  # noqa: F401
-from .metrics import batch_cosine, measurement_residual
 from .operators import (
     IsotropicNoise,
     LinearOperator,
@@ -120,9 +121,9 @@ class SolverConfig:
             raise ValueError("prior_mode must be one of 'score', 'identity', 'none'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementChain:
-    """Forward-noised observation levels y_0..y_T, axis -2 indexing the step."""
+    """Forward-noised observation levels y_0..y_T, axis -2 indexing the step; == is identity."""
 
     y_levels: np.ndarray  # (..., T+1, m)
     schedule: NoiseSchedule
@@ -352,25 +353,10 @@ def posterior_mean(
 
 @dataclass
 class SamplerTrace:
-    """A run's records, kept by ``_reverse_run``; arrays are indexed by the time level t.
+    """What a run's steps returned; ``metrics.IterateTrace`` observes its iterates instead."""
 
-    Every sampler sets ``failed_rows``, and ``residual_sq`` and ``cg_iters``
-    with ``record_residuals`` (0 iterations for a baseline's step or an exact
-    solve); C-DPS sets ``score_cos`` and ``score_mse`` with ``record_scores``.
-    """
-
-    failed_rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    residual_sq: np.ndarray | None = None  # (T+1, ...) misfit of x_t, t = 0..T
-    cg_iters: np.ndarray | None = None  # (T+1,), entry t = step producing x_{t-1}; 0 if exact
-    score_cos: np.ndarray | None = None  # (T+1, ...), entry t pairs levels t and t-1
-    score_mse: np.ndarray | None = None
-
-
-def _pair_scores(trace: SamplerTrace, t: int, s_prev: np.ndarray, s_cur: np.ndarray) -> None:
-    """Entry t of the score diagnostics: level t - 1's frozen score against level t's."""
-    diff = s_prev - s_cur
-    trace.score_mse[t] = np.einsum("...i,...i->...", diff, diff) / diff.shape[-1]
-    trace.score_cos[t] = batch_cosine(s_prev, s_cur)
+    failed_rows: np.ndarray  # rows whose CG solve failed at some step, ascending
+    cg_iters: np.ndarray  # (T+1,), entry t = step producing x_{t-1}; 0 if exact or at t = 0
 
 
 def _rebuilt_steps(A, noise, scalars, strict: bool):
@@ -395,12 +381,11 @@ def _rebuilt_steps(A, noise, scalars, strict: bool):
 # a step's matrices, 8 d (2d + m) bytes, by 96 KiB.
 FUSED_STEP_MAX_D = 64
 STEP_BLOCK = 32  # steps whose matrices the fused step builds at once: at most 3 MiB
-# Bytes of one block of a run's per-step normals (or of one step's, if more),
-# and the number of such blocks ``NormalStream`` keeps: the sampler reads one
-# while the producer fills the others.  Much smaller blocks hand over too
-# often to keep the producer ahead; more or fresh buffers cost resident memory.
+# Bytes of one block of a run's per-step normals (or of one step's, if more).
+# ``NormalStream`` keeps two: the sampler reads one while the producer fills
+# the other.  Much smaller blocks hand over too often to keep the producer
+# ahead; more or fresh buffers cost resident memory.
 NORMAL_BLOCK_BYTES = 1 << 19
-NORMAL_BLOCKS = 3
 
 
 class NormalStream:
@@ -415,16 +400,17 @@ class NormalStream:
     core while the caller computes.
 
     The normals come in blocks of whole steps, about ``NORMAL_BLOCK_BYTES``
-    each, cycled through ``NORMAL_BLOCKS`` buffers allocated here.  A buffer is
-    refilled only once the caller has asked for a view of the next block, so a
-    view may be read and written until the caller asks for the next.
+    each, in two buffers allocated here, with one fill in flight: when the
+    caller asks for the first view of block i, block i + 1 is drawn into
+    block i - 1's buffer.  So a view may be read and written until the
+    caller asks for the next block.
 
-    Use it as a context manager and iterate it once: leaving it cancels the
-    fills not yet begun and joins the worker.  A draw that raised fails every
-    later block without a draw, and its error is raised when the caller asks
-    for the first view of its block.  The generator belongs to the stream
-    until the block is left; its state is unspecified if the block is left
-    before every view was yielded.
+    Use it as a context manager and iterate it once: leaving it cancels a
+    fill not yet begun and joins the worker.  A draw that raised is raised
+    when the caller asks for the first view of its block, and nothing is
+    drawn after it.  The generator belongs to the stream until the block is
+    left; its state is unspecified if the block is left before every view
+    was yielded.
     """
 
     def __init__(self, rng: np.random.Generator, per_step: int, steps: int):
@@ -433,32 +419,27 @@ class NormalStream:
         total = per_step * steps
         block = per_step * max(1, NORMAL_BLOCK_BYTES // (8 * per_step))
         self._sizes = [min(block, total - lo) for lo in range(0, total, block)]
-        self._buffers = [np.empty(size) for size in self._sizes[:NORMAL_BLOCKS]]
-        self._fills = []  # a future per block submitted, in stream order
+        self._buffers = [np.empty(size) for size in self._sizes[:2]]
 
     def __enter__(self) -> "NormalStream":
         from concurrent.futures import ThreadPoolExecutor  # not loaded by importing cdps
         self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cdps-normals")
-        for i in range(len(self._buffers)):
-            self._fills.append(self._pool.submit(self._fill, i))
         return self
 
     def __exit__(self, *exc_info) -> None:
         self._pool.shutdown(cancel_futures=True)
 
     def __iter__(self):
-        ahead = len(self._buffers) - 1  # blocks submitted beyond the caller's
+        fill = self._pool.submit(self._fill, 0)
         for i in range(len(self._sizes)):
-            if i and i + ahead < len(self._sizes):  # into block i - 1's buffer, left by the caller
-                self._fills.append(self._pool.submit(self._fill, i + ahead))
-            block = self._fills[i].result()
+            block = fill.result()
+            if i + 1 < len(self._sizes):
+                fill = self._pool.submit(self._fill, i + 1)
             for lo in range(0, block.size, self._per_step):
                 yield block[lo:lo + self._per_step]
 
     def _fill(self, i: int) -> np.ndarray:
-        if i:
-            self._fills[i - 1].result()  # raises a failed block's error again, drawing nothing
-        return self._rng.standard_normal(out=self._buffers[i % len(self._buffers)][:self._sizes[i]])
+        return self._rng.standard_normal(out=self._buffers[i % 2][:self._sizes[i]])
 
 
 def _spectral_steps(A, noise: IsotropicNoise, scalars):
@@ -553,44 +534,24 @@ def _steps(A, noise, scalars, strict: bool):
     return _rebuilt_steps(A, noise, scalars, strict)
 
 
-def _reverse_run(y, A, schedule, score_fn, rng, n_chains, per_row, step, record_residuals,
-                 record_scores=False):
-    """The reverse-time loop of every sampler; it keeps every record of the run.
+def _reverse_run(A, schedule, score_fn, rng, n_chains, per_row, step):
+    """The reverse-time loop of every sampler; it keeps only what its steps return.
 
     x_T ~ N(0, I).  For t = T..1 the loop takes step t's flat view ``eps`` of
-    the run's one ``NormalStream``, ``per_row`` normals per row, then freezes
-    the score at (x, t); ``step(x, t, s_hat, eps)`` may overwrite ``eps`` and
-    returns (x_{t-1}, iterations, failed rows).  Returns x_0 and the run's
-    ``SamplerTrace``.  With ``record_scores``, entry t pairs level t - 1's
-    frozen score with level t's, level 0's being taken at x_0.
+    the run's one ``NormalStream``, ``per_row`` normals per row, then calls
+    the score once, at (x_t, t); ``step(x, t, s_hat, eps)`` may overwrite
+    ``eps`` and returns (x_{t-1}, iterations, failed rows).  Returns x_0 and
+    the run's ``SamplerTrace``.
     """
     T = schedule.num_steps
     x = rng.standard_normal((A.d,) if n_chains is None else (n_chains, A.d))
-    batch = x.shape[:-1]
-    trace = SamplerTrace()
-    if record_residuals:
-        trace.residual_sq = np.zeros((T + 1,) + batch)
-        trace.residual_sq[T] = measurement_residual(x, y, A)
-        trace.cg_iters = np.zeros(T + 1, dtype=int)
-    if record_scores:
-        trace.score_cos = np.full((T + 1,) + batch, np.nan)
-        trace.score_mse = np.full((T + 1,) + batch, np.nan)
-    failed = np.zeros(batch or (1,), dtype=bool)
+    failed = np.zeros(x.shape[:-1] or (1,), dtype=bool)
+    cg_iters = np.zeros(T + 1, dtype=int)
     with NormalStream(rng, x.size // A.d * per_row, T) as normals:
         for t, eps in zip(range(T, 0, -1), normals):
-            s_hat = np.asarray(score_fn(x, t), dtype=float)
-            if record_scores and t < T:
-                _pair_scores(trace, t + 1, s_hat, s_cur)
-            s_cur = s_hat  # the frozen score of level t, paired at the next step
-            x, iterations, rows = step(x, t, s_hat, eps)
+            x, cg_iters[t], rows = step(x, t, np.asarray(score_fn(x, t), dtype=float), eps)
             failed[rows] = True
-            if record_residuals:
-                trace.residual_sq[t - 1] = measurement_residual(x, y, A)
-                trace.cg_iters[t] = iterations
-    if record_scores:
-        _pair_scores(trace, 1, np.asarray(score_fn(x, 0), dtype=float), s_cur)
-    trace.failed_rows = np.nonzero(failed)[0]
-    return x, trace
+    return x, SamplerTrace(np.nonzero(failed)[0], cg_iters)
 
 
 def _checked_inputs(y, A, n_chains):
@@ -609,8 +570,6 @@ def cdps_sample(
     n_chains: int | None = None,
     config: SolverConfig | None = None,
     shared_chain: bool = False,
-    record_residuals: bool = False,
-    record_scores: bool = False,
 ) -> tuple[np.ndarray, SamplerTrace]:
     """Run the full coupled sampler from pure noise down to x_0.
 
@@ -625,9 +584,8 @@ def cdps_sample(
     chain = generate_measurement_chain(y, schedule, rng, None if shared_chain else n_chains)
     y_at = np.moveaxis(chain.y_levels, -2, 0)  # (T+1, ...) view of the levels
     coupled = _steps(A, noise, _step_scalars(schedule, config.prior_mode), config.strict)
-    return _reverse_run(y, A, schedule, score_fn, rng, n_chains, A.d + A.m,
-                        lambda x, t, s_hat, eps: coupled(x, t, s_hat, y_at[t - 1], eps),
-                        record_residuals, record_scores)
+    return _reverse_run(A, schedule, score_fn, rng, n_chains, A.d + A.m,
+                        lambda x, t, s_hat, eps: coupled(x, t, s_hat, y_at[t - 1], eps))
 
 
 def _single_step(x_t, t, chain, score_fn, A, noise, rng, config, offset=0.0):
@@ -732,7 +690,6 @@ def dps_sample(
     rng: np.random.Generator,
     n_chains: int | None = None,
     zeta: float = 1.0,
-    record_residuals: bool = False,
 ) -> tuple[np.ndarray, SamplerTrace]:
     """Likelihood-guidance baseline on the denoised estimate.
 
@@ -766,7 +723,7 @@ def dps_sample(
         x_prev += np.multiply(jw, gain[..., None], out=tmp)
         return x_prev, 0, _NO_ROWS
 
-    return _reverse_run(y, A, schedule, score_fn, rng, n_chains, A.d, guided, record_residuals)
+    return _reverse_run(A, schedule, score_fn, rng, n_chains, A.d, guided)
 
 
 def _pinv(mat: np.ndarray) -> np.ndarray:
@@ -775,7 +732,7 @@ def _pinv(mat: np.ndarray) -> np.ndarray:
     return (vt.T * inv) @ u.T
 
 
-def _noisy_target_sample(back, y, A, schedule, score_fn, rng, n_chains, scale, record_residuals):
+def _noisy_target_sample(back, y, A, schedule, score_fn, rng, n_chains, scale):
     """Noisy-target guidance: an ancestral step plus ``scale`` times ``back`` of the misfit.
 
     ``back`` maps the misfit to the noisy target into R^d.  A step's flat
@@ -792,19 +749,15 @@ def _noisy_target_sample(back, y, A, schedule, score_fn, rng, n_chains, scale, r
         target = np.sqrt(abar) * y + np.sqrt(1.0 - abar) * noise
         return x_unc + scale * back(target - A.apply(x)), 0, _NO_ROWS
 
-    return _reverse_run(y, A, schedule, score_fn, rng, n_chains, A.d + A.m, guided,
-                        record_residuals)
+    return _reverse_run(A, schedule, score_fn, rng, n_chains, A.d + A.m, guided)
 
 
-def score_sde_sample(y, A, schedule, score_fn, rng, n_chains=None, scale=1.0,
-                     record_residuals=False):
+def score_sde_sample(y, A, schedule, score_fn, rng, n_chains=None, scale=1.0):
     """Adjoint-guidance baseline pushing toward a rescaled noisy observation."""
-    return _noisy_target_sample(A.adjoint, y, A, schedule, score_fn, rng,
-                                n_chains, scale, record_residuals)
+    return _noisy_target_sample(A.adjoint, y, A, schedule, score_fn, rng, n_chains, scale)
 
 
-def ilvr_sample(y, A, schedule, score_fn, rng, n_chains=None, scale=1.0,
-                record_residuals=False):
+def ilvr_sample(y, A, schedule, score_fn, rng, n_chains=None, scale=1.0):
     """Pseudo-inverse-guidance baseline pushing toward a rescaled noisy observation.
 
     The pseudo-inverse is taken of ``A.dense``, so ``A`` must have a dense form.
@@ -813,7 +766,7 @@ def ilvr_sample(y, A, schedule, score_fn, rng, n_chains=None, scale=1.0,
         raise ValueError("ilvr needs an operator with a dense form (A.dense)")
     pinv = _pinv(A.dense)
     return _noisy_target_sample(lambda r: r @ pinv.T, y, A, schedule, score_fn, rng,
-                                n_chains, scale, record_residuals)
+                                n_chains, scale)
 
 
 # ---------------------------------------------------------------------------

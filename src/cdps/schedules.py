@@ -15,14 +15,14 @@ import numpy as np
 _BETA_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseSchedule:
     """Per-step noise rates beta_t, which fix T, alpha_t = 1 - beta_t and their running products.
 
     ``betas[i]`` holds beta_{i+1} for steps t = 1..T.  ``alpha_bars`` has
     length T+1 with ``alpha_bars[0] = 1`` so that step-boundary quantities at
     t-1 = 0 reduce to their noise-free values.  All three arrays are
-    read-only, so the derived two cannot go stale.
+    read-only, so the derived two cannot go stale; == is identity.
     """
 
     betas: np.ndarray
@@ -66,7 +66,8 @@ def make_linear_schedule(num_steps: int, beta_min: float, beta_max: float) -> No
     sampled at s = (t-1)/(T-1) and divided by T, giving
     beta_t = beta(s_t) / T, then clamped into (0, 1) with a 1e-12 margin.
     """
-    if not isinstance(num_steps, (int, np.integer)) or num_steps < 1:
+    count = isinstance(num_steps, (int, np.integer)) and not isinstance(num_steps, bool)
+    if not count or num_steps < 1:
         raise ValueError("num_steps must be a positive integer")
     beta_min = float(beta_min)
     beta_max = float(beta_max)

@@ -21,7 +21,7 @@ from cdps.gmm import (
     denoiser_jvp_fn_for,
 )
 from cdps.linalg import PrecisionOperator, cg_solve, diag_preconditioner, pw_cg_draw
-from cdps.metrics import measurement_residual
+from cdps.metrics import IterateTrace, measurement_residual
 from cdps.operators import (
     CirculantNoise,
     DiagonalNoise,
@@ -300,15 +300,18 @@ def test_criterion_8_measurement_fidelity_trajectory():
     score_fn = score_fn_for(prior, schedule)
     jvp_fn = denoiser_jvp_fn_for(prior, schedule)
 
-    _, tr = cdps_sample(y, A, IsotropicNoise(sigma ** 2), schedule, score_fn,
+    observer = IterateTrace(score_fn, y, A)
+    x0, _ = cdps_sample(y, A, IsotropicNoise(sigma ** 2), schedule, observer,
                         np.random.default_rng(109), n_chains=100,
-                        config=SolverConfig(strict=False), record_residuals=True)
-    cdps_start = float(tr.residual_sq[-1].mean())
-    cdps_end = float(tr.residual_sq[0].mean())
+                        config=SolverConfig(strict=False))
+    residual_sq = observer.close(x0)[0]
+    cdps_start = float(residual_sq[-1].mean())
+    cdps_end = float(residual_sq[0].mean())
 
-    _, trd = dps_sample(y, A, schedule, score_fn, jvp_fn, np.random.default_rng(110),
-                        n_chains=100, record_residuals=True)
-    dps_end = float(trd.residual_sq[0].mean())
+    observer = IterateTrace(score_fn, y, A)
+    x0, _ = dps_sample(y, A, schedule, observer, jvp_fn, np.random.default_rng(110),
+                       n_chains=100)
+    dps_end = float(observer.close(x0)[0][0].mean())
 
     elapsed = time.perf_counter() - start
     ratio_ok = cdps_end < 0.01 * cdps_start

@@ -29,6 +29,7 @@ from cdps.bench import (
 )
 from cdps.cli import main as cli_main
 from cdps.gmm import make_grid_gmm, score_fn_for
+from cdps.metrics import IterateTrace
 from cdps.operators import IsotropicNoise
 from cdps.sampler import SolverConfig
 from cdps.schedules import make_linear_schedule
@@ -412,14 +413,16 @@ def test_cli_shared_y_chain_traces_use_the_shared_chain(tmp_path):
     cfg = BenchConfig(**params, master_seed=5)
     prior, A, _, y = make_measurement_model(cfg, 8, 2, 0.1, 0)
     schedule = make_linear_schedule(50, 0.1, 12.5)
-    _, trace = cdps.sampler.cdps_sample(
-        y, A, IsotropicNoise(0.1 * 0.1), schedule, score_fn_for(prior, schedule),
+    observer = IterateTrace(score_fn_for(prior, schedule), y, A)
+    x0, _ = cdps.sampler.cdps_sample(
+        y, A, IsotropicNoise(0.1 * 0.1), schedule, observer,
         derive_rng(5, "trace", 8, 2, 0.1), n_chains=20, config=SolverConfig(strict=False),
-        shared_chain=True, record_residuals=True)
+        shared_chain=True)
+    expected = observer.close(x0)[0]
     rows = read_csv(out / "trace_cdps_d8_m2_s0.1.csv")[1:]
     assert len(rows) == 20 * 51
     for chain, t, residual_sq, _ in rows:
-        assert residual_sq == f"{trace.residual_sq[int(t), int(chain)]:.12g}"
+        assert residual_sq == f"{expected[int(t), int(chain)]:.12g}"
 
 
 def test_cli_rejects_unknown_config_keys(tmp_path):
@@ -536,6 +539,20 @@ def test_pool_outputs_step_fingerprints_run_on_a_small_task():
                                      np.random.default_rng(6))
     assert len(digests) == 12 and len(set(digests.values())) == 12
     assert all(len(digest) == 64 for digest in digests.values())
+
+
+def test_pool_outputs_trace_fingerprints_run_on_a_small_task():
+    # tools/pool_outputs.py observes every method's run through run_method and
+    # reads the rest from its SamplerTrace, so a change to either shows here.
+    tool = load_module("tools/pool_outputs.py")
+    cfg = BenchConfig(dims=(4,), measurements=(2,), sigmas=(0.1,), samples_per_run=3,
+                      num_steps=20, beta_max=5.0, methods=cdps.bench.KNOWN_METHODS)
+    digests = tool.trace_fingerprints(cdps.bench, cfg, 4, 2, 0.1, 0)
+    assert sorted(digests) == sorted(cdps.bench.KNOWN_METHODS)
+    assert sorted(digests.pop("cdps")) == ["cg_iters", "failed_rows", "residual_sq", "score_cos",
+                                           "score_mse"]
+    assert all(sorted(names) == ["failed_rows", "residual_sq"] for names in digests.values())
+    assert len({names["residual_sq"] for names in digests.values()}) == 3
 
 
 def test_perfbench_tracer_sites_resolve_and_restore():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cdps.gmm import make_grid_gmm, score_fn_for
-from cdps.metrics import batch_cosine, measurement_residual, sliced_wasserstein
+from cdps.metrics import IterateTrace, batch_cosine, measurement_residual, sliced_wasserstein
 from cdps.operators import IsotropicNoise, from_dense, make_random_svd_operator
-from cdps.sampler import SamplerTrace, SolverConfig, _ancestral_step, _pair_scores, cdps_sample
+from cdps.sampler import SolverConfig, _ancestral_step, cdps_sample
 from cdps.schedules import make_linear_schedule
 
 
@@ -105,15 +105,23 @@ def test_batch_cosine_signs_and_zero_norm():
     assert np.isnan(batch_cosine(a[2], b[2]))
 
 
-def test_pair_scores_cosine_and_mse():
+def test_iterate_trace_pairs_scores_cosine_and_mse():
     # Entry t pairs level t-1's score with level t's: their cosine and their
-    # mean squared difference (1/d) ||.||^2, per chain.
-    trace = SamplerTrace(score_cos=np.full((3, 2), np.nan), score_mse=np.full((3, 2), np.nan))
-    s_cur = np.array([[1.0, 0.0], [1.0, 1.0]])
-    _pair_scores(trace, 2, np.array([[-1.0, 0.0], [0.0, 0.0]]), s_cur)
-    assert trace.score_cos[2, 0] == pytest.approx(-1.0) and np.isnan(trace.score_cos[2, 1])
-    assert trace.score_mse[2] == pytest.approx([2.0, 1.0])
-    assert np.all(np.isnan(trace.score_cos[[0, 1]]))
+    # mean squared difference (1/d) ||.||^2, per chain; entry 0 is NaN.  The
+    # observer hands on the score it was given, and residual_sq[t] is the
+    # misfit of the iterate scored at level t.
+    scores = {2: np.array([[1.0, 0.0], [1.0, 1.0]]), 1: np.array([[-1.0, 0.0], [0.0, 0.0]]),
+              0: np.array([[0.0, 2.0], [3.0, 3.0]])}
+    observer = IterateTrace(lambda x, t: scores[t], np.zeros(1), from_dense(np.eye(1, 2)))
+    for t in (2, 1):
+        assert observer(np.full((2, 2), float(t)), t) is scores[t]
+    residual_sq, cos, mse = observer.close(np.zeros((2, 2)))
+    assert residual_sq.tolist() == [[0.0, 0.0], [1.0, 1.0], [4.0, 4.0]]
+    assert cos[2, 0] == pytest.approx(-1.0) and np.isnan(cos[2, 1])
+    assert mse[2] == pytest.approx([2.0, 1.0])
+    assert cos[1, 0] == pytest.approx(0.0) and np.isnan(cos[1, 1])
+    assert mse[1] == pytest.approx([2.5, 9.0])
+    assert np.all(np.isnan(cos[0])) and np.all(np.isnan(mse[0]))
 
 
 def ancestral_score_cosine(score_fn, schedule, rng, n_chains, d):
@@ -145,10 +153,11 @@ def test_score_consistency_along_sampler_trajectory():
     y = A.apply(rng.uniform(-16, 16, d)) + sigma * rng.standard_normal(m)
     schedule = make_linear_schedule(1000, 0.1, 500.0)
     score_fn = score_fn_for(prior, schedule)
-    _, trace = cdps_sample(y, A, IsotropicNoise(sigma ** 2), schedule, score_fn,
-                           np.random.default_rng(13), n_chains=10,
-                           config=SolverConfig(strict=False), record_scores=True)
-    cos = trace.score_cos[1:]  # pairs exist for t = 1..T
+    observer = IterateTrace(score_fn, y, A)
+    x0, _ = cdps_sample(y, A, IsotropicNoise(sigma ** 2), schedule, observer,
+                        np.random.default_rng(13), n_chains=10,
+                        config=SolverConfig(strict=False))
+    cos = observer.close(x0)[1][1:]  # pairs exist for t = 1..T
     reference = ancestral_score_cosine(score_fn, schedule, np.random.default_rng(13), 10, d)
     assert np.nanmean(cos) >= reference
 
@@ -175,3 +184,27 @@ def test_metric_input_refusals(case, match):
             measurement_residual(np.zeros((4, 2)), np.zeros(2), A)
         else:
             measurement_residual(a, np.zeros(3), A)
+
+
+@pytest.mark.parametrize("case, match", [
+    ("order-true", "order must be an integer"),
+    ("order-float", "order must be an integer"),
+    ("slices-true", "n_slices must be an integer"),
+    ("slices-fraction", "n_slices must be an integer"),
+    ("steps-true", "num_steps must be a positive integer"),
+    ("steps-float", "num_steps must be a positive integer"),
+])
+def test_counts_refuse_bools_and_non_integers(case, match):
+    # A bool is an int to Python: order=True scored SW of order 1 and
+    # num_steps=True built a one-step schedule.  A fraction of a slice died
+    # in range() with a TypeError.
+    a = np.random.default_rng(6).standard_normal((4, 3))
+    with pytest.raises(ValueError, match=match):
+        if case.startswith("order"):
+            sliced_wasserstein(a, a, 10, np.random.default_rng(7),
+                               order=True if case == "order-true" else 2.0)
+        elif case.startswith("slices"):
+            sliced_wasserstein(a, a, True if case == "slices-true" else 100.5,
+                               np.random.default_rng(7))
+        else:
+            make_linear_schedule(True if case == "steps-true" else 5.0, 0.1, 1.0)

@@ -20,7 +20,7 @@ from cdps.gmm import (
     denoiser_jvp_fn_for,
 )
 from cdps.linalg import CgReport, cg_solve, spectral_factor, spectral_solve
-from cdps.metrics import measurement_residual, sliced_wasserstein
+from cdps.metrics import IterateTrace, measurement_residual, sliced_wasserstein
 from cdps.operators import (
     CirculantNoise,
     DiagonalNoise,
@@ -266,21 +266,20 @@ def test_cdps_sample_deterministic_and_traced():
     score_fn = score_fn_for(prior, schedule)
     noise = IsotropicNoise(sigma ** 2)
 
-    kwargs = dict(n_chains=8, config=SolverConfig(strict=False), record_residuals=True)
-    x1, tr1 = cdps_sample(y, A, noise, schedule, score_fn, np.random.default_rng(11), **kwargs)
-    x2, tr2 = cdps_sample(y, A, noise, schedule, score_fn, np.random.default_rng(11), **kwargs)
+    kwargs = dict(n_chains=8, config=SolverConfig(strict=False))
+    obs1, obs2 = IterateTrace(score_fn, y, A), IterateTrace(score_fn, y, A)
+    x1, tr1 = cdps_sample(y, A, noise, schedule, obs1, np.random.default_rng(11), **kwargs)
+    x2, tr2 = cdps_sample(y, A, noise, schedule, obs2, np.random.default_rng(11), **kwargs)
     np.testing.assert_array_equal(x1, x2)
-    # Recording goes through the same step: the samples do not change.
+    # Observing goes through the same step: the samples do not change.
     x_plain, _ = cdps_sample(y, A, noise, schedule, score_fn, np.random.default_rng(11),
-                             n_chains=8, config=SolverConfig(strict=False))
-    x_all, tr_all = cdps_sample(y, A, noise, schedule, score_fn, np.random.default_rng(11),
-                                record_scores=True, **kwargs)
+                             **kwargs)
     np.testing.assert_array_equal(x_plain, x1)
-    np.testing.assert_array_equal(x_all, x1)
-    assert tr_all.score_cos.shape == (51, 8)
-    assert tr1.residual_sq.shape == (51, 8)
+    (res1, cos1, _), (res2, _, _) = obs1.close(x1), obs2.close(x2)
+    assert cos1.shape == (51, 8)
+    assert res1.shape == (51, 8)
     assert tr1.failed_rows.size == 0
-    np.testing.assert_array_equal(tr1.residual_sq, tr2.residual_sq)
+    np.testing.assert_array_equal(res1, res2)
     # A dense operator is solved exactly; without its dense form every step runs CG.
     assert np.all(tr1.cg_iters == 0)
     _, tr3 = cdps_sample(y, dataclasses.replace(A, dense=None), noise, schedule, score_fn,
@@ -296,11 +295,12 @@ def test_cdps_sample_single_chain_shape():
     y = rng.standard_normal(m)
     schedule = make_linear_schedule(30, 0.1, 7.5)
     score_fn = score_fn_for(prior, schedule)
-    x0, tr = cdps_sample(y, A, IsotropicNoise(0.01), schedule, score_fn,
-                         np.random.default_rng(41), config=SolverConfig(strict=False),
-                         record_residuals=True)
+    observer = IterateTrace(score_fn, y, A)
+    x0, tr = cdps_sample(y, A, IsotropicNoise(0.01), schedule, observer,
+                         np.random.default_rng(41), config=SolverConfig(strict=False))
     assert x0.shape == (4,)
-    assert tr.residual_sq.shape == (31,)
+    assert all(record.shape == (31,) for record in observer.close(x0))
+    assert tr.cg_iters.shape == (31,)
 
 
 def test_strict_cg_failure_raises_at_the_first_step(monkeypatch):
@@ -387,6 +387,74 @@ def test_failed_rows_are_gathered_from_every_step(monkeypatch):
     assert err.value.rows.tolist() == [1]
 
 
+@pytest.mark.parametrize("kind", ["fused", "factored", "rebuilt", "cg", "dps", "score_sde",
+                                  "ilvr"])
+def test_loop_scores_once_per_step_the_iterate_that_step_takes(kind, monkeypatch):
+    # The contract IterateTrace relies on: the reverse-time loop calls the
+    # score exactly once per step, at t = T..1 in order, with the very iterate
+    # that step then takes, and hands the step the score it returned.
+    d, m, n, T = 6, 2, 4, 12
+    rng = np.random.default_rng(31)
+    A = from_dense(rng.standard_normal((m, d)))
+    y = rng.standard_normal(m)
+    schedule = make_linear_schedule(T, 0.1, 5.0)
+    prior = make_grid_gmm(d)
+    score_fn = score_fn_for(prior, schedule)
+    scored, stepped = [], []
+
+    def scoring(x, t):
+        scored.append((t, x, score_fn(x, t)))
+        return scored[-1][2]
+
+    run = cdps.sampler._reverse_run
+
+    def spied_run(A, schedule, score_fn, rng, n_chains, per_row, step):
+        def spied_step(x, t, s_hat, eps):
+            stepped.append((t, x, s_hat))
+            return step(x, t, s_hat, eps)
+        return run(A, schedule, score_fn, rng, n_chains, per_row, spied_step)
+
+    monkeypatch.setattr(cdps.sampler, "_reverse_run", spied_run)
+    if kind == "factored":
+        monkeypatch.setattr(cdps.sampler, "FUSED_STEP_MAX_D", 0)
+    rng = np.random.default_rng(32)
+    if kind in ("fused", "factored", "rebuilt", "cg"):
+        noise = DiagonalNoise(np.full(m, 0.01)) if kind == "rebuilt" else IsotropicNoise(0.01)
+        op = dataclasses.replace(A, dense=None) if kind == "cg" else A
+        _, trace = cdps_sample(y, op, noise, schedule, scoring, rng, n_chains=n)
+        assert np.all(trace.cg_iters[1:] > 0) == (kind == "cg")
+    elif kind == "dps":
+        dps_sample(y, A, schedule, scoring, denoiser_jvp_fn_for(prior, schedule), rng, n_chains=n)
+    else:
+        sample = score_sde_sample if kind == "score_sde" else ilvr_sample
+        sample(y, A, schedule, scoring, rng, n_chains=n)
+    assert [t for t, _, _ in scored] == [t for t, _, _ in stepped] == list(range(T, 0, -1))
+    assert all(xs is xt and ss is st for (_, xs, ss), (_, xt, st) in zip(scored, stepped))
+
+
+def test_cg_run_records_its_iterations_unasked():
+    # Every run keeps its steps' solver work: with no option set, a CG run's
+    # trace holds each step's iteration count, and 0 at t = 0, where none runs.
+    d, m, T = 6, 2, 10
+    rng = np.random.default_rng(33)
+    A = dataclasses.replace(from_dense(rng.standard_normal((m, d))), dense=None)
+    schedule = make_linear_schedule(T, 0.1, 5.0)
+    _, trace = cdps_sample(rng.standard_normal(m), A, IsotropicNoise(0.01), schedule,
+                           score_fn_for(make_grid_gmm(d), schedule), rng, n_chains=3)
+    assert trace.cg_iters.shape == (T + 1,) and trace.cg_iters[0] == 0
+    assert np.all(trace.cg_iters[1:] > 0)
+
+
+def test_schedules_and_chains_compare_without_raising():
+    # A generated __eq__ over array fields raises on two equal-length arrays;
+    # both classes compare, and hash, by identity instead.
+    a, b = make_linear_schedule(5, 0.1, 1.0), make_linear_schedule(5, 0.1, 1.0)
+    chain = generate_measurement_chain(np.ones(2), a, np.random.default_rng(0))
+    other = generate_measurement_chain(np.ones(2), a, np.random.default_rng(0))
+    assert a == a and a != b and chain == chain and chain != other
+    assert len({a, b, chain, other}) == 4
+
+
 @pytest.mark.parametrize("method", ["dps", "score_sde", "ilvr"])
 def test_baseline_trace_has_zero_iterations_and_no_failed_rows(method):
     d, m, n = 6, 2, 5
@@ -398,13 +466,14 @@ def test_baseline_trace_has_zero_iterations_and_no_failed_rows(method):
     prior = make_grid_gmm(d)
     score_fn = score_fn_for(prior, schedule)
     rng = np.random.default_rng(79)
+    observer = IterateTrace(score_fn, y, A)
     if method == "dps":
-        _, trace = dps_sample(y, A, schedule, score_fn, denoiser_jvp_fn_for(prior, schedule),
-                              rng, n_chains=n, record_residuals=True)
+        x0, trace = dps_sample(y, A, schedule, observer, denoiser_jvp_fn_for(prior, schedule),
+                               rng, n_chains=n)
     else:
         sample = score_sde_sample if method == "score_sde" else ilvr_sample
-        _, trace = sample(y, A, schedule, score_fn, rng, n_chains=n, record_residuals=True)
-    assert trace.residual_sq.shape == (T + 1, n)
+        x0, trace = sample(y, A, schedule, observer, rng, n_chains=n)
+    assert observer.close(x0)[0].shape == (T + 1, n)
     np.testing.assert_array_equal(trace.cg_iters, np.zeros(T + 1, dtype=int))
     assert trace.failed_rows.size == 0
 
@@ -471,10 +540,10 @@ def _check_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkey
     sigma2 = 0.01
     n_chains = None if chains == "single" else 6
     kwargs = dict(n_chains=n_chains, shared_chain=chains == "shared",
-                  config=SolverConfig(prior_mode=prior_mode),
-                  record_residuals=True, record_scores=True)
-    x_ref, tr_ref = cdps_sample(y, A, DiagonalNoise(np.full(m, sigma2)), schedule, score_fn,
-                                np.random.default_rng(71), **kwargs)
+                  config=SolverConfig(prior_mode=prior_mode))
+    obs_ref = IterateTrace(score_fn, y, A)
+    x_ref, _ = cdps_sample(y, A, DiagonalNoise(np.full(m, sigma2)), schedule, obs_ref,
+                           np.random.default_rng(71), **kwargs)
 
     def rebuilt(*args):
         raise AssertionError("the isotropic run rebuilt a step's covariance")
@@ -487,12 +556,12 @@ def _check_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkey
         return spectral_solve(*args)
 
     monkeypatch.setattr(cdps.sampler, "spectral_solve", counted)
-    x, tr = cdps_sample(y, A, IsotropicNoise(sigma2), schedule, score_fn,
+    observer = IterateTrace(score_fn, y, A)
+    x, tr = cdps_sample(y, A, IsotropicNoise(sigma2), schedule, observer,
                         np.random.default_rng(71), **kwargs)
     isotropic_solves = len(solves)
-    for got, ref in ((x, x_ref), (tr.residual_sq, tr_ref.residual_sq),
-                     (tr.score_cos[1:], tr_ref.score_cos[1:]),
-                     (tr.score_mse[1:], tr_ref.score_mse[1:])):
+    (res, cos, mse), (res_ref, cos_ref, mse_ref) = observer.close(x), obs_ref.close(x_ref)
+    for got, ref in ((x, x_ref), (res, res_ref), (cos[1:], cos_ref[1:]), (mse[1:], mse_ref[1:])):
         assert got.shape == ref.shape
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
     assert np.all(tr.cg_iters == 0) and tr.failed_rows.size == 0
@@ -853,23 +922,23 @@ class _StandInGenerator:
 
 
 def test_normal_stream_views_stay_in_its_buffers(monkeypatch):
-    # Every view the stream yields lies in one of the NORMAL_BLOCKS buffers it
+    # Every view the stream yields lies in one of the two buffers it
     # allocated before it was entered.  Once the caller is in block k, the
-    # producer may fill every block up to k + NORMAL_BLOCKS - 1, into the
-    # buffers of the blocks the caller has left; with it that far ahead, the
-    # view of the caller's step still holds that step's serial draws.
+    # producer may fill block k + 1 and no further, into the buffer of the
+    # block the caller has left; with it that far ahead, the view of the
+    # caller's step still holds that step's serial draws.
     monkeypatch.setattr(cdps.sampler, "NORMAL_BLOCK_BYTES", 8 * 7 * 3)
     per_step, steps = 7, 20  # seven blocks: six of three steps and one of two
     counting = _StandInGenerator(91, fail_at=math.inf)
     stream = NormalStream(counting, per_step, steps)
     buffers = list(stream._buffers)
-    assert len(buffers) == cdps.sampler.NORMAL_BLOCKS
+    assert len(buffers) == 2
     expected = np.random.default_rng(91).standard_normal((steps, per_step))
     with stream:
         for step, view in enumerate(stream):
             assert view.shape == (per_step,)
             assert sum(np.shares_memory(view, buf) for buf in buffers) == 1
-            allowed = min(step // 3 + cdps.sampler.NORMAL_BLOCKS, 7)
+            allowed = min(step // 3 + 2, 7)
             deadline = time.monotonic() + 30
             while counting.drawn < allowed:
                 assert time.monotonic() < deadline
@@ -946,8 +1015,8 @@ def test_consumer_error_joins_a_busy_producer(monkeypatch):
 
 
 def _reference_fused_run(y, A, sigma2, schedule, score_fn, rng, n_chains, shared_chain,
-                         prior_mode, record):
-    """cdps_sample on the fused spectral path, one step at a time.
+                         prior_mode):
+    """cdps_sample's x_0 on the fused spectral path, one step at a time.
 
     The forward chain is built chain-major, each chain's noise drawn straight
     into its levels 1..T; each step builds S_t, the score map and w_t A
@@ -965,25 +1034,14 @@ def _reference_fused_run(y, A, sigma2, schedule, score_fn, rng, n_chains, shared
         level *= np.sqrt(schedule.betas)[t - 1]
         level += np.sqrt(schedule.alphas)[t - 1] * levels[..., t - 1, :]
     x = rng.standard_normal((A.d,) if n_chains is None else (n_chains, A.d))
-
-    trace = cdps.sampler.SamplerTrace()
     batch = x.shape[:-1]
-    if record:
-        trace.residual_sq = np.zeros((T + 1,) + batch)
-        trace.residual_sq[T] = measurement_residual(x, y, A)
-        trace.score_cos = np.full((T + 1,) + batch, np.nan)
-        trace.score_mse = np.full((T + 1,) + batch, np.nan)
     sc = cdps.sampler._step_scalars(schedule, prior_mode)
     mat = A.dense
     v, s2 = spectral_factor(mat)
     gram, eye = mat.T @ mat, np.eye(A.d)
     null = eye - v @ v.T if v.shape[1] < A.d else None
-    s_cur = None
     for t in range(T, 0, -1):
         s_hat = score_fn(x, t)
-        if record and t < T:
-            cdps.sampler._pair_scores(trace, t + 1, s_hat, s_cur)
-        s_cur = s_hat
         i = t - 1
         w = mix_variance(sigma2, sc.abar_prev[i]) ** -0.5
         c, pull = sc.c[i], sc.pull[i]
@@ -1002,11 +1060,7 @@ def _reference_fused_run(y, A, sigma2, schedule, score_fn, rng, n_chains, shared
         rhs += eps1
         assert np.all(np.isfinite(rhs))
         x = rhs @ solve
-        if record:
-            trace.residual_sq[i] = measurement_residual(x, y, A)
-    if record:
-        cdps.sampler._pair_scores(trace, 1, score_fn(x, 0), s_cur)
-    return x, trace
+    return x
 
 
 def _fused_block_steps():
@@ -1033,24 +1087,25 @@ def test_fused_run_equals_per_step_reference(shape, chains, steps, prior_mode):
     schedule = make_linear_schedule(T, 0.1, 20.0)
     prior = make_grid_gmm(d)
     n_chains = None if chains == "single" else 5
-    record = steps != "block-1"
+    observe = steps != "block-1"
 
     def per_call_score(x, t):
         return score(dataclasses.replace(prior), x, alpha_bar(schedule, t))
 
-    x_ref, tr_ref = _reference_fused_run(
-        y, A, 0.01, schedule, per_call_score, np.random.default_rng(75), n_chains,
-        chains == "shared", prior_mode, record)
-    x, tr = cdps_sample(y, A, IsotropicNoise(0.01), schedule, score_fn_for(prior, schedule),
-                        np.random.default_rng(75), n_chains=n_chains,
-                        shared_chain=chains == "shared",
-                        config=SolverConfig(prior_mode=prior_mode),
-                        record_residuals=record, record_scores=record)
+    obs_ref = IterateTrace(per_call_score, y, A)
+    score_fn = score_fn_for(prior, schedule)
+    observer = IterateTrace(score_fn, y, A)
+    x_ref = _reference_fused_run(
+        y, A, 0.01, schedule, obs_ref if observe else per_call_score,
+        np.random.default_rng(75), n_chains, chains == "shared", prior_mode)
+    x, _ = cdps_sample(y, A, IsotropicNoise(0.01), schedule, observer if observe else score_fn,
+                       np.random.default_rng(75), n_chains=n_chains,
+                       shared_chain=chains == "shared",
+                       config=SolverConfig(prior_mode=prior_mode))
     assert np.array_equal(x, x_ref)
-    if record:
-        assert np.array_equal(tr.residual_sq, tr_ref.residual_sq)
-        assert np.array_equal(tr.score_cos, tr_ref.score_cos, equal_nan=True)
-        assert np.array_equal(tr.score_mse, tr_ref.score_mse, equal_nan=True)
+    if observe:
+        for got, ref in zip(observer.close(x), obs_ref.close(x_ref)):
+            assert np.array_equal(got, ref, equal_nan=True)
 
 
 @pytest.mark.parametrize("steps", ["1", "block-1", "block", "block+1", "recycled"])
@@ -1074,16 +1129,15 @@ def test_fused_run_across_normal_blocks(steps, monkeypatch):
     def per_call_score(x, t):
         return score(prior, x, alpha_bar(schedule, t))
 
-    x_ref, tr_ref = _reference_fused_run(
-        y, A, 0.01, schedule, per_call_score, np.random.default_rng(82), n, False, "score",
-        True)
-    x, tr = cdps_sample(y, A, IsotropicNoise(0.01), schedule, score_fn_for(prior, schedule),
-                        np.random.default_rng(82), n_chains=n, record_residuals=True,
-                        record_scores=True)
+    obs_ref = IterateTrace(per_call_score, y, A)
+    observer = IterateTrace(score_fn_for(prior, schedule), y, A)
+    x_ref = _reference_fused_run(y, A, 0.01, schedule, obs_ref, np.random.default_rng(82), n,
+                                 False, "score")
+    x, _ = cdps_sample(y, A, IsotropicNoise(0.01), schedule, observer,
+                       np.random.default_rng(82), n_chains=n)
     assert np.array_equal(x, x_ref)
-    assert np.array_equal(tr.residual_sq, tr_ref.residual_sq)
-    assert np.array_equal(tr.score_cos, tr_ref.score_cos, equal_nan=True)
-    assert np.array_equal(tr.score_mse, tr_ref.score_mse, equal_nan=True)
+    for got, ref in zip(observer.close(x), obs_ref.close(x_ref)):
+        assert np.array_equal(got, ref, equal_nan=True)
 
 
 def conjugate_output_law(schedule):
@@ -1333,7 +1387,7 @@ def test_cdps_sample_blur_cg_path_matches_dense():
     score_fn = score_fn_for(prior, schedule)
     rng = np.random.default_rng(60)
     y = A.apply(sample_mixture(prior, 1, rng)[0]) + 1e-2 * rng.standard_normal(d)
-    kwargs = dict(n_chains=10, config=SolverConfig(strict=False), record_residuals=True)
+    kwargs = dict(n_chains=10, config=SolverConfig(strict=False))
     x_dense, tr_dense = cdps_sample(y, A, IsotropicNoise(1e-4), schedule, score_fn,
                                     np.random.default_rng(61), **kwargs)
     x_cg, tr_cg = cdps_sample(y, dataclasses.replace(A, dense=None), IsotropicNoise(1e-4),
@@ -1436,13 +1490,14 @@ def test_dps_guided_run_matches_reference_loop_bitwise(operator):
     abar = schedule.alpha_bars[T]
     y = A.apply((x_T + (1.0 - abar) * score_fn(x_T, T)) / np.sqrt(abar))[2]
 
-    x, trace = dps_sample(y, A, schedule, score_fn, jvp_fn, np.random.default_rng(27),
-                          n_chains=n, zeta=1.0, record_residuals=True)
+    observer = IterateTrace(score_fn, y, A)
+    x, _ = dps_sample(y, A, schedule, observer, jvp_fn, np.random.default_rng(27),
+                      n_chains=n, zeta=1.0)
     x_ref, norms = _guided_reference(y, A, schedule, score_fn, jvp_fn,
                                      np.random.default_rng(27), n, 1.0)
     assert norms[T][2] == 0.0 and np.all(np.delete(norms[T], 2) > 0)
     np.testing.assert_array_equal(x, x_ref)
-    np.testing.assert_array_equal(trace.residual_sq[0], measurement_residual(x_ref, y, A))
+    np.testing.assert_array_equal(observer.close(x)[0][0], measurement_residual(x_ref, y, A))
 
 
 def test_dps_shared_pass_leaves_output_unchanged():
@@ -1495,8 +1550,9 @@ def test_noisy_target_sample_one_step_exact(kind):
     schedule = make_linear_schedule(1, 0.3, 0.3)
     score_fn = score_fn_for(make_grid_gmm(d), schedule)
     sample = score_sde_sample if kind == "score_sde" else ilvr_sample
-    x0, trace = sample(y, A, schedule, score_fn, np.random.default_rng(25), n_chains=n,
-                       scale=scale, record_residuals=True)
+    observer = IterateTrace(score_fn, y, A)
+    x0, _ = sample(y, A, schedule, observer, np.random.default_rng(25), n_chains=n, scale=scale)
+    residual_sq = observer.close(x0)[0]
 
     clone = np.random.default_rng(25)
     x_T = clone.standard_normal((n, d))
@@ -1510,7 +1566,7 @@ def test_noisy_target_sample_one_step_exact(kind):
     np.testing.assert_allclose(x0, expected, rtol=1e-12, atol=1e-12)
     for t, x in ((1, x_T), (0, x0)):
         r = y - x @ A.dense.T
-        np.testing.assert_allclose(trace.residual_sq[t], np.sum(r * r, axis=-1), rtol=1e-12)
+        np.testing.assert_allclose(residual_sq[t], np.sum(r * r, axis=-1), rtol=1e-12)
 
 
 def test_ilvr_refuses_an_operator_without_dense_form():

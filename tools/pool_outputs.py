@@ -9,7 +9,7 @@ by default) runs with every method, through that module's ``build_inputs``
 and ``run_method``, with one BLAS thread. The benchmark runs only C-DPS and
 DPS, so every pool task also runs every other method ``cdps.bench`` knows,
 Score-SDE and ILVR: a ``bench.run_config`` task through ``bench.run_config``,
-a blur task through ``bench.run_method`` on the task's prior, A, y and
+a blur task through ``bench.run_observed`` on the task's prior, A, y and
 schedule, on a fixed ``bench.derive_rng`` stream, its samples scored against
 the task's reference draws as the benchmark scores them. The output maps
 workload, task index and method to the SHA-256 of the samples' bytes (with
@@ -18,12 +18,13 @@ the failed chains. Two commits whose files are equal give the same samples
 and SW bit for bit on every pool task.
 
 On the ``bench.run_config`` tasks every method also runs once more through
-``bench.make_task`` and ``bench.run_method``, on a fixed stream, recording
-residuals (and, for C-DPS, scores). Its ``trace_sha256`` holds the SHA-256
-of the trace's ``residual_sq`` and ``failed_rows``, and for C-DPS also of
-``cg_iters``, ``score_cos`` and ``score_mse``, so equal files also mean
-equal records. The baselines' ``cg_iters`` is left out: they make no solve.
-On a blur task the other methods' runs record residuals too, and their
+``bench.make_task`` and ``bench.run_observed``, on a fixed stream, with the
+task's score observed by a ``cdps.metrics.IterateTrace``. Its
+``trace_sha256`` holds the SHA-256 of the observed ``residual_sq`` and of
+the run's ``failed_rows``, and for C-DPS also of the run's ``cg_iters`` and
+the observed ``score_cos`` and ``score_mse``, so equal files also mean equal
+records. The baselines' ``cg_iters`` is left out: they make no solve. On a
+blur task the other methods' runs are observed too, and their
 ``trace_sha256`` holds the digests of ``residual_sq`` and ``failed_rows``.
 
 On every pool task single C-DPS steps are fingerprinted too:
@@ -60,19 +61,24 @@ def fingerprint(samples) -> str:
     return digest.hexdigest()
 
 
+def observed_run(bench, method, cfg, task, rng, n) -> tuple:
+    """``bench.run_observed``'s x0 and its records by name."""
+    x0, trace, (residual_sq, score_cos, score_mse) = bench.run_observed(method, cfg, task, rng, n)
+    return x0, {"residual_sq": residual_sq, "failed_rows": trace.failed_rows,
+                "cg_iters": trace.cg_iters, "score_cos": score_cos, "score_mse": score_mse}
+
+
 def trace_fingerprints(bench, cfg, d: int, m: int, sigma: float, index: int) -> dict:
-    """Each method's recorded trace on one ``bench.run_config`` task, as SHA-256 digests."""
+    """Each method's observed trace on one ``bench.run_config`` task, as SHA-256 digests."""
     task = bench.make_task(cfg, d, m, sigma, index)
     out = {}
     for method in bench.KNOWN_METHODS:
         rng = bench.derive_rng(cfg.master_seed, "pool_outputs", "trace", method, d, m, index)
-        record = {"record_residuals": True}
         names = ("residual_sq", "failed_rows")
         if method == "cdps":
-            record["record_scores"] = True
             names += ("cg_iters", "score_cos", "score_mse")
-        _, trace = bench.run_method(method, cfg, task, rng, cfg.samples_per_run, **record)
-        out[method] = {name: fingerprint(getattr(trace, name)) for name in names}
+        _, records = observed_run(bench, method, cfg, task, rng, cfg.samples_per_run)
+        out[method] = {name: fingerprint(records[name]) for name in names}
     return out
 
 
@@ -86,14 +92,13 @@ def blur_fingerprints(bench, wl, inputs, task, methods) -> dict:
     out = {}
     for method in methods:
         rng = bench.derive_rng(wl.POOL_SEED, "pool_outputs", w.name, method, task.index)
-        x0, trace = bench.run_method(method, w.bench_config(methods), btask, rng, w.chains,
-                                     record_residuals=True)
+        x0, records = observed_run(bench, method, w.bench_config(methods), btask, rng, w.chains)
         sw_rng = bench.derive_rng(wl.POOL_SEED, w.name, "slices", task.index)
         sw = metrics.sliced_wasserstein(x0, task.reference, wl.SW_SLICES, sw_rng,
                                         order=wl.SW_ORDER)
         out[method] = {"samples_sha256": fingerprint(x0), "sw": repr(sw),
-                       "failures": int(trace.failed_rows.size),
-                       "trace_sha256": {name: fingerprint(getattr(trace, name))
+                       "failures": int(records["failed_rows"].size),
+                       "trace_sha256": {name: fingerprint(records[name])
                                         for name in ("residual_sq", "failed_rows")}}
     return out
 
