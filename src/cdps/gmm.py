@@ -31,7 +31,9 @@ constants of each level t = 0..T from a table each builds once:
 sqrt(abar_t), the marginal variance, 0.5 ||sqrt(abar_t) mu_k||^2 and -d/2
 log of the variance.  The table is built by the same elementwise operations
 and the same per-component einsum as one level at a time, so a pass reads
-the same bits it would compute.
+the same bits it would compute; its scalar columns are kept as lists of
+Python floats, which hold the same values and index without building a
+numpy scalar.
 
 The exact posterior's weights are normalised by their largest log weight,
 then by their sum; the oracle log densities sum over the components by
@@ -150,18 +152,14 @@ def make_grid_gmm(d: int) -> GaussianMixture:
 
 class _Levels(NamedTuple):
     """Constants of the forward-time marginal mixture: a table with one row
-    per level, or, as ``at`` returns them, one level's."""
+    per level, or one level's.  A pass takes one level's as any sequence in
+    this order."""
 
     abar: np.ndarray
     root: np.ndarray  # sqrt(abar): the marginal means are root * means
     var: np.ndarray  # the components' marginal variances, a scalar when they are equal
     log_norm: np.ndarray  # -d/2 log(var)
     half_m2: np.ndarray  # (K,) 0.5 ||root * mu_k||^2
-
-    def at(self, t: int) -> _Levels:
-        if not 0 <= t < self.abar.size:
-            raise ValueError(f"t must be in [0, {self.abar.size - 1}], got {t}")
-        return _Levels(self.abar[t], self.root[t], self.var[t], self.log_norm[t], self.half_m2[t])
 
 
 def _level_table(gmm: GaussianMixture, abars: np.ndarray) -> _Levels:
@@ -189,10 +187,29 @@ def _level_table(gmm: GaussianMixture, abars: np.ndarray) -> _Levels:
 
 def _level(gmm: GaussianMixture, abar: float) -> _Levels:
     """One level's constants, by the table's arithmetic."""
-    return _level_table(gmm, np.array([abar], dtype=float)).at(0)
+    return _Levels(*(column[0] for column in _level_table(gmm, np.array([abar], dtype=float))))
 
 
-def _responsibilities(gmm: GaussianMixture, x: np.ndarray, means_t, level: _Levels):
+def _level_reader(gmm: GaussianMixture, schedule: NoiseSchedule):
+    """t -> level t's constants, a tuple in ``_Levels`` order, from a table of
+    the schedule's levels built once; t outside 0..T is refused.
+
+    Columns with one value per level are read from lists of Python floats.
+    """
+    table = _level_table(gmm, schedule.alpha_bars)
+    abar, root, var, log_norm, half_m2 = (
+        column.tolist() if column.ndim == 1 else column for column in table)
+    top = schedule.num_steps
+
+    def at(t):
+        if not 0 <= t <= top:
+            raise ValueError(f"t must be in [0, {top}], got {t}")
+        return abar[t], root[t], var[t], log_norm[t], half_m2[t]
+
+    return at
+
+
+def _responsibilities(gmm: GaussianMixture, x: np.ndarray, means_t, var, log_norm, half_m2):
     """Posterior component probabilities at x, computed in log space.
 
     Squared distances are expanded as ||x||^2 - 2 x.m + ||m||^2 to avoid a
@@ -207,43 +224,42 @@ def _responsibilities(gmm: GaussianMixture, x: np.ndarray, means_t, level: _Leve
     half_x2 = 0.5 * np.einsum("...i,...i->...", x, x)[..., None]
     logits = x @ means_t.T
     logits -= half_x2
-    logits -= level.half_m2
-    logits /= level.var
-    logits += level.log_norm
+    logits -= half_m2
+    logits /= var
+    logits += log_norm
     logits += gmm._log_weights
-    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
     return logits  # (..., K)
 
 
-def _pass(gmm: GaussianMixture, x: np.ndarray, abar: float, level: _Levels | None = None):
+def _pass(gmm: GaussianMixture, x: np.ndarray, abar: float, level=None):
     """Responsibilities, marginal means and variances and sqrt(abar) at (x, abar).
 
     The last pass is reused.  Its key is exact: the same abar (compared
     first, so a new time step misses cheaply), then the same shape and
     values of x, checked against a copy so that changing x in place
     recomputes.  The cached r is read-only.  ``level`` holds abar's
-    constants when the caller has them tabulated.  With equal variances the
-    cache holds no view of a level table, so a mixture that outlives a table
-    (the benchmark keeps each task's prior for a whole run) does not keep it
-    alive.
+    constants, in ``_Levels`` order, when the caller has them tabulated.
+    With equal variances the cache holds no view of a level table, so a
+    mixture that outlives a table (the benchmark keeps each task's prior for
+    a whole run) does not keep it alive.
     """
     last = gmm._last_pass
-    if last is not None and last[0] == abar and np.array_equal(last[1], x):
+    if (last is not None and last[0] == abar and last[1].shape == x.shape
+            and (last[1] == x).all()):
         return last[2:]
-    if level is None:
-        level = _level(gmm, abar)
-    means_t = level.root * gmm.means  # (K, d)
-    r = _responsibilities(gmm, x, means_t, level)
+    _, root, var, log_norm, half_m2 = _level(gmm, abar) if level is None else level
+    means_t = root * gmm.means  # (K, d)
+    r = _responsibilities(gmm, x, means_t, var, log_norm, half_m2)
     r.setflags(write=False)
-    out = (r, means_t, level.var, level.root)
+    out = (r, means_t, var, root)
     object.__setattr__(gmm, "_last_pass", (abar, x.copy(), *out))
     return out
 
 
-def score(gmm: GaussianMixture, x: np.ndarray, abar: float, level: _Levels | None = None
-          ) -> np.ndarray:
+def score(gmm: GaussianMixture, x: np.ndarray, abar: float, level=None) -> np.ndarray:
     """Gradient of the log time-marginal density at x.
 
     Equals the responsibility-weighted sum of per-component Gaussian scores
@@ -254,7 +270,9 @@ def score(gmm: GaussianMixture, x: np.ndarray, abar: float, level: _Levels | Non
     x = np.asarray(x, dtype=float)
     r, means_t, var_t, _ = _pass(gmm, x, abar, level)
     rv = r / var_t
-    return rv @ means_t - x * rv.sum(axis=-1)[..., None]
+    out = rv @ means_t
+    out -= x * np.add.reduce(rv, axis=-1)[..., None]
+    return out
 
 
 def log_marginal_density(gmm: GaussianMixture, x: np.ndarray, abar: float) -> np.ndarray:
@@ -273,17 +291,17 @@ def score_fn_for(gmm: GaussianMixture, schedule: NoiseSchedule):
     Each call reads level t's constants from a table of the schedule's
     levels, built here and kept by the callable.
     """
-    levels = _level_table(gmm, schedule.alpha_bars)
+    level_at = _level_reader(gmm, schedule)
 
     def fn(x, t):
-        level = levels.at(t)
-        return score(gmm, x, level.abar, level)
+        level = level_at(t)
+        return score(gmm, x, level[0], level)
 
     return fn
 
 
 def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np.ndarray,
-                         level: _Levels | None = None) -> np.ndarray:
+                         level=None) -> np.ndarray:
     """Jacobian of the posterior-mean denoiser applied to u, computed stably.
 
     For equal component variances the chain rule collapses to
@@ -302,12 +320,12 @@ def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np
     if u.shape != x.shape:  # the products below are in place, at the broadcast shape
         u = np.broadcast_to(u, np.broadcast_shapes(u.shape, x.shape))
     r, _, var_t, root = _pass(gmm, x, abar, level)
-    v = float(np.ravel(var_t)[0])
+    v = var_t if isinstance(var_t, float) else float(var_t[0])  # (K,) when only close
 
     t = u @ gmm.means.T  # (..., K) inner products <mu_k, u>
     t *= r
     cov_u = t @ gmm.means  # sum_k r_k mu_k <mu_k, u>
-    cov_u -= (r @ gmm.means) * t.sum(axis=-1)[..., None]
+    cov_u -= (r @ gmm.means) * np.add.reduce(t, axis=-1)[..., None]
     cov_u *= (1.0 - abar) / (v * v)
     out = u * (gmm.variances[0] / v)
     out += cov_u
@@ -322,11 +340,11 @@ def denoiser_jvp_fn_for(gmm: GaussianMixture, schedule: NoiseSchedule):
     the two read the same constants, so a Jacobian product at the score's
     (x, t) reuses the score's pass.
     """
-    levels = _level_table(gmm, schedule.alpha_bars)
+    level_at = _level_reader(gmm, schedule)
 
     def fn(x, t, u):
-        level = levels.at(t)
-        return denoiser_jacobian_vp(gmm, x, level.abar, u, level)
+        level = level_at(t)
+        return denoiser_jacobian_vp(gmm, x, level[0], u, level)
 
     return fn
 

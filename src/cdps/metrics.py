@@ -8,7 +8,9 @@ import numpy as np
 
 from .operators import LinearOperator
 
-_SLICE_CHUNK = 2048
+# Slices drawn, projected and sorted at a time: the working set is about
+# (2 n + d) * 8 * _SLICE_BLOCK bytes, whatever n_slices is.
+_SLICE_BLOCK = 256
 
 
 def _check_samples(a: np.ndarray, name: str) -> np.ndarray:
@@ -31,9 +33,10 @@ def sliced_wasserstein(
 
     Projects both sets onto ``n_slices`` uniform random directions, computes
     the 1-D order-p Wasserstein distance per direction via sorted quantile
-    matching, and aggregates as (mean_slices W_p^p)^(1/p).  All directions
-    come from ``rng`` up front, so the result is independent of how the
-    slice loop is chunked.
+    matching, and aggregates as (mean_slices W_p^p)^(1/p).  The directions
+    are drawn from ``rng`` a block of ``_SLICE_BLOCK`` at a time, one
+    ``standard_normal`` call per block, so they and the generator's final
+    state are those of one up-front (n_slices, d) draw, whatever the block.
     """
     a = _check_samples(a, "a")
     b = _check_samples(b, "b")
@@ -51,25 +54,23 @@ def sliced_wasserstein(
         raise ValueError("order must be 1 or 2")
 
     d = a.shape[1]
-    dirs = rng.standard_normal((n_slices, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-
     total = 0.0
-    for lo in range(0, n_slices, _SLICE_CHUNK):
-        chunk = dirs[lo : lo + _SLICE_CHUNK]
+    for lo in range(0, n_slices, _SLICE_BLOCK):
+        dirs = rng.standard_normal((min(_SLICE_BLOCK, n_slices - lo), d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         # One projection per row, so each sort runs along contiguous memory,
         # in place like the differences below.
-        diff = chunk @ a.T
+        diff = dirs @ a.T
         diff.sort(axis=-1)
-        pb = chunk @ b.T
+        pb = dirs @ b.T
         pb.sort(axis=-1)
         diff -= pb
         if order == 2:
             diff *= diff
         else:
             np.abs(diff, out=diff)
-        total += float(np.mean(diff, axis=-1).sum())
-    mean = total / n_slices
+        total += float(np.add.reduce(diff, axis=None))
+    mean = total / (n_slices * a.shape[0])
     return math.sqrt(mean) if order == 2 else mean
 
 

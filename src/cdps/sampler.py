@@ -58,6 +58,7 @@ noise (n, d) and, for Score-SDE and ILVR, the target's (n, m).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -164,7 +165,8 @@ def generate_measurement_chain(
     noise stream is still that of one (n, T, m) block: each row's noise is
     drawn in order, a piece at a time, into one reused buffer of at most
     ``CHAIN_DRAW_BYTES`` (or one level, if larger) and copied into place.
-    The recursion then runs in place.
+    The noise is then scaled by sqrt(beta_t) in one pass, and the recursion
+    adds sqrt(1-beta_t) y_{t-1} in place, level by level.
     """
     _check_n_chains(n_chains)
     y0 = np.asarray(y0, dtype=float)
@@ -184,13 +186,11 @@ def generate_measurement_chain(
             levels[lo:lo + part.shape[0], row] = part
 
     levels[0] = y0
-    root_keep = np.sqrt(schedule.alphas)
-    root_add = np.sqrt(schedule.betas)
+    del part, buf  # the broadcast product below takes a buffer of its own, up to 64 KiB
+    levels[1:] *= np.sqrt(schedule.betas)[:, None, None]
     tmp = np.empty(levels.shape[1:])
-    for t in range(1, T + 1):
-        level = levels[t]
-        level *= root_add[t - 1]
-        level += np.multiply(root_keep[t - 1], levels[t - 1], out=tmp)
+    for prev, level, keep in zip(levels[:-1], levels[1:], np.sqrt(schedule.alphas).tolist()):
+        level += np.multiply(keep, prev, out=tmp)
     y_levels = levels[:, 0] if n_chains is None else levels.transpose(1, 0, 2)
     return MeasurementChain(y_levels=y_levels, schedule=schedule)
 
@@ -517,7 +517,7 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
         eps1 *= root_c
         rhs += eps1
         # A sum over finite entries is finite unless it overflows.
-        if not np.isfinite(rhs.sum()) and not np.all(np.isfinite(rhs)):
+        if not math.isfinite(np.add.reduce(rhs, axis=None)) and not np.all(np.isfinite(rhs)):
             raise ValueError("rhs must be finite")
         return rhs @ solve, 0, _NO_ROWS
     return fused_step
@@ -550,7 +550,8 @@ def _reverse_run(A, schedule, score_fn, rng, n_chains, per_row, step):
     with NormalStream(rng, x.size // A.d * per_row, T) as normals:
         for t, eps in zip(range(T, 0, -1), normals):
             x, cg_iters[t], rows = step(x, t, np.asarray(score_fn(x, t), dtype=float), eps)
-            failed[rows] = True
+            if rows.size:
+                failed[rows] = True
     return x, SamplerTrace(np.nonzero(failed)[0], cg_iters)
 
 

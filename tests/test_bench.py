@@ -623,6 +623,10 @@ def test_bench_pairs_summarises_printed_task_seconds():
     # 4/4 pairs and a median gap of 0.05 against a parent IQR of 0.015.
     assert summary["cdps.task_s"]["claim_rule_met"]
     assert summary["cdps.task_s"]["worse_beyond_bound"] is None
+    # Each side's range shows its tail runs beside the quartiles.
+    assert summary["cdps.task_s"]["parent"]["min"] == pytest.approx(0.2)
+    assert summary["cdps.task_s"]["parent"]["max"] == pytest.approx(0.23)
+    assert summary["cdps.task_s"]["change"]["max"] == pytest.approx(0.18)
 
 
 @pytest.mark.parametrize("change, claim, worse", [

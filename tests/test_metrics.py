@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import cdps.metrics
 from cdps.gmm import make_grid_gmm, score_fn_for
 from cdps.metrics import IterateTrace, batch_cosine, measurement_residual, sliced_wasserstein
 from cdps.operators import IsotropicNoise, from_dense, make_random_svd_operator
@@ -59,6 +62,50 @@ def test_sw_order_one_variant():
     assert sliced_wasserstein(a, b, 16, np.random.default_rng(9), order=1) == pytest.approx(3.0)
     with pytest.raises(ValueError):
         sliced_wasserstein(a, b, 16, np.random.default_rng(9), order=3)
+
+
+def _reference_sw(a, b, dirs, order):
+    """SW from directions drawn up front, one slice at a time, summed in plain loops."""
+    total = 0.0
+    for v in dirs / np.linalg.norm(dirs, axis=1, keepdims=True):
+        gaps = np.sort(a @ v) - np.sort(b @ v)
+        total += np.mean(gaps ** 2 if order == 2 else np.abs(gaps))
+    mean = total / len(dirs)
+    return np.sqrt(mean) if order == 2 else mean
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_sw_does_not_depend_on_its_block(order, monkeypatch):
+    # The directions come a block at a time from the stream of one up-front
+    # (n_slices, d) draw: the same slices, the same generator state after,
+    # and an SW that differs only by summation order.
+    rng = np.random.default_rng(12)
+    n_slices, d = 300, 5
+    a = rng.standard_normal((40, d))
+    b = 1.5 * rng.standard_normal((40, d)) + 0.5
+    upfront = np.random.default_rng(13)
+    expected = _reference_sw(a, b, upfront.standard_normal((n_slices, d)), order)
+    for block in (1, 7, cdps.metrics._SLICE_BLOCK, n_slices + 1):
+        monkeypatch.setattr(cdps.metrics, "_SLICE_BLOCK", block)
+        slices = np.random.default_rng(13)
+        got = sliced_wasserstein(a, b, n_slices, slices, order=order)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0), block
+        assert slices.bit_generator.state == upfront.bit_generator.state, block
+
+
+def test_sw_working_set_is_bounded():
+    # Slices are projected and sorted a block at a time, so one call's
+    # arrays stay at a few MiB; all 10^4 at once would need about 39 MB.
+    rng = np.random.default_rng(14)
+    a = rng.standard_normal((1000, 80))
+    b = rng.standard_normal((1000, 80))
+    tracemalloc.start()
+    try:
+        sliced_wasserstein(a, b, 10_000, np.random.default_rng(15))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_sw_input_validation():

@@ -15,15 +15,16 @@ on even ones.
 
 The output keeps every run (its exit code, ``correct``, failure count, wall
 seconds, end-to-end metrics and every ``metric NAME VALUE UNIT`` line it
-printed) and, per workload and metric, each side's median and quartiles, the
-pairs the change won, the relative change of the median, the parent's
-interquartile range and two verdicts: whether the gain rule holds (the change
-won at least nine pairs in ten and beat the parent's median by more than the
-parent's IQR) and whether the change's median is worse than the parent's by
-more than the metric's bound. Beside the gated metrics the summary carries
-the raw median seconds per task of each method, ``cdps.task_s`` and ``dps.task_s``:
-``task_cal`` divides them by the speed probe's unit, so a gain that shows in
-``task_cal`` but not in ``task_s`` is a shift of that unit.
+printed) and, per workload and metric, each side's median, quartiles, minimum
+and maximum (so a tail run shows), the pairs the change won, the relative
+change of the median, the parent's interquartile range and two verdicts:
+whether the gain rule holds (the change won at least nine pairs in ten and
+beat the parent's median by more than the parent's IQR) and whether the
+change's median is worse than the parent's by more than the metric's bound.
+Beside the gated metrics the summary carries the raw median seconds per task
+of each method, ``cdps.task_s`` and ``dps.task_s``: ``task_cal`` divides them
+by the speed probe's unit, so a gain that shows in ``task_cal`` but not in
+``task_s`` is a shift of that unit.
 
 ``--run-config-dims`` also times one ``bench.run_config`` task per
 dimension (m = 4, sigma = 1e-2, matrix 0, 100 chains) with C-DPS and DPS,
@@ -138,12 +139,13 @@ def printed_metrics(lines: list[str]) -> dict[str, float]:
 
 
 def side_stats(values: list[float]) -> dict:
-    q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return {"median": float(median), "q1": float(q1), "q3": float(q3), "n": len(values)}
+    low, q1, median, q3, high = np.percentile(values, [0, 25, 50, 75, 100])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3), "min": float(low),
+            "max": float(high), "n": len(values)}
 
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: both sides' quartiles, pairs the change won, median change and parent IQR.
+    """Per metric: both sides' quartiles and range, pairs won, median change and parent IQR.
 
     Two verdicts follow. ``claim_rule_met``: the change won at least nine
     tenths of the pairs (ties count for neither side) and its median beats
