@@ -1,10 +1,12 @@
 import dataclasses
 import functools
 import math
+import mmap
 import re
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +106,25 @@ def test_chain_equals_block_recursion_in_place(n_chains):
     # At 7 chains the level array dwarfs the schedule's two T-long arrays.
     if n_chains == 7:
         assert peak <= 1.1 * chain.y_levels.nbytes
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads /proc/self/statm")
+def test_freed_chain_gives_back_its_pages():
+    # Freeing a block larger than the chain first raises malloc's mmap
+    # threshold past the chain's size, so a chain taken from malloc would
+    # stay resident in the heap once freed.  The chain's own mapping is
+    # given back whatever the heap holds.
+    def resident_bytes():
+        return int(Path("/proc/self/statm").read_text().split()[1]) * mmap.PAGESIZE
+
+    larger = np.ones(28 << 17)  # 28 MiB
+    del larger
+    chain = generate_measurement_chain(np.zeros(32), BENCH_SCHEDULE, np.random.default_rng(5),
+                                       n_chains=100)
+    nbytes = chain.y_levels.nbytes
+    held = resident_bytes()
+    del chain
+    assert held - resident_bytes() >= 0.9 * nbytes
 
 
 def test_chain_marginal_mean_monte_carlo():
