@@ -32,6 +32,9 @@ KNOWN_METHODS = ("cdps", "dps", "score_sde", "ilvr")
 
 RESULT_COLUMNS = ("method", "d", "m", "sigma", "matrix", "sw", "failures", "seconds")
 
+TRACE_COLUMNS = ("method", "chain_id", "t", "residual_sq", "score_cos", "score_mse", "cg_iters",
+                 "failed")
+
 # Config fields a run counts with; a float would be truncated or fail deep in
 # numpy, and a bool would count as 0 or 1.
 _INTEGER_FIELDS = ("dims", "measurements", "matrices_per_config", "samples_per_run", "sw_slices",
@@ -296,6 +299,12 @@ def write_csv(path: Path, header, rows) -> Path:
     return _write(path, lambda fh: csv.writer(fh).writerows(itertools.chain([header], rows)))
 
 
+def write_json(path: Path, payload) -> Path:
+    """Write ``payload`` to ``path`` as indented JSON with sorted keys, through ``_write``."""
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _write(path, lambda fh: fh.write(text))
+
+
 def environment(master_seed: int) -> dict:
     """What a run's numbers depend on besides its config: seed, code and numerical stack.
 
@@ -327,10 +336,9 @@ def emit_results(result: BenchResult, out_dir, cfg: BenchConfig) -> list[Path]:
             for row in result.rows)
     written = [write_csv(out / "results.csv", RESULT_COLUMNS, rows)]
 
-    payload = {"aggregates": result.aggregates, "aborted": result.aborted,
-               "config": asdict(cfg), "environment": environment(cfg.master_seed)}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    written.append(_write(out / "summary.json", lambda fh: fh.write(text)))
+    written.append(write_json(out / "summary.json", {
+        "aggregates": result.aggregates, "aborted": result.aborted,
+        "config": asdict(cfg), "environment": environment(cfg.master_seed)}))
 
     for (d, m, sigma), samples in sorted(result.scatter.items()):
         path = out / f"scatter_d{d}_m{m}_s{sigma!r}.csv"
@@ -338,3 +346,34 @@ def emit_results(result: BenchResult, out_dir, cfg: BenchConfig) -> list[Path]:
                 for source, arr in samples.items() for p in arr)
         written.append(write_csv(path, ["source", "x1", "x2"], rows))
     return written
+
+
+def _trace_rows(method: str, trace, records):
+    """One method's trace rows: chains in order, each from level T down to 0."""
+    levels, n = records[0].shape
+    cg_iters = trace.cg_iters[1:].tolist() + [0]  # level t comes from step t + 1; x_T from none
+    failed = np.isin(np.arange(n), trace.failed_rows).astype(int).tolist()
+    for chain, t in itertools.product(range(n), range(levels - 1, -1, -1)):
+        yield [method, chain, t, *(f"{a[t, chain]:.12g}" for a in records), cg_iters[t],
+               failed[chain]]
+
+
+def write_trace(cfg: BenchConfig, d: int, m: int, sigma: float, n: int, out_dir) -> list[Path]:
+    """Observe ``n`` chains of each of ``cfg.methods`` on matrix 0 of (d, m, sigma); write them.
+
+    Each method runs through ``run_observed`` on the stream
+    ``derive_rng(cfg.master_seed, "trace", method, d, m, sigma)``. The CSV
+    has a ``TRACE_COLUMNS`` row per method, chain and level t = T..0; its
+    ``cg_iters`` is that of the step that produced x_t. The JSON beside it
+    holds the ``config`` and ``environment``. Returns the two paths.
+    """
+    task = make_task(cfg, d, m, sigma, 0)
+    rows = []
+    for method in cfg.methods:
+        rng = derive_rng(cfg.master_seed, "trace", method, d, m, sigma)
+        _, trace, records = run_observed(method, cfg, task, rng, n)
+        rows.append(_trace_rows(method, trace, records))
+    out, stem = Path(out_dir), f"trace_d{d}_m{m}_s{float(sigma)!r}"
+    return [write_csv(out / f"{stem}.csv", TRACE_COLUMNS, itertools.chain(*rows)),
+            write_json(out / f"{stem}.json", {"config": asdict(cfg),
+                                              "environment": environment(cfg.master_seed)})]

@@ -2,14 +2,17 @@
 
 Subcommands:
   run           full benchmark grid -> results.csv / summary.json
+                (with --trace, also each grid point's trace record)
   oracle        exact-posterior sanity run -> samples CSV + summary
-  trace         measurement-residual trajectories -> CSV
-  diagnostics   score-consistency (cosine / MSE) per step -> CSV
+  trace         one grid point's trace record -> CSV + JSON: per method,
+                chain and level, the residual, score cosine and MSE, CG
+                iterations and failed rows, with the config and environment
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import gmm as gmm_mod
 from .bench import (
-    BenchConfig, derive_rng, emit_results, make_task, run_grid, run_observed, write_csv,
+    BenchConfig, derive_rng, emit_results, make_task, run_grid, write_csv, write_trace,
 )
 
 
@@ -37,11 +40,11 @@ def _load_config(path: str | None, overrides: dict) -> BenchConfig:
         raise SystemExit(f"invalid config: {err}") from None
 
 
-def _point_task(args, samples: int):
-    """The flags' ``BenchConfig``, refused in one line unless valid, and its task."""
-    cfg = _load_config(None, {"dims": (args.d,), "measurements": (args.m,), "sigmas": (args.sigma,),
-                              "samples_per_run": samples, "master_seed": args.seed})
-    return cfg, make_task(cfg, args.d, args.m, args.sigma, args.matrix)
+def _point_config(args, samples: int) -> BenchConfig:
+    """The flags' ``BenchConfig``, refused in one line unless valid."""
+    return _load_config(None, {"dims": (args.d,), "measurements": (args.m,),
+                               "sigmas": (args.sigma,), "samples_per_run": samples,
+                               "master_seed": args.seed})
 
 
 def _cmd_run(args) -> int:
@@ -57,7 +60,8 @@ def _cmd_run(args) -> int:
     result = run_grid(cfg)
     written = emit_results(result, args.out, cfg)
     if args.trace:
-        written.extend(_write_run_traces(cfg, args.out))
+        for d, m, sigma in itertools.product(cfg.dims, cfg.measurements, cfg.sigmas):
+            written.extend(write_trace(cfg, d, m, sigma, min(cfg.samples_per_run, 100), args.out))
     for agg in result.aggregates:
         print(
             f"{agg['method']:>9s}  d={agg['d']:<4d} m={agg['m']:<2d} "
@@ -70,35 +74,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _trace_csv_rows(res, cg_iters, n_chains):
-    """(chain_id, t, residual_sq, cg_iters) CSV rows."""
-    T = res.shape[0] - 1
-    for chain in range(n_chains):
-        for t in range(T, -1, -1):
-            produced_by = t + 1  # step consuming beta_{t+1} produced level t
-            cg = int(cg_iters[produced_by]) if produced_by <= T else 0
-            yield [chain, t, f"{res[t, chain]:.12g}", cg]
-
-
-def _write_run_traces(cfg: BenchConfig, out_dir) -> list[Path]:
-    """Residual traces for the first matrix of every grid point."""
-    out = Path(out_dir)
-    written = []
-    for d in cfg.dims:
-        for m in cfg.measurements:
-            for sigma in cfg.sigmas:
-                rng = derive_rng(cfg.master_seed, "trace", d, m, sigma)
-                n = min(cfg.samples_per_run, 100)
-                _, trace, (res, _, _) = run_observed("cdps", cfg, make_task(cfg, d, m, sigma, 0),
-                                                     rng, n)
-                written.append(write_csv(out / f"trace_cdps_d{d}_m{m}_s{sigma!r}.csv",
-                                         ["chain_id", "t", "residual_sq", "cg_iters"],
-                                         _trace_csv_rows(res, trace.cg_iters, n)))
-    return written
-
-
 def _cmd_oracle(args) -> int:
-    _, task = _point_task(args, args.samples)
+    task = make_task(_point_config(args, args.samples), args.d, args.m, args.sigma, args.matrix)
     posterior = gmm_mod.exact_posterior(task.prior, task.A, task.y, args.sigma)
     rng = derive_rng(args.seed, "oracle", args.d, args.m, args.sigma, args.matrix)
     samples = gmm_mod.sample_mixture(posterior, args.samples, rng)
@@ -122,36 +99,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    cfg, task = _point_task(args, args.chains)
-
-    traces = {}
-    for method in ("cdps", "dps"):
-        rng = derive_rng(args.seed, "trace", method, args.d, args.m, args.sigma)
-        _, trace, (res, _, _) = run_observed(method, cfg, task, rng, args.chains)
-        print(f"{method}: mean residual_sq t=T {res[-1].mean():.4g} -> t=0 {res[0].mean():.4g}")
-        traces[method] = res, trace.cg_iters
-
-    rows = ([method] + row for method, (res, cg_iters) in traces.items()
-            for row in _trace_csv_rows(res, cg_iters, args.chains))
-    path = write_csv(Path(args.out) / f"trace_d{args.d}_m{args.m}_s{args.sigma!r}.csv",
-                     ["method", "chain_id", "t", "residual_sq", "cg_iters"], rows)
-    print(f"wrote {path}")
-    return 0
-
-
-def _cmd_diagnostics(args) -> int:
-    cfg, task = _point_task(args, args.chains)
-    schedule = task.schedule
-    rng = derive_rng(args.seed, "diagnostics", args.d, args.m, args.sigma)
-    _, _, (_, cos, mse) = run_observed("cdps", cfg, task, rng, args.chains)
-
-    rows = ([t, f"{np.nanmean(cos[t]):.8g}", f"{np.nanmean(mse[t]):.8g}", args.chains]
-            for t in range(schedule.num_steps, 0, -1))
-    path = write_csv(Path(args.out) / f"diagnostics_d{args.d}_m{args.m}_s{args.sigma!r}.csv",
-                     ["t", "cos_mean", "mse_mean", "n_chains"], rows)
-    valid = np.arange(1, schedule.num_steps + 1)
-    print(f"mean cosine over trajectory: {np.nanmean(cos[valid]):.4f}")
-    print(f"wrote {path}")
+    cfg = _point_config(args, args.chains)
+    for path in write_trace(cfg, args.d, args.m, args.sigma, args.chains, args.out):
+        print(f"wrote {path}")
     return 0
 
 
@@ -163,7 +113,8 @@ def main(argv=None) -> int:
     run.add_argument("--config", help="JSON config mirroring BenchConfig fields")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--methods", help="comma-separated subset of cdps,dps,score_sde,ilvr")
-    run.add_argument("--trace", action="store_true", help="also write residual trace CSVs")
+    run.add_argument("--trace", action="store_true",
+                     help="also write each grid point's trace record, on up to 100 chains")
     run.add_argument("--shared-y-chain", action="store_true", default=None,
                      help="one shared measurement chain per observation")
     run.add_argument("--scatter", action="store_true", default=None,
@@ -177,26 +128,20 @@ def main(argv=None) -> int:
         p.add_argument("--d", type=int, default=8)
         p.add_argument("--m", type=int, default=2)
         p.add_argument("--sigma", type=float, default=0.1)
-        p.add_argument("--matrix", type=int, default=0)
         p.add_argument("--seed", type=int, default=0)
 
     oracle = sub.add_parser("oracle", help="exact-posterior sanity run")
     _common(oracle)
+    oracle.add_argument("--matrix", type=int, default=0)
     oracle.add_argument("--samples", type=int, default=1000)
     oracle.add_argument("--out", default=None)
     oracle.set_defaults(func=_cmd_oracle)
 
-    trace = sub.add_parser("trace", help="measurement-residual trajectories")
+    trace = sub.add_parser("trace", help="one grid point's trace record, matrix 0")
     _common(trace)
     trace.add_argument("--chains", type=int, default=100)
     trace.add_argument("--out", required=True)
     trace.set_defaults(func=_cmd_trace)
-
-    diag = sub.add_parser("diagnostics", help="score-consistency diagnostics")
-    _common(diag)
-    diag.add_argument("--chains", type=int, default=20)
-    diag.add_argument("--out", required=True)
-    diag.set_defaults(func=_cmd_diagnostics)
 
     args = parser.parse_args(argv)
     return args.func(args)

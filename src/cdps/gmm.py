@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .operators import LinearOperator, checked_y
-from .schedules import NoiseSchedule
+from .schedules import NoiseSchedule, check_level
 
 _WSUM_TOL = 1e-12
 # Largest temporary, in bytes, of the (levels, K, d) marginal means a level
@@ -192,7 +192,7 @@ def _level(gmm: GaussianMixture, abar: float) -> _Levels:
 
 def _level_reader(gmm: GaussianMixture, schedule: NoiseSchedule):
     """t -> level t's constants, a tuple in ``_Levels`` order, from a table of
-    the schedule's levels built once; t outside 0..T is refused.
+    the schedule's levels built once; a t that is no integer in 0..T is refused.
 
     Columns with one value per level are read from lists of Python floats.
     """
@@ -202,8 +202,7 @@ def _level_reader(gmm: GaussianMixture, schedule: NoiseSchedule):
     top = schedule.num_steps
 
     def at(t):
-        if not 0 <= t <= top:
-            raise ValueError(f"t must be in [0, {top}], got {t}")
+        check_level(t, top)
         return abar[t], root[t], var[t], log_norm[t], half_m2[t]
 
     return at

@@ -84,7 +84,7 @@ from .operators import (
     mix_conditional_cov,
     mix_variance,
 )
-from .schedules import NoiseSchedule
+from .schedules import NoiseSchedule, check_level
 
 
 class ChainFailureError(RuntimeError):
@@ -135,8 +135,7 @@ class MeasurementChain:
             raise ValueError("chain length must be T + 1")
 
     def y_at(self, t: int) -> np.ndarray:
-        if not 0 <= t <= self.schedule.num_steps:
-            raise ValueError("t out of range")
+        check_level(t, self.schedule.num_steps)
         return self.y_levels[..., t, :]
 
 
@@ -269,12 +268,6 @@ def _score_offset(A: LinearOperator, s_hat: np.ndarray, abar_prev: float) -> np.
     return (1.0 - abar_prev) * A_s
 
 
-def _check_t(t, schedule: NoiseSchedule) -> None:
-    """Refuse a step t that is not an integer in [1, T]."""
-    if not isinstance(t, (int, np.integer)) or not 1 <= t <= schedule.num_steps:
-        raise ValueError("t must be an integer in [1, T]")
-
-
 def _linear_params(t, s_hat, A, noise, scalars) -> PosteriorStepParams:
     """Step t's parameters around the frozen score."""
     i = t - 1
@@ -299,7 +292,7 @@ def make_step_params(
 ) -> PosteriorStepParams:
     """Freeze the score at (x_t, t) and assemble the step's Gaussian parameters."""
     config = config or SolverConfig()
-    _check_t(t, schedule)
+    check_level(t, schedule.num_steps, first=1)
     scalars = _step_scalars(schedule, config.prior_mode)
     return _linear_params(t, np.asarray(score_fn(x_t, t), dtype=float), A, noise, scalars)
 
@@ -611,12 +604,19 @@ def cdps_sample(
                         lambda x, t, s_hat, eps: coupled(x, t, s_hat, y_at[t - 1], eps))
 
 
+def _check_width(x_t: np.ndarray, d: int) -> None:
+    """Refuse an x_t whose last axis is not d, before the score or a draw sees it."""
+    if x_t.shape[-1:] != (d,):
+        raise ValueError(f"x_t must have last axis {d}, got shape {x_t.shape}")
+
+
 def _single_step(x_t, t, chain, score_fn, A, noise, rng, config, offset=0.0):
     """Step t of a run on the chain's schedule, at the chain's level y_{t-1} less ``offset``."""
     config = config or SolverConfig()
+    _check_width(x_t, A.d)
     if not np.all(np.isfinite(x_t)):
         raise ValueError("x_t must be finite")
-    _check_t(t, chain.schedule)
+    check_level(t, chain.schedule.num_steps, first=1)
     if chain.y_levels.shape[-1] != A.m:
         raise ValueError(f"the chain's levels must have length {A.m}")
     if chain.y_levels.shape[:-2] not in ((), x_t.shape[:-1]):
@@ -850,6 +850,7 @@ def cdps_step_nonlinear(
     step is the linear step bit for bit (same draws, same arithmetic).
     """
     x_t = np.asarray(x_t, dtype=float)
+    _check_width(x_t, g.d)
     A_lin = linearize(g, x_t)  # raises unless x_t is a single chain
     offset = np.asarray(g.apply(x_t), dtype=float) - A_lin.apply(x_t)
     return _single_step(x_t, t, chain, score_fn, A_lin, noise, rng, config, offset)

@@ -84,8 +84,13 @@ def make_linear_schedule(num_steps: int, beta_min: float, beta_max: float) -> No
     return NoiseSchedule(np.clip(betas, _BETA_EPS, 1.0 - _BETA_EPS))
 
 
+def check_level(t, num_steps: int, first: int = 0) -> None:
+    """Refuse a level t that is not an integer in [first, num_steps]; a bool is no level."""
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not first <= t <= num_steps:
+        raise ValueError(f"t must be an integer in [{first}, T] with T = {num_steps}, got {t!r}")
+
+
 def alpha_bar(schedule: NoiseSchedule, t: int) -> float:
     """Cumulative product of (1 - beta) over the first t steps; 1 at t = 0."""
-    if not 0 <= t <= schedule.num_steps:
-        raise ValueError(f"t must be in [0, {schedule.num_steps}], got {t}")
+    check_level(t, schedule.num_steps)
     return float(schedule.alpha_bars[t])

@@ -5,6 +5,7 @@ import importlib.util
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -381,48 +382,79 @@ def test_cli_run_with_config_file(tmp_path):
     assert header == ["source", "x1", "x2"]
 
 
+TRACE_PARAMS = {"dims": [8], "measurements": [2], "sigmas": [0.1], "matrices_per_config": 1,
+                "samples_per_run": 20, "sw_slices": 100, "num_steps": 50, "beta_max": 12.5,
+                "methods": ["cdps"], "record_timing": False}
+
+
 def test_cli_run_trace_flag(tmp_path):
+    # `run --trace` records every method the run ran.
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({
-        "dims": [8], "measurements": [2], "sigmas": [0.1],
-        "matrices_per_config": 1, "samples_per_run": 20, "sw_slices": 100,
-        "num_steps": 50, "beta_max": 12.5, "methods": ["cdps"],
-        "record_timing": False,
-    }))
+    cfg_path.write_text(json.dumps({**TRACE_PARAMS, "methods": ["cdps", "dps"]}))
     out = tmp_path / "out"
     cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--trace"])
-    traces = list(out.glob("trace_cdps_*.csv"))
-    assert len(traces) == 1
+    traces = list(out.glob("trace_*.csv"))
+    assert [p.name for p in traces] == ["trace_d8_m2_s0.1.csv"]
     rows = read_csv(traces[0])
-    assert rows[0] == ["chain_id", "t", "residual_sq", "cg_iters"]
-    assert len(rows) == 1 + 20 * 51
+    assert rows[0] == list(cdps.bench.TRACE_COLUMNS)
+    assert [r[0] for r in rows[1:]] == ["cdps"] * (20 * 51) + ["dps"] * (20 * 51)
+    record = json.loads((out / "trace_d8_m2_s0.1.json").read_text())
+    assert record["config"]["methods"] == ["cdps", "dps"]
+    assert record["environment"]["master_seed"] == 0
 
 
 def test_cli_shared_y_chain_traces_use_the_shared_chain(tmp_path):
     # `run --shared-y-chain --trace` writes the residuals of the run its
     # results come from: C-DPS with one measurement chain shared by every row.
-    params = {"dims": [8], "measurements": [2], "sigmas": [0.1], "matrices_per_config": 1,
-              "samples_per_run": 20, "sw_slices": 100, "num_steps": 50, "beta_max": 12.5,
-              "methods": ["cdps"], "record_timing": False}
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(params))
+    cfg_path.write_text(json.dumps(TRACE_PARAMS))
     out = tmp_path / "out"
     cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--trace",
               "--shared-y-chain", "--seed", "5"])
 
-    cfg = BenchConfig(**params, master_seed=5)
+    cfg = BenchConfig(**TRACE_PARAMS, master_seed=5)
     prior, A, _, y = make_measurement_model(cfg, 8, 2, 0.1, 0)
     schedule = make_linear_schedule(50, 0.1, 12.5)
     observer = IterateTrace(score_fn_for(prior, schedule), y, A)
     x0, _ = cdps.sampler.cdps_sample(
         y, A, IsotropicNoise(0.1 * 0.1), schedule, observer,
-        derive_rng(5, "trace", 8, 2, 0.1), n_chains=20, config=SolverConfig(strict=False),
-        shared_chain=True)
+        derive_rng(5, "trace", "cdps", 8, 2, 0.1), n_chains=20,
+        config=SolverConfig(strict=False), shared_chain=True)
     expected = observer.close(x0)[0]
-    rows = read_csv(out / "trace_cdps_d8_m2_s0.1.csv")[1:]
+    rows = read_csv(out / "trace_d8_m2_s0.1.csv")[1:]
     assert len(rows) == 20 * 51
-    for chain, t, residual_sq, _ in rows:
+    for _, chain, t, residual_sq, *_ in rows:
         assert residual_sq == f"{expected[int(t), int(chain)]:.12g}"
+
+
+@pytest.mark.parametrize("method", ["cdps", "dps"])
+def test_write_trace_columns_are_an_observed_run(tmp_path, monkeypatch, method):
+    # Each written residual and score value is that of an IterateTrace on the
+    # record's stream, to the written digits. cg_iters and failed come from
+    # the run's SamplerTrace, here one whose every step and one chain differ.
+    cfg = smoke_config(measurements=(2,), sigmas=(0.1,), num_steps=30, methods=(method,))
+    observed = cdps.bench.run_observed
+    fake = cdps.sampler.SamplerTrace(np.array([1]), 10 * np.arange(31))
+
+    def with_fake_trace(*args):
+        x0, _, records = observed(*args)
+        return x0, fake, records
+
+    monkeypatch.setattr(cdps.bench, "run_observed", with_fake_trace)
+    paths = cdps.bench.write_trace(cfg, 8, 2, 0.1, 4, tmp_path)
+    assert [p.name for p in paths] == ["trace_d8_m2_s0.1.csv", "trace_d8_m2_s0.1.json"]
+    rng = derive_rng(cfg.master_seed, "trace", method, 8, 2, 0.1)
+    _, _, records = observed(method, cfg, make_task(cfg, 8, 2, 0.1, 0), rng, 4)
+    rows = read_csv(paths[0])[1:]
+    assert [(r[0], int(r[1]), int(r[2])) for r in rows] == [
+        (method, chain, t) for chain in range(4) for t in range(30, -1, -1)]
+    for _, chain, t, *values, cg_iters, failed in rows:
+        chain, t = int(chain), int(t)
+        assert values == [f"{a[t, chain]:.12g}" for a in records]
+        assert int(cg_iters) == (10 * (t + 1) if t < 30 else 0)
+        assert int(failed) == (chain == 1)
+    assert {(r[4], r[5]) for r in rows if r[2] == "0"} == {("nan", "nan")}
+    assert "nan" not in {r[k] for r in rows if r[2] != "0" for k in (4, 5)}
 
 
 def test_cli_rejects_unknown_config_keys(tmp_path):
@@ -450,7 +482,7 @@ def test_cli_reports_a_refused_config_value_in_one_line(tmp_path, config, flags,
 
 _POINT_REFUSALS = [
     (command, flags, refused)
-    for command in ("oracle", "trace", "diagnostics")
+    for command in ("oracle", "trace")
     for flags, refused in [
         (["--d", "7"], "every d must be an even integer >= 2"),
         (["--m", "9"], "need 1 <= m <= d for every grid point"),
@@ -464,7 +496,7 @@ _POINT_REFUSALS = [
 @pytest.mark.parametrize("command, flags, refused", _POINT_REFUSALS,
                          ids=[f"{c}{'-'.join(f)}" for c, f, _ in _POINT_REFUSALS])
 def test_point_commands_report_a_refused_value_in_one_line(tmp_path, command, flags, refused):
-    # oracle, trace and diagnostics used to end in a traceback for these, and
+    # oracle and trace used to end in a traceback for these, and
     # trace --chains 0 printed NaN means and wrote a header-only CSV.
     out = tmp_path / "o"
     with pytest.raises(SystemExit) as exc:
@@ -502,17 +534,52 @@ def test_cli_oracle_trace_diagnostics(tmp_path, capsys):
     trace_files = list(out.glob("trace_*.csv"))
     assert len(trace_files) == 1
     rows = read_csv(trace_files[0])
-    assert rows[0] == ["method", "chain_id", "t", "residual_sq", "cg_iters"]
+    assert rows[0] == ["method", "chain_id", "t", "residual_sq", "score_cos", "score_mse",
+                       "cg_iters", "failed"]
     # both methods, 3 chains, BenchConfig default T=1000 levels 0..T
     assert len(rows) == 1 + 2 * 3 * 1001
+    record = json.loads(trace_files[0].with_name("trace_d4_m2_s0.1.json").read_text())
+    assert sorted(record) == ["config", "environment"]
+    assert record["config"]["methods"] == ["cdps", "dps"]
 
-    assert cli_main(["diagnostics", "--d", "4", "--m", "2", "--sigma", "0.1",
-                     "--chains", "3", "--out", str(out)]) == 0
-    diag_files = list(out.glob("diagnostics_*.csv"))
-    assert len(diag_files) == 1
-    rows = read_csv(diag_files[0])
-    assert rows[0] == ["t", "cos_mean", "mse_mean", "n_chains"]
-    assert len(rows) == 1 + 1000
+    # The score columns: NaN at t = 0, a cosine in [-1, 1] and a nonnegative
+    # MSE at every other level, for both methods.
+    for method in ("cdps", "dps"):
+        levels = [r for r in rows[1:] if r[0] == method]
+        assert {(r[4], r[5]) for r in levels if r[2] == "0"} == {("nan", "nan")}
+        cos = np.array([float(r[4]) for r in levels if r[2] != "0"])
+        mse = np.array([float(r[5]) for r in levels if r[2] != "0"])
+        assert cos.size == mse.size == 3 * 1000
+        assert np.all(np.abs(cos) <= 1.0 + 1e-12) and np.all(mse >= 0.0)
+
+
+def _readme_cli_commands() -> list[str]:
+    """The subcommand of every ``cdps-bench`` line in the README's CLI block."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line.split()[1] for line in block.splitlines() if line.startswith("cdps-bench ")]
+
+
+def test_readme_cli_block_matches_the_parser(capsys):
+    # Every command the README's CLI block advertises is one the parser takes,
+    # and every subcommand the parser has is advertised there.
+    advertised = _readme_cli_commands()
+    for command in advertised:
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--help"])
+        assert exc.value.code == 0, command
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        cli_main(["--help"])
+    subcommands = re.search(r"usage: cdps-bench \[-h\] \{([\w,]+)\}", capsys.readouterr().out)
+    assert sorted(set(advertised)) == sorted(subcommands.group(1).split(","))
+
+
+def test_cli_has_no_diagnostics_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["diagnostics", "--help"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'diagnostics'" in capsys.readouterr().err
 
 
 def test_perfbench_tracer_lookup_sites_exist():

@@ -286,10 +286,10 @@ def test_level_table_closures_equal_per_call_pass(d, monkeypatch):
                 ref = _reference_denoiser_jacobian_vp(g, x, abar, u)
                 assert np.array_equal(jv, ref), (name, t)
         for bad in (-1, schedule.num_steps + 1):
-            with pytest.raises(ValueError, match="t must be in"):
+            with pytest.raises(ValueError, match=r"t must be an integer in \[0, T\]"):
                 score_fn(x, bad)
             if equal_var:
-                with pytest.raises(ValueError, match="t must be in"):
+                with pytest.raises(ValueError, match=r"t must be an integer in \[0, T\]"):
                     jvp_fn(x, bad, u)
 
 

@@ -14,6 +14,7 @@ import pytest
 import cdps.sampler
 from cdps.gmm import (
     GaussianMixture,
+    _level_reader,
     exact_posterior,
     make_grid_gmm,
     sample_mixture,
@@ -734,18 +735,21 @@ def test_samplers_refuse_fewer_than_one_chain(method, n_chains):
     ("cdps_step_nonlinear-nan-x_t", "x_t must be finite"),
     ("cdps_step-t-beyond-chain", r"t must be an integer in \[1, T\]"),
     ("cdps_step_nonlinear-t-beyond-chain", r"t must be an integer in \[1, T\]"),
+    ("cdps_step-wide-x_t", r"x_t must have last axis 4, got shape \(8,\)"),
+    ("cdps_step_nonlinear-wide-x_t", r"x_t must have last axis 4, got shape \(8,\)"),
     ("chain-length", "chain length must be T"),
     ("chain-2d-y0", "y0 must be a nonempty 1-D"),
     ("chain-empty-y0", "y0 must be a nonempty 1-D"),
     ("linearize-shape", "Jacobian probe produced a wrong shape"),
     ("prior_mode", "prior_mode must be one of"),
 ], ids=["cdps_step-nan-x_t", "cdps_step_nonlinear-nan-x_t", "cdps_step-t-beyond-chain",
-        "cdps_step_nonlinear-t-beyond-chain", "chain-length", "chain-2d-y0", "chain-empty-y0",
-        "linearize-shape", "prior_mode"])
+        "cdps_step_nonlinear-t-beyond-chain", "cdps_step-wide-x_t", "cdps_step_nonlinear-wide-x_t",
+        "chain-length", "chain-2d-y0", "chain-empty-y0", "linearize-shape", "prior_mode"])
 def test_sampler_input_refusals(case, match):
-    # Each input check, on its own; a non-finite x_t, or a t beyond the T of
-    # the schedule the chain was drawn on, is refused before the step draws
-    # anything.
+    # Each input check, on its own; a non-finite x_t, a t beyond the T of the
+    # schedule the chain was drawn on, or an x_t wider than d (which used to
+    # reach the score and draw 12 normals before a reshape failed) is refused
+    # before the step draws anything.
     d, m = 4, 2
     M = np.random.default_rng(88).standard_normal((m, d))
     schedule = make_linear_schedule(5, 0.1, 1.25)
@@ -763,6 +767,11 @@ def test_sampler_input_refusals(case, match):
             cdps_step(np.zeros(d), chain, 6, score_fn, from_dense(M), IsotropicNoise(0.01), rng)
         elif case == "cdps_step_nonlinear-t-beyond-chain":
             cdps_step_nonlinear(np.zeros(d), chain, 6, score_fn, affine_map(M),
+                                IsotropicNoise(0.01), rng)
+        elif case == "cdps_step-wide-x_t":
+            cdps_step(np.zeros(2 * d), chain, 3, score_fn, from_dense(M), IsotropicNoise(0.01), rng)
+        elif case == "cdps_step_nonlinear-wide-x_t":
+            cdps_step_nonlinear(np.zeros(2 * d), chain, 3, score_fn, affine_map(M),
                                 IsotropicNoise(0.01), rng)
         elif case == "chain-length":
             MeasurementChain(np.zeros((schedule.num_steps, m)), schedule)
@@ -896,6 +905,30 @@ def test_make_step_params_takes_only_an_integer_t():
         with pytest.raises(ValueError, match=r"integer in \[1, T\]"):
             make_step_params(x_t, t, *args)
     assert make_step_params(x_t, np.int64(2), *args).t == 2
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, np.float64(2)], ids=["bool", "float", "np-float64"])
+@pytest.mark.parametrize("site", ["step", "y_at", "alpha_bar", "level_reader"])
+def test_every_level_site_takes_only_an_integer_t(site, bad):
+    # A bool is an int to Python: cdps_step(t=True) reached the score, whose
+    # level table it boolean-indexed, and y_at(True) returned every level with
+    # an extra axis; y_at(2.5) and alpha_bar(s, 2.5) failed inside numpy with
+    # IndexError.  One check in schedules refuses each with ValueError.
+    d, m = 4, 2
+    schedule = make_linear_schedule(5, 0.1, 1.25)
+    prior = make_grid_gmm(d)
+    chain = generate_measurement_chain(np.zeros(m), schedule, np.random.default_rng(92))
+    A = from_dense(np.random.default_rng(93).standard_normal((m, d)))
+    sites = {
+        "step": lambda t: cdps_step(np.zeros(d), chain, t, score_fn_for(prior, schedule), A,
+                                    IsotropicNoise(0.01), np.random.default_rng(94)),
+        "y_at": chain.y_at,
+        "alpha_bar": lambda t: alpha_bar(schedule, t),
+        "level_reader": _level_reader(prior, schedule),
+    }
+    with pytest.raises(ValueError, match=r"t must be an integer in \[[01], T\] with T = 5"):
+        sites[site](bad)
+    sites[site](np.int64(2))
 
 
 def test_normal_stream_equals_serial_draws(monkeypatch):
