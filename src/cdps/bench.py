@@ -9,12 +9,9 @@ reproducible and workers never share streams.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import itertools
-import json
 import platform
-import subprocess
 import time
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
@@ -135,13 +132,13 @@ def make_task(cfg: BenchConfig, d: int, m: int, sigma: float, matrix_index: int)
     return Task(prior, A, x_star, y, sigma, schedule, gmm_mod.score_fn_for(prior, schedule))
 
 
-def run_method(method: str, cfg: BenchConfig, task: Task, rng: np.random.Generator, n: int):
-    """Draw ``n`` posterior samples of ``task`` with one method; returns (x0, SamplerTrace).
+def run_method(method: str, cfg: BenchConfig, task: Task, rng: np.random.Generator):
+    """Sample ``task`` with one method on ``cfg.samples_per_run`` chains; returns (x0, trace).
 
     C-DPS records a chain whose CG solve fails in ``trace.failed_rows``
     instead of raising, and follows ``cfg.shared_y_chain``.
     """
-    y, A, schedule, score_fn = task.y, task.A, task.schedule, task.score_fn
+    y, A, schedule, score_fn, n = task.y, task.A, task.schedule, task.score_fn, cfg.samples_per_run
     if method == "cdps":
         return cdps_sample(y, A, IsotropicNoise(task.sigma * task.sigma), schedule, score_fn, rng,
                            n_chains=n, config=SolverConfig(strict=False),
@@ -155,13 +152,13 @@ def run_method(method: str, cfg: BenchConfig, task: Task, rng: np.random.Generat
     raise ValueError(f"unknown method {method!r}")
 
 
-def run_observed(method: str, cfg: BenchConfig, task: Task, rng: np.random.Generator, n: int):
+def run_observed(method: str, cfg: BenchConfig, task: Task, rng: np.random.Generator):
     """``run_method`` with the task's score observed by an ``IterateTrace``.
 
     Returns (x0, SamplerTrace, (residual_sq, score_cos, score_mse)).
     """
     observer = IterateTrace(task.score_fn, task.y, task.A)
-    x0, trace = run_method(method, cfg, task._replace(score_fn=observer), rng, n)
+    x0, trace = run_method(method, cfg, task._replace(score_fn=observer), rng)
     return x0, trace, observer.close(x0)
 
 
@@ -182,7 +179,7 @@ def run_config(cfg: BenchConfig, d: int, m: int, sigma: float, matrix_index: int
     for method in cfg.methods:
         started = time.perf_counter()
         rng = derive_rng(cfg.master_seed, method, d, m, sigma, matrix_index)
-        x0, trace = run_method(method, cfg, task, rng, cfg.samples_per_run)
+        x0, trace = run_method(method, cfg, task, rng)
         # A failed chain costs its own row: it is counted and dropped, never rerun.
         failures = int(trace.failed_rows.size)
         if failures > 0.1 * cfg.samples_per_run:
@@ -296,11 +293,13 @@ def _write(path: Path, fill) -> Path:
 
 def write_csv(path: Path, header, rows) -> Path:
     """Write ``header`` then every row of ``rows`` to ``path``, through ``_write``."""
+    import csv  # imported where records are written, so that importing cdps does not load it
     return _write(path, lambda fh: csv.writer(fh).writerows(itertools.chain([header], rows)))
 
 
 def write_json(path: Path, payload) -> Path:
     """Write ``payload`` to ``path`` as indented JSON with sorted keys, through ``_write``."""
+    import json
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     return _write(path, lambda fh: fh.write(text))
 
@@ -311,6 +310,7 @@ def environment(master_seed: int) -> dict:
     The git sha is that of the checkout holding this package, "unknown"
     outside one; BLAS is numpy's build dependency as numpy reports it.
     """
+    import subprocess
     try:
         done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=Path(__file__).resolve().parent,
                               capture_output=True, text=True, timeout=30)
@@ -358,20 +358,20 @@ def _trace_rows(method: str, trace, records):
                failed[chain]]
 
 
-def write_trace(cfg: BenchConfig, d: int, m: int, sigma: float, n: int, out_dir) -> list[Path]:
-    """Observe ``n`` chains of each of ``cfg.methods`` on matrix 0 of (d, m, sigma); write them.
+def write_trace(cfg: BenchConfig, d: int, m: int, sigma: float, out_dir) -> list[Path]:
+    """Observe ``cfg.samples_per_run`` chains of each of ``cfg.methods``; write them.
 
-    Each method runs through ``run_observed`` on the stream
+    Each runs matrix 0 of (d, m, sigma) through ``run_observed`` on the stream
     ``derive_rng(cfg.master_seed, "trace", method, d, m, sigma)``. The CSV
     has a ``TRACE_COLUMNS`` row per method, chain and level t = T..0; its
     ``cg_iters`` is that of the step that produced x_t. The JSON beside it
-    holds the ``config`` and ``environment``. Returns the two paths.
+    holds the ``config`` that ran and the ``environment``. Returns the two paths.
     """
     task = make_task(cfg, d, m, sigma, 0)
     rows = []
     for method in cfg.methods:
         rng = derive_rng(cfg.master_seed, "trace", method, d, m, sigma)
-        _, trace, records = run_observed(method, cfg, task, rng, n)
+        _, trace, records = run_observed(method, cfg, task, rng)
         rows.append(_trace_rows(method, trace, records))
     out, stem = Path(out_dir), f"trace_d{d}_m{m}_s{float(sigma)!r}"
     return [write_csv(out / f"{stem}.csv", TRACE_COLUMNS, itertools.chain(*rows)),

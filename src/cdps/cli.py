@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from .bench import (
 def _load_config(path: str | None, overrides: dict) -> BenchConfig:
     data = {}
     if path is not None:
+        import json  # imported where a config is read, so that importing cdps.cli does not load it
         with open(path) as fh:
             data = json.load(fh)
         unknown = set(data) - set(BenchConfig.__dataclass_fields__)
@@ -60,8 +61,9 @@ def _cmd_run(args) -> int:
     result = run_grid(cfg)
     written = emit_results(result, args.out, cfg)
     if args.trace:
+        traced = replace(cfg, samples_per_run=min(cfg.samples_per_run, 100))
         for d, m, sigma in itertools.product(cfg.dims, cfg.measurements, cfg.sigmas):
-            written.extend(write_trace(cfg, d, m, sigma, min(cfg.samples_per_run, 100), args.out))
+            written.extend(write_trace(traced, d, m, sigma, args.out))
     for agg in result.aggregates:
         print(
             f"{agg['method']:>9s}  d={agg['d']:<4d} m={agg['m']:<2d} "
@@ -100,7 +102,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_trace(args) -> int:
     cfg = _point_config(args, args.chains)
-    for path in write_trace(cfg, args.d, args.m, args.sigma, args.chains, args.out):
+    for path in write_trace(cfg, args.d, args.m, args.sigma, args.out):
         print(f"wrote {path}")
     return 0
 

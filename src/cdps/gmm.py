@@ -24,7 +24,8 @@ too; and the logits' factors -2 and -1/2, both powers of two, are folded
 into the expression instead of applied in passes of their own.  The
 denoiser's Jacobian product likewise computes its products in place, each
 with the operands and in the order of the expression written out with
-fresh arrays.
+fresh arrays.  Only that scalar variance counts as shared: the Jacobian
+product and the exact posterior (which needs it to be 1) refuse any other.
 
 The sampler closures (``score_fn_for``, ``denoiser_jvp_fn_for``) read the
 constants of each level t = 0..T from a table each builds once:
@@ -95,7 +96,7 @@ class GaussianMixture:
             raise ValueError("weights must be nonnegative and sum to 1")
         if (self.variances is None) == (self.cov is None):
             raise ValueError("exactly one of variances/cov must be given")
-        equal_var, chol = False, None
+        chol = None
         if self.variances is not None:
             var = np.asarray(self.variances, dtype=float)
             if var.shape != (K,):
@@ -103,7 +104,6 @@ class GaussianMixture:
             if not np.all(np.isfinite(var) & (var > 0)):
                 raise ValueError("variances must be positive and finite")
             object.__setattr__(self, "variances", var)
-            equal_var = bool(np.allclose(var, var[0], rtol=1e-12, atol=0))
             object.__setattr__(self, "_var", _scalar_if_equal(var))
         else:
             cov = np.asarray(self.cov, dtype=float)
@@ -115,7 +115,6 @@ class GaussianMixture:
             object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_equal_var", equal_var)
         object.__setattr__(self, "_chol", chol)  # lower Cholesky factor of cov
         # Posterior weights can underflow to exactly 0, whose log is -inf.
         with np.errstate(divide="ignore"):
@@ -303,7 +302,7 @@ def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np
                          level=None) -> np.ndarray:
     """Jacobian of the posterior-mean denoiser applied to u, computed stably.
 
-    For equal component variances the chain rule collapses to
+    With one shared variance (required) the chain rule collapses to
     sqrt(abar) * (var/v * u + (1-abar)/v^2 * Cov_r(mu) u) with Cov_r the
     responsibility-weighted covariance of the component means.  This form
     avoids the catastrophic cancellation of (u + (1-abar) H u)/sqrt(abar)
@@ -314,19 +313,18 @@ def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np
     u = np.asarray(u, dtype=float)
     if gmm.variances is None:
         raise ValueError("denoiser Jacobian requires isotropic components")
-    if not gmm._equal_var:
+    if np.ndim(gmm._var):
         raise ValueError("denoiser Jacobian requires equal component variances")
     if u.shape != x.shape:  # the products below are in place, at the broadcast shape
         u = np.broadcast_to(u, np.broadcast_shapes(u.shape, x.shape))
-    r, _, var_t, root = _pass(gmm, x, abar, level)
-    v = var_t if isinstance(var_t, float) else float(var_t[0])  # (K,) when only close
+    r, _, v, root = _pass(gmm, x, abar, level)
 
     t = u @ gmm.means.T  # (..., K) inner products <mu_k, u>
     t *= r
     cov_u = t @ gmm.means  # sum_k r_k mu_k <mu_k, u>
     cov_u -= (r @ gmm.means) * np.add.reduce(t, axis=-1)[..., None]
     cov_u *= (1.0 - abar) / (v * v)
-    out = u * (gmm.variances[0] / v)
+    out = u * (gmm._var / v)
     out += cov_u
     out *= root
     return out
@@ -357,7 +355,7 @@ def exact_posterior(gmm: GaussianMixture, A: LinearOperator, y: np.ndarray,
     cov @ (A^T y / sigma^2 + mu_k), and weights reweighted by the marginal
     evidence N(y; A mu_k, sigma^2 I + A A^T).
     """
-    if gmm.variances is None or not np.allclose(gmm.variances, 1.0, rtol=0, atol=1e-12):
+    if gmm.variances is None or np.ndim(gmm._var) or gmm._var != 1.0:
         raise ValueError("exact posterior requires unit-variance components")
     if A.dense is None:
         raise ValueError("exact posterior requires a dense operator")

@@ -95,7 +95,7 @@ def test_environment_outside_a_checkout(monkeypatch):
     def no_git(*args, **kwargs):
         raise FileNotFoundError("git")
 
-    monkeypatch.setattr(cdps.bench.subprocess, "run", no_git)
+    monkeypatch.setattr(subprocess, "run", no_git)  # environment imports it when called
     env = cdps.bench.environment(7)
     assert (env["git_sha"], env["master_seed"]) == ("unknown", 7)
 
@@ -153,7 +153,7 @@ def test_run_method_refuses_an_unknown_method(method):
     rng = derive_rng(0, "unknown method")
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=f"unknown method '{method}'"):
-        run_method(method, cfg, task, rng, 3)
+        run_method(method, cfg, task, rng)
     assert rng.bit_generator.state == state
 
 
@@ -290,7 +290,7 @@ def test_failed_cdps_rows_are_counted_and_dropped(monkeypatch):
     monkeypatch.setattr(cdps.bench, "cdps_sample", lambda y, A, *args, **kwargs: real(
         y, dataclasses.replace(A, dense=None), *args, **kwargs))
     cfg = smoke_config(methods=("cdps",), samples_per_run=6, num_steps=5)
-    x0, trace = run_method("cdps", cfg, make_task(cfg, 8, 4, 1e-2, 0), derive_rng(0, "cdps"), 6)
+    x0, trace = run_method("cdps", cfg, make_task(cfg, 8, 4, 1e-2, 0), derive_rng(0, "cdps"))
     assert x0.shape == (6, 8)
     assert trace.failed_rows.tolist() == list(range(6))
     with pytest.raises(BenchAbort, match="6 of 6 chains failed"):
@@ -350,10 +350,12 @@ def test_workers_do_not_change_results(tmp_path):
 
 def test_import_loads_neither_scipy_nor_process_pool():
     # Each sampler run and a grid with workers > 1 import the executor they
-    # use, so importing cdps loads no module of concurrent.futures.
+    # use, so importing cdps loads no module of concurrent.futures; the
+    # record writers and the config reader import subprocess, csv and json.
     code = ("import sys, cdps, cdps.cli\n"
             "print(sorted(k for k in sys.modules if k == 'scipy' or k.startswith('scipy.')"
-            " or k == 'concurrent.futures' or k.startswith('concurrent.futures.')))\n")
+            " or k == 'concurrent.futures' or k.startswith('concurrent.futures.')"
+            " or k in ('subprocess', 'csv', 'json') or k.startswith('json.')))\n")
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
@@ -403,6 +405,19 @@ def test_cli_run_trace_flag(tmp_path):
     assert record["environment"]["master_seed"] == 0
 
 
+def test_cli_run_trace_records_the_chain_count_it_traced(tmp_path):
+    # `run --trace` traces at most 100 chains; its JSON's config says how
+    # many, so the record describes the run its table comes from.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**TRACE_PARAMS, "samples_per_run": 150}))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(cfg_path), "--out", str(out), "--trace"]) == 0
+    chains = {row[1] for row in read_csv(out / "trace_d8_m2_s0.1.csv")[1:]}
+    record = json.loads((out / "trace_d8_m2_s0.1.json").read_text())
+    assert len(chains) == 100
+    assert record["config"]["samples_per_run"] == len(chains)
+
+
 def test_cli_shared_y_chain_traces_use_the_shared_chain(tmp_path):
     # `run --shared-y-chain --trace` writes the residuals of the run its
     # results come from: C-DPS with one measurement chain shared by every row.
@@ -432,7 +447,8 @@ def test_write_trace_columns_are_an_observed_run(tmp_path, monkeypatch, method):
     # Each written residual and score value is that of an IterateTrace on the
     # record's stream, to the written digits. cg_iters and failed come from
     # the run's SamplerTrace, here one whose every step and one chain differ.
-    cfg = smoke_config(measurements=(2,), sigmas=(0.1,), num_steps=30, methods=(method,))
+    cfg = smoke_config(measurements=(2,), sigmas=(0.1,), num_steps=30, methods=(method,),
+                       samples_per_run=4)
     observed = cdps.bench.run_observed
     fake = cdps.sampler.SamplerTrace(np.array([1]), 10 * np.arange(31))
 
@@ -441,10 +457,10 @@ def test_write_trace_columns_are_an_observed_run(tmp_path, monkeypatch, method):
         return x0, fake, records
 
     monkeypatch.setattr(cdps.bench, "run_observed", with_fake_trace)
-    paths = cdps.bench.write_trace(cfg, 8, 2, 0.1, 4, tmp_path)
+    paths = cdps.bench.write_trace(cfg, 8, 2, 0.1, tmp_path)
     assert [p.name for p in paths] == ["trace_d8_m2_s0.1.csv", "trace_d8_m2_s0.1.json"]
     rng = derive_rng(cfg.master_seed, "trace", method, 8, 2, 0.1)
-    _, _, records = observed(method, cfg, make_task(cfg, 8, 2, 0.1, 0), rng, 4)
+    _, _, records = observed(method, cfg, make_task(cfg, 8, 2, 0.1, 0), rng)
     rows = read_csv(paths[0])[1:]
     assert [(r[0], int(r[1]), int(r[2])) for r in rows] == [
         (method, chain, t) for chain in range(4) for t in range(30, -1, -1)]

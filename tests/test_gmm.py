@@ -225,7 +225,7 @@ def test_score_pass_bitwise_equals_reference():
         "unequal both": (GaussianMixture(means=grid.means, weights=weights,
                                          variances=rng.uniform(0.5, 2.0, K)), False),
         "nearly equal variances": (dataclasses.replace(
-            grid, variances=1.0 + 1e-14 * rng.standard_normal(K)), True),
+            grid, variances=1.0 + 1e-14 * rng.standard_normal(K)), False),
     }
     assert np.ndim(grid._var) == 0 and np.ndim(grid._log_weights) == 0
     assert np.ndim(mixtures["nearly equal variances"][0]._var) == 1
@@ -244,6 +244,10 @@ def test_score_pass_bitwise_equals_reference():
                                   _reference_denoiser_jacobian_vp(g, x, abar, u)))
                 for got, ref in pairs:
                     assert np.array_equal(got, ref), (name, kind, abar)
+    # Variances that are only close are not one shared variance.
+    with pytest.raises(ValueError, match="equal component variances"):
+        denoiser_jacobian_vp(mixtures["nearly equal variances"][0], xs["single"], 0.5,
+                             np.ones(d))
 
 
 @pytest.mark.parametrize("d", [2, 8, 32])
@@ -479,10 +483,12 @@ def test_full_covariance_mixture_factors_its_covariance_once(monkeypatch):
     ("abar-zero", r"abar must lie in \(0, 1\]"),
     ("abar-above-one", r"abar must lie in \(0, 1\]"),
     ("posterior-non-unit", "unit-variance components"),
+    ("posterior-nearly-unit", "unit-variance components"),
     ("posterior-no-dense", "dense operator"),
     ("sample-zero", "n must be >= 1"),
 ], ids=["means-1d", "weights-shape", "variances-shape", "cov-shape", "abar-zero",
-        "abar-above-one", "posterior-non-unit", "posterior-no-dense", "sample-zero"])
+        "abar-above-one", "posterior-non-unit", "posterior-nearly-unit", "posterior-no-dense",
+        "sample-zero"])
 def test_gmm_input_refusals(case, match):
     good = dict(means=np.zeros((2, 2)), weights=np.full(2, 0.5), variances=np.ones(2))
     prior = make_grid_gmm(2)
@@ -495,6 +501,9 @@ def test_gmm_input_refusals(case, match):
         elif case == "posterior-non-unit":
             exact_posterior(GaussianMixture(**{**good, "variances": np.full(2, 2.0)}), A,
                             np.zeros(2), 0.5)
+        elif case == "posterior-nearly-unit":
+            exact_posterior(GaussianMixture(**{**good, "variances": np.full(2, 1.0 + 1e-13)}),
+                            A, np.zeros(2), 0.5)
         elif case == "posterior-no-dense":
             exact_posterior(prior, dataclasses.replace(A, dense=None), np.zeros(2), 0.5)
         else:

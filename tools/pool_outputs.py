@@ -61,9 +61,9 @@ def fingerprint(samples) -> str:
     return digest.hexdigest()
 
 
-def observed_run(bench, method, cfg, task, rng, n) -> tuple:
+def observed_run(bench, method, cfg, task, rng) -> tuple:
     """``bench.run_observed``'s x0 and its records by name."""
-    x0, trace, (residual_sq, score_cos, score_mse) = bench.run_observed(method, cfg, task, rng, n)
+    x0, trace, (residual_sq, score_cos, score_mse) = bench.run_observed(method, cfg, task, rng)
     return x0, {"residual_sq": residual_sq, "failed_rows": trace.failed_rows,
                 "cg_iters": trace.cg_iters, "score_cos": score_cos, "score_mse": score_mse}
 
@@ -77,7 +77,7 @@ def trace_fingerprints(bench, cfg, d: int, m: int, sigma: float, index: int) -> 
         names = ("residual_sq", "failed_rows")
         if method == "cdps":
             names += ("cg_iters", "score_cos", "score_mse")
-        _, records = observed_run(bench, method, cfg, task, rng, cfg.samples_per_run)
+        _, records = observed_run(bench, method, cfg, task, rng)
         out[method] = {name: fingerprint(records[name]) for name in names}
     return out
 
@@ -92,7 +92,7 @@ def blur_fingerprints(bench, wl, inputs, task, methods) -> dict:
     out = {}
     for method in methods:
         rng = bench.derive_rng(wl.POOL_SEED, "pool_outputs", w.name, method, task.index)
-        x0, records = observed_run(bench, method, w.bench_config(methods), btask, rng, w.chains)
+        x0, records = observed_run(bench, method, w.bench_config(methods), btask, rng)
         sw_rng = bench.derive_rng(wl.POOL_SEED, w.name, "slices", task.index)
         sw = metrics.sliced_wasserstein(x0, task.reference, wl.SW_SLICES, sw_rng,
                                         order=wl.SW_ORDER)
