@@ -1,11 +1,11 @@
 """Gaussian-mixture prior with analytic time-marginal score and exact posterior.
 
-The benchmark prior is a 25-component grid mixture whose unit component
-variance makes every forward-time marginal again a unit-variance mixture,
-so the score is available in closed form at all noise levels.  For a linear
-Gaussian measurement the posterior is itself a mixture of Gaussians and is
-computed exactly, providing the ground truth the samplers are scored
-against.
+A prior's components share one isotropic variance.  The benchmark prior is
+a 25-component grid mixture whose unit component variance makes every
+forward-time marginal again a unit-variance mixture, so the score is
+available in closed form at all noise levels.  For a linear Gaussian
+measurement the posterior is itself a mixture of Gaussians and is computed
+exactly, providing the ground truth the samplers are scored against.
 
 The score and the denoiser's Jacobian product at the same ``(x, abar)``
 -- DPS makes both every step -- share one responsibilities pass: each
@@ -18,14 +18,12 @@ rounding: summing the score's last product in another order moved DPS's
 sliced Wasserstein distance past the benchmark reference's rtol of 1e-4 on
 41 of its 81 pool tasks, by up to 48%, and C-DPS's by at most 5e-15.  So a
 mixture takes the log of its weights once, when it is built, and carries
-its variances and its log weights as one scalar each when they are exactly
-equal (the grid prior's are), so the time-marginal variance is a scalar
-too; and the logits' factors -2 and -1/2, both powers of two, are folded
-into the expression instead of applied in passes of their own.  The
-denoiser's Jacobian product likewise computes its products in place, each
-with the operands and in the order of the expression written out with
-fresh arrays.  Only that scalar variance counts as shared: the Jacobian
-product and the exact posterior (which needs it to be 1) refuse any other.
+them as one scalar when they are exactly equal (the grid prior's are); the
+time-marginal variance is one scalar, as the prior's is; and the logits'
+factors -2 and -1/2, both powers of two, are folded into the expression
+instead of applied in passes of their own.  The denoiser's Jacobian product
+likewise computes its products in place, each with the operands and in the
+order of the expression written out with fresh arrays.
 
 The sampler closures (``score_fn_for``, ``denoiser_jvp_fn_for``) read the
 constants of each level t = 0..T from a table each builds once:
@@ -43,6 +41,7 @@ numpy's ``logaddexp.reduce``, a few ulp from ``scipy.special.logsumexp``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,14 +71,14 @@ def _scalar_if_equal(a: np.ndarray):
     return a[0] if np.all(a == a[0]) else a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussianMixture:
-    """Mixture with either per-component isotropic variances or one shared
-    full covariance (the form the exact posterior takes)."""
+    """Mixture whose components share either one isotropic variance or one
+    full covariance (the form the exact posterior takes); == is identity."""
 
     means: np.ndarray  # (K, d)
     weights: np.ndarray  # (K,)
-    variances: np.ndarray | None = None  # (K,) isotropic component variances
+    variance: float | None = None  # the components' isotropic variance
     cov: np.ndarray | None = None  # (d, d) shared SPD covariance
 
     def __post_init__(self):
@@ -94,17 +93,17 @@ class GaussianMixture:
             raise ValueError("means and weights must be finite")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > _WSUM_TOL:
             raise ValueError("weights must be nonnegative and sum to 1")
-        if (self.variances is None) == (self.cov is None):
-            raise ValueError("exactly one of variances/cov must be given")
+        if (self.variance is None) == (self.cov is None):
+            raise ValueError("exactly one of variance/cov must be given")
         chol = None
-        if self.variances is not None:
-            var = np.asarray(self.variances, dtype=float)
-            if var.shape != (K,):
-                raise ValueError("variances must be (K,)")
-            if not np.all(np.isfinite(var) & (var > 0)):
-                raise ValueError("variances must be positive and finite")
-            object.__setattr__(self, "variances", var)
-            object.__setattr__(self, "_var", _scalar_if_equal(var))
+        if self.variance is not None:
+            # A bool is a number to Python, but no variance.
+            if isinstance(self.variance, bool) or not isinstance(self.variance, numbers.Real):
+                raise ValueError("variance must be a number")
+            var = float(self.variance)
+            if not (np.isfinite(var) and var > 0):
+                raise ValueError("variance must be positive and finite")
+            object.__setattr__(self, "variance", var)
         else:
             cov = np.asarray(self.cov, dtype=float)
             if cov.shape != (d, d):
@@ -145,7 +144,7 @@ def make_grid_gmm(d: int) -> GaussianMixture:
     return GaussianMixture(
         means=means,
         weights=np.full(K, 1.0 / K),
-        variances=np.ones(K),
+        variance=1.0,
     )
 
 
@@ -156,7 +155,7 @@ class _Levels(NamedTuple):
 
     abar: np.ndarray
     root: np.ndarray  # sqrt(abar): the marginal means are root * means
-    var: np.ndarray  # the components' marginal variances, a scalar when they are equal
+    var: np.ndarray  # the components' marginal variance
     log_norm: np.ndarray  # -d/2 log(var)
     half_m2: np.ndarray  # (K,) 0.5 ||root * mu_k||^2
 
@@ -170,11 +169,10 @@ def _level_table(gmm: GaussianMixture, abars: np.ndarray) -> _Levels:
     """
     if not np.all((abars > 0.0) & (abars <= 1.0)):
         raise ValueError("abar must lie in (0, 1]")
-    if gmm.variances is None:
+    if gmm.variance is None:
         raise ValueError("time-marginal score requires isotropic components")
     root = np.sqrt(abars)
-    a = abars.reshape(abars.shape + (1,) * np.ndim(gmm._var))
-    var = a * gmm._var + (1.0 - a)
+    var = abars * gmm.variance + (1.0 - abars)
     half_m2 = np.empty((abars.size, gmm.K))
     block = max(1, _LEVEL_BLOCK_BYTES // gmm.means.nbytes)
     for lo in range(0, abars.size, block):
@@ -233,16 +231,13 @@ def _responsibilities(gmm: GaussianMixture, x: np.ndarray, means_t, var, log_nor
 
 
 def _pass(gmm: GaussianMixture, x: np.ndarray, abar: float, level=None):
-    """Responsibilities, marginal means and variances and sqrt(abar) at (x, abar).
+    """Responsibilities, marginal means and variance and sqrt(abar) at (x, abar).
 
     The last pass is reused.  Its key is exact: the same abar (compared
     first, so a new time step misses cheaply), then the same shape and
     values of x, checked against a copy so that changing x in place
     recomputes.  The cached r is read-only.  ``level`` holds abar's
     constants, in ``_Levels`` order, when the caller has them tabulated.
-    With equal variances the cache holds no view of a level table, so a
-    mixture that outlives a table (the benchmark keeps each task's prior for
-    a whole run) does not keep it alive.
     """
     last = gmm._last_pass
     if (last is not None and last[0] == abar and last[1].shape == x.shape
@@ -261,7 +256,7 @@ def score(gmm: GaussianMixture, x: np.ndarray, abar: float, level=None) -> np.nd
     """Gradient of the log time-marginal density at x.
 
     Equals the responsibility-weighted sum of per-component Gaussian scores
-    (sqrt(abar) * mu_k - x) / var_k.  Accepts a single vector or a batch
+    (sqrt(abar) * mu_k - x) / var.  Accepts a single vector or a batch
     with the coordinate axis last.  ``level`` is abar's row of a level
     table, when the caller has one.
     """
@@ -302,7 +297,7 @@ def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np
                          level=None) -> np.ndarray:
     """Jacobian of the posterior-mean denoiser applied to u, computed stably.
 
-    With one shared variance (required) the chain rule collapses to
+    With the components' one variance the chain rule collapses to
     sqrt(abar) * (var/v * u + (1-abar)/v^2 * Cov_r(mu) u) with Cov_r the
     responsibility-weighted covariance of the component means.  This form
     avoids the catastrophic cancellation of (u + (1-abar) H u)/sqrt(abar)
@@ -311,10 +306,8 @@ def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if gmm.variances is None:
+    if gmm.variance is None:
         raise ValueError("denoiser Jacobian requires isotropic components")
-    if np.ndim(gmm._var):
-        raise ValueError("denoiser Jacobian requires equal component variances")
     if u.shape != x.shape:  # the products below are in place, at the broadcast shape
         u = np.broadcast_to(u, np.broadcast_shapes(u.shape, x.shape))
     r, _, v, root = _pass(gmm, x, abar, level)
@@ -324,7 +317,7 @@ def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np
     cov_u = t @ gmm.means  # sum_k r_k mu_k <mu_k, u>
     cov_u -= (r @ gmm.means) * np.add.reduce(t, axis=-1)[..., None]
     cov_u *= (1.0 - abar) / (v * v)
-    out = u * (gmm._var / v)
+    out = u * (gmm.variance / v)
     out += cov_u
     out *= root
     return out
@@ -355,7 +348,7 @@ def exact_posterior(gmm: GaussianMixture, A: LinearOperator, y: np.ndarray,
     cov @ (A^T y / sigma^2 + mu_k), and weights reweighted by the marginal
     evidence N(y; A mu_k, sigma^2 I + A A^T).
     """
-    if gmm.variances is None or np.ndim(gmm._var) or gmm._var != 1.0:
+    if gmm.variance != 1.0:
         raise ValueError("exact posterior requires unit-variance components")
     if A.dense is None:
         raise ValueError("exact posterior requires a dense operator")
@@ -385,12 +378,12 @@ def sample_mixture(gmm: GaussianMixture, n: int, rng: np.random.Generator) -> np
 
     Full-covariance mixtures share their covariance's Cholesky factor.
     """
-    if n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError("n must be >= 1")
     ks = rng.choice(gmm.K, size=n, p=gmm.weights)
     eps = rng.standard_normal((n, gmm.d))
-    if gmm.variances is not None:
-        return gmm.means[ks] + eps * np.sqrt(gmm.variances)[ks, None]
+    if gmm.variance is not None:
+        return gmm.means[ks] + eps * np.sqrt(gmm.variance)
     return gmm.means[ks] + eps @ gmm._chol.T
 
 
@@ -398,7 +391,7 @@ def mixture_log_density(gmm: GaussianMixture, x: np.ndarray) -> np.ndarray:
     """Log density of the mixture itself (quadrature oracles, scatter plots)."""
     x = np.asarray(x, dtype=float)
     d = gmm.d
-    if gmm.variances is not None:
+    if gmm.variance is not None:
         return log_marginal_density(gmm, x, 1.0)
     L = gmm._chol
     logdet = 2.0 * np.log(np.diag(L)).sum()

@@ -17,7 +17,7 @@ import numpy as np
 DENSE_LIMIT = 1 << 20  # max m*d for dense materialization (exact steps, ILVR, oracles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearOperator:
     """Linear map R^d -> R^m given by apply/adjoint closures.
 
@@ -25,6 +25,7 @@ class LinearOperator:
     ``(..., m) -> (..., d)``; both must satisfy the inner-product adjoint
     identity.  ``dense`` is an optional (m, d) materialization, only present
     for small instances; the sampler's exact steps, ILVR and the oracles use it.
+    == is identity.
     """
 
     m: int
@@ -76,7 +77,8 @@ def zero_operator(m: int, d: int) -> LinearOperator:
 
 
 # ---------------------------------------------------------------------------
-# Noise covariance models
+# Noise covariance models.  Those that hold arrays compare, and hash, by
+# identity: a generated == over array fields raises.
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,7 @@ class IsotropicNoise:
         return self.sigma2 * np.eye(m)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiagonalNoise:
     """Sigma_n = diag(variances)."""
 
@@ -111,7 +113,7 @@ class DiagonalNoise:
         return np.diag(self.variances)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LowRankNoise:
     """Sigma_n = U U^T + sigma2 * I with a tall factor U (m x r, r << m)."""
 
@@ -132,7 +134,7 @@ class LowRankNoise:
         return self.U @ self.U.T + self.sigma2 * np.eye(self.U.shape[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CirculantNoise:
     """Circulant Sigma_n diagonalized by the DFT, stored by its eigenvalues.
 

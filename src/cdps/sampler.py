@@ -165,7 +165,10 @@ def _own_pages(shape: tuple[int, ...]) -> np.ndarray:
 
 
 def _check_n_chains(n_chains):
-    if n_chains is not None and n_chains < 1:
+    if n_chains is None:
+        return
+    # A bool is an int to Python, but no count.
+    if isinstance(n_chains, bool) or not isinstance(n_chains, (int, np.integer)) or n_chains < 1:
         raise ValueError("n_chains must be None or at least 1")
 
 

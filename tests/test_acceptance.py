@@ -155,7 +155,7 @@ def test_criterion_5_exact_posterior_oracle():
     start = time.perf_counter()
     # (a) conjugate case, exact to 1e-10
     d = 6
-    prior = GaussianMixture(means=np.zeros((1, d)), weights=np.ones(1), variances=np.ones(1))
+    prior = GaussianMixture(means=np.zeros((1, d)), weights=np.ones(1), variance=1.0)
     y = np.linspace(-2.0, 2.0, d)
     post = exact_posterior(prior, from_dense(np.eye(d)), y, 1.0)
     err_a = max(

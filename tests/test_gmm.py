@@ -56,7 +56,7 @@ def test_score_zero_at_center():
 
 def test_score_single_component_closed_form():
     mu = np.array([1.5, -2.0])
-    g = GaussianMixture(means=mu[None], weights=np.ones(1), variances=np.ones(1))
+    g = GaussianMixture(means=mu[None], weights=np.ones(1), variance=1.0)
     x = np.array([0.3, 0.7])
     np.testing.assert_allclose(score(g, x, 1.0), mu - x, rtol=1e-12)
 
@@ -178,7 +178,7 @@ def _reference_pass(gmm, x, abar):
     """The score pass as first written: (K,) variances and log weights, logits
     scaled by -2 and -1/2 in place.  The oracle of the bitwise test below."""
     means_t = np.sqrt(abar) * gmm.means
-    var_t = abar * gmm.variances + (1.0 - abar)
+    var_t = abar * np.full(gmm.K, gmm.variance) + (1.0 - abar)
     x2 = np.einsum("...i,...i->...", x, x)[..., None]
     logits = x @ means_t.T
     logits *= -2.0
@@ -205,49 +205,39 @@ def _reference_denoiser_jacobian_vp(gmm, x, abar, u):
     v = float(var_t[0])
     t = r * (u @ gmm.means.T)
     cov_u = t @ gmm.means - (r @ gmm.means) * t.sum(axis=-1)[..., None]
-    return np.sqrt(abar) * ((gmm.variances[0] / v) * u + ((1.0 - abar) / (v * v)) * cov_u)
+    return np.sqrt(abar) * ((gmm.variance / v) * u + ((1.0 - abar) / (v * v)) * cov_u)
 
 
 def test_score_pass_bitwise_equals_reference():
-    # Scalar variances and log weights, and the folded -2 and -1/2, must not
-    # move a bit of the score or the denoiser's Jacobian product: DPS
+    # A scalar variance and log weights, and the folded -2 and -1/2, must
+    # not move a bit of the score or the denoiser's Jacobian product: DPS
     # amplifies the score's rounding past the benchmark's reference
-    # tolerance (see the module docstring); C-DPS moves by a few ulps.
+    # tolerance (see the module docstring); C-DPS moves by a few ulps.  At
+    # variance 1.5, unlike 1, variance / v and abar * variance round.
     rng = np.random.default_rng(33)
     d, K = 8, 25
     grid = make_grid_gmm(d)
     weights = rng.dirichlet(np.ones(K))
     mixtures = {
-        "equal": (grid, True),
-        "unequal weights": (dataclasses.replace(grid, weights=weights), True),
-        "unequal variances": (dataclasses.replace(grid, variances=rng.uniform(0.5, 2.0, K)),
-                              False),
-        "unequal both": (GaussianMixture(means=grid.means, weights=weights,
-                                         variances=rng.uniform(0.5, 2.0, K)), False),
-        "nearly equal variances": (dataclasses.replace(
-            grid, variances=1.0 + 1e-14 * rng.standard_normal(K)), False),
+        "equal": grid,
+        "unequal weights": dataclasses.replace(grid, weights=weights),
+        "variance 1.5": dataclasses.replace(grid, variance=1.5),
     }
-    assert np.ndim(grid._var) == 0 and np.ndim(grid._log_weights) == 0
-    assert np.ndim(mixtures["nearly equal variances"][0]._var) == 1
+    assert type(grid.variance) is float and np.ndim(grid._log_weights) == 0
     # Every seventh level of the benchmark schedule, with its ends.
     abars = make_linear_schedule(1000, 0.1, 500.0).alpha_bars
     levels = [*abars[1::7].tolist(), float(abars[-1]), 1.0]
     xs = {"single": 8.0 * rng.standard_normal(d), "batched": 8.0 * rng.standard_normal((30, d))}
-    for name, (g, equal_var) in mixtures.items():
+    for name, g in mixtures.items():
         for kind, x in xs.items():
             u = rng.standard_normal(x.shape)
             for abar in levels:
                 g = dataclasses.replace(g)  # a fresh pass every call
-                pairs = [(score(g, x, abar), _reference_score(g, x, abar))]
-                if equal_var:
-                    pairs.append((denoiser_jacobian_vp(g, x, abar, u),
-                                  _reference_denoiser_jacobian_vp(g, x, abar, u)))
+                pairs = [(score(g, x, abar), _reference_score(g, x, abar)),
+                         (denoiser_jacobian_vp(g, x, abar, u),
+                          _reference_denoiser_jacobian_vp(g, x, abar, u))]
                 for got, ref in pairs:
                     assert np.array_equal(got, ref), (name, kind, abar)
-    # Variances that are only close are not one shared variance.
-    with pytest.raises(ValueError, match="equal component variances"):
-        denoiser_jacobian_vp(mixtures["nearly equal variances"][0], xs["single"], 0.5,
-                             np.ones(d))
 
 
 @pytest.mark.parametrize("d", [2, 8, 32])
@@ -260,49 +250,40 @@ def test_level_table_closures_equal_per_call_pass(d, monkeypatch):
     grid = make_grid_gmm(d)
     weights = rng.dirichlet(np.ones(grid.K))
     mixtures = {
-        "grid": (grid, True),
-        "unequal weights": (dataclasses.replace(grid, weights=weights), True),
-        "unequal variances": (dataclasses.replace(grid, variances=rng.uniform(0.5, 2.0, grid.K)),
-                              False),
+        "grid": grid,
+        "unequal weights": dataclasses.replace(grid, weights=weights),
+        "variance 1.5": dataclasses.replace(grid, variance=1.5),
         # Grid means scale exactly by powers of two; these do not.
-        "random means": (dataclasses.replace(grid, means=8.0 * rng.standard_normal((9, d)),
-                                             weights=np.full(9, 1 / 9), variances=np.ones(9)),
-                         True),
+        "random means": dataclasses.replace(grid, means=8.0 * rng.standard_normal((9, d)),
+                                            weights=np.full(9, 1 / 9)),
     }
     schedule = make_linear_schedule(1000, 0.1, 500.0)
     x = 8.0 * rng.standard_normal((20, d))
     u = rng.standard_normal((20, d))
     calls = count_passes(monkeypatch)
-    for name, (g, equal_var) in mixtures.items():
+    for name, g in mixtures.items():
         score_fn = score_fn_for(g, schedule)
-        jvp_fn = denoiser_jvp_fn_for(g, schedule) if equal_var else None
+        jvp_fn = denoiser_jvp_fn_for(g, schedule)
         for t in range(schedule.num_steps + 1):
             per_call = dataclasses.replace(g)
             abar = alpha_bar(schedule, t)
             s = score_fn(x, t)
             assert np.array_equal(s, score(per_call, x, abar)), (name, t)
             assert np.array_equal(s, _reference_score(g, x, abar)), (name, t)
-            if equal_var:
-                before = len(calls)
-                jv = jvp_fn(x, t, u)
-                assert len(calls) == before
-                assert np.array_equal(jv, denoiser_jacobian_vp(per_call, x, abar, u)), (name, t)
-                ref = _reference_denoiser_jacobian_vp(g, x, abar, u)
-                assert np.array_equal(jv, ref), (name, t)
+            before = len(calls)
+            jv = jvp_fn(x, t, u)
+            assert len(calls) == before
+            assert np.array_equal(jv, denoiser_jacobian_vp(per_call, x, abar, u)), (name, t)
+            assert np.array_equal(jv, _reference_denoiser_jacobian_vp(g, x, abar, u)), (name, t)
         for bad in (-1, schedule.num_steps + 1):
             with pytest.raises(ValueError, match=r"t must be an integer in \[0, T\]"):
                 score_fn(x, bad)
-            if equal_var:
-                with pytest.raises(ValueError, match=r"t must be an integer in \[0, T\]"):
-                    jvp_fn(x, bad, u)
+            with pytest.raises(ValueError, match=r"t must be an integer in \[0, T\]"):
+                jvp_fn(x, bad, u)
 
 
 def test_isotropic_guards():
     x = np.zeros((2, 2))
-    unequal = GaussianMixture(means=np.zeros((2, 2)), weights=np.full(2, 0.5),
-                              variances=np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="equal component variances"):
-        denoiser_jacobian_vp(unequal, x, 0.5, x)
     full = GaussianMixture(means=np.zeros((1, 2)), weights=np.ones(1), cov=np.eye(2))
     with pytest.raises(ValueError, match="isotropic"):
         score(full, x, 0.5)
@@ -360,7 +341,7 @@ def test_logsumexp_within_a_few_ulp_of_scipy():
 
 def test_exact_posterior_conjugate_case():
     d = 3
-    prior = GaussianMixture(means=np.zeros((1, d)), weights=np.ones(1), variances=np.ones(1))
+    prior = GaussianMixture(means=np.zeros((1, d)), weights=np.ones(1), variance=1.0)
     y = np.array([1.0, -2.0, 0.5])
     post = exact_posterior(prior, from_dense(np.eye(d)), y, 1.0)
     np.testing.assert_allclose(post.means[0], y / 2.0, rtol=1e-12)
@@ -428,7 +409,7 @@ def test_exact_posterior_rejects_bad_inputs():
 
 
 def test_sample_mixture_single_component_moments():
-    g = GaussianMixture(means=np.zeros((1, 3)), weights=np.ones(1), variances=np.ones(1))
+    g = GaussianMixture(means=np.zeros((1, 3)), weights=np.ones(1), variance=1.0)
     s = sample_mixture(g, 40_000, np.random.default_rng(7))
     np.testing.assert_allclose(s.mean(axis=0), 0.0, atol=0.03)
     np.testing.assert_allclose(np.cov(s.T), np.eye(3), atol=0.03)
@@ -444,7 +425,7 @@ def test_sample_mixture_deterministic():
 def test_sample_mixture_conjugate_posterior_mean():
     # mean of draws from N(y/2, I/2) lands within 3 standard errors of y/2
     d, n = 3, 100_000
-    prior = GaussianMixture(means=np.zeros((1, d)), weights=np.ones(1), variances=np.ones(1))
+    prior = GaussianMixture(means=np.zeros((1, d)), weights=np.ones(1), variance=1.0)
     y = np.array([1.0, -2.0, 0.5])
     post = exact_posterior(prior, from_dense(np.eye(d)), y, 1.0)
     s = sample_mixture(post, n, np.random.default_rng(9))
@@ -478,19 +459,25 @@ def test_full_covariance_mixture_factors_its_covariance_once(monkeypatch):
 @pytest.mark.parametrize("case, match", [
     ({"means": np.zeros(2)}, r"means must be \(K, d\)"),
     ({"weights": np.full(3, 1.0 / 3.0)}, r"weights must be \(K,\)"),
-    ({"variances": np.ones(3)}, r"variances must be \(K,\)"),
-    ({"variances": None, "cov": np.eye(3)}, r"cov must be \(d, d\)"),
+    ({"variance": np.ones(2)}, "variance must be a number"),
+    ({"variance": True}, "variance must be a number"),
+    ({"variance": 0.0}, "variance must be positive and finite"),
+    ({"variance": -1.0}, "variance must be positive and finite"),
+    ({"variance": np.nan}, "variance must be positive and finite"),
+    ({"variance": np.inf}, "variance must be positive and finite"),
+    ({"variance": None, "cov": np.eye(3)}, r"cov must be \(d, d\)"),
     ("abar-zero", r"abar must lie in \(0, 1\]"),
     ("abar-above-one", r"abar must lie in \(0, 1\]"),
     ("posterior-non-unit", "unit-variance components"),
     ("posterior-nearly-unit", "unit-variance components"),
     ("posterior-no-dense", "dense operator"),
     ("sample-zero", "n must be >= 1"),
-], ids=["means-1d", "weights-shape", "variances-shape", "cov-shape", "abar-zero",
+], ids=["means-1d", "weights-shape", "variance-array", "variance-bool", "variance-zero",
+        "variance-negative", "variance-nan", "variance-inf", "cov-shape", "abar-zero",
         "abar-above-one", "posterior-non-unit", "posterior-nearly-unit", "posterior-no-dense",
         "sample-zero"])
 def test_gmm_input_refusals(case, match):
-    good = dict(means=np.zeros((2, 2)), weights=np.full(2, 0.5), variances=np.ones(2))
+    good = dict(means=np.zeros((2, 2)), weights=np.full(2, 0.5), variance=1.0)
     prior = make_grid_gmm(2)
     A = from_dense(np.eye(2))
     with pytest.raises(ValueError, match=match):
@@ -499,34 +486,39 @@ def test_gmm_input_refusals(case, match):
         elif case.startswith("abar"):
             score(prior, np.zeros(2), 0.0 if case == "abar-zero" else 1.5)
         elif case == "posterior-non-unit":
-            exact_posterior(GaussianMixture(**{**good, "variances": np.full(2, 2.0)}), A,
-                            np.zeros(2), 0.5)
+            exact_posterior(GaussianMixture(**{**good, "variance": 2.0}), A, np.zeros(2), 0.5)
         elif case == "posterior-nearly-unit":
-            exact_posterior(GaussianMixture(**{**good, "variances": np.full(2, 1.0 + 1e-13)}),
-                            A, np.zeros(2), 0.5)
+            exact_posterior(GaussianMixture(**{**good, "variance": 1.0 + 1e-13}), A,
+                            np.zeros(2), 0.5)
         elif case == "posterior-no-dense":
             exact_posterior(prior, dataclasses.replace(A, dense=None), np.zeros(2), 0.5)
         else:
-            sample_mixture(prior, 0, np.random.default_rng(0))
+            # A bool and a float are no counts either, and are refused before any draw.
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            for n in (True, 2.0):
+                with pytest.raises(ValueError, match=match):
+                    sample_mixture(prior, n, rng)
+            assert rng.bit_generator.state == state
+            sample_mixture(prior, 0, rng)
 
 
 def test_mixture_validation():
     with pytest.raises(ValueError):
-        GaussianMixture(means=np.zeros((2, 2)), weights=np.array([0.7, 0.7]),
-                        variances=np.ones(2))
+        GaussianMixture(means=np.zeros((2, 2)), weights=np.array([0.7, 0.7]), variance=1.0)
     with pytest.raises(ValueError):
         GaussianMixture(means=np.zeros((1, 2)), weights=np.ones(1))
     with pytest.raises(np.linalg.LinAlgError):
         GaussianMixture(means=np.zeros((1, 2)), weights=np.ones(1),
                         cov=np.array([[1.0, 2.0], [2.0, 1.0]]))
     # NaN passes both the weight-sum test and var <= 0, so finiteness is its own check.
-    good = dict(means=np.zeros((2, 2)), weights=np.full(2, 0.5), variances=np.ones(2))
+    good = dict(means=np.zeros((2, 2)), weights=np.full(2, 0.5), variance=1.0)
     for name, bad in (("means", np.array([[0.0, np.nan], [0.0, 0.0]])),
                       ("means", np.array([[0.0, np.inf], [0.0, 0.0]])),
                       ("weights", np.array([np.nan, 0.5])),
                       ("weights", np.array([np.nan, np.nan])),
-                      ("variances", np.array([1.0, np.nan])),
-                      ("variances", np.array([1.0, np.inf]))):
+                      ("variance", np.nan),
+                      ("variance", np.inf)):
         with pytest.raises(ValueError, match="finite"):
             GaussianMixture(**{**good, name: bad})
     for cov in (np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([1.0, np.inf])):

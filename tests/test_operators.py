@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdps.gmm import make_grid_gmm
 from cdps.operators import (
     DENSE_LIMIT,
     CirculantNoise,
@@ -293,6 +296,22 @@ def test_circulant_whitener_length_mismatch():
     wh = make_whitener(mix_conditional_cov(CirculantNoise(np.full(4, 2.0)), 0.5))
     with pytest.raises(ValueError):
         wh(np.zeros(5))
+
+
+def test_array_dataclasses_compare_and_hash_by_identity():
+    # A generated __eq__ over array fields raises on two equal-length arrays,
+    # and a generated __hash__ over them raises "unhashable"; a mixture, an
+    # operator and every array-holding noise model compare, and hash, by
+    # identity instead.  Isotropic noise holds a scalar and keeps its values'.
+    A = from_dense(np.eye(3))
+    pairs = [(make_grid_gmm(4), make_grid_gmm(4)), (A, dataclasses.replace(A, dense=None))]
+    pairs += [(model, dataclasses.replace(model))
+              for name, model in all_noise_models(np.random.default_rng(0), 4).items()
+              if name != "isotropic"]
+    for a, b in pairs:
+        assert a == a and a != b and len({a, b}) == 2
+    assert IsotropicNoise(2.0) == IsotropicNoise(2.0)
+    assert len({IsotropicNoise(2.0), IsotropicNoise(2.0)}) == 1
 
 
 def test_zero_operator():

@@ -148,11 +148,11 @@ def test_chain_validates_inputs():
         chain.y_at(1001)
 
 
-@pytest.mark.parametrize("n_chains", [0, -3])
+@pytest.mark.parametrize("n_chains", [0, -3, True, 2.0])
 def test_chain_refuses_fewer_than_one_chain(n_chains):
-    # 0 used to return an empty chain and -3 to end in numpy's "negative
-    # dimensions"; the chain now refuses both as the samplers do, before
-    # any draw.
+    # 0 used to return an empty chain, -3 to end in numpy's "negative
+    # dimensions" and True and 2.0 in a TypeError from the chain's pages;
+    # the chain now refuses each as the samplers do, before any draw.
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="n_chains must be None or at least 1"):
@@ -705,11 +705,12 @@ def test_bad_y_is_refused_before_any_draw(case):
 
 
 @pytest.mark.parametrize("method", ["cdps", "dps", "score_sde", "ilvr"])
-@pytest.mark.parametrize("n_chains", [0, -3])
+@pytest.mark.parametrize("n_chains", [0, -3, True, 2.0])
 def test_samplers_refuse_fewer_than_one_chain(method, n_chains):
     # Zero chains used to run every step on an empty batch and return a
-    # (0, d) array, and -3 ended in numpy's "negative dimensions"; each
-    # sampler now refuses both before any draw, C-DPS before its chain.
+    # (0, d) array, -3 ended in numpy's "negative dimensions" and True and
+    # 2.0 in a TypeError inside numpy; each sampler now refuses all four
+    # before any draw, C-DPS before its chain.
     d, m = 8, 4
     rng = np.random.default_rng(87)
     A = from_dense(rng.standard_normal((m, d)))
@@ -1301,8 +1302,7 @@ def test_cdps_sample_conjugate_posterior_moments():
     # target asserted here is not met by the method.  The sampler's exact
     # output law is pinned by test_cdps_sample_matches_conjugate_recursion.
     d = 4
-    prior = GaussianMixture(means=np.zeros((1, d)), weights=np.ones(1),
-                            variances=np.ones(1))
+    prior = GaussianMixture(means=np.zeros((1, d)), weights=np.ones(1), variance=1.0)
     A = from_dense(np.eye(d))
     y = np.array([2.0, -1.0, 0.5, 3.0])
     schedule = BENCH_SCHEDULE
@@ -1320,8 +1320,7 @@ def test_cdps_sample_matches_conjugate_recursion():
     # The sampler's output on the conjugate problem matches the exact moment
     # recursion of its step formulas; the recursion is checked first.
     d = 4
-    prior = GaussianMixture(means=np.zeros((1, d)), weights=np.ones(1),
-                            variances=np.ones(1))
+    prior = GaussianMixture(means=np.zeros((1, d)), weights=np.ones(1), variance=1.0)
     A = from_dense(np.eye(d))
     y = np.array([2.0, -1.0, 0.5, 3.0])
 
@@ -1483,8 +1482,7 @@ def test_dps_zero_residual_means_zero_guidance():
     # must coincide with a guidance-free run on the same stream
     rng = np.random.default_rng(17)
     d, m = 3, 2
-    prior = GaussianMixture(means=np.zeros((1, d)), weights=np.ones(1),
-                            variances=np.ones(1))
+    prior = GaussianMixture(means=np.zeros((1, d)), weights=np.ones(1), variance=1.0)
     schedule = make_linear_schedule(1, 0.2, 0.2)
     score_fn = score_fn_for(prior, schedule)
     jvp_fn = denoiser_jvp_fn_for(prior, schedule)
