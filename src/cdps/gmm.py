@@ -17,22 +17,23 @@ The pass is trimmed without moving a bit, because DPS amplifies the score's
 rounding: summing the score's last product in another order moved DPS's
 sliced Wasserstein distance past the benchmark reference's rtol of 1e-4 on
 41 of its 81 pool tasks, by up to 48%, and C-DPS's by at most 5e-15.  So a
-mixture takes the log of its weights once, when it is built, and carries
-them as one scalar when they are exactly equal (the grid prior's are); the
+mixture takes the log of its weights once, when it is built; the
 time-marginal variance is one scalar, as the prior's is; and the logits'
 factors -2 and -1/2, both powers of two, are folded into the expression
 instead of applied in passes of their own.  The denoiser's Jacobian product
 likewise computes its products in place, each with the operands and in the
 order of the expression written out with fresh arrays.
 
-The sampler closures (``score_fn_for``, ``denoiser_jvp_fn_for``) read the
-constants of each level t = 0..T from a table each builds once:
-sqrt(abar_t), the marginal variance, 0.5 ||sqrt(abar_t) mu_k||^2 and -d/2
-log of the variance.  The table is built by the same elementwise operations
-and the same per-component einsum as one level at a time, so a pass reads
-the same bits it would compute; its scalar columns are kept as lists of
-Python floats, which hold the same values and index without building a
-numpy scalar.
+The score closure (``score_fn_for``) reads the constants of each level
+t = 0..T from a table it builds once: sqrt(abar_t), the marginal variance,
+0.5 ||sqrt(abar_t) mu_k||^2 and -d/2 log of the variance.  The table is
+built by the same elementwise operations and the same per-component einsum
+as one level at a time, so a pass reads the same bits it would compute; its
+scalar columns are kept as lists of Python floats, which hold the same
+values and index without building a numpy scalar.  The Jacobian closure
+(``denoiser_jvp_fn_for``) builds no table: a guided run calls it at the
+score's (x, t), so it reads the score's pass, and on a miss its pass builds
+the one level it needs.
 
 The exact posterior's weights are normalised by their largest log weight,
 then by their sum; the oracle log densities sum over the components by
@@ -60,15 +61,6 @@ def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
     """log(sum(exp(a))) over ``axis``, within a few ulp of ``scipy.special.logsumexp``."""
     with np.errstate(invalid="ignore"):
         return np.logaddexp.reduce(a, axis=axis)
-
-
-def _scalar_if_equal(a: np.ndarray):
-    """``a[0]`` when every entry of ``a`` equals it exactly, else ``a``.
-
-    A scalar broadcasts to the same values as the array, so arithmetic with
-    it rounds the same, and it spares the per-component work.
-    """
-    return a[0] if np.all(a == a[0]) else a
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +109,7 @@ class GaussianMixture:
         object.__setattr__(self, "_chol", chol)  # lower Cholesky factor of cov
         # Posterior weights can underflow to exactly 0, whose log is -inf.
         with np.errstate(divide="ignore"):
-            object.__setattr__(self, "_log_weights", _scalar_if_equal(np.log(weights)))
+            object.__setattr__(self, "_log_weights", np.log(weights))
         object.__setattr__(self, "_last_pass", None)  # see _pass
 
     @property
@@ -185,24 +177,6 @@ def _level_table(gmm: GaussianMixture, abars: np.ndarray) -> _Levels:
 def _level(gmm: GaussianMixture, abar: float) -> _Levels:
     """One level's constants, by the table's arithmetic."""
     return _Levels(*(column[0] for column in _level_table(gmm, np.array([abar], dtype=float))))
-
-
-def _level_reader(gmm: GaussianMixture, schedule: NoiseSchedule):
-    """t -> level t's constants, a tuple in ``_Levels`` order, from a table of
-    the schedule's levels built once; a t that is no integer in 0..T is refused.
-
-    Columns with one value per level are read from lists of Python floats.
-    """
-    table = _level_table(gmm, schedule.alpha_bars)
-    abar, root, var, log_norm, half_m2 = (
-        column.tolist() if column.ndim == 1 else column for column in table)
-    top = schedule.num_steps
-
-    def at(t):
-        check_level(t, top)
-        return abar[t], root[t], var[t], log_norm[t], half_m2[t]
-
-    return at
 
 
 def _responsibilities(gmm: GaussianMixture, x: np.ndarray, means_t, var, log_norm, half_m2):
@@ -281,28 +255,33 @@ def log_marginal_density(gmm: GaussianMixture, x: np.ndarray, abar: float) -> np
 def score_fn_for(gmm: GaussianMixture, schedule: NoiseSchedule):
     """Score callable (x, t) -> grad log p_t(x) for the sampler interfaces.
 
-    Each call reads level t's constants from a table of the schedule's
-    levels, built here and kept by the callable.
+    Each call reads level t's constants, a tuple in ``_Levels`` order, from a
+    table of the schedule's levels, built here and kept by the callable;
+    columns with one value per level are read from lists of Python floats.
+    A t that is no integer in 0..T is refused.
     """
-    level_at = _level_reader(gmm, schedule)
+    abar, root, var, log_norm, half_m2 = (
+        column.tolist() if column.ndim == 1 else column
+        for column in _level_table(gmm, schedule.alpha_bars))
+    top = schedule.num_steps
 
     def fn(x, t):
-        level = level_at(t)
-        return score(gmm, x, level[0], level)
+        check_level(t, top)
+        return score(gmm, x, abar[t], (abar[t], root[t], var[t], log_norm[t], half_m2[t]))
 
     return fn
 
 
-def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np.ndarray,
-                         level=None) -> np.ndarray:
+def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float,
+                         u: np.ndarray) -> np.ndarray:
     """Jacobian of the posterior-mean denoiser applied to u, computed stably.
 
     With the components' one variance the chain rule collapses to
     sqrt(abar) * (var/v * u + (1-abar)/v^2 * Cov_r(mu) u) with Cov_r the
     responsibility-weighted covariance of the component means.  This form
     avoids the catastrophic cancellation of (u + (1-abar) H u)/sqrt(abar)
-    when abar underflows toward zero.  ``level`` is as for ``score``.  The
-    products are made in place, each rounding as in that expression.
+    when abar underflows toward zero.  The products are made in place, each
+    rounding as in that expression.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -310,7 +289,7 @@ def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np
         raise ValueError("denoiser Jacobian requires isotropic components")
     if u.shape != x.shape:  # the products below are in place, at the broadcast shape
         u = np.broadcast_to(u, np.broadcast_shapes(u.shape, x.shape))
-    r, _, v, root = _pass(gmm, x, abar, level)
+    r, _, v, root = _pass(gmm, x, abar)
 
     t = u @ gmm.means.T  # (..., K) inner products <mu_k, u>
     t *= r
@@ -326,15 +305,16 @@ def denoiser_jacobian_vp(gmm: GaussianMixture, x: np.ndarray, abar: float, u: np
 def denoiser_jvp_fn_for(gmm: GaussianMixture, schedule: NoiseSchedule):
     """Denoiser-Jacobian product callable (x, t, u) for guidance baselines.
 
-    It reads a level table of its own, as ``score_fn_for``'s callable does;
-    the two read the same constants, so a Jacobian product at the score's
-    (x, t) reuses the score's pass.
+    A product at the score's (x, t), as a guided run makes, reuses the
+    score's pass; any other builds level t's constants afresh, the same bits
+    as a table row.  A t that is no integer in 0..T is refused.
     """
-    level_at = _level_reader(gmm, schedule)
+    abars = schedule.alpha_bars.tolist()
+    top = schedule.num_steps
 
     def fn(x, t, u):
-        level = level_at(t)
-        return denoiser_jacobian_vp(gmm, x, level[0], u, level)
+        check_level(t, top)
+        return denoiser_jacobian_vp(gmm, x, abars[t], u)
 
     return fn
 

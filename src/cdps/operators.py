@@ -166,6 +166,17 @@ class CirculantNoise:
 NoiseModel = IsotropicNoise | DiagonalNoise | LowRankNoise | CirculantNoise
 
 
+def check_noise(noise, m: int) -> None:
+    """Refuse anything but a noise model of m measurements; an isotropic one fits any m."""
+    if not isinstance(noise, NoiseModel):
+        raise TypeError(f"unsupported noise model {type(noise).__name__}")
+    size = (noise.variances.size if isinstance(noise, DiagonalNoise)
+            else noise.U.shape[0] if isinstance(noise, LowRankNoise)
+            else noise.spectrum.size if isinstance(noise, CirculantNoise) else m)
+    if size != m:
+        raise ValueError(f"the noise model has size {size}, the measurement size m = {m}")
+
+
 # ---------------------------------------------------------------------------
 # Conditional covariance  abar * Sigma_n + (1 - abar) * I and its whitener
 
@@ -256,9 +267,13 @@ def make_random_svd_operator(d: int, m: int, rng: np.random.Generator) -> Linear
 
 def mask_operator(keep_indices, d: int) -> LinearOperator:
     """Coordinate-selection operator: apply(x) = x[keep_indices]."""
-    keep = np.asarray(keep_indices, dtype=np.intp)
+    keep = np.asarray(keep_indices)
     if keep.ndim != 1 or keep.size == 0:
         raise ValueError("keep_indices must be a nonempty 1-D index set")
+    # A boolean mask would be read as the indices 0 and 1, and floats truncated.
+    if not np.issubdtype(keep.dtype, np.integer):
+        raise ValueError(f"keep_indices must be integers, got dtype {keep.dtype}")
+    keep = keep.astype(np.intp)
     if np.unique(keep).size != keep.size:
         raise ValueError("keep_indices must be unique")
     if np.any(keep < 0) or np.any(keep >= d):

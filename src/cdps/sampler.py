@@ -78,6 +78,7 @@ from .operators import (
     IsotropicNoise,
     LinearOperator,
     NoiseModel,
+    check_noise,
     checked_y,
     from_dense,
     make_whitener,
@@ -139,11 +140,6 @@ class MeasurementChain:
         return self.y_levels[..., t, :]
 
 
-# Largest buffer, in bytes, that the chain's noise is drawn into before it is
-# copied into place.
-CHAIN_DRAW_BYTES = 1 << 16
-
-
 def _own_pages(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialised float array on an anonymous mapping of its own, unmapped when freed.
 
@@ -185,12 +181,12 @@ def generate_measurement_chain(
     single row.  The levels are stored time-major, (T+1, n, m), so each step
     of the recursion and each level a sampler reads is contiguous;
     ``y_levels`` is their (n, T+1, m) view, or (T+1, m) for one chain.  The
-    noise stream is still that of one (n, T, m) block: each row's noise is
-    drawn in order, a piece at a time, into one reused buffer of at most
-    ``CHAIN_DRAW_BYTES`` (or one level, if larger) and copied into place.
-    The noise is then scaled by sqrt(beta_t) in one pass, and the recursion
-    adds sqrt(1-beta_t) y_{t-1} in place, level by level.  The levels live on
-    pages of their own (``_own_pages``), given back when the chain is freed.
+    noise stream is still that of one (n, T, m) block: each row's (T, m)
+    noise is drawn in order, by one call, into one reused buffer and copied
+    into place.  The noise is then scaled by sqrt(beta_t) in one pass, and
+    the recursion adds sqrt(1-beta_t) y_{t-1} in place, level by level.  The
+    levels live on pages of their own (``_own_pages``), given back when the
+    chain is freed.
     """
     _check_n_chains(n_chains)
     y0 = np.asarray(y0, dtype=float)
@@ -201,16 +197,10 @@ def generate_measurement_chain(
     T = schedule.num_steps
     m = y0.size
     levels = _own_pages((T + 1, n_chains or 1, m))
-    piece = max(1, min(T, CHAIN_DRAW_BYTES // (8 * m)))
-    buf = np.empty((piece, m))
+    buf = np.empty((T, m))
     for row in range(levels.shape[1]):
-        for lo in range(1, T + 1, piece):
-            part = buf[:min(piece, T + 1 - lo)]
-            rng.standard_normal(out=part)
-            levels[lo:lo + part.shape[0], row] = part
-
+        levels[1:, row] = rng.standard_normal(out=buf)
     levels[0] = y0
-    del part, buf  # the broadcast product below takes a buffer of its own, up to 64 KiB
     levels[1:] *= np.sqrt(schedule.betas)[:, None, None]
     tmp = np.empty(levels.shape[1:])
     for prev, level, keep in zip(levels[:-1], levels[1:], np.sqrt(schedule.alphas).tolist()):
@@ -596,10 +586,12 @@ def cdps_sample(
     then runs ``_reverse_run`` with the coupled step, ``_steps``'s for these
     inputs.  An exact solve never fails a row.  CG runs at ``cg_solve``'s
     settings (tol 1e-8, at most 10 d iterations); a row it leaves unconverged
-    is recorded in ``failed_rows``, or raises when ``config.strict``.
+    is recorded in ``failed_rows``, or raises when ``config.strict``.  A
+    noise model that is not of A's m measurements is refused before any draw.
     """
     config = config or SolverConfig()
     y = _checked_inputs(y, A, n_chains)
+    check_noise(noise, A.m)
     chain = generate_measurement_chain(y, schedule, rng, None if shared_chain else n_chains)
     y_at = np.moveaxis(chain.y_levels, -2, 0)  # (T+1, ...) view of the levels
     coupled = _steps(A, noise, _step_scalars(schedule, config.prior_mode), config.strict)
@@ -624,6 +616,7 @@ def _single_step(x_t, t, chain, score_fn, A, noise, rng, config, offset=0.0):
         raise ValueError(f"the chain's levels must have length {A.m}")
     if chain.y_levels.shape[:-2] not in ((), x_t.shape[:-1]):
         raise ValueError(f"chain levels {chain.y_levels.shape} do not match x_t {x_t.shape}")
+    check_noise(noise, A.m)
     step = _steps(A, noise, _step_scalars(chain.schedule, config.prior_mode), strict=True)
     s_hat = np.asarray(score_fn(x_t, t), dtype=float)
     eps = rng.standard_normal(x_t.size // A.d * (A.d + A.m))  # eps1 then eps2, as a run draws
@@ -649,6 +642,8 @@ def cdps_step(
     generator's state before the step's draws, it returns the run's x_{t-1}
     bit for bit.  It keeps no trace, so a row whose CG solve does not
     converge raises ``ChainFailureError`` whatever ``config.strict`` says.
+    Inputs are refused before any draw, a noise model not of A's m
+    measurements among them.
     """
     x_t = np.asarray(x_t, dtype=float)
     return _single_step(x_t, t, chain, score_fn, A, noise, rng, config)

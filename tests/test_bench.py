@@ -6,6 +6,7 @@ import json
 import os
 import platform
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -741,6 +742,34 @@ def test_bench_pairs_counts_src_lines(tmp_path):
     (tmp_path / "src" / "pkg" / "notes.txt").write_text("not code\n")
     (tmp_path / "setup.py").write_text("outside src\n")
     assert pairs_mod.src_lines(tmp_path) == 4
+
+
+SIGTERM_CODE = """
+import importlib.util, signal, subprocess, sys, tempfile
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+signal.signal(signal.SIGTERM, module.exit_on_sigterm)
+with tempfile.TemporaryDirectory(prefix="bench-pairs-", dir=sys.argv[2]) as tmp:
+    print(tmp, flush=True)
+    subprocess.run([sys.executable, "-c", "import time; time.sleep(60)"])
+"""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGTERM") or os.name != "posix", reason="POSIX signals")
+def test_bench_pairs_sigterm_removes_its_temporary_trees(tmp_path):
+    # An unhandled SIGTERM ended tools/bench_pairs.py without unwinding, so
+    # its bench-pairs-* directory stayed behind.  Under its handler the
+    # running child (here a 60 s sleep) is killed and the directory removed.
+    proc = subprocess.Popen([sys.executable, "-c", SIGTERM_CODE,
+                             str(ROOT / "tools/bench_pairs.py"), str(tmp_path)],
+                            stdout=subprocess.PIPE, text=True)
+    tree = Path(proc.stdout.readline().strip())
+    assert tree.name.startswith("bench-pairs-") and tree.is_dir()
+    proc.send_signal(signal.SIGTERM)
+    assert proc.wait(timeout=20) == 128 + signal.SIGTERM
+    proc.stdout.close()
+    assert not tree.exists() and not list(tmp_path.iterdir())
 
 
 def test_bench_pairs_run_config_summary_keeps_each_method():

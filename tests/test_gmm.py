@@ -19,7 +19,9 @@ from cdps.gmm import (
     score,
     score_fn_for,
 )
-from cdps.operators import from_dense, zero_operator
+from cdps.metrics import IterateTrace
+from cdps.operators import from_dense, make_random_svd_operator, zero_operator
+from cdps.sampler import dps_sample
 from cdps.schedules import alpha_bar, make_linear_schedule
 
 
@@ -209,7 +211,7 @@ def _reference_denoiser_jacobian_vp(gmm, x, abar, u):
 
 
 def test_score_pass_bitwise_equals_reference():
-    # A scalar variance and log weights, and the folded -2 and -1/2, must
+    # A scalar variance, and the folded -2 and -1/2, must
     # not move a bit of the score or the denoiser's Jacobian product: DPS
     # amplifies the score's rounding past the benchmark's reference
     # tolerance (see the module docstring); C-DPS moves by a few ulps.  At
@@ -223,7 +225,7 @@ def test_score_pass_bitwise_equals_reference():
         "unequal weights": dataclasses.replace(grid, weights=weights),
         "variance 1.5": dataclasses.replace(grid, variance=1.5),
     }
-    assert type(grid.variance) is float and np.ndim(grid._log_weights) == 0
+    assert type(grid.variance) is float
     # Every seventh level of the benchmark schedule, with its ends.
     abars = make_linear_schedule(1000, 0.1, 500.0).alpha_bars
     levels = [*abars[1::7].tolist(), float(abars[-1]), 1.0]
@@ -242,10 +244,11 @@ def test_score_pass_bitwise_equals_reference():
 
 @pytest.mark.parametrize("d", [2, 8, 32])
 def test_level_table_closures_equal_per_call_pass(d, monkeypatch):
-    # The closures read each level's constants from a table each builds once;
-    # the score and Jacobian product must equal the per-call pass and the
-    # reference pass bit for bit at every level, and a Jacobian product at
-    # the score's (x, t) must reuse the score's pass.
+    # The score closure reads each level's constants from a table it builds
+    # once; the score and Jacobian product must equal the per-call pass and
+    # the reference pass bit for bit at every level, a Jacobian product at
+    # the score's (x, t) must reuse the score's pass, and one on a mixture
+    # the score never saw must build its level to the same bits.
     rng = np.random.default_rng(34)
     grid = make_grid_gmm(d)
     weights = rng.dirichlet(np.ones(grid.K))
@@ -264,6 +267,7 @@ def test_level_table_closures_equal_per_call_pass(d, monkeypatch):
     for name, g in mixtures.items():
         score_fn = score_fn_for(g, schedule)
         jvp_fn = denoiser_jvp_fn_for(g, schedule)
+        apart = denoiser_jvp_fn_for(dataclasses.replace(g), schedule)
         for t in range(schedule.num_steps + 1):
             per_call = dataclasses.replace(g)
             abar = alpha_bar(schedule, t)
@@ -273,6 +277,7 @@ def test_level_table_closures_equal_per_call_pass(d, monkeypatch):
             before = len(calls)
             jv = jvp_fn(x, t, u)
             assert len(calls) == before
+            assert np.array_equal(jv, apart(x, t, u)), (name, t)
             assert np.array_equal(jv, denoiser_jacobian_vp(per_call, x, abar, u)), (name, t)
             assert np.array_equal(jv, _reference_denoiser_jacobian_vp(g, x, abar, u)), (name, t)
         for bad in (-1, schedule.num_steps + 1):
@@ -280,6 +285,28 @@ def test_level_table_closures_equal_per_call_pass(d, monkeypatch):
                 score_fn(x, bad)
             with pytest.raises(ValueError, match=r"t must be an integer in \[0, T\]"):
                 jvp_fn(x, bad, u)
+
+
+def test_dps_run_makes_one_pass_per_step(monkeypatch):
+    # The Jacobian closure keeps no level table: each guided step calls it at
+    # the score's (x, t), so a run makes one responsibilities pass per step,
+    # and one more when an IterateTrace scores x_0.
+    d, m, n, T = 8, 2, 10, 40
+    rng = np.random.default_rng(35)
+    prior = make_grid_gmm(d)
+    A = make_random_svd_operator(d, m, rng)
+    y = A.apply(sample_mixture(prior, 1, rng)[0])
+    schedule = make_linear_schedule(T, 0.1, 20.0)
+    score_fn = score_fn_for(prior, schedule)
+    jvp_fn = denoiser_jvp_fn_for(prior, schedule)
+    calls = count_passes(monkeypatch)
+    dps_sample(y, A, schedule, score_fn, jvp_fn, np.random.default_rng(36), n_chains=n)
+    assert len(calls) == T
+    calls.clear()
+    observer = IterateTrace(score_fn, y, A)
+    x, _ = dps_sample(y, A, schedule, observer, jvp_fn, np.random.default_rng(36), n_chains=n)
+    observer.close(x)
+    assert len(calls) == T + 1
 
 
 def test_isotropic_guards():

@@ -134,6 +134,12 @@ def test_mask_operator():
     for bad in ([], [0, 0], [2], [-1]):
         with pytest.raises(ValueError):
             mask_operator(bad, d=2)
+    # A boolean mask was read as the indices 1, 0 and floats were truncated.
+    for bad in (np.array([True, False]), [0.5, 1.7]):
+        with pytest.raises(ValueError, match="keep_indices must be integers"):
+            mask_operator(bad, d=3)
+    with pytest.raises(ValueError, match="nonempty 1-D index set"):
+        mask_operator([], d=3)
 
 
 def test_blur_operator_identity_kernel():

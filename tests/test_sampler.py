@@ -14,7 +14,6 @@ import pytest
 import cdps.sampler
 from cdps.gmm import (
     GaussianMixture,
-    _level_reader,
     exact_posterior,
     make_grid_gmm,
     sample_mixture,
@@ -97,13 +96,18 @@ def test_chain_equals_block_recursion_in_place(n_chains):
                                + np.sqrt(schedule.betas[t - 1]) * z[..., t - 1, :])
     del z
 
+    rng = np.random.default_rng(33)
     tracemalloc.start()
     try:
-        chain = generate_measurement_chain(y0, schedule, np.random.default_rng(33), n_chains)
+        chain = generate_measurement_chain(y0, schedule, rng, n_chains)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     np.testing.assert_array_equal(chain.y_levels, expected)
+    # The generator ends where the one (n, T, m) draw leaves it.
+    block = np.random.default_rng(33)
+    block.standard_normal(batch + (T, m))
+    assert rng.bit_generator.state == block.bit_generator.state
     # At 7 chains the level array dwarfs the schedule's two T-long arrays.
     if n_chains == 7:
         assert peak <= 1.1 * chain.y_levels.nbytes
@@ -787,6 +791,39 @@ def test_sampler_input_refusals(case, match):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("path", ["dense", "cg"])
+@pytest.mark.parametrize("noise", [DiagonalNoise(np.ones(3)), CirculantNoise(np.ones(3)),
+                                   LowRankNoise(np.ones((3, 1)), 0.1), 0.01],
+                         ids=["diagonal", "circulant", "low-rank", "not-a-model"])
+def test_samplers_refuse_a_noise_model_of_another_size(noise, path):
+    # With m = 2, a noise model of size 3 used to fail with numpy's
+    # broadcast error at the first step, after the chain and x_T had
+    # advanced the generator; an object that is no noise model failed there
+    # too.  Each sampler now refuses both before any draw.
+    d, m = 4, 2
+    M = np.random.default_rng(95).standard_normal((m, d))
+    A = from_dense(M) if path == "dense" else dataclasses.replace(from_dense(M), dense=None)
+    schedule = make_linear_schedule(5, 0.1, 1.25)
+    score_fn = score_fn_for(make_grid_gmm(d), schedule)
+    chain = generate_measurement_chain(np.zeros(m), schedule, np.random.default_rng(96))
+    error, match = ((TypeError, "unsupported noise model float") if isinstance(noise, float)
+                    else (ValueError, "noise model has size 3, the measurement size m = 2"))
+    calls = {
+        "cdps_sample": lambda rng: cdps_sample(np.zeros(m), A, noise, schedule, score_fn, rng,
+                                               n_chains=3),
+        "cdps_step": lambda rng: cdps_step(np.zeros(d), chain, 3, score_fn, A, noise, rng),
+    }
+    if path == "dense":  # the nonlinear step's Jacobian is always dense
+        calls["cdps_step_nonlinear"] = lambda rng: cdps_step_nonlinear(
+            np.zeros(d), chain, 3, score_fn, affine_map(M), noise, rng)
+    for name, call in calls.items():
+        rng = np.random.default_rng(97)
+        state = rng.bit_generator.state
+        with pytest.raises(error, match=match):
+            call(rng)
+        assert rng.bit_generator.state == state, name
+
+
 @pytest.mark.parametrize("path", ["fused", "factored", "diagonal", "cg"])
 def test_single_step_is_the_runs_step(path, monkeypatch):
     # From a run's shared chain, x_T and generator state, cdps_step returns
@@ -909,7 +946,7 @@ def test_make_step_params_takes_only_an_integer_t():
 
 
 @pytest.mark.parametrize("bad", [True, 2.5, np.float64(2)], ids=["bool", "float", "np-float64"])
-@pytest.mark.parametrize("site", ["step", "y_at", "alpha_bar", "level_reader"])
+@pytest.mark.parametrize("site", ["step", "y_at", "alpha_bar", "score_fn", "jvp_fn"])
 def test_every_level_site_takes_only_an_integer_t(site, bad):
     # A bool is an int to Python: cdps_step(t=True) reached the score, whose
     # level table it boolean-indexed, and y_at(True) returned every level with
@@ -925,7 +962,8 @@ def test_every_level_site_takes_only_an_integer_t(site, bad):
                                     IsotropicNoise(0.01), np.random.default_rng(94)),
         "y_at": chain.y_at,
         "alpha_bar": lambda t: alpha_bar(schedule, t),
-        "level_reader": _level_reader(prior, schedule),
+        "score_fn": lambda t: score_fn_for(prior, schedule)(np.zeros(d), t),
+        "jvp_fn": lambda t: denoiser_jvp_fn_for(prior, schedule)(np.zeros(d), t, np.ones(d)),
     }
     with pytest.raises(ValueError, match=r"t must be an integer in \[[01], T\] with T = 5"):
         sites[site](bad)

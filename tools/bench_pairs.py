@@ -34,6 +34,9 @@ gated: no benchmark workload runs at these dimensions.
 
 Each side's package size, the line count of its ``src/**/*.py``, is
 recorded as ``src_lines``, so a change that deletes code shows by how much.
+
+SIGTERM raises ``SystemExit``, as Ctrl-C raises ``KeyboardInterrupt``: the
+running benchmark child is killed and the temporary trees are removed.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -67,6 +71,11 @@ started = time.perf_counter()
 rows, _ = bench.run_config(cfg, d, 4, 1e-2, 0)
 print(json.dumps({"task_s": time.perf_counter() - started, "rows": rows}))
 """
+
+
+def exit_on_sigterm(signum, frame):
+    """Unwind on SIGTERM, so ``subprocess.run`` kills its child and the temporary trees go."""
+    raise SystemExit(128 + signum)
 
 
 def git(*args: str) -> str:
@@ -217,6 +226,7 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    signal.signal(signal.SIGTERM, exit_on_sigterm)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     seeds = range(args.first_seed, args.first_seed + args.pairs)
