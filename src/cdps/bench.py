@@ -23,7 +23,7 @@ from . import gmm as gmm_mod
 from .metrics import IterateTrace, sliced_wasserstein
 from .operators import IsotropicNoise, make_random_svd_operator
 from .sampler import SolverConfig, cdps_sample, dps_sample, ilvr_sample, score_sde_sample
-from .schedules import make_linear_schedule
+from .schedules import check_count, check_real, make_linear_schedule
 
 KNOWN_METHODS = ("cdps", "dps", "score_sde", "ilvr")
 
@@ -32,10 +32,11 @@ RESULT_COLUMNS = ("method", "d", "m", "sigma", "matrix", "sw", "failures", "seco
 TRACE_COLUMNS = ("method", "chain_id", "t", "residual_sq", "score_cos", "score_mse", "cg_iters",
                  "failed")
 
-# Config fields a run counts with; a float would be truncated or fail deep in
-# numpy, and a bool would count as 0 or 1.
-_INTEGER_FIELDS = ("dims", "measurements", "matrices_per_config", "samples_per_run", "sw_slices",
-                  "sw_order", "num_steps", "master_seed", "workers")
+# Config fields a run counts with, by their least value (None: any integer, or
+# bounded by the grid's checks); num_steps is checked by ``make_linear_schedule``.
+_INTEGER_FIELDS = {"dims": None, "measurements": None, "matrices_per_config": 1,
+                   "samples_per_run": 1, "sw_slices": 1, "sw_order": 1, "master_seed": None,
+                   "workers": 1}
 
 
 class BenchAbort(RuntimeError):
@@ -64,13 +65,14 @@ class BenchConfig:
     record_timing: bool = True  # False zeroes the seconds column for byte-stable output
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
+        for name, low in _INTEGER_FIELDS.items():
             value = getattr(self, name)
-            many = name in ("dims", "measurements")
-            if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                       for v in (value if many else [value])):
-                raise ValueError(f"{name} must be {'integers' if many else 'an integer'}, "
-                                 f"got {value!r}")
+            for v in value if name in ("dims", "measurements") else [value]:
+                check_count(v, name, low)
+        for sigma in self.sigmas:
+            check_real(sigma, "every sigma", positive=True)
+        check_real(self.dps_zeta, "dps_zeta")
+        check_real(self.guidance_scale, "guidance_scale")
         self.dims = tuple(int(d) for d in self.dims)
         self.measurements = tuple(int(m) for m in self.measurements)
         self.sigmas = tuple(float(s) for s in self.sigmas)
@@ -82,15 +84,8 @@ class BenchConfig:
             raise ValueError("every d must be an even integer >= 2")
         if any(not 1 <= m <= d for d in self.dims for m in self.measurements):
             raise ValueError("need 1 <= m <= d for every grid point")
-        for name in ("matrices_per_config", "samples_per_run", "sw_slices", "num_steps", "workers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
         if self.sw_order not in (1, 2):
             raise ValueError("sw_order must be 1 or 2")
-        if not all(np.isfinite(s) and s > 0 for s in self.sigmas):
-            raise ValueError("every sigma must be positive and finite")
-        if not (np.isfinite(self.dps_zeta) and np.isfinite(self.guidance_scale)):
-            raise ValueError("dps_zeta and guidance_scale must be finite")
         make_linear_schedule(self.num_steps, self.beta_min, self.beta_max)  # checks the betas
 
 

@@ -42,14 +42,13 @@ numpy's ``logaddexp.reduce``, a few ulp from ``scipy.special.logsumexp``.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .operators import LinearOperator, checked_y
-from .schedules import NoiseSchedule, check_level
+from .schedules import NoiseSchedule, check_count, check_finite, check_level, check_real
 
 _WSUM_TOL = 1e-12
 # Largest temporary, in bytes, of the (levels, K, d) marginal means a level
@@ -81,27 +80,21 @@ class GaussianMixture:
         K, d = means.shape
         if weights.shape != (K,):
             raise ValueError("weights must be (K,)")
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(weights))):
-            raise ValueError("means and weights must be finite")
+        check_finite(means, "means")
+        check_finite(weights, "weights")
         if np.any(weights < 0) or abs(weights.sum() - 1.0) > _WSUM_TOL:
             raise ValueError("weights must be nonnegative and sum to 1")
         if (self.variance is None) == (self.cov is None):
             raise ValueError("exactly one of variance/cov must be given")
         chol = None
         if self.variance is not None:
-            # A bool is a number to Python, but no variance.
-            if isinstance(self.variance, bool) or not isinstance(self.variance, numbers.Real):
-                raise ValueError("variance must be a number")
-            var = float(self.variance)
-            if not (np.isfinite(var) and var > 0):
-                raise ValueError("variance must be positive and finite")
-            object.__setattr__(self, "variance", var)
+            check_real(self.variance, "variance", positive=True)
+            object.__setattr__(self, "variance", float(self.variance))
         else:
             cov = np.asarray(self.cov, dtype=float)
             if cov.shape != (d, d):
                 raise ValueError("cov must be (d, d)")
-            if not np.all(np.isfinite(cov)):
-                raise ValueError("cov must be finite")
+            check_finite(cov, "cov")
             chol = np.linalg.cholesky(cov)  # raises LinAlgError if not SPD
             object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "means", means)
@@ -127,8 +120,9 @@ def make_grid_gmm(d: int) -> GaussianMixture:
     Means repeat the pair (8i, 8j) across the d coordinates for
     (i, j) in {-2..2}^2, so d must be even.
     """
-    if d < 2 or d % 2 != 0:
-        raise ValueError("d must be a positive even integer")
+    check_count(d, "d", 2)
+    if d % 2 != 0:
+        raise ValueError("d must be even")
     grid = np.arange(-2, 3, dtype=float)
     pairs = [(8.0 * i, 8.0 * j) for i in grid for j in grid]
     means = np.array([pair * (d // 2) for pair in pairs])
@@ -332,8 +326,7 @@ def exact_posterior(gmm: GaussianMixture, A: LinearOperator, y: np.ndarray,
         raise ValueError("exact posterior requires unit-variance components")
     if A.dense is None:
         raise ValueError("exact posterior requires a dense operator")
-    if not (np.isfinite(sigma) and sigma > 0):
-        raise ValueError("sigma must be positive and finite")
+    check_real(sigma, "sigma", positive=True)
     y = checked_y(y, A)
 
     mat = A.dense
@@ -358,8 +351,7 @@ def sample_mixture(gmm: GaussianMixture, n: int, rng: np.random.Generator) -> np
 
     Full-covariance mixtures share their covariance's Cholesky factor.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("n must be >= 1")
+    check_count(n, "n")
     ks = rng.choice(gmm.K, size=n, p=gmm.weights)
     eps = rng.standard_normal((n, gmm.d))
     if gmm.variance is not None:

@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .operators import LinearOperator
+from .schedules import check_count, check_finite, check_real
 
 PRECOND_PROBE_LIMIT = 4096  # beyond this, fall back to the identity preconditioner
 
@@ -42,8 +43,7 @@ class PrecisionOperator:
     whitener: Callable[[np.ndarray], np.ndarray]  # symmetric, so W^T = W
 
     def __post_init__(self):
-        if not (np.isfinite(self.c) and self.c > 0):
-            raise ValueError("c must be positive and finite")
+        check_real(self.c, "c", positive=True)
 
     @property
     def m(self) -> int:
@@ -90,11 +90,9 @@ def diag_preconditioner(op: PrecisionOperator) -> np.ndarray | None:
 
 def _checked_settings(op: PrecisionOperator, tol: float, max_iter: int | None) -> int:
     """``max_iter`` (``10 d`` if None), refused with ``tol`` unless both are valid."""
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
+    check_real(tol, "tol", positive=True)
     max_iter = 10 * op.d if max_iter is None else max_iter
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    check_count(max_iter, "max_iter")
     return max_iter
 
 
@@ -122,8 +120,7 @@ def cg_solve(
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape[-1] != op.d:
         raise ValueError(f"rhs last axis must be {op.d}")
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("rhs must be finite")
+    check_finite(rhs, "rhs")
 
     x = np.zeros_like(rhs)
     r = rhs.copy()

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from .operators import LinearOperator
+from .schedules import check_count, check_finite
 
 # Slices drawn, projected and sorted at a time: the working set is about
 # (2 n + d) * 8 * _SLICE_BLOCK bytes, whatever n_slices is.
@@ -17,8 +18,7 @@ def _check_samples(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] < 1:
         raise ValueError(f"{name} must be a nonempty (n, d) array")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite values")
+    check_finite(a, name)
     return a
 
 
@@ -44,12 +44,8 @@ def sliced_wasserstein(
         raise ValueError("sample sets must share the dimension")
     if a.shape[0] != b.shape[0]:
         raise ValueError("sample sets must have equal size")
-    # A bool is an int to Python, but no count: True would score order 1.
-    for name, value in (("n_slices", n_slices), ("order", order)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if n_slices < 1:
-        raise ValueError("n_slices must be >= 1")
+    check_count(n_slices, "n_slices")
+    check_count(order, "order")  # True would score order 1
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
 

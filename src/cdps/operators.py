@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .schedules import check_count, check_finite, check_real
+
 DENSE_LIMIT = 1 << 20  # max m*d for dense materialization (exact steps, ILVR, oracles)
 
 
@@ -35,12 +37,12 @@ class LinearOperator:
     dense: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.m < 1 or self.d < 1:
-            raise ValueError("operator dimensions must be positive")
-        if self.dense is not None and self.dense.shape != (self.m, self.d):
-            raise ValueError("dense matrix shape mismatch")
-        if self.dense is not None and not np.all(np.isfinite(self.dense)):
-            raise ValueError("dense matrix must be finite")
+        check_count(self.m, "m")
+        check_count(self.d, "d")
+        if self.dense is not None:
+            if self.dense.shape != (self.m, self.d):
+                raise ValueError("dense matrix shape mismatch")
+            check_finite(self.dense, "dense matrix")
 
 
 def checked_y(y, A: LinearOperator) -> np.ndarray:
@@ -48,8 +50,7 @@ def checked_y(y, A: LinearOperator) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (A.m,):
         raise ValueError(f"y must have shape ({A.m},), got {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y must be finite")
+    check_finite(y, "y")
     return y
 
 
@@ -58,8 +59,7 @@ def from_dense(mat: np.ndarray) -> LinearOperator:
     mat = np.ascontiguousarray(np.asarray(mat, dtype=float))
     if mat.ndim != 2:
         raise ValueError("expected a 2-D matrix")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix must be finite")
+    check_finite(mat, "matrix")
     m, d = mat.shape
     dense = mat if m * d <= DENSE_LIMIT else None
     return LinearOperator(
@@ -88,8 +88,7 @@ class IsotropicNoise:
     sigma2: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError("sigma2 must be positive and finite")
+        check_real(self.sigma2, "sigma2", positive=True)
 
     def dense(self, m: int) -> np.ndarray:
         return self.sigma2 * np.eye(m)
@@ -105,8 +104,7 @@ class DiagonalNoise:
         v = np.asarray(self.variances, dtype=float)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("variances must be a nonempty vector")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0):
-            raise ValueError("variances must be positive and finite")
+        check_finite(v, "variances", positive=True)
         object.__setattr__(self, "variances", v)
 
     def dense(self, m: int | None = None) -> np.ndarray:
@@ -124,10 +122,8 @@ class LowRankNoise:
         U = np.asarray(self.U, dtype=float)
         if U.ndim != 2 or U.shape[0] < U.shape[1]:
             raise ValueError("U must be a tall (m, r) matrix")
-        if not np.all(np.isfinite(U)):
-            raise ValueError("U must be finite")
-        if not (np.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError("sigma2 must be positive and finite")
+        check_finite(U, "U")
+        check_real(self.sigma2, "sigma2", positive=True)
         object.__setattr__(self, "U", U)
 
     def dense(self, m: int | None = None) -> np.ndarray:
@@ -149,8 +145,7 @@ class CirculantNoise:
         s = np.asarray(self.spectrum, dtype=float)
         if s.ndim != 1 or s.size == 0:
             raise ValueError("spectrum must be a nonempty vector")
-        if not np.all(np.isfinite(s)) or np.any(s <= 0):
-            raise ValueError("spectrum must be positive and finite")
+        check_finite(s, "spectrum", positive=True)
         mirrored = s[(-np.arange(s.size)) % s.size]
         if np.any(np.abs(s - mirrored) > 1e-10 * mirrored):
             raise ValueError("spectrum must be Hermitian-symmetric")
@@ -191,6 +186,7 @@ def mix_conditional_cov(noise: NoiseModel, abar_prev: float) -> NoiseModel:
 
     Returns a noise model of the input's class, so the whitener stays cheap.
     """
+    check_real(abar_prev, "abar_prev")
     a = float(abar_prev)
     if not (0.0 < a <= 1.0):
         raise ValueError("abar_prev must lie in (0, 1]")
@@ -257,8 +253,8 @@ def make_random_svd_operator(d: int, m: int, rng: np.random.Generator) -> Linear
     are replaced by min(m, d) independent Uniform[0, 1] draws.  Deterministic
     for a given generator state.
     """
-    if not 1 <= m <= d:
-        raise ValueError("need 1 <= m <= d")
+    check_count(m, "m")
+    check_count(d, "d", m)
     gauss = rng.standard_normal((m, d))
     u, _, vt = np.linalg.svd(gauss, full_matrices=False)
     s = rng.uniform(0.0, 1.0, size=min(m, d))
@@ -267,6 +263,7 @@ def make_random_svd_operator(d: int, m: int, rng: np.random.Generator) -> Linear
 
 def mask_operator(keep_indices, d: int) -> LinearOperator:
     """Coordinate-selection operator: apply(x) = x[keep_indices]."""
+    check_count(d, "d")
     keep = np.asarray(keep_indices)
     if keep.ndim != 1 or keep.size == 0:
         raise ValueError("keep_indices must be a nonempty 1-D index set")
@@ -303,11 +300,11 @@ def blur_operator(kernel, d: int) -> LinearOperator:
     ``-j`` for the correlation.  The taps are summed in kernel order, each
     product made in one scratch buffer.
     """
+    check_count(d, "d")
     h = np.asarray(kernel, dtype=float)
     if h.ndim != 1 or h.size == 0:
         raise ValueError("kernel must be a nonempty vector")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("kernel must be finite")
+    check_finite(h, "kernel")
     if h.size % 2 == 0:
         raise ValueError("kernel length must be odd")
     if h.size > d:

@@ -85,7 +85,7 @@ from .operators import (
     mix_conditional_cov,
     mix_variance,
 )
-from .schedules import NoiseSchedule, check_level
+from .schedules import NoiseSchedule, check_count, check_finite, check_level, check_real
 
 
 class ChainFailureError(RuntimeError):
@@ -132,8 +132,11 @@ class MeasurementChain:
     schedule: NoiseSchedule
 
     def __post_init__(self):
-        if self.y_levels.shape[-2] != self.schedule.num_steps + 1:
-            raise ValueError("chain length must be T + 1")
+        y_levels = np.asarray(self.y_levels, dtype=float)  # a float array is kept as it is
+        if y_levels.ndim < 2 or y_levels.shape[-2] != self.schedule.num_steps + 1:
+            raise ValueError("chain length must be T + 1 on axis -2 of levels (..., T + 1, m), "
+                             f"got shape {y_levels.shape}")
+        object.__setattr__(self, "y_levels", y_levels)
 
     def y_at(self, t: int) -> np.ndarray:
         check_level(t, self.schedule.num_steps)
@@ -160,14 +163,6 @@ def _own_pages(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(pages, dtype=float).reshape(shape)
 
 
-def _check_n_chains(n_chains):
-    if n_chains is None:
-        return
-    # A bool is an int to Python, but no count.
-    if isinstance(n_chains, bool) or not isinstance(n_chains, (int, np.integer)) or n_chains < 1:
-        raise ValueError("n_chains must be None or at least 1")
-
-
 def generate_measurement_chain(
     y0: np.ndarray,
     schedule: NoiseSchedule,
@@ -188,12 +183,12 @@ def generate_measurement_chain(
     levels live on pages of their own (``_own_pages``), given back when the
     chain is freed.
     """
-    _check_n_chains(n_chains)
+    if n_chains is not None:
+        check_count(n_chains, "n_chains")
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 1 or y0.size == 0:
         raise ValueError("y0 must be a nonempty 1-D measurement vector")
-    if not np.all(np.isfinite(y0)):
-        raise ValueError("y0 must be finite")
+    check_finite(y0, "y0")
     T = schedule.num_steps
     m = y0.size
     levels = _own_pages((T + 1, n_chains or 1, m))
@@ -310,8 +305,7 @@ def _posterior_rhs(x_t, s_hat, white, keep, pull, tweedie, c, bt, eps):
         rhs += np.sqrt(c) * eps[:x_t.size].reshape(x_t.shape)
         white = white + eps[x_t.size:].reshape(x_t.shape[:-1] + (-1,))
     rhs = rhs + bt(white)  # posterior_mean broadcasts one x_t against per-row levels
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("rhs must be finite")
+    check_finite(rhs, "rhs")
     return rhs
 
 
@@ -525,8 +519,8 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
         eps1 *= root_c
         rhs += eps1
         # A sum over finite entries is finite unless it overflows.
-        if not math.isfinite(np.add.reduce(rhs, axis=None)) and not np.all(np.isfinite(rhs)):
-            raise ValueError("rhs must be finite")
+        if not math.isfinite(np.add.reduce(rhs, axis=None)):
+            check_finite(rhs, "rhs")
         return rhs @ solve, 0, _NO_ROWS
     return fused_step
 
@@ -564,8 +558,9 @@ def _reverse_run(A, schedule, score_fn, rng, n_chains, per_row, step):
 
 
 def _checked_inputs(y, A, n_chains):
-    """``checked_y(y, A)``, once ``n_chains`` is None or at least 1."""
-    _check_n_chains(n_chains)
+    """``checked_y(y, A)``, once ``n_chains`` is None or a count."""
+    if n_chains is not None:
+        check_count(n_chains, "n_chains")
     return checked_y(y, A)
 
 
@@ -609,8 +604,7 @@ def _single_step(x_t, t, chain, score_fn, A, noise, rng, config, offset=0.0):
     """Step t of a run on the chain's schedule, at the chain's level y_{t-1} less ``offset``."""
     config = config or SolverConfig()
     _check_width(x_t, A.d)
-    if not np.all(np.isfinite(x_t)):
-        raise ValueError("x_t must be finite")
+    check_finite(x_t, "x_t")
     check_level(t, chain.schedule.num_steps, first=1)
     if chain.y_levels.shape[-1] != A.m:
         raise ValueError(f"the chain's levels must have length {A.m}")
@@ -728,6 +722,7 @@ def dps_sample(
     shape; the run's ``NormalStream`` holds ``rng`` until the run returns.
     """
     y = _checked_inputs(y, A, n_chains)
+    check_real(zeta, "zeta")
     batch = () if n_chains is None else (n_chains,)
     ancestral = _ancestral_update(schedule, batch + (A.d,))
     resid, tmp = np.empty(batch + (A.m,)), np.empty(batch + (A.d,))
@@ -760,6 +755,7 @@ def _noisy_target_sample(back, y, A, schedule, score_fn, rng, n_chains, scale):
     ``eps`` holds its ancestral noise (n, d), then the target's noise (n, m).
     """
     y = _checked_inputs(y, A, n_chains)
+    check_real(scale, "scale")
     ancestral = _ancestral_update(schedule, (A.d,) if n_chains is None else (n_chains, A.d))
 
     def guided(x, t, s_hat, eps):

@@ -1,12 +1,18 @@
-"""Discrete variance-preserving noise schedules.
+"""Discrete variance-preserving noise schedules, and the package's rules for its inputs.
 
 One schedule, given by its betas alone, is shared by the data-space chain
 and the measurement-space chain, so both inject the same noise fraction at
 every step.
+
+The package refuses a bad level, count, real parameter or array by one rule
+each, defined here: ``check_level``, ``check_count``, ``check_real`` and
+``check_finite``.  Each raises ``ValueError``; a bool is neither a count nor
+a real.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +40,7 @@ class NoiseSchedule:
         betas = np.array(self.betas, dtype=float)  # a copy, frozen below with what it fixes
         if betas.ndim != 1 or betas.size < 1:
             raise ValueError("betas must be a nonempty 1-D array")
-        if not np.all(np.isfinite(betas)):
-            raise ValueError("betas must be finite")
+        check_finite(betas, "betas")
         if np.any(betas <= 0.0) or np.any(betas >= 1.0):
             raise ValueError("betas must lie strictly inside (0, 1)")
         if np.any(np.diff(betas) < 0.0):
@@ -66,15 +71,11 @@ def make_linear_schedule(num_steps: int, beta_min: float, beta_max: float) -> No
     sampled at s = (t-1)/(T-1) and divided by T, giving
     beta_t = beta(s_t) / T, then clamped into (0, 1) with a 1e-12 margin.
     """
-    count = isinstance(num_steps, (int, np.integer)) and not isinstance(num_steps, bool)
-    if not count or num_steps < 1:
-        raise ValueError("num_steps must be a positive integer")
+    check_count(num_steps, "num_steps")
+    check_real(beta_min, "beta_min", positive=True)
+    check_real(beta_max, "beta_max")
     beta_min = float(beta_min)
     beta_max = float(beta_max)
-    if not (np.isfinite(beta_min) and np.isfinite(beta_max)):
-        raise ValueError("beta_min and beta_max must be finite")
-    if beta_min <= 0.0:
-        raise ValueError("beta_min must be positive")
     if beta_max < beta_min:
         raise ValueError("beta_max must be >= beta_min")
 
@@ -88,6 +89,30 @@ def check_level(t, num_steps: int, first: int = 0) -> None:
     """Refuse a level t that is not an integer in [first, num_steps]; a bool is no level."""
     if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or not first <= t <= num_steps:
         raise ValueError(f"t must be an integer in [{first}, T] with T = {num_steps}, got {t!r}")
+
+
+def check_count(value, name: str, low: int | None = 1) -> None:
+    """Refuse a count that is not an integer (a numpy integer too, a bool not) of at least
+    ``low``; with ``low`` None, any integer is a count."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (low is not None and value < low)):
+        raise ValueError(f"{name} must be an integer{'' if low is None else f' >= {low}'}, "
+                         f"got {value!r}")
+
+
+def check_real(value, name: str, positive: bool = False) -> None:
+    """Refuse a real parameter that is not an int, float or numpy real (a bool is not), not
+    finite or, if ``positive``, not above 0."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value) or (positive and value <= 0)):
+        raise ValueError(f"{name} must be {'positive and ' if positive else ''}finite, "
+                         f"a real number, got {value!r}")
+
+
+def check_finite(a: np.ndarray, name: str, positive: bool = False) -> None:
+    """Refuse an array with an entry that is not finite or, if ``positive``, not above 0."""
+    if not np.all(np.isfinite(a)) or (positive and np.any(a <= 0)):
+        raise ValueError(f"{name} must be {'positive and ' if positive else ''}finite")
 
 
 def alpha_bar(schedule: NoiseSchedule, t: int) -> float:

@@ -237,9 +237,9 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value, refused", [
-    ("dims", (8.5,), "dims must be integers"),
-    ("dims", (8, True), "dims must be integers"),
-    ("measurements", (1.5,), "measurements must be integers"),
+    ("dims", (8.5,), "dims must be an integer"),
+    ("dims", (8, True), "dims must be an integer"),
+    ("measurements", (1.5,), "measurements must be an integer"),
     ("samples_per_run", 10.5, "samples_per_run must be an integer"),
     ("matrices_per_config", 1.5, "matrices_per_config must be an integer"),
     ("sw_slices", 100.0, "sw_slices must be an integer"),
@@ -482,11 +482,11 @@ def test_cli_rejects_unknown_config_keys(tmp_path):
 
 
 @pytest.mark.parametrize("config, flags, refused", [
-    ({}, ["--workers", "0"], "workers must be positive"),
-    ({"num_steps": 0}, [], "num_steps must be positive"),
+    ({}, ["--workers", "0"], "workers must be an integer >= 1, got 0"),
+    ({"num_steps": 0}, [], "num_steps must be an integer >= 1, got 0"),
     ({"dims": [7]}, [], "every d must be an even integer >= 2"),
-    ({"dps_zeta": float("nan")}, [], "dps_zeta and guidance_scale must be finite"),
-    ({"dims": [8.5]}, [], "dims must be integers, got [8.5]"),
+    ({"dps_zeta": float("nan")}, [], "dps_zeta must be finite, a real number, got nan"),
+    ({"dims": [8.5]}, [], "dims must be an integer, got 8.5"),
 ], ids=["workers", "num_steps", "odd-d", "nan-zeta", "fractional-d"])
 def test_cli_reports_a_refused_config_value_in_one_line(tmp_path, config, flags, refused):
     cfg_path = tmp_path / "cfg.json"
@@ -503,9 +503,9 @@ _POINT_REFUSALS = [
     for flags, refused in [
         (["--d", "7"], "every d must be an even integer >= 2"),
         (["--m", "9"], "need 1 <= m <= d for every grid point"),
-        (["--sigma", "-1"], "every sigma must be positive and finite"),
+        (["--sigma", "-1"], "every sigma must be positive and finite, a real number, got -1.0"),
         (["--samples" if command == "oracle" else "--chains", "0"],
-         "samples_per_run must be positive"),
+         "samples_per_run must be an integer >= 1, got 0"),
     ]
 ]
 
@@ -731,6 +731,27 @@ def test_bench_pairs_claim_and_bound_verdicts(change, claim, worse):
     flipped = [{side: {"m": -v["m"]} for side, v in pair.items()} for pair in runs]
     higher = pairs_mod.summarize(flipped, [{**spec, "better": "higher"}])["m"]
     assert (higher["claim_rule_met"], higher["worse_beyond_bound"]) == (claim, worse)
+
+
+@pytest.mark.parametrize("raw_gain, flagged", [(1.0, True), (0.94, False)],
+                         ids=["raw-flat", "raw-gains"])
+def test_bench_pairs_flags_a_task_cal_gain_raw_seconds_do_not_show(raw_gain, flagged, capsys):
+    # task_cal gains 6% in 10 of 10 pairs. With task_s flat the gain is a
+    # shift of the speed probe's unit, and is flagged; with task_s gaining
+    # too, it is not.
+    pairs_mod = load_module("tools/bench_pairs.py")
+    parent = (0.97, 0.98, 0.99, 1.0, 1.0, 1.0, 1.0, 1.01, 1.02, 1.03)
+    runs = [{side: {"cdps.task_cal": 100 * p * (0.94 if side == "change" else 1.0),
+                    "cdps.task_s": 0.3 * p * (raw_gain if side == "change" else 1.0)}
+             for side in ("parent", "change")} for p in parent]
+    summary = pairs_mod.summarize(runs, [{"name": "cdps.task_cal", "better": "lower"},
+                                         *pairs_mod.RAW_METRICS])
+    cal = summary["cdps.task_cal"]
+    assert cal["change_better_in_pairs"] == "10/10" and cal["claim_rule_met"]
+    assert cal["raw_seconds_agree"] is not flagged
+    assert "raw_seconds_agree" not in summary["cdps.task_s"]
+    warned = capsys.readouterr().err
+    assert ("warning: cdps.task_cal meets the gain rule" in warned) is flagged
 
 
 def test_bench_pairs_counts_src_lines(tmp_path):

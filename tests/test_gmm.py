@@ -486,8 +486,8 @@ def test_full_covariance_mixture_factors_its_covariance_once(monkeypatch):
 @pytest.mark.parametrize("case, match", [
     ({"means": np.zeros(2)}, r"means must be \(K, d\)"),
     ({"weights": np.full(3, 1.0 / 3.0)}, r"weights must be \(K,\)"),
-    ({"variance": np.ones(2)}, "variance must be a number"),
-    ({"variance": True}, "variance must be a number"),
+    ({"variance": np.ones(2)}, "variance must be positive and finite, a real number"),
+    ({"variance": True}, "variance must be positive and finite, a real number"),
     ({"variance": 0.0}, "variance must be positive and finite"),
     ({"variance": -1.0}, "variance must be positive and finite"),
     ({"variance": np.nan}, "variance must be positive and finite"),
@@ -498,7 +498,7 @@ def test_full_covariance_mixture_factors_its_covariance_once(monkeypatch):
     ("posterior-non-unit", "unit-variance components"),
     ("posterior-nearly-unit", "unit-variance components"),
     ("posterior-no-dense", "dense operator"),
-    ("sample-zero", "n must be >= 1"),
+    ("sample-zero", "n must be an integer >= 1"),
 ], ids=["means-1d", "weights-shape", "variance-array", "variance-bool", "variance-zero",
         "variance-negative", "variance-nan", "variance-inf", "cov-shape", "abar-zero",
         "abar-above-one", "posterior-non-unit", "posterior-nearly-unit", "posterior-no-dense",

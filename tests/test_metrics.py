@@ -212,7 +212,7 @@ def test_score_consistency_along_sampler_trajectory():
 @pytest.mark.parametrize("case, match", [
     ("1-d", r"a must be a nonempty \(n, d\) array"),
     ("empty", r"b must be a nonempty \(n, d\) array"),
-    ("no-slices", "n_slices must be >= 1"),
+    ("no-slices", "n_slices must be an integer >= 1"),
     ("residual-x", "dimension mismatch"),
     ("residual-y", "dimension mismatch"),
 ], ids=["1-d", "empty", "no-slices", "residual-x", "residual-y"])
@@ -238,8 +238,8 @@ def test_metric_input_refusals(case, match):
     ("order-float", "order must be an integer"),
     ("slices-true", "n_slices must be an integer"),
     ("slices-fraction", "n_slices must be an integer"),
-    ("steps-true", "num_steps must be a positive integer"),
-    ("steps-float", "num_steps must be a positive integer"),
+    ("steps-true", "num_steps must be an integer >= 1"),
+    ("steps-float", "num_steps must be an integer >= 1"),
 ])
 def test_counts_refuse_bools_and_non_integers(case, match):
     # A bool is an int to Python: order=True scored SW of order 1 and

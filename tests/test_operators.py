@@ -326,8 +326,8 @@ def test_zero_operator():
 
 
 @pytest.mark.parametrize("case, match", [
-    (lambda: LinearOperator(0, 3, np.negative, np.negative), "dimensions must be positive"),
-    (lambda: LinearOperator(2, 0, np.negative, np.negative), "dimensions must be positive"),
+    (lambda: LinearOperator(0, 3, np.negative, np.negative), "m must be an integer >= 1"),
+    (lambda: LinearOperator(2, 0, np.negative, np.negative), "d must be an integer >= 1"),
     (lambda: LinearOperator(2, 3, np.negative, np.negative, dense=np.zeros((3, 2))),
      "dense matrix shape mismatch"),
     (lambda: from_dense(np.ones(3)), "expected a 2-D matrix"),

@@ -159,9 +159,25 @@ def test_chain_refuses_fewer_than_one_chain(n_chains):
     # the chain now refuses each as the samplers do, before any draw.
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="n_chains must be None or at least 1"):
+    with pytest.raises(ValueError, match="n_chains must be an integer >= 1"):
         generate_measurement_chain(np.zeros(2), BENCH_SCHEDULE, rng, n_chains)
     assert rng.bit_generator.state == state
+
+
+def test_measurement_chain_takes_levels_as_a_float_array():
+    # A 1-D array of levels used to end in an IndexError and a nested list
+    # in an AttributeError; the levels are now read as a float array, and
+    # fewer than two dimensions are refused.
+    schedule = make_linear_schedule(4, 0.1, 1.25)
+    with pytest.raises(ValueError, match=r"chain length must be T \+ 1 .* got shape \(5,\)"):
+        MeasurementChain(y_levels=np.zeros(5), schedule=schedule)
+    chain = MeasurementChain(y_levels=[[0.0, 1.0]] * 5, schedule=schedule)
+    assert chain.y_levels.dtype == float and chain.y_levels.shape == (5, 2)
+    np.testing.assert_array_equal(chain.y_at(4), [0.0, 1.0])
+    # A sampler's own chain keeps its float view, uncopied.
+    drawn = generate_measurement_chain(np.zeros(2), schedule, np.random.default_rng(5), 3)
+    again = MeasurementChain(drawn.y_levels, schedule)
+    assert again.y_levels is drawn.y_levels and drawn.y_levels.shape == (3, 5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +739,7 @@ def test_samplers_refuse_fewer_than_one_chain(method, n_chains):
     prior = make_grid_gmm(d)
     score_fn = score_fn_for(prior, schedule)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="n_chains must be None or at least 1"):
+    with pytest.raises(ValueError, match="n_chains must be an integer >= 1"):
         if method == "cdps":
             cdps_sample(y, A, IsotropicNoise(0.01), schedule, score_fn, rng, n_chains=n_chains)
         elif method == "dps":

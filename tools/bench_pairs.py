@@ -24,7 +24,10 @@ change's median is worse than the parent's by more than the metric's bound.
 Beside the gated metrics the summary carries the raw median seconds per task
 of each method, ``cdps.task_s`` and ``dps.task_s``: ``task_cal`` divides them
 by the speed probe's unit, so a gain that shows in ``task_cal`` but not in
-``task_s`` is a shift of that unit.
+``task_s`` is a shift of that unit. Each ``<method>.task_cal`` entry says, in
+``raw_seconds_agree``, whether ``<method>.task_s`` moved the same way by more
+than its own parent IQR, and a ``task_cal`` gain that meets the gain rule
+without that agreement is printed as a warning.
 
 ``--run-config-dims`` also times one ``bench.run_config`` task per
 dimension (m = 4, sigma = 1e-2, matrix 0, 100 chains) with C-DPS and DPS,
@@ -161,6 +164,11 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     the parent's by more than the parent's IQR. ``worse_beyond_bound``: the
     change's median is worse than the parent's by more than the metric's
     relative ``bound``; None for a metric without one.
+
+    Each ``<method>.task_cal`` entry also gets ``raw_seconds_agree``: whether
+    the medians of ``<method>.task_s`` moved the same way, by more than its
+    parent IQR (None without its raw seconds). A ``task_cal`` that meets the
+    gain rule while they do not is printed to stderr as a warning.
     """
     out = {}
     for spec in metrics:
@@ -183,6 +191,18 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
             "claim_rule_met": wins >= 0.9 * len(both) and gap > iqr,
             "worse_beyond_bound": None if bound is None else -gap > bound * abs(ps["median"]),
         }
+
+    def moved(entry):
+        return entry["change"]["median"] - entry["parent"]["median"]
+
+    for name in [n for n in out if n.endswith(".task_cal")]:
+        raw = out.get(name.removesuffix("task_cal") + "task_s")
+        agree = None if raw is None else bool(
+            moved(raw) * moved(out[name]) > 0 and abs(moved(raw)) > raw["parent_iqr"])
+        out[name]["raw_seconds_agree"] = agree
+        if out[name]["claim_rule_met"] and not agree:
+            print(f"warning: {name} meets the gain rule, but its raw seconds do not move the "
+                  "same way by more than their parent IQR", file=sys.stderr)
     out["all_correct_failed_0"] = all(
         p[side].get("correct") and p[side].get("failed") == 0 and p[side].get("exit") == 0
         for p in pairs for side in ("parent", "change"))
