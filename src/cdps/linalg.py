@@ -205,9 +205,11 @@ def pw_cg_draw(
     side ``z = sqrt(c) * eps1 + B^T eps2`` with cov(z) = op (Papandreou
     & Yuille 2010; Orieux et al. 2012).  eps1, shape (d,) or (n, d), is drawn
     before eps2, shape (m,) or (n, m), the order the coupled step uses.  Pass
-    ``n`` to draw a batch of independent vectors; a refused CG setting draws none.
+    ``n`` to draw a batch of independent vectors; a refused CG setting or ``n`` draws none.
     """
     max_iter = _checked_settings(op, tol, max_iter)
+    if n is not None:
+        check_count(n, "n")
     batch = () if n is None else (n,)
     z = np.sqrt(op.c) * rng.standard_normal(batch + (op.d,))
     z = z + op.bt(rng.standard_normal(batch + (op.m,)))

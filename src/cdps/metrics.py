@@ -9,9 +9,17 @@ import numpy as np
 from .operators import LinearOperator
 from .schedules import check_count, check_finite
 
-# Slices drawn, projected and sorted at a time: the working set is about
-# (2 n + d) * 8 * _SLICE_BLOCK bytes, whatever n_slices is.
+# The most slices drawn, projected and sorted at a time: the working set is
+# about (2 n + d) * 8 * _SLICE_BLOCK bytes, whatever n_slices is.
 _SLICE_BLOCK = 256
+# The most multiply-adds one projection product (block, d) @ (d, n) takes.
+# OpenBLAS runs a product this small on the calling thread at any thread count
+# (its bound is 65,536 * GEMM_MULTITHREAD_THRESHOLD 4).  A larger one wakes its
+# worker thread, which then busy-waits into whatever runs next: on a 2-core x86
+# box at 2 threads (OpenBLAS 0.3.31) a product of 521,600 multiply-adds stayed
+# on the caller, one of 524,800 woke the worker, and 256 slices at n = 100,
+# d = 32 (819,200) left it burning 13-14 clock ticks of the next 0.3 s.
+_PRODUCT_MADDS = 2**18
 
 
 def _check_samples(a: np.ndarray, name: str) -> np.ndarray:
@@ -34,9 +42,11 @@ def sliced_wasserstein(
     Projects both sets onto ``n_slices`` uniform random directions, computes
     the 1-D order-p Wasserstein distance per direction via sorted quantile
     matching, and aggregates as (mean_slices W_p^p)^(1/p).  The directions
-    are drawn from ``rng`` a block of ``_SLICE_BLOCK`` at a time, one
-    ``standard_normal`` call per block, so they and the generator's final
-    state are those of one up-front (n_slices, d) draw, whatever the block.
+    are drawn from ``rng`` a block at a time, one ``standard_normal`` call per
+    block, so they and the generator's final state are those of one up-front
+    (n_slices, d) draw, whatever the block.  A block is ``_SLICE_BLOCK``
+    slices, or fewer where n and d are large enough that its projection
+    products would exceed ``_PRODUCT_MADDS`` multiply-adds.
     """
     a = _check_samples(a, "a")
     b = _check_samples(b, "b")
@@ -49,10 +59,11 @@ def sliced_wasserstein(
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
 
-    d = a.shape[1]
+    n, d = a.shape
+    block = min(_SLICE_BLOCK, max(1, _PRODUCT_MADDS // (n * d)))
     total = 0.0
-    for lo in range(0, n_slices, _SLICE_BLOCK):
-        dirs = rng.standard_normal((min(_SLICE_BLOCK, n_slices - lo), d))
+    for lo in range(0, n_slices, block):
+        dirs = rng.standard_normal((min(block, n_slices - lo), d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         # One projection per row, so each sort runs along contiguous memory,
         # in place like the differences below.
@@ -66,7 +77,7 @@ def sliced_wasserstein(
         else:
             np.abs(diff, out=diff)
         total += float(np.add.reduce(diff, axis=None))
-    mean = total / (n_slices * a.shape[0])
+    mean = total / (n_slices * n)
     return math.sqrt(mean) if order == 2 else mean
 
 

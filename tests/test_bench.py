@@ -807,3 +807,26 @@ def test_bench_pairs_run_config_summary_keeps_each_method():
     assert summary["d=80"]["cdps"]["parent"] == [1.0, 2.0, 3.0]
     assert summary["d=80"]["dps"]["change"] == [1.0, 2.0, 3.0]
     assert summary["d=80"]["dps"]["median_s"] == {"parent": 3.0, "change": 2.0}
+
+
+def test_bench_pairs_grid_records_wall_seconds_and_mean_sw():
+    # --grid-reps times bench.run_grid per side and worker count; a run
+    # reports its wall seconds and one mean SW per method and grid point.
+    pairs_mod = load_module("tools/bench_pairs.py")
+    assert pairs_mod.GRID_WORKERS == (1, 2)
+    small = {"dims": [4], "measurements": [1, 2], "sigmas": [1e-2], "matrices_per_config": 1,
+             "samples_per_run": 10, "sw_slices": 50, "num_steps": 10}
+    run = pairs_mod.grid_run(ROOT, 1, small)
+    assert run["wall_s"] > 0 and run["aborted"] == 0
+    assert sorted(run["sw_mean"]) == ["cdps d=4 m=1", "cdps d=4 m=2", "dps d=4 m=1",
+                                      "dps d=4 m=2"]
+    runs = [{"side": side, "rep": rep, "workers": workers, "wall_s": base / workers + rep,
+             "aborted": 0, "sw_mean": {"cdps d=8 m=1": 2.0 + (side == "change") * 1e-16}}
+            for rep in range(3) for workers in (1, 2)
+            for side, base in (("parent", 20.0), ("change", 18.0))]
+    runs.append({"side": "change", "rep": 3, "workers": 2, "exit": 1, "error": "boom"})
+    summary = pairs_mod.grid_summary(runs)
+    assert summary["workers=1"]["parent"] == [20.0, 21.0, 22.0]
+    assert summary["workers=2"]["median_s"] == {"parent": 11.0, "change": 10.0}
+    assert summary["sw_mean_max_rel_spread"] == pytest.approx(0.5e-16, abs=1e-16)
+    assert summary["failed_runs"] == 1

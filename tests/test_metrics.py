@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +95,75 @@ def test_sw_does_not_depend_on_its_block(order, monkeypatch):
         got = sliced_wasserstein(a, b, n_slices, slices, order=order)
         assert got == pytest.approx(expected, rel=1e-12, abs=0), block
         assert slices.bit_generator.state == upfront.bit_generator.state, block
+
+
+class _SizeRecorder:
+    """A generator stand-in that records the size of each ``standard_normal`` draw."""
+
+    def __init__(self, rng):
+        self._rng, self.sizes = rng, []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return self._rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("n, d, first", [(100, 8, 256), (100, 32, 81), (1000, 8, 32)])
+def test_sw_blocks_keep_each_projection_product_small(n, d, first):
+    # Each block's products (block, d) @ (d, n) take at most 2^18
+    # multiply-adds, which OpenBLAS runs on the calling thread; 256 slices
+    # at n = 100, d = 32 took 819,200 and woke its worker thread.
+    rng = np.random.default_rng(16)
+    a, b = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    recorder = _SizeRecorder(np.random.default_rng(17))
+    sliced_wasserstein(a, b, 1000, recorder)
+    assert {cols for _, cols in recorder.sizes} == {d}
+    blocks = [rows for rows, _ in recorder.sizes]
+    assert blocks[0] == first
+    assert all(block * n * d <= 2**18 for block in blocks)
+    assert sum(blocks) == 1000
+
+
+SW_THREAD_PROBE = """
+import os, sys, threading, time
+import numpy as np
+from cdps.metrics import sliced_wasserstein
+
+def ticks():
+    out = {}
+    for tid in os.listdir("/proc/self/task"):
+        with open(f"/proc/self/task/{tid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+        out[tid] = int(fields[11]) + int(fields[12])  # utime + stime
+    return out
+
+rng = np.random.default_rng(18)
+a, b = rng.standard_normal((100, 32)), rng.standard_normal((100, 32))
+sliced_wasserstein(a, b, 10_000, np.random.default_rng(19))
+before = ticks()
+time.sleep(0.3)
+after = ticks()
+caller = str(threading.get_native_id())
+print(max([after[t] - before.get(t, 0) for t in after if t != caller], default=0))
+"""
+
+
+def _blas_name() -> str:
+    return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or "openblas" not in _blas_name()
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs Linux /proc, numpy on OpenBLAS and at least 2 CPUs")
+def test_sw_leaves_no_blas_thread_spinning():
+    # A product above OpenBLAS's single-thread bound wakes its worker, which
+    # then busy-waits: after 256-slice blocks at n = 100, d = 32 it burnt
+    # 13-14 clock ticks of the next 0.3 s, time the next sampler run lost.
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", SW_THREAD_PROBE], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "2"})
+    assert int(out.stdout) < 5
 
 
 def test_sw_working_set_is_bounded():

@@ -93,6 +93,7 @@ COUNT_SITES = {
                           np.int64(3)),
     "pw_cg_draw-max_iter": (lambda v, rng: pw_cg_draw(precision(), rng, max_iter=v, n=2), (),
                             np.int64(3)),
+    "pw_cg_draw-n": (lambda v, rng: pw_cg_draw(precision(), rng, n=v), (), np.int64(2)),
     "generate_measurement_chain-n_chains": (
         lambda v, rng: generate_measurement_chain(np.zeros(2), SCHEDULE, rng, v), (), np.int64(2)),
     "cdps_sample-n_chains": (

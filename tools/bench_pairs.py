@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 tools/bench_pairs.py --label spectral_step --parent HEAD~1 \\
-        --pairs 10 --first-seed 301 [--run-config-dims 80 800] \\
+        --pairs 10 --first-seed 301 [--run-config-dims 80 800] [--grid-reps 2] \\
         [--what "one line on the change"]
 
 The parent is exported with ``git archive`` into a temporary directory, and
@@ -35,6 +35,14 @@ three times per side, alternating which side runs first, and records each
 method's seconds (sampling plus SW). These timings are recorded, not
 gated: no benchmark workload runs at these dimensions.
 
+``--grid-reps`` also times ``bench.run_grid`` on a small grid (``GRID_CONFIG``:
+d = 8, m in {1, 2, 4}, sigma = 1e-2, 4 matrices, 1,000 chains, C-DPS and DPS)
+at each worker count of ``GRID_WORKERS``, that many times per side,
+alternating which side runs first, with BLAS threads as the environment
+leaves them. Each run's wall seconds and mean SW per grid point are
+recorded, not gated, with each side's median seconds and the largest
+relative spread of a grid point's mean SW over every run of both sides.
+
 Each side's package size, the line count of its ``src/**/*.py``, is
 recorded as ``src_lines``, so a change that deletes code shows by how much.
 
@@ -46,6 +54,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import signal
 import subprocess
@@ -73,6 +82,20 @@ cfg = bench.BenchConfig(dims=(d,), measurements=(4,), sigmas=(1e-2,), samples_pe
 started = time.perf_counter()
 rows, _ = bench.run_config(cfg, d, 4, 1e-2, 0)
 print(json.dumps({"task_s": time.perf_counter() - started, "rows": rows}))
+"""
+GRID_CONFIG = {"dims": [8], "measurements": [1, 2, 4], "sigmas": [1e-2],
+               "matrices_per_config": 4, "samples_per_run": 1000}
+GRID_WORKERS = (1, 2)
+GRID_CODE = """
+import json, sys, time
+sys.path.insert(0, "src")
+from cdps import bench
+cfg = bench.BenchConfig(**json.loads(sys.argv[1]), workers=int(sys.argv[2]))
+started = time.perf_counter()
+result = bench.run_grid(cfg)
+print(json.dumps({"wall_s": time.perf_counter() - started, "aborted": len(result.aborted),
+                  "sw_mean": {f"{a['method']} d={a['d']} m={a['m']}": a["sw_mean"]
+                              for a in result.aggregates}}))
 """
 
 
@@ -233,6 +256,36 @@ def run_config_summary(tasks: list[dict]) -> dict:
     return out
 
 
+def grid_run(tree: Path, workers: int, config: dict = GRID_CONFIG) -> dict:
+    """One timed ``bench.run_grid`` on ``config`` with ``workers`` processes."""
+    done = subprocess.run([sys.executable, "-c", GRID_CODE, json.dumps(config), str(workers)],
+                          cwd=tree, capture_output=True, text=True)
+    if done.returncode:
+        return {"exit": done.returncode, "error": done.stderr[-2000:]}
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def grid_summary(runs: list[dict]) -> dict:
+    """Per worker count, each side's wall seconds and their median; the mean SWs' spread."""
+    out = {"what": "wall seconds of bench.run_grid on config, C-DPS and DPS, BLAS threads "
+                   "as the environment leaves them; recorded, not gated",
+           "config": GRID_CONFIG, "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS",
+                                                                 "OpenBLAS default")}
+    sws = {}
+    for run in runs:
+        if "wall_s" in run:
+            out.setdefault(f"workers={run['workers']}", {}).setdefault(run["side"], []).append(
+                round(run["wall_s"], 2))
+        for point, sw in run.get("sw_mean", {}).items():
+            sws.setdefault(point, []).append(sw)
+    for key in [k for k in out if k.startswith("workers=")]:
+        out[key]["median_s"] = {side: float(np.median(v)) for side, v in list(out[key].items())}
+    out["sw_mean_max_rel_spread"] = max(
+        ((max(v) - min(v)) / abs(min(v)) for v in sws.values()), default=None)
+    out["failed_runs"] = sum("wall_s" not in run or run["aborted"] > 0 for run in runs)
+    return out
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
@@ -240,6 +293,7 @@ def parse_args(argv):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--run-config-dims", type=int, nargs="*", default=[])
+    parser.add_argument("--grid-reps", type=int, default=0)
     parser.add_argument("--what", default="")
     return parser.parse_args(argv)
 
@@ -293,6 +347,16 @@ def main(argv=None) -> int:
                         print("run_config", json.dumps(tasks[-1]), flush=True)
             report["run_config_m4"] = tasks
             report["run_config_summary"] = run_config_summary(tasks)
+        if args.grid_reps:
+            grid = []
+            for rep in range(args.grid_reps):
+                for workers in GRID_WORKERS:
+                    for side in ("parent", "change") if rep % 2 == 0 else ("change", "parent"):
+                        grid.append({"side": side, "rep": rep, "workers": workers,
+                                     **grid_run(trees[side], workers)})
+                        print("grid", json.dumps(grid[-1]), flush=True)
+            report["grid"] = grid
+            report["grid_summary"] = grid_summary(grid)
         report["runs"] = runs
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(report, indent=1) + "\n")
