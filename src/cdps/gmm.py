@@ -35,9 +35,11 @@ values and index without building a numpy scalar.  The Jacobian closure
 score's (x, t), so it reads the score's pass, and on a miss its pass builds
 the one level it needs.
 
-The exact posterior's weights are normalised by their largest log weight,
-then by their sum; the oracle log densities sum over the components by
-numpy's ``logaddexp.reduce``, a few ulp from ``scipy.special.logsumexp``.
+The exact posterior works in A's singular basis (``linalg.spectral_factor``), so
+its means fit y to within about sigma sqrt(m) down to sigma = 1e-7; its weights
+are normalised by their largest log weight, then by their sum.  The oracle log
+densities sum over the components by numpy's ``logaddexp.reduce``, a few ulp
+from ``scipy.special.logsumexp``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .linalg import spectral_factor
 from .operators import LinearOperator, checked_y
 from .schedules import NoiseSchedule, check_count, check_finite, check_level, check_real
 
@@ -317,10 +320,12 @@ def exact_posterior(gmm: GaussianMixture, A: LinearOperator, y: np.ndarray,
                     sigma: float) -> GaussianMixture:
     """Closed-form posterior of a unit-variance mixture under y = A x + noise.
 
-    With observation noise N(0, sigma^2 I) the posterior is again a mixture:
-    shared covariance (I + A^T A / sigma^2)^{-1}, component means
-    cov @ (A^T y / sigma^2 + mu_k), and weights reweighted by the marginal
-    evidence N(y; A mu_k, sigma^2 I + A A^T).
+    With observation noise N(0, sigma^2 I) the posterior is again a mixture.
+    From ``spectral_factor(A) = (U, s, V)`` its covariance (I + A^T A / sigma^2)^{-1}
+    is I - V diag(s^2 / (sigma^2 + s^2)) V^T and its means are mu_k + V diag(s /
+    (sigma^2 + s^2)) U^T (y - A mu_k), with no inverse formed, so they fit y to
+    within about sigma sqrt(m) down to sigma = 1e-7.  The weights are reweighted
+    by the evidence N(y; A mu_k, sigma^2 I + A A^T), whitened by its Cholesky factor.
     """
     if gmm.variance != 1.0:
         raise ValueError("exact posterior requires unit-variance components")
@@ -330,16 +335,16 @@ def exact_posterior(gmm: GaussianMixture, A: LinearOperator, y: np.ndarray,
     y = checked_y(y, A)
 
     mat = A.dense
-    d = gmm.d
     sig2 = sigma * sigma
-    cov = np.linalg.inv(np.eye(d) + mat.T @ mat / sig2)
-    cov = 0.5 * (cov + cov.T)
-    means = (gmm.means + (mat.T @ y) / sig2) @ cov.T
+    u, s, v = spectral_factor(mat)
+    s2 = s * s
+    resid = y - gmm.means @ mat.T  # (K, m)
+    means = gmm.means + (resid @ (u * (s / (sig2 + s2)))) @ v.T
+    root = v * (s / np.sqrt(sig2 + s2))  # cov = I - root root^T, a product numpy keeps symmetric
+    cov = np.eye(gmm.d) - root @ root.T
 
     # Evidence of each component: y ~ N(A mu_k, sigma^2 I + A A^T).
-    ev_cov = sig2 * np.eye(A.m) + mat @ mat.T
-    L = np.linalg.cholesky(ev_cov)
-    resid = y - gmm.means @ mat.T  # (K, m)
+    L = np.linalg.cholesky(sig2 * np.eye(A.m) + mat @ mat.T)
     white = np.linalg.solve(L, resid.T).T
     logw = gmm._log_weights - 0.5 * np.einsum("ki,ki->k", white, white)
     weights = np.exp(logw - logw.max())  # the largest is 1, so the sum is at least 1

@@ -13,12 +13,12 @@ whitener ``W`` is the symmetric callable of ``operators.make_whitener``, so
 ``operators.zero_operator``.  Right-hand sides may be batched with the
 vector axis last, in which case all rows are solved together.
 
-The thin SVD ``B = U diag(s) V^T`` diagonalises the precision as
-``c + s^2`` in the basis ``V`` and as ``c`` on ``B``'s null space:
-``spectral_factor`` computes it and ``spectral_solve`` then solves in
-``O(n d min(m, d))``.  With an isotropic whitener ``W = w I`` the precision
-is ``c I + w^2 A^T A``, so one thin SVD of a dense ``A`` serves every ``c``
-and ``w`` of a run.
+The thin SVD ``B = U diag(s) V^T``, ``spectral_factor``, diagonalises the
+precision as ``c + s^2`` in the basis ``V`` and as ``c`` on ``B``'s null
+space, so ``spectral_solve`` solves in ``O(n d min(m, d))``.  With ``W = w I``
+the precision is ``c I + w^2 A^T A``: one thin SVD of a dense ``A`` serves
+every ``c`` and ``w`` of a run, and ``gmm.exact_posterior`` and ILVR's
+pseudo-inverse read the same factor.
 """
 
 from __future__ import annotations
@@ -169,23 +169,23 @@ def cg_solve(
     return x, CgReport(k, row_conv)
 
 
-def spectral_factor(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``V`` (d, k) and ``s^2`` (k,) of the thin SVD ``A = U diag(s) V^T``, k = min(m, d)."""
-    _, s, vt = np.linalg.svd(dense, full_matrices=False)
-    return vt.T, s * s
+def spectral_factor(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The thin SVD ``A = U diag(s) V^T``: U (m, k), s (k,) descending, V (d, k), k = min(m, d)."""
+    u, s, vt = np.linalg.svd(dense, full_matrices=False)
+    return u, s, vt.T
 
 
-def spectral_solve(v: np.ndarray, s2: np.ndarray, c: float, w2: float,
-                   rhs: np.ndarray) -> np.ndarray:
-    """Solve ``(c I + w2 A^T A) x = rhs`` for every row from ``spectral_factor(A)``.
+def spectral_solve(factor, c: float, w2: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``(c I + w2 A^T A) x = rhs`` for every row from ``factor = spectral_factor(A)``.
 
     In the basis ``V`` the precision is ``diag(c + w2 s^2)``.  When k < d the
     rest of R^d is A's null space, where it is ``c I``; for k = d the diagonal
     form is exact and needs no subtraction, which would lose digits where
     ``w2 s^2 >> c``.
     """
+    _, s, v = factor
     proj = rhs @ v
-    x = (proj / (c + w2 * s2)) @ v.T
+    x = (proj / (c + w2 * (s * s))) @ v.T
     if v.shape[1] < v.shape[0]:
         x += (rhs - proj @ v.T) / c
     return x

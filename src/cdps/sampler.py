@@ -329,7 +329,7 @@ def _step(params: PosteriorStepParams, x_t, y_prev, eps):
         precision.bt if bw is None else (lambda u: u @ bw), eps,
     )
     if bw is not None:
-        return spectral_solve(*spectral_factor(bw), precision.c, 1.0, rhs), 0, _NO_ROWS
+        return spectral_solve(spectral_factor(bw), precision.c, 1.0, rhs), 0, _NO_ROWS
     x_next, report = cg_solve(precision, rhs, preconditioner=params.preconditioner)
     return x_next, report.iterations, np.nonzero(~np.atleast_1d(report.row_converged))[0]
 
@@ -468,7 +468,8 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
     S_t in factored form, with w_t computed for the step alone.
     """
     mat = A.dense
-    v, s2 = spectral_factor(mat)
+    factor = spectral_factor(mat)
+    _, s, v = factor
 
     if max(A.d, A.m) > FUSED_STEP_MAX_D:
         def factored_step(x, t, s_hat, y_prev, eps):
@@ -478,7 +479,7 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
             bw = w * mat  # B = W A
             rhs = _posterior_rhs(x, s_hat, (y_prev - b) * w, scalars.keep[i], scalars.pull[i],
                                  scalars.tweedie[i], scalars.c[i], lambda u: u @ bw, eps)
-            return spectral_solve(v, s2, scalars.c[i], w * w, rhs), 0, _NO_ROWS
+            return spectral_solve(factor, scalars.c[i], w * w, rhs), 0, _NO_ROWS
         return factored_step
 
     d, m = A.d, A.m
@@ -496,7 +497,7 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
         # Per-step factors as columns that broadcast against the block's matrices.
         w_col, c_col, pull_tweedie, measure = np.array((
             w, c, pull * scalars.tweedie[cut], np.square(w) * (1.0 - abar_prev)))[..., None, None]
-        solve = (v / (c_col + (w_col * w_col) * s2)) @ v.T
+        solve = (v / (c_col + (w_col * w_col) * (s * s))) @ v.T
         if null is not None:
             solve += null / c_col
         # The step's own scalars as Python floats, which unpack faster than an array's row.
@@ -743,9 +744,10 @@ def dps_sample(
 
 
 def _pinv(mat: np.ndarray) -> np.ndarray:
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    inv = np.where(s > 1e-10, 1.0 / np.where(s == 0, 1.0, s), 0.0)
-    return (vt.T * inv) @ u.T
+    """Pseudo-inverse, dropping singular values below 1e-10 times the largest."""
+    u, s, v = spectral_factor(mat)
+    inv = np.where(s > 1e-10 * s[0], 1.0 / np.where(s == 0, 1.0, s), 0.0)
+    return (v * inv) @ u.T
 
 
 def _noisy_target_sample(back, y, A, schedule, score_fn, rng, n_chains, scale):

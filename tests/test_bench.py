@@ -639,6 +639,49 @@ def test_pool_outputs_trace_fingerprints_run_on_a_small_task():
     assert len({names["residual_sq"] for names in digests.values()}) == 3
 
 
+def test_pool_outputs_compare_counts_differences_and_fails_on_run_digests(tmp_path, capsys):
+    tool = load_module("tools/pool_outputs.py")
+
+    def task(samples="a", sw="2.0", trace="t", step="s", means="m"):
+        return {"oracle_sha256": {"weights": "w", "means": means},
+                "cdps": {"samples_sha256": samples, "sw": sw, "failures": 0,
+                         "trace_sha256": {"residual_sq": trace}, "step_sha256": {"t1": step}},
+                "ilvr": {"samples_sha256": "b", "sw": "4.0", "failures": 0}}
+
+    parent = {"gmm-d8": {"0": task(), "1": task()}, "blur-d32": {"0": task()}}
+    paths = {}
+    for name, files in {"oracle": {"gmm-d8": {"0": task(means="x", sw="2.000000001"),
+                                              "1": task(means="y")},
+                                   "blur-d32": {"0": task()}},
+                        "samples": {**parent, "blur-d32": {"0": task(samples="z")}},
+                        "trace": {**parent, "gmm-d8": {"0": task(), "1": task(trace="u")}},
+                        "step": {**parent, "blur-d32": {"0": task(step="v")}},
+                        "missing": {**parent, "gmm-d8": {"0": task()}}}.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(files))
+    (tmp_path / "parent.json").write_text(json.dumps(parent))
+
+    def run(name):
+        code = tool.main(["--compare", str(tmp_path / "parent.json"), str(paths[name])])
+        return code, capsys.readouterr().out.splitlines()
+
+    code, lines = run("oracle")
+    assert code == 0
+    assert "gmm-d8 means: 2 of 2 differ" in lines
+    assert "gmm-d8 weights: 0 of 2 differ" in lines
+    assert "gmm-d8 sw: 1 of 4 differ" in lines
+    assert "gmm-d8 samples_sha256: 0 of 4 differ" in lines
+    assert "gmm-d8 cdps sw: largest relative change 5e-10" in lines
+    assert "gmm-d8 ilvr sw: largest relative change 0" in lines
+    assert "blur-d32 means: 0 of 1 differ" in lines
+    for name, line in (("samples", "blur-d32 samples_sha256: 1 of 2 differ"),
+                       ("trace", "gmm-d8 trace_sha256: 1 of 2 differ"),
+                       ("step", "blur-d32 step_sha256: 1 of 1 differ"),
+                       ("missing", "gmm-d8 samples_sha256: 2 of 4 differ")):
+        code, lines = run(name)
+        assert code == 1 and line in lines
+
+
 def test_perfbench_tracer_sites_resolve_and_restore():
     # perfbench/tracer.py patches named attributes of the package.  Each must
     # resolve, be replaced while the tracer is installed and be restored on

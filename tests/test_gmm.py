@@ -423,6 +423,69 @@ def test_exact_posterior_sigma_to_infinity_recovers_prior():
     assert np.max(np.abs(post.weights - prior.weights)) < 1e-6
 
 
+def criterion_7_tasks(sigma):
+    """Criterion 7's measurement models (d = 8, m in {1, 2, 4}, operators 0-19) at ``sigma``."""
+    cfg = cdps.bench.BenchConfig(dims=(8,), measurements=(1, 2, 4), matrices_per_config=20)
+    for m, k in itertools.product((1, 2, 4), range(20)):
+        yield cdps.bench.make_measurement_model(cfg, 8, m, sigma, k)
+
+
+def inverse_posterior(prior, mat, y, sigma):
+    """The exact posterior written out with a dense d x d inverse: means, cov and weights."""
+    sig2 = sigma * sigma
+    cov = np.linalg.inv(np.eye(prior.d) + mat.T @ mat / sig2)
+    cov = 0.5 * (cov + cov.T)
+    means = (prior.means + (mat.T @ y) / sig2) @ cov.T
+    L = np.linalg.cholesky(sig2 * np.eye(mat.shape[0]) + mat @ mat.T)
+    white = np.linalg.solve(L, (y - prior.means @ mat.T).T).T
+    logw = np.log(prior.weights) - 0.5 * np.einsum("ki,ki->k", white, white)
+    weights = np.exp(logw - logw.max())
+    return means, cov, weights / weights.sum()
+
+
+def assert_matches_inverse_posterior(prior, A, y, sigma):
+    post = exact_posterior(prior, A, y, sigma)
+    means, cov, weights = inverse_posterior(prior, A.dense, y, sigma)
+    assert np.linalg.norm(post.means - means) <= 1e-10 * np.linalg.norm(means)
+    assert np.linalg.norm(post.cov - cov) <= 1e-10 * np.linalg.norm(cov)
+    np.testing.assert_array_equal(post.cov, post.cov.T)
+    np.testing.assert_array_equal(post.weights, weights)
+
+
+@pytest.mark.parametrize("sigma", [1e-2, 0.1, 1.0])
+def test_exact_posterior_matches_dense_inverse_form(sigma):
+    for prior, A, _, y in criterion_7_tasks(sigma):
+        assert_matches_inverse_posterior(prior, A, y, sigma)
+
+
+def test_exact_posterior_tall_operator_matches_dense_inverse_form():
+    rng = np.random.default_rng(44)
+    prior = make_grid_gmm(4)
+    A = from_dense(rng.standard_normal((7, 4)))  # m > d: A^T A has full rank
+    y = A.apply(sample_mixture(prior, 1, rng)[0]) + 0.3 * rng.standard_normal(7)
+    assert_matches_inverse_posterior(prior, A, y, 0.3)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1e-2, 1e-4, 1e-6, 1e-7])
+def test_exact_posterior_means_fit_y_at_small_sigma(sigma):
+    # A mu_k - y equals -sigma^2 (sigma^2 I + A A^T)^{-1} (y - A mu_k), whose
+    # m x m solve stays accurate as sigma falls.  Measured in units of the
+    # noise, sigma sqrt(m), every component mean's residual is that closed
+    # form to 1e-5, and from sigma = 1e-4 down the means fit y within the
+    # noise.  A dense d x d inverse missed y by up to 903 sigma sqrt(m) at 1e-6.
+    for prior, A, _, y in criterion_7_tasks(sigma):
+        mat = A.dense
+        m = A.m
+        post = exact_posterior(prior, A, y, sigma)
+        resid = post.means @ mat.T - y
+        closed = -sigma * sigma * np.linalg.solve(sigma * sigma * np.eye(m) + mat @ mat.T,
+                                                  (y - prior.means @ mat.T).T).T
+        noise = sigma * np.sqrt(m)
+        assert np.max(np.linalg.norm(resid - closed, axis=1)) <= 1e-5 * noise
+        if sigma <= 1e-4:
+            assert np.max(np.linalg.norm(resid, axis=1)) <= noise
+
+
 def test_exact_posterior_rejects_bad_inputs():
     prior = make_grid_gmm(4)
     A = from_dense(np.ones((2, 4)))

@@ -280,11 +280,11 @@ def test_spectral_solve_of_whitened_operator_matches_dense_solve(kind, shape, d,
     rhs = rng.standard_normal((n, d))
     expected = np.linalg.solve(op.dense(), rhs.T).T
     pairs = [(rhs, expected), (rhs[0], expected[0])]
-    v, s2 = spectral_factor(op.whitener(op.op.dense.T).T)
-    solves = [(spectral_solve(v, s2, op.c, 1.0, r), e) for r, e in pairs]
+    factor = spectral_factor(op.whitener(op.op.dense.T).T)
+    solves = [(spectral_solve(factor, op.c, 1.0, r), e) for r, e in pairs]
     if kind == "isotropic":
-        v, s2 = spectral_factor(op.op.dense)
-        solves += [(spectral_solve(v, s2, op.c, 1.0 / cov.sigma2, r), e) for r, e in pairs]
+        factor = spectral_factor(op.op.dense)
+        solves += [(spectral_solve(factor, op.c, 1.0 / cov.sigma2, r), e) for r, e in pairs]
     for got, want in solves:
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
@@ -297,6 +297,6 @@ def test_cg_solve_matches_spectral_solve_without_dense_form():
     free = dataclasses.replace(op, op=dataclasses.replace(op.op, dense=None))
     rhs = rng.standard_normal((3, 10))
     x_cg, rep = cg_solve(free, rhs, diag_preconditioner(free), tol=1e-12)
-    x_direct = spectral_solve(*spectral_factor(op.whitener(op.op.dense.T).T), op.c, 1.0, rhs)
+    x_direct = spectral_solve(spectral_factor(op.whitener(op.op.dense.T).T), op.c, 1.0, rhs)
     assert rep.iterations > 0 and rep.row_converged.all()
     np.testing.assert_allclose(x_cg, x_direct, rtol=1e-9, atol=1e-12)

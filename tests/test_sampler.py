@@ -1146,7 +1146,8 @@ def _reference_fused_run(y, A, sigma2, schedule, score_fn, rng, n_chains, shared
     batch = x.shape[:-1]
     sc = cdps.sampler._step_scalars(schedule, prior_mode)
     mat = A.dense
-    v, s2 = spectral_factor(mat)
+    _, s, v = spectral_factor(mat)
+    s2 = s * s
     gram, eye = mat.T @ mat, np.eye(A.d)
     null = eye - v @ v.T if v.shape[1] < A.d else None
     for t in range(T, 0, -1):
@@ -1709,6 +1710,20 @@ def test_ilvr_guidance_matches_svd_pseudoinverse():
     g = -((y_t - A.apply(x)) @ _pinv(A.dense).T)
     expected = -np.linalg.pinv(A.dense) @ (y_t - A.apply(x))
     np.testing.assert_allclose(g, expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e-11, 1.0, 1e11])
+def test_ilvr_pseudoinverse_cutoff_is_relative_to_the_largest_singular_value(scale):
+    # Singular values (1, 0.5, 1e-12) times scale: the cutoff, 1e-10 times the
+    # largest, keeps the first two at every scale and drops the third.  An
+    # absolute cutoff of 1e-10 dropped all three at scale 1e-11, so ILVR got
+    # no guidance on such an operator, and kept the third at scale 1e11.
+    rng = np.random.default_rng(28)
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    v, _ = np.linalg.qr(rng.standard_normal((5, 3)))
+    mat = (u * np.array([1.0, 0.5, 1e-12])) @ v.T
+    expected = (v[:, :2] / np.array([1.0, 0.5])) @ u[:, :2].T
+    np.testing.assert_allclose(_pinv(scale * mat) * scale, expected, rtol=1e-9, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

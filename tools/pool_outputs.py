@@ -3,6 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 tools/pool_outputs.py --out pool_outputs.json [--workload gmm-d8 ...]
+    python3 tools/pool_outputs.py --compare PARENT.json CHANGE.json
 
 Every pool task of each workload in ``perfbench/workloads.py`` (all of them
 by default) runs with every method, through that module's ``build_inputs``
@@ -40,6 +41,14 @@ Every pool task also records ``oracle_sha256``: the SHA-256 of its exact
 posterior's weights, means and covariance, and of the reference draws the
 samples are scored against, so a change to the oracle shows, and so does any
 change it makes to the draws.
+
+``--compare PARENT.json CHANGE.json`` reads two such files and prints, per
+workload and field name, how many entries differ (an entry is one task's
+field for one method, or of the oracle, and one missing from either file
+differs), then the largest relative change of each method's SW per workload.
+It exits 1 if any ``samples_sha256``, ``trace_sha256`` or ``step_sha256``
+differs, so a change that must leave every run's bits alone can be checked
+even when it changes the oracle's.
 """
 
 from __future__ import annotations
@@ -48,6 +57,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -123,11 +133,56 @@ def step_fingerprints(A, y, score_fn, schedule, sigma: float, n: int, rng) -> di
     return out
 
 
+RUN_FIELDS = ("samples_sha256", "trace_sha256", "step_sha256")  # a run's bits
+
+
+def relative_change(parent: str, change: str) -> float:
+    """|change - parent| / |parent| of two ``repr``-ed SW values: 0 when the two are equal,
+    infinite when they differ and either is not finite or the parent's is 0."""
+    if parent == change:
+        return 0.0
+    p, c = float(parent), float(change)
+    return abs(c - p) / abs(p) if p and math.isfinite(c - p) else math.inf
+
+
+def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
+    """The report of ``--compare`` as lines, and whether any of a run's bits moved."""
+    lines, moved = [], False
+    for name in sorted(parent.keys() | change.keys()):
+        tasks_p, tasks_c = parent.get(name, {}), change.get(name, {})
+        counts, sw = {}, {}  # field -> [differing, entries]; method -> largest change
+        for index in tasks_p.keys() | tasks_c.keys():
+            row_p, row_c = tasks_p.get(index, {}), tasks_c.get(index, {})
+            for group in row_p.keys() | row_c.keys():
+                fields_p, fields_c = row_p.get(group, {}), row_c.get(group, {})
+                for field in fields_p.keys() | fields_c.keys():
+                    old, new = fields_p.get(field), fields_c.get(field)
+                    count = counts.setdefault(field, [0, 0])
+                    count[0] += old != new
+                    count[1] += 1
+                    moved |= field in RUN_FIELDS and old != new
+                    if field == "sw" and old is not None and new is not None:
+                        sw[group] = max(sw.get(group, 0.0), relative_change(old, new))
+        for field, (differ, entries) in sorted(counts.items()):
+            lines.append(f"{name} {field}: {differ} of {entries} differ")
+        for method, largest in sorted(sw.items()):
+            lines.append(f"{name} {method} sw: largest relative change {largest:.3g}")
+    return lines, moved
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, required=True)
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--out", type=Path)
+    mode.add_argument("--compare", type=Path, nargs=2, metavar=("PARENT", "CHANGE"))
     parser.add_argument("--workload", action="append", default=None)
     args = parser.parse_args(argv)
+    if args.compare:
+        lines, moved = compare(*(json.loads(path.read_text()) for path in args.compare))
+        print("\n".join(lines))
+        if moved:
+            print("a samples, trace or step digest differs")
+        return int(moved)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"  # set before numpy loads
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
