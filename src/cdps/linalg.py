@@ -175,13 +175,16 @@ def spectral_factor(dense: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return u, s, vt.T
 
 
-def spectral_solve(factor, c: float, w2: float, rhs: np.ndarray) -> np.ndarray:
+def spectral_solve(factor, c: float | np.ndarray, w2: float | np.ndarray,
+                   rhs: np.ndarray) -> np.ndarray:
     """Solve ``(c I + w2 A^T A) x = rhs`` for every row from ``factor = spectral_factor(A)``.
 
     In the basis ``V`` the precision is ``diag(c + w2 s^2)``.  When k < d the
     rest of R^d is A's null space, where it is ``c I``; for k = d the diagonal
     form is exact and needs no subtraction, which would lose digits where
-    ``w2 s^2 >> c``.
+    ``w2 s^2 >> c``.  ``c`` and ``w2`` may be arrays that broadcast over leading
+    axes, such as (block, 1, 1) columns: each slice equals the call with that
+    slice's scalars, and with ``rhs = I`` it is that precision's inverse.
     """
     _, s, v = factor
     proj = rhs @ v

@@ -19,14 +19,14 @@ whole run with isotropic noise and a dense A factors ``A`` once, by a thin
 SVD: every step's precision ``c_t I + A^T A / gamma_t`` is diagonal in its
 basis, so a step builds no noise model, whitener, precision or report and
 factors nothing.  When d and m are both at most ``FUSED_STEP_MAX_D`` such a
-step is fused: the precision's d x d inverse and the d x d map of the frozen
-score into the right-hand side are built from ``A^T A``, which is formed once
-per run, for a block of ``STEP_BLOCK`` steps at a time, and the step ends in
-one product with that inverse.  The first block is the step asked for alone,
-so a single step builds only its own matrices and a run builds each step's
-once.  One function, ``_steps``, picks the step for ``cdps_sample``,
-``cdps_step`` and ``cdps_step_nonlinear``, so a single step is the run's step
-bit for bit.
+step is fused: ``spectral_solve``'s inverse, applied as a d x d matrix, and
+the d x d map of the frozen score into the right-hand side, from ``A^T A``
+formed once per run, are built for ``STEP_BLOCK`` steps at a time, and the
+step ends in one product with that inverse.  The first block is the step
+asked for alone, so a single step builds only its own matrices and a run
+builds each step's once.  One function, ``_steps``, picks the step for
+``cdps_sample``, ``cdps_step`` and ``cdps_step_nonlinear``, so a single step
+is the run's step bit for bit.
 The measurement chain is stored time-major, so the level a step reads is
 contiguous.
 
@@ -241,13 +241,18 @@ class PosteriorStepParams:
     """Everything fixed once the score is frozen at (x_t, t)."""
 
     t: int
-    keep: float  # sqrt(1 - beta_t) / beta_t
-    pull: float  # score prior's weight on x_t + tweedie * score; 0 without it
-    tweedie: float  # 1 - abar_t
-    b_prev: np.ndarray  # affine offset of the measurement mean
+    scalars: _StepScalars  # the run's table; entry t - 1 is this step's
     precision: PrecisionOperator  # carries the step's whitener
     preconditioner: np.ndarray | None
     score: np.ndarray
+
+
+def _shaped_like(value, x, t: int, name: str) -> np.ndarray:
+    """``value`` as a float array, refused unless it has x's shape, so none is broadcast."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != np.shape(x):
+        raise ValueError(f"{name} at t={t} has shape {value.shape}, not x's {np.shape(x)}")
+    return value
 
 
 def _score_offset(A: LinearOperator, s_hat: np.ndarray, abar_prev: float) -> np.ndarray:
@@ -258,15 +263,11 @@ def _score_offset(A: LinearOperator, s_hat: np.ndarray, abar_prev: float) -> np.
 
 def _linear_params(t, s_hat, A, noise, scalars) -> PosteriorStepParams:
     """Step t's parameters around the frozen score."""
-    i = t - 1
-    whitener = make_whitener(mix_conditional_cov(noise, scalars.abar_prev[i]))
-    precision = PrecisionOperator(scalars.c[i], A, whitener)
-    return PosteriorStepParams(
-        t=t, keep=scalars.keep[i], pull=scalars.pull[i], tweedie=scalars.tweedie[i],
-        b_prev=_score_offset(A, s_hat, scalars.abar_prev[i]), precision=precision,
-        preconditioner=None if A.dense is not None else diag_preconditioner(precision),
-        score=s_hat,
-    )
+    whitener = make_whitener(mix_conditional_cov(noise, scalars.abar_prev[t - 1]))
+    precision = PrecisionOperator(scalars.c[t - 1], A, whitener)
+    preconditioner = None if A.dense is not None else diag_preconditioner(precision)
+    return PosteriorStepParams(t=t, scalars=scalars, precision=precision,
+                               preconditioner=preconditioner, score=s_hat)
 
 
 def make_step_params(
@@ -282,15 +283,15 @@ def make_step_params(
     config = config or SolverConfig()
     check_level(t, schedule.num_steps, first=1)
     scalars = _step_scalars(schedule, config.prior_mode)
-    return _linear_params(t, np.asarray(score_fn(x_t, t), dtype=float), A, noise, scalars)
+    return _linear_params(t, _shaped_like(score_fn(x_t, t), x_t, t, "score"), A, noise, scalars)
 
 
-def _posterior_rhs(x_t, s_hat, white, keep, pull, tweedie, c, bt, eps):
+def _posterior_rhs(x_t, s_hat, white, scalars, i, bt, eps):
     """Right-hand side of a coupled step's solve, with its perturbation when ``eps`` is given.
 
-    The posterior part is keep x_t, keep = sqrt(1-beta)/beta, the score
-    prior's pull (x_t + tweedie s_hat) and the measurement term
-    A^T Sigma^{-1} (y_{t-1} - b), given ``white`` = W (y_{t-1} - b) and
+    With entry i of the run's ``scalars``, step i + 1's, the posterior part is
+    keep x_t, the score prior's pull (x_t + tweedie s_hat) and the measurement
+    term A^T Sigma^{-1} (y_{t-1} - b), given ``white`` = W (y_{t-1} - b) and
     ``bt``, the map v -> B^T v with B = W A.  With ``eps``, the step's
     n (d + m) standard normals as one flat array, it adds the perturbation
     z = sqrt(c) eps1 + B^T eps2, whose covariance is the precision
@@ -298,11 +299,11 @@ def _posterior_rhs(x_t, s_hat, white, keep, pull, tweedie, c, bt, eps):
     W^T W = Sigma^{-1}, the measurement term and B^T eps2 are one product,
     B^T (W (y_{t-1} - b) + eps2).
     """
-    rhs = keep * x_t
-    if pull:
-        rhs += pull * (x_t + tweedie * s_hat)
+    rhs = scalars.keep[i] * x_t
+    if scalars.pull[i]:
+        rhs += scalars.pull[i] * (x_t + scalars.tweedie[i] * s_hat)
     if eps is not None:
-        rhs += np.sqrt(c) * eps[:x_t.size].reshape(x_t.shape)
+        rhs += np.sqrt(scalars.c[i]) * eps[:x_t.size].reshape(x_t.shape)
         white = white + eps[x_t.size:].reshape(x_t.shape[:-1] + (-1,))
     rhs = rhs + bt(white)  # posterior_mean broadcasts one x_t against per-row levels
     check_finite(rhs, "rhs")
@@ -321,13 +322,11 @@ def _step(params: PosteriorStepParams, x_t, y_prev, eps):
     (x_{t-1}, iterations, failed rows), as a run's step does: the rows whose
     CG solve did not converge, left to the caller.
     """
-    precision = params.precision
+    precision, scalars, i = params.precision, params.scalars, params.t - 1
     bw = None if precision.op.dense is None else precision.whitener(precision.op.dense.T).T
-    rhs = _posterior_rhs(
-        x_t, params.score, precision.whitener(y_prev - params.b_prev),
-        params.keep, params.pull, params.tweedie, precision.c,
-        precision.bt if bw is None else (lambda u: u @ bw), eps,
-    )
+    b = _score_offset(precision.op, params.score, scalars.abar_prev[i])
+    rhs = _posterior_rhs(x_t, params.score, precision.whitener(y_prev - b), scalars, i,
+                         precision.bt if bw is None else (lambda u: u @ bw), eps)
     if bw is not None:
         return spectral_solve(spectral_factor(bw), precision.c, 1.0, rhs), 0, _NO_ROWS
     x_next, report = cg_solve(precision, rhs, preconditioner=params.preconditioner)
@@ -457,19 +456,19 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
     With the offset b = (1 - abar_{t-1}) A s_hat expanded, the general step's
     right-hand side is (keep + pull) x_t + s_hat (pull tweedie I - w_t^2 (1 - abar_{t-1}) A^T A)
     + sqrt(c_t) eps1 + (eps2 + w_t y_{t-1}) w_t A, and x_{t-1} = rhs S_t.
-    A^T A, I - V V^T and I are built once per run.  Each step's record,
-    (S_t, the score map, w_t A, w_t, sqrt(c_t), keep + pull), is built for a
-    block of steps at once, sliced from ``scalars``, the matrices by batched
-    products, each entry rounding as it would one step at a time.  The first
-    block is the step asked for alone; each later one ends at the step asked
-    for and holds ``STEP_BLOCK`` steps.  Each step slices eps1 (n, d), then
-    eps2 (n, m), from its flat ``eps`` of n (d + m) normals.  Otherwise the
-    right-hand side is ``_posterior_rhs``'s and ``spectral_solve`` applies
-    S_t in factored form, with w_t computed for the step alone.
+    A^T A and I are built once per run.  Each step's record, (S_t, the score
+    map, w_t A, w_t, sqrt(c_t), keep + pull), is built for a block of steps at
+    once, sliced from ``scalars``, the matrices by batched products, each entry
+    rounding as it would one step at a time; S_t is ``spectral_solve``'s
+    inverse as a matrix, its solve against I with c_t and w_t^2 as columns.
+    The first block is the step asked for alone; each later one ends at the
+    step asked for and holds ``STEP_BLOCK`` steps.  Each step slices eps1
+    (n, d), then eps2 (n, m), from its flat ``eps`` of n (d + m) normals.
+    Otherwise the right-hand side is ``_posterior_rhs``'s and ``spectral_solve``
+    applies S_t in factored form, with w_t computed for the step alone.
     """
     mat = A.dense
     factor = spectral_factor(mat)
-    _, s, v = factor
 
     if max(A.d, A.m) > FUSED_STEP_MAX_D:
         def factored_step(x, t, s_hat, y_prev, eps):
@@ -477,15 +476,13 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
             w = mix_variance(noise.sigma2, scalars.abar_prev[i]) ** -0.5
             b = _score_offset(A, s_hat, scalars.abar_prev[i])
             bw = w * mat  # B = W A
-            rhs = _posterior_rhs(x, s_hat, (y_prev - b) * w, scalars.keep[i], scalars.pull[i],
-                                 scalars.tweedie[i], scalars.c[i], lambda u: u @ bw, eps)
+            rhs = _posterior_rhs(x, s_hat, (y_prev - b) * w, scalars, i, lambda u: u @ bw, eps)
             return spectral_solve(factor, scalars.c[i], w * w, rhs), 0, _NO_ROWS
         return factored_step
 
     d, m = A.d, A.m
     gram = mat.T @ mat
     eye = np.eye(d)
-    null = eye - v @ v.T if v.shape[1] < d else None
     lo, block = 0, []  # the records of steps lo + 1..lo + len(block)
 
     def build(hi):
@@ -497,9 +494,7 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
         # Per-step factors as columns that broadcast against the block's matrices.
         w_col, c_col, pull_tweedie, measure = np.array((
             w, c, pull * scalars.tweedie[cut], np.square(w) * (1.0 - abar_prev)))[..., None, None]
-        solve = (v / (c_col + (w_col * w_col) * (s * s))) @ v.T
-        if null is not None:
-            solve += null / c_col
+        solve = spectral_solve(factor, c_col, w_col * w_col, eye)
         # The step's own scalars as Python floats, which unpack faster than an array's row.
         return list(zip(solve, pull_tweedie * eye - measure * gram, w_col * mat, w,
                         np.sqrt(c).tolist(), (scalars.keep[cut] + pull).tolist()))
@@ -542,9 +537,9 @@ def _reverse_run(A, schedule, score_fn, rng, n_chains, per_row, step):
 
     x_T ~ N(0, I).  For t = T..1 the loop takes step t's flat view ``eps`` of
     the run's one ``NormalStream``, ``per_row`` normals per row, then calls
-    the score once, at (x_t, t); ``step(x, t, s_hat, eps)`` may overwrite
-    ``eps`` and returns (x_{t-1}, iterations, failed rows).  Returns x_0 and
-    the run's ``SamplerTrace``.
+    the score once, at (x_t, t), refusing one not of x_t's shape;
+    ``step(x, t, s_hat, eps)`` may overwrite ``eps`` and returns (x_{t-1},
+    iterations, failed rows).  Returns x_0 and the run's ``SamplerTrace``.
     """
     T = schedule.num_steps
     x = rng.standard_normal((A.d,) if n_chains is None else (n_chains, A.d))
@@ -552,7 +547,7 @@ def _reverse_run(A, schedule, score_fn, rng, n_chains, per_row, step):
     cg_iters = np.zeros(T + 1, dtype=int)
     with NormalStream(rng, x.size // A.d * per_row, T) as normals:
         for t, eps in zip(range(T, 0, -1), normals):
-            x, cg_iters[t], rows = step(x, t, np.asarray(score_fn(x, t), dtype=float), eps)
+            x, cg_iters[t], rows = step(x, t, _shaped_like(score_fn(x, t), x, t, "score"), eps)
             if rows.size:
                 failed[rows] = True
     return x, SamplerTrace(np.nonzero(failed)[0], cg_iters)
@@ -613,7 +608,7 @@ def _single_step(x_t, t, chain, score_fn, A, noise, rng, config, offset=0.0):
         raise ValueError(f"chain levels {chain.y_levels.shape} do not match x_t {x_t.shape}")
     check_noise(noise, A.m)
     step = _steps(A, noise, _step_scalars(chain.schedule, config.prior_mode), strict=True)
-    s_hat = np.asarray(score_fn(x_t, t), dtype=float)
+    s_hat = _shaped_like(score_fn(x_t, t), x_t, t, "score")
     eps = rng.standard_normal(x_t.size // A.d * (A.d + A.m))  # eps1 then eps2, as a run draws
     return step(x_t, t, s_hat, chain.y_at(t - 1) - offset, eps)[0]
 
@@ -734,7 +729,7 @@ def dps_sample(
         np.subtract(y, A.apply(x0_hat), out=resid)
         np.einsum("...i,...i->...", resid, resid, out=norm)
         np.sqrt(norm, out=norm)
-        jw = denoiser_jvp_fn(x, t, A.adjoint(resid))
+        jw = _shaped_like(denoiser_jvp_fn(x, t, A.adjoint(resid)), x, t, "denoiser_jvp_fn")
         gain.fill(0.0)
         np.divide(zeta, norm, out=gain, where=norm > 0)
         x_prev += np.multiply(jw, gain[..., None], out=tmp)

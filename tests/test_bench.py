@@ -808,6 +808,43 @@ def test_bench_pairs_counts_src_lines(tmp_path):
     assert pairs_mod.src_lines(tmp_path) == 4
 
 
+CODE_LINES_SOURCE = '''"""Module
+docstring."""
+
+# a comment
+import os  # a trailing comment
+
+
+class K:
+    """Class docstring."""
+
+    def f(self):
+        """Function
+        docstring.
+        """
+        text = """not a
+docstring"""
+        return text
+
+
+async def g():
+    """Coroutine docstring."""
+'''
+
+
+def test_bench_pairs_counts_src_code_lines(tmp_path):
+    # Code lines leave out blank lines, comment-only lines and module, class
+    # and function docstrings; a multi-line string that is no docstring counts.
+    pairs_mod = load_module("tools/bench_pairs.py")
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text(CODE_LINES_SOURCE)
+    (tmp_path / "src" / "pkg" / "b.py").write_text("z = 3")
+    (tmp_path / "setup.py").write_text("outside = 'src'\n")
+    assert pairs_mod.code_lines(CODE_LINES_SOURCE) == 7
+    assert pairs_mod.src_code_lines(tmp_path) == 8
+    assert pairs_mod.src_lines(tmp_path) == 22
+
+
 SIGTERM_CODE = """
 import importlib.util, signal, subprocess, sys, tempfile
 spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])

@@ -289,6 +289,20 @@ def test_spectral_solve_of_whitened_operator_matches_dense_solve(kind, shape, d,
         assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("m, d", [(4, 8), (32, 32), (7, 4)])
+def test_spectral_solve_on_a_block_equals_each_step_call(m, d):
+    # The fused step builds a block of inverses in one call, with c and w2 as
+    # (block, 1, 1) columns and rhs = I; each slice is that step's own call.
+    rng = np.random.default_rng(15)
+    factor = spectral_factor(rng.standard_normal((m, d)))
+    c, w2 = 10.0 ** rng.uniform(-1.0, 3.0, 5), 10.0 ** rng.uniform(-2.0, 2.0, 5)
+    eye = np.eye(d)
+    block = spectral_solve(factor, c[:, None, None], w2[:, None, None], eye)
+    assert block.shape == (5, d, d)
+    for j in range(5):
+        np.testing.assert_array_equal(block[j], spectral_solve(factor, c[j], w2[j], eye))
+
+
 def test_cg_solve_matches_spectral_solve_without_dense_form():
     # The step's two solves agree: preconditioned CG on the operator without
     # its dense form, and the exact solve from the thin SVD of B = W A.

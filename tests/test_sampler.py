@@ -557,7 +557,8 @@ def test_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypa
     # Isotropic noise with a dense operator factors A once per run; the same
     # covariance as a diagonal noise model rebuilds every step's precision.
     # Both must give the same samples and diagnostics from the same seed.
-    _check_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypatch)
+    _check_isotropic_run_matches_rebuilt_steps(SPECTRAL_SHAPES[shape], prior_mode, chains,
+                                               monkeypatch)
 
 
 @pytest.mark.parametrize("shape", list(SPECTRAL_SHAPES) + ["tall"])
@@ -567,13 +568,24 @@ def test_factored_spectral_run_matches_rebuilt_steps(shape, prior_mode, chains, 
     # When d or m is above FUSED_STEP_MAX_D the spectral step keeps its
     # factored solve; "tall" is the m > d shape with only m above it.
     monkeypatch.setattr(cdps.sampler, "FUSED_STEP_MAX_D", 4 if shape == "tall" else 0)
-    assert _check_isotropic_run_matches_rebuilt_steps("m>d" if shape == "tall" else shape,
-                                                      prior_mode, chains, monkeypatch)
+    assert _check_isotropic_run_matches_rebuilt_steps(
+        SPECTRAL_SHAPES["m>d" if shape == "tall" else shape], prior_mode, chains, monkeypatch)
+
+
+@pytest.mark.parametrize("d, m", [(80, 4), (800, 4), (80, 80)])
+def test_factored_step_at_its_own_sizes_matches_rebuilt_steps(d, m, monkeypatch):
+    # The sizes the factored step serves, with FUSED_STEP_MAX_D as it is: one
+    # spectral_solve per step, where the fused step makes one per block.
+    assert max(d, m) > cdps.sampler.FUSED_STEP_MAX_D
+    assert _check_isotropic_run_matches_rebuilt_steps((d, m), "score", "rows", monkeypatch) == 50
 
 
 def _check_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypatch):
-    """Returns the number of ``spectral_solve`` calls the isotropic run made."""
-    d, m = SPECTRAL_SHAPES[shape]
+    """Returns the number of ``spectral_solve`` calls the isotropic run made, of 50 steps.
+
+    ``shape`` is (d, m).
+    """
+    d, m = shape
     rng = np.random.default_rng(70)
     A = from_dense(rng.standard_normal((m, d)))
     y = rng.standard_normal(m)
@@ -749,6 +761,47 @@ def test_samplers_refuse_fewer_than_one_chain(method, n_chains):
             sample = score_sde_sample if method == "score_sde" else ilvr_sample
             sample(y, A, schedule, score_fn, rng, n_chains=n_chains)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("bad", ["row", "scalar"])
+@pytest.mark.parametrize("method", ["cdps", "dps", "score_sde", "ilvr", "cdps_step",
+                                    "make_step_params", "dps_jvp"])
+def test_score_and_jacobian_product_of_another_shape_are_refused(method, bad):
+    # A score, or DPS's Jacobian product, of another shape than x used to be
+    # broadcast over the chains: a (1, d) score ran as every row's score and
+    # a scalar one as a constant (DPS gave the samples of a zero score).  Each
+    # is now refused at its step, naming t and both shapes.
+    d, m, n = 4, 2, 3
+    rng = np.random.default_rng(91)
+    A = from_dense(rng.standard_normal((m, d)))
+    y = rng.standard_normal(m)
+    schedule = make_linear_schedule(5, 0.1, 1.25)
+    T = schedule.num_steps
+    prior = make_grid_gmm(d)
+    score_fn, jvp_fn = score_fn_for(prior, schedule), denoiser_jvp_fn_for(prior, schedule)
+    wrong = (lambda x: np.zeros((1, d))) if bad == "row" else (lambda x: 0.0)
+    if method == "dps_jvp":
+        jvp_fn = lambda x, t, u: wrong(x)  # noqa: E731
+    else:
+        score_fn = lambda x, t: wrong(x)  # noqa: E731
+    name = "denoiser_jvp_fn" if method == "dps_jvp" else "score"
+    shape = "(1, 4)" if bad == "row" else "()"
+    with pytest.raises(ValueError, match=re.escape(f"{name} at t={T} has shape {shape}, "
+                                                   "not x's (3, 4)")):
+        if method == "cdps":
+            cdps_sample(y, A, IsotropicNoise(0.01), schedule, score_fn, rng, n_chains=n)
+        elif method in ("dps", "dps_jvp"):
+            dps_sample(y, A, schedule, score_fn, jvp_fn, rng, n_chains=n)
+        elif method in ("score_sde", "ilvr"):
+            sample = score_sde_sample if method == "score_sde" else ilvr_sample
+            sample(y, A, schedule, score_fn, rng, n_chains=n)
+        elif method == "cdps_step":
+            chain = generate_measurement_chain(y, schedule, rng, n_chains=n)
+            cdps_step(rng.standard_normal((n, d)), chain, T, score_fn, A, IsotropicNoise(0.01),
+                      rng)
+        else:
+            make_step_params(rng.standard_normal((n, d)), T, score_fn, A, IsotropicNoise(0.01),
+                             schedule)
 
 
 @pytest.mark.parametrize("case, match", [

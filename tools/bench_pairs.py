@@ -44,7 +44,11 @@ recorded, not gated, with each side's median seconds and the largest
 relative spread of a grid point's mean SW over every run of both sides.
 
 Each side's package size, the line count of its ``src/**/*.py``, is
-recorded as ``src_lines``, so a change that deletes code shows by how much.
+recorded as ``src_lines``, so a change that deletes code shows by how much,
+and beside it ``src_code_lines``, the lines of the same files that hold code:
+not blank, not comment-only and not inside a module, class or function
+docstring, so a change that only deletes prose shows apart from one that
+deletes code.
 
 SIGTERM raises ``SystemExit``, as Ctrl-C raises ``KeyboardInterrupt``: the
 running benchmark child is killed and the temporary trees are removed.
@@ -53,6 +57,8 @@ running benchmark child is killed and the temporary trees are removed.
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import os
 import shutil
@@ -61,6 +67,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +138,27 @@ def copy_worktree(dest: Path) -> None:
 def src_lines(tree: Path) -> int:
     """Lines of the ``src/**/*.py`` files under ``tree``."""
     return sum(len(path.read_text().splitlines()) for path in tree.glob("src/**/*.py"))
+
+
+def code_lines(source: str) -> int:
+    """Lines of Python ``source`` that hold code: not blank, comment-only or in a docstring."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        owner = isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        if owner and ast.get_docstring(node, clean=False) is not None:
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    prose = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENDMARKER}
+    code = set()
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type not in prose:
+            code.update(range(token.start[0], token.end[0] + 1))
+    return len(code - docs)
+
+
+def src_code_lines(tree: Path) -> int:
+    """``code_lines`` summed over the ``src/**/*.py`` files under ``tree``."""
+    return sum(code_lines(path.read_text()) for path in tree.glob("src/**/*.py"))
 
 
 def bench_run(tree: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
@@ -313,6 +341,7 @@ def main(argv=None) -> int:
         change = f"the working tree on {git('rev-parse', 'HEAD').strip()}"
         report["git"] = {"parent": parent_sha, "change": change}
         report["src_lines"] = {side: src_lines(tree) for side, tree in trees.items()}
+        report["src_code_lines"] = {side: src_code_lines(tree) for side, tree in trees.items()}
         report["command"] = (" ".join(spec["command"]) + " --workload {" + ",".join(workloads)
                              + "} --seed N --seconds " + f"{spec['run_seconds']} --trace 0")
         report["protocol"] = (
