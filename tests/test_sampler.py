@@ -556,9 +556,10 @@ SPECTRAL_SHAPES = {"m<d": (6, 2), "m=d": (4, 4), "m>d": (4, 6)}
 def test_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypatch):
     # Isotropic noise with a dense operator factors A once per run; the same
     # covariance as a diagonal noise model rebuilds every step's precision.
-    # Both must give the same samples and diagnostics from the same seed.
-    _check_isotropic_run_matches_rebuilt_steps(SPECTRAL_SHAPES[shape], prior_mode, chains,
-                                               monkeypatch)
+    # Both must give the same samples and diagnostics from the same seed.  The
+    # fused step makes one spectral_solve per block: steps 50, 49..18, 17..1.
+    assert _check_isotropic_run_matches_rebuilt_steps(SPECTRAL_SHAPES[shape], prior_mode,
+                                                      chains, monkeypatch) == 3
 
 
 @pytest.mark.parametrize("shape", list(SPECTRAL_SHAPES) + ["tall"])
@@ -566,10 +567,12 @@ def test_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypa
 @pytest.mark.parametrize("chains", ["rows", "shared", "single"])
 def test_factored_spectral_run_matches_rebuilt_steps(shape, prior_mode, chains, monkeypatch):
     # When d or m is above FUSED_STEP_MAX_D the spectral step keeps its
-    # factored solve; "tall" is the m > d shape with only m above it.
+    # factored solve, one spectral_solve per step; "tall" is the m > d shape
+    # with only m above it.
     monkeypatch.setattr(cdps.sampler, "FUSED_STEP_MAX_D", 4 if shape == "tall" else 0)
     assert _check_isotropic_run_matches_rebuilt_steps(
-        SPECTRAL_SHAPES["m>d" if shape == "tall" else shape], prior_mode, chains, monkeypatch)
+        SPECTRAL_SHAPES["m>d" if shape == "tall" else shape], prior_mode, chains,
+        monkeypatch) == 50
 
 
 @pytest.mark.parametrize("d, m", [(80, 4), (800, 4), (80, 80)])
