@@ -227,8 +227,8 @@ def _aggregate(rows: list[dict]) -> list[dict]:
 def _task_wrapper(args):
     """Run one task; an abort or a numerical error costs this task, not the grid.
 
-    The ValueErrors a sampler raises on bad numbers (a non-finite right-hand
-    side, a failed factorisation) are recorded in ``aborted`` as BenchAbort is.
+    The ValueErrors a sampler raises on bad numbers (a non-finite score, a
+    failed factorisation) are recorded in ``aborted`` as BenchAbort is.
     """
     cfg, d, m, sigma, k, keep = args
     try:

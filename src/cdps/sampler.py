@@ -39,6 +39,14 @@ its ``SamplerTrace`` and scores each x_t once, so a score callable such as
 one ancestral update, ``_ancestral_update``, whose coefficients each run
 builds once.
 
+A non-finite number is refused where it enters, never inside a step body.
+Each score, and DPS's Jacobian product, goes through ``_shaped_like``, which
+refuses one not of x's shape or with a NaN or infinite entry, naming it and
+t: the only per-step checks.  A run checks y once, a single step its x_t and
+the chain level it reads, and ``posterior_mean`` its x_t and y_prev.  So an
+overflow of finite operands inside a step shows only at the next step's
+score, and not at all at t = 1.
+
 Random draws happen in a fixed documented order, so results are reproducible
 per seed: the chain noise, chain by chain as one (n, T, m) block, then the
 initial state, then per step the perturbation's eps1 (n, d) and eps2 (n, m);
@@ -248,10 +256,18 @@ class PosteriorStepParams:
 
 
 def _shaped_like(value, x, t: int, name: str) -> np.ndarray:
-    """``value`` as a float array, refused unless it has x's shape, so none is broadcast."""
+    """``value`` as a float array, refused unless it has x's shape and finite entries.
+
+    Every sampler and single step passes each per-step value from outside,
+    the score and DPS's Jacobian product, through here, so none is broadcast
+    and a non-finite one is refused at the step where it appears.
+    """
     value = np.asarray(value, dtype=float)
     if value.shape != np.shape(x):
         raise ValueError(f"{name} at t={t} has shape {value.shape}, not x's {np.shape(x)}")
+    # A sum over finite entries is finite unless it overflows.
+    if not math.isfinite(np.add.reduce(value, axis=None)):
+        check_finite(value, f"{name} at t={t}")
     return value
 
 
@@ -279,15 +295,22 @@ def make_step_params(
     schedule: NoiseSchedule,
     config: SolverConfig | None = None,
 ) -> PosteriorStepParams:
-    """Freeze the score at (x_t, t) and assemble the step's Gaussian parameters."""
+    """Freeze the score at (x_t, t) and assemble the step's Gaussian parameters.
+
+    An x_t whose last axis is not d, or that is not finite, is refused
+    before the score sees it.
+    """
     config = config or SolverConfig()
     check_level(t, schedule.num_steps, first=1)
+    x_t = _checked_vectors(x_t, A.d, "x_t")
     scalars = _step_scalars(schedule, config.prior_mode)
     return _linear_params(t, _shaped_like(score_fn(x_t, t), x_t, t, "score"), A, noise, scalars)
 
 
 def _posterior_rhs(x_t, s_hat, white, scalars, i, bt, eps):
     """Right-hand side of a coupled step's solve, with its perturbation when ``eps`` is given.
+
+    It checks nothing: its operands were refused where they entered.
 
     With entry i of the run's ``scalars``, step i + 1's, the posterior part is
     keep x_t, the score prior's pull (x_t + tweedie s_hat) and the measurement
@@ -305,9 +328,7 @@ def _posterior_rhs(x_t, s_hat, white, scalars, i, bt, eps):
     if eps is not None:
         rhs += np.sqrt(scalars.c[i]) * eps[:x_t.size].reshape(x_t.shape)
         white = white + eps[x_t.size:].reshape(x_t.shape[:-1] + (-1,))
-    rhs = rhs + bt(white)  # posterior_mean broadcasts one x_t against per-row levels
-    check_finite(rhs, "rhs")
-    return rhs
+    return rhs + bt(white)  # posterior_mean broadcasts one x_t against per-row levels
 
 
 _NO_ROWS = np.empty(0, dtype=int)  # the failed rows of a step that makes no CG solve
@@ -344,9 +365,12 @@ def posterior_mean(
     measurement contributes A^T Sigma^{-1} (y_{t-1} - b), and in "score"
     prior mode the marginal prior pulls toward its denoised mean.  This is
     the coupled step without its perturbation.  It keeps no trace, so a CG
-    solve that does not converge raises ``ChainFailureError``.
+    solve that does not converge raises ``ChainFailureError``.  An x_t or
+    y_prev whose last axis is not d or m, or that is not finite, is refused.
     """
-    mean, _, rows = _step(params, x_t, y_prev, None)
+    op = params.precision.op
+    mean, _, rows = _step(params, _checked_vectors(x_t, op.d, "x_t"),
+                          _checked_vectors(y_prev, op.m, "y_prev"), None)
     if rows.size:
         raise ChainFailureError(params.t, rows, "mean")
     return mean
@@ -466,6 +490,8 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
     (n, d), then eps2 (n, m), from its flat ``eps`` of n (d + m) normals.
     Otherwise the right-hand side is ``_posterior_rhs``'s and ``spectral_solve``
     applies S_t in factored form, with w_t computed for the step alone.
+    Neither step checks its right-hand side: the score was refused unless
+    finite when the loop froze it, and every other operand when it entered.
     """
     mat = A.dense
     factor = spectral_factor(mat)
@@ -514,9 +540,6 @@ def _spectral_steps(A, noise: IsotropicNoise, scalars):
         rhs += keep_pull * x
         eps1 *= root_c
         rhs += eps1
-        # A sum over finite entries is finite unless it overflows.
-        if not math.isfinite(np.add.reduce(rhs, axis=None)):
-            check_finite(rhs, "rhs")
         return rhs @ solve, 0, _NO_ROWS
     return fused_step
 
@@ -590,27 +613,35 @@ def cdps_sample(
                         lambda x, t, s_hat, eps: coupled(x, t, s_hat, y_at[t - 1], eps))
 
 
-def _check_width(x_t: np.ndarray, d: int) -> None:
-    """Refuse an x_t whose last axis is not d, before the score or a draw sees it."""
-    if x_t.shape[-1:] != (d,):
-        raise ValueError(f"x_t must have last axis {d}, got shape {x_t.shape}")
+def _checked_vectors(a, n: int, name: str) -> np.ndarray:
+    """``a`` as a float array, refused unless its last axis is n and its entries finite."""
+    a = np.asarray(a, dtype=float)
+    if a.shape[-1:] != (n,):
+        raise ValueError(f"{name} must have last axis {n}, got shape {a.shape}")
+    check_finite(a, name)
+    return a
 
 
 def _single_step(x_t, t, chain, score_fn, A, noise, rng, config, offset=0.0):
-    """Step t of a run on the chain's schedule, at the chain's level y_{t-1} less ``offset``."""
+    """Step t of a run on the chain's schedule, at the chain's level y_{t-1} less ``offset``.
+
+    Every input, the level itself and x_t (``_checked_vectors``) among them,
+    is refused before the score or a draw sees it.
+    """
     config = config or SolverConfig()
-    _check_width(x_t, A.d)
-    check_finite(x_t, "x_t")
+    x_t = _checked_vectors(x_t, A.d, "x_t")
     check_level(t, chain.schedule.num_steps, first=1)
     if chain.y_levels.shape[-1] != A.m:
         raise ValueError(f"the chain's levels must have length {A.m}")
     if chain.y_levels.shape[:-2] not in ((), x_t.shape[:-1]):
         raise ValueError(f"chain levels {chain.y_levels.shape} do not match x_t {x_t.shape}")
     check_noise(noise, A.m)
+    level = chain.y_at(t - 1) - offset
+    check_finite(level, f"the chain's level y_{t - 1}")
     step = _steps(A, noise, _step_scalars(chain.schedule, config.prior_mode), strict=True)
     s_hat = _shaped_like(score_fn(x_t, t), x_t, t, "score")
     eps = rng.standard_normal(x_t.size // A.d * (A.d + A.m))  # eps1 then eps2, as a run draws
-    return step(x_t, t, s_hat, chain.y_at(t - 1) - offset, eps)[0]
+    return step(x_t, t, s_hat, level, eps)[0]
 
 
 def cdps_step(
@@ -635,7 +666,6 @@ def cdps_step(
     Inputs are refused before any draw, a noise model not of A's m
     measurements among them.
     """
-    x_t = np.asarray(x_t, dtype=float)
     return _single_step(x_t, t, chain, score_fn, A, noise, rng, config)
 
 
@@ -840,8 +870,7 @@ def cdps_step_nonlinear(
     ``x @ J.T``, like a dense operator, that offset is exactly zero and the
     step is the linear step bit for bit (same draws, same arithmetic).
     """
-    x_t = np.asarray(x_t, dtype=float)
-    _check_width(x_t, g.d)
+    x_t = _checked_vectors(x_t, g.d, "x_t")
     A_lin = linearize(g, x_t)  # raises unless x_t is a single chain
     offset = np.asarray(g.apply(x_t), dtype=float) - A_lin.apply(x_t)
     return _single_step(x_t, t, chain, score_fn, A_lin, noise, rng, config, offset)

@@ -674,6 +674,17 @@ def test_pool_outputs_compare_counts_differences_and_fails_on_run_digests(tmp_pa
     assert "gmm-d8 cdps sw: largest relative change 5e-10" in lines
     assert "gmm-d8 ilvr sw: largest relative change 0" in lines
     assert "blur-d32 means: 0 of 1 differ" in lines
+    # main reads perfbench/reference.json, which records C-DPS on gmm-d8.
+    assert any(line.startswith("gmm-d8 cdps sw: largest share of the reference tolerance ")
+               for line in lines)
+    reference = {"tolerance": {"rtol": 1e-4, "atol": 1e-4},
+                 "workloads": {"gmm-d8": {"tasks": {"0": {"cdps": {"sw": 2.0}},
+                                                    "1": {"cdps": {"sw": 2.0001}}}}}}
+    lines, moved = tool.compare(parent, json.loads(paths["oracle"].read_text()), reference)
+    assert not moved
+    # Task 1's SW 2.0 is 1e-4 from 2.0001, a third of 1e-4 + 1e-4 * 2.0001.
+    assert [line for line in lines if "share" in line] == [
+        "gmm-d8 cdps sw: largest share of the reference tolerance 0.333, task 1"]
     for name, line in (("samples", "blur-d32 samples_sha256: 1 of 2 differ"),
                        ("trace", "gmm-d8 trace_sha256: 1 of 2 differ"),
                        ("step", "blur-d32 step_sha256: 1 of 1 differ"),

@@ -55,7 +55,7 @@ from cdps.sampler import (
     pw_cg_draw,
     score_sde_sample,
 )
-from cdps.schedules import alpha_bar, make_linear_schedule
+from cdps.schedules import alpha_bar, check_finite, make_linear_schedule
 
 BENCH_SCHEDULE = make_linear_schedule(1000, 0.1, 500.0)
 
@@ -628,7 +628,7 @@ def _check_isotropic_run_matches_rebuilt_steps(shape, prior_mode, chains, monkey
         return s_hat * np.nan if t == 10 else s_hat
 
     threads = threading.active_count()
-    with pytest.raises(ValueError, match="rhs must be finite"):
+    with pytest.raises(ValueError, match="score at t=10 must be finite"):
         cdps_sample(y, A, IsotropicNoise(sigma2), schedule, nan_at_10,
                     np.random.default_rng(71), **kwargs)
     assert threading.active_count() == threads  # the normals' producer is joined
@@ -766,14 +766,23 @@ def test_samplers_refuse_fewer_than_one_chain(method, n_chains):
     assert rng.bit_generator.state == state
 
 
-@pytest.mark.parametrize("bad", ["row", "scalar"])
+def one_nan(x):
+    """An array of x's shape, zero but for one NaN entry."""
+    out = np.zeros(np.shape(x))
+    out.flat[-1] = np.nan
+    return out
+
+
+@pytest.mark.parametrize("bad", ["row", "scalar", "nan"])
 @pytest.mark.parametrize("method", ["cdps", "dps", "score_sde", "ilvr", "cdps_step",
                                     "make_step_params", "dps_jvp"])
 def test_score_and_jacobian_product_of_another_shape_are_refused(method, bad):
     # A score, or DPS's Jacobian product, of another shape than x used to be
     # broadcast over the chains: a (1, d) score ran as every row's score and
     # a scalar one as a constant (DPS gave the samples of a zero score).  Each
-    # is now refused at its step, naming t and both shapes.
+    # is now refused at its step, naming t and both shapes.  One of x's shape
+    # with a NaN entry is refused at its step too: DPS, Score-SDE and ILVR
+    # used to return all-NaN samples with no failed row.
     d, m, n = 4, 2, 3
     rng = np.random.default_rng(91)
     A = from_dense(rng.standard_normal((m, d)))
@@ -782,15 +791,16 @@ def test_score_and_jacobian_product_of_another_shape_are_refused(method, bad):
     T = schedule.num_steps
     prior = make_grid_gmm(d)
     score_fn, jvp_fn = score_fn_for(prior, schedule), denoiser_jvp_fn_for(prior, schedule)
-    wrong = (lambda x: np.zeros((1, d))) if bad == "row" else (lambda x: 0.0)
+    wrong = {"row": lambda x: np.zeros((1, d)), "scalar": lambda x: 0.0, "nan": one_nan}[bad]
     if method == "dps_jvp":
         jvp_fn = lambda x, t, u: wrong(x)  # noqa: E731
     else:
         score_fn = lambda x, t: wrong(x)  # noqa: E731
     name = "denoiser_jvp_fn" if method == "dps_jvp" else "score"
     shape = "(1, 4)" if bad == "row" else "()"
-    with pytest.raises(ValueError, match=re.escape(f"{name} at t={T} has shape {shape}, "
-                                                   "not x's (3, 4)")):
+    match = (f"{name} at t={T} must be finite" if bad == "nan"
+             else f"{name} at t={T} has shape {shape}, not x's (3, 4)")
+    with pytest.raises(ValueError, match=re.escape(match)):
         if method == "cdps":
             cdps_sample(y, A, IsotropicNoise(0.01), schedule, score_fn, rng, n_chains=n)
         elif method in ("dps", "dps_jvp"):
@@ -819,14 +829,32 @@ def test_score_and_jacobian_product_of_another_shape_are_refused(method, bad):
     ("chain-empty-y0", "y0 must be a nonempty 1-D"),
     ("linearize-shape", "Jacobian probe produced a wrong shape"),
     ("prior_mode", "prior_mode must be one of"),
+    ("cdps_step-nan-level", "the chain's level y_2 must be finite"),
+    ("cdps_step_nonlinear-nan-score", "score at t=3 must be finite"),
+    ("make_step_params-narrow-x_t", r"x_t must have last axis 4, got shape \(3,\)"),
+    ("make_step_params-nan-x_t", "x_t must be finite"),
+    ("posterior_mean-scalar-y_prev", r"y_prev must have last axis 2, got shape \(\)"),
+    ("posterior_mean-short-y_prev", r"y_prev must have last axis 2, got shape \(1,\)"),
+    ("posterior_mean-long-y_prev", r"y_prev must have last axis 2, got shape \(3,\)"),
+    ("posterior_mean-nan-y_prev", "y_prev must be finite"),
+    ("posterior_mean-narrow-x_t", r"x_t must have last axis 4, got shape \(3,\)"),
+    ("posterior_mean-nan-x_t", "x_t must be finite"),
 ], ids=["cdps_step-nan-x_t", "cdps_step_nonlinear-nan-x_t", "cdps_step-t-beyond-chain",
         "cdps_step_nonlinear-t-beyond-chain", "cdps_step-wide-x_t", "cdps_step_nonlinear-wide-x_t",
-        "chain-length", "chain-2d-y0", "chain-empty-y0", "linearize-shape", "prior_mode"])
+        "chain-length", "chain-2d-y0", "chain-empty-y0", "linearize-shape", "prior_mode",
+        "cdps_step-nan-level", "cdps_step_nonlinear-nan-score", "make_step_params-narrow-x_t",
+        "make_step_params-nan-x_t", "posterior_mean-scalar-y_prev", "posterior_mean-short-y_prev",
+        "posterior_mean-long-y_prev", "posterior_mean-nan-y_prev", "posterior_mean-narrow-x_t",
+        "posterior_mean-nan-x_t"])
 def test_sampler_input_refusals(case, match):
     # Each input check, on its own; a non-finite x_t, a t beyond the T of the
     # schedule the chain was drawn on, or an x_t wider than d (which used to
     # reach the score and draw 12 normals before a reshape failed) is refused
-    # before the step draws anything.
+    # before the step draws anything, and so are a NaN level of the chain (on
+    # the fused step, which used to refuse only its right-hand side, after
+    # the draw) and a NaN score.  make_step_params used to take an x_t of
+    # width 3 or with a NaN, and posterior_mean broadcast a y_prev of shape
+    # () or (1,) over the m measurements and failed in numpy on one of (3,).
     d, m = 4, 2
     M = np.random.default_rng(88).standard_normal((m, d))
     schedule = make_linear_schedule(5, 0.1, 1.25)
@@ -858,9 +886,62 @@ def test_sampler_input_refusals(case, match):
         elif case == "linearize-shape":
             linearize(NonlinearMap(m=m, d=d, apply=lambda x: x[..., :m],
                                    jvp=lambda x, u: u[..., :m + 1]), np.zeros(d))
-        else:
+        elif case == "prior_mode":
             SolverConfig(prior_mode="bogus")
+        elif case == "cdps_step-nan-level":
+            levels = chain.y_levels.copy()
+            levels[2, -1] = np.nan
+            cdps_step(np.zeros(d), MeasurementChain(levels, schedule), 3, score_fn, from_dense(M),
+                      IsotropicNoise(0.01), rng)
+        elif case == "cdps_step_nonlinear-nan-score":
+            cdps_step_nonlinear(np.zeros(d), chain, 3, lambda x, t: one_nan(x), affine_map(M),
+                                IsotropicNoise(0.01), rng)
+        else:
+            method, _, bad = case.partition("-")
+            x = {"narrow-x_t": np.zeros(d - 1), "nan-x_t": x_t}.get(bad, np.zeros(d))
+            args = (score_fn, from_dense(M), IsotropicNoise(0.1), schedule)
+            if method == "make_step_params":
+                make_step_params(x, 3, *args)
+            else:
+                y_prev = {"scalar-y_prev": 1.0, "short-y_prev": np.ones(1),
+                          "long-y_prev": np.ones(m + 1), "nan-y_prev": np.full(m, np.nan)}
+                posterior_mean(make_step_params(np.zeros(d), 3, *args), x,
+                               y_prev.get(bad, np.zeros(m)))
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("path", ["fused", "factored", "rebuilt", "cg"])
+def test_finiteness_is_checked_where_values_enter_not_per_step(path, monkeypatch):
+    # A run checks y0 once and each score by one sum, which calls
+    # check_finite only when that sum is not finite; a single step checks
+    # its x_t and its level.  The factored and rebuilt steps used to check
+    # every step's right-hand side too, one call per step.
+    d, m, n = 6, 2, 3
+    rng = np.random.default_rng(92)
+    A = from_dense(rng.standard_normal((m, d)))
+    y = rng.standard_normal(m)
+    noise = IsotropicNoise(0.01)
+    if path == "factored":
+        monkeypatch.setattr(cdps.sampler, "FUSED_STEP_MAX_D", 0)
+    elif path == "rebuilt":
+        noise = DiagonalNoise(np.full(m, 0.01))
+    elif path == "cg":
+        A = dataclasses.replace(A, dense=None)
+    schedule = make_linear_schedule(10, 0.1, 2.5)
+    score_fn = score_fn_for(make_grid_gmm(d), schedule)
+    chain = generate_measurement_chain(y, schedule, rng, n_chains=n)
+    names = []
+
+    def counted(a, name, *args, **kwargs):
+        names.append(name)
+        return check_finite(a, name, *args, **kwargs)
+
+    monkeypatch.setattr(cdps.sampler, "check_finite", counted)
+    x, trace = cdps_sample(y, A, noise, schedule, score_fn, rng, n_chains=n)
+    assert np.all(np.isfinite(x)) and trace.failed_rows.size == 0
+    assert names == ["y0"]
+    cdps_step(x, chain, 3, score_fn, A, noise, rng)
+    assert names == ["y0", "x_t", "the chain's level y_2"]
 
 
 @pytest.mark.parametrize("path", ["dense", "cg"])

@@ -46,9 +46,13 @@ change it makes to the draws.
 workload and field name, how many entries differ (an entry is one task's
 field for one method, or of the oracle, and one missing from either file
 differs), then the largest relative change of each method's SW per workload.
-It exits 1 if any ``samples_sha256``, ``trace_sha256`` or ``step_sha256``
-differs, so a change that must leave every run's bits alone can be checked
-even when it changes the oracle's.
+For each workload and method that ``perfbench/reference.json`` records, it
+also prints the largest share of the benchmark's tolerance,
+``atol + rtol |SW|`` of the reference SW, that the change file's SW uses on
+any task, and which task that is: how close the change runs to failing the
+benchmark's check. It exits 1 if any ``samples_sha256``, ``trace_sha256``
+or ``step_sha256`` differs, so a change that must leave every run's bits
+alone can be checked even when it changes the oracle's.
 """
 
 from __future__ import annotations
@@ -145,8 +149,17 @@ def relative_change(parent: str, change: str) -> float:
     return abs(c - p) / abs(p) if p and math.isfinite(c - p) else math.inf
 
 
-def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
-    """The report of ``--compare`` as lines, and whether any of a run's bits moved."""
+def tolerance_share(sw: str, want: float, tol: dict) -> float:
+    """|SW - reference| over the benchmark's tolerance ``atol + rtol |reference|``, for a
+    ``repr``-ed SW; infinite when SW is not finite."""
+    gap = abs(float(sw) - want)
+    return gap / (tol["atol"] + tol["rtol"] * abs(want)) if math.isfinite(gap) else math.inf
+
+
+def compare(parent: dict, change: dict, reference: dict) -> tuple[list[str], bool]:
+    """The report of ``--compare`` as lines, and whether any of a run's bits moved.
+
+    ``reference`` is ``perfbench/reference.json``'s content."""
     lines, moved = [], False
     for name in sorted(parent.keys() | change.keys()):
         tasks_p, tasks_c = parent.get(name, {}), change.get(name, {})
@@ -167,6 +180,16 @@ def compare(parent: dict, change: dict) -> tuple[list[str], bool]:
             lines.append(f"{name} {field}: {differ} of {entries} differ")
         for method, largest in sorted(sw.items()):
             lines.append(f"{name} {method} sw: largest relative change {largest:.3g}")
+        recorded = reference["workloads"].get(name, {}).get("tasks", {})
+        for method in sorted({method for row in recorded.values() for method in row}):
+            shares = [(tolerance_share(row[method]["sw"], recorded[index][method]["sw"],
+                                       reference["tolerance"]), index)
+                      for index, row in tasks_c.items()
+                      if "sw" in row.get(method, {}) and method in recorded.get(index, {})]
+            if shares:
+                largest, index = max(shares)
+                lines.append(f"{name} {method} sw: largest share of the reference tolerance "
+                             f"{largest:.3g}, task {index}")
     return lines, moved
 
 
@@ -178,7 +201,9 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", default=None)
     args = parser.parse_args(argv)
     if args.compare:
-        lines, moved = compare(*(json.loads(path.read_text()) for path in args.compare))
+        parent, change = (json.loads(path.read_text()) for path in args.compare)
+        reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+        lines, moved = compare(parent, change, reference)
         print("\n".join(lines))
         if moved:
             print("a samples, trace or step digest differs")
